@@ -61,6 +61,7 @@ from .generic import (
 from .oracle import (
     JordanStructure,
     NotNilpotentError,
+    WeyrConsistencyError,
     WeyrData,
     oracle_jcf,
     oracle_jcf_matrix,

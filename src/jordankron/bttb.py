@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .exactmat import RationalMatrix, direct_sum, jordan_block, kron, matrix_power
@@ -31,6 +32,17 @@ from .polyring import (
     hasse_value_table,
     parse_rational,
 )
+
+
+def parse_block_size(value) -> int:
+    """A block size read from JSON: an integer >= 1, never coerced.
+
+    Floats (even integral ones), bools and strings are rejected rather than
+    truncated or converted.
+    """
+    if type(value) is not int or value < 1:
+        raise ValueError(f"a block size must be an integer >= 1, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,9 @@ class JordanSpec:
         blocks = []
         for item in obj:
             try:
-                blocks.append((parse_rational(str(item["eig"])), int(item["size"])))
+                blocks.append(
+                    (parse_rational(str(item["eig"])), parse_block_size(item["size"]))
+                )
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad Jordan block entry: {item!r}") from exc
         return cls(blocks)
@@ -125,6 +139,40 @@ def build_block_pair(
                 )
             data.append(row)
     return RationalMatrix(data)
+
+
+def block_pair_nilpotent_rows(
+    p: BivariatePoly,
+    lam: RationalLike,
+    m: int,
+    mu: RationalLike,
+    n: int,
+) -> list[dict[int, int]]:
+    """Sparse integer rows of L * (P - p(lam, mu) I), P = build_block_pair(...).
+
+    L is the common denominator of the entries, so the rows are exactly
+    ``_scaled_int_rows(build_block_pair(p, lam, m, mu, n).shifted(eig))``
+    with eig = p(lam, mu), the order-(0, 0) value.  Row r maps each column
+    holding a nonzero entry to that entry.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("block sizes must be positive")
+    vals = hasse_value_table(p, lam, mu, m - 1, n - 1)
+    # The shift cancels the diagonal offset (0, 0); every other offset
+    # occurs in the matrix, so its denominator enters L.
+    offsets = [
+        (h, k, v)
+        for h, hrow in enumerate(vals)
+        for k, v in enumerate(hrow)
+        if v and (h or k)
+    ]
+    denom = lcm(*(v.denominator for _, _, v in offsets))
+    offsets = [(h, k, v.numerator * (denom // v.denominator)) for h, k, v in offsets]
+    return [
+        {n * (br + h) + jr + k: v for h, k, v in offsets if br + h < m and jr + k < n}
+        for br in range(m)
+        for jr in range(n)
+    ]
 
 
 def build_block_pair_raw(

@@ -19,21 +19,16 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bounds import block_count_bounds, max_block_size_bound
-from .bttb import (
-    JordanSpec,
-    block_pairs,
-    build_block_pair,
-    build_full,
-    build_raw_kron,
-)
+from .bttb import JordanSpec, block_pairs, build_full, build_raw_kron
 from .frechet import frechet_jcf, pair_prediction
 from .generic import DegenerateCaseError, classify, generic_pair_sizes
-from .oracle import JordanStructure, oracle_jcf, oracle_jcf_matrix, weyr_structure
+from .oracle import JordanStructure, oracle_jcf, oracle_jcf_matrix, oracle_pair_sizes
 from .polyring import (
     INFINITE,
     BivariatePoly,
@@ -52,6 +47,13 @@ class CliInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A polynomial such as "-2,0,1" is a value, not an option: treat
+        # every token starting with a minus and a digit (or ".digit") the
+        # way argparse treats a plain negative number.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits with code 2 by default, which collides with the
     # degenerate-case exit code; route parse failures to code 1 instead.
     def error(self, message):
@@ -287,8 +289,8 @@ def cmd_check(args) -> int:
     _maybe_dump(args, p, x, y)
     diags: list[dict] = []
     extra: dict = {}
-    orc = oracle_jcf(p, x, y)
     if f is not None:
+        orc = oracle_jcf(p, x, y)
         predicted = frechet_jcf(f, x, y)
         diags = _frechet_pair_diags(f, x, y)
         agreement = predicted == orc
@@ -296,16 +298,19 @@ def cmd_check(args) -> int:
             extra["firstDifference"] = _first_difference(predicted, orc)
         extra["predicted"] = predicted.to_json_obj()
     elif p.is_constant():
+        orc = oracle_jcf(p, x, y)
         predicted = _constant_structure(p, x, y)
         agreement = predicted == orc
         extra["predicted"] = predicted.to_json_obj()
     else:
+        # One oracle pass per pair serves both the per-pair comparison and
+        # the merged result.
         agreement = True
+        contributions = []
         for lam, m, mu, n in block_pairs(x, y):
             eig = p.eval(lam, mu)
-            oracle_sizes = weyr_structure(
-                build_block_pair(p, lam, m, mu, n).shifted(eig)
-            )
+            oracle_sizes = oracle_pair_sizes(p, lam, m, mu, n)
+            contributions.append((eig, oracle_sizes))
             entry = {
                 "lam": format_rational(lam),
                 "mu": format_rational(mu),
@@ -344,6 +349,7 @@ def cmd_check(args) -> int:
             entry["ok"] = pair_ok
             agreement = agreement and pair_ok
             diags.append(entry)
+        orc = JordanStructure.from_pairs(contributions)
     if args.raw_kron:
         candidates = [p.eval(lam, mu) for lam, m, mu, n in block_pairs(x, y)]
         raw = oracle_jcf_matrix(build_raw_kron(p, x, y), candidates)
@@ -465,8 +471,9 @@ def build_parser() -> _Parser:
     sc = subs.add_parser("check",
                          help="prediction vs brute-force oracle")
     _add_poly_and_specs(sc)
-    sc.add_argument("--cap", type=int, default=400,
-                    help="largest total dimension the oracle will accept")
+    sc.add_argument("--cap", type=int, default=1024,
+                    help="largest total dimension the oracle will accept "
+                    "(default 1024, one 32 x 32 block pair)")
     sc.add_argument("--raw-kron", action="store_true", dest="raw_kron",
                     help="also cross-check against the literal Kronecker build")
     _add_common_io(sc)

@@ -229,7 +229,7 @@ def matrix_power(a: RationalMatrix, e: int) -> RationalMatrix:
 
 # ---------------------------------------------------------------------------
 # Rank kernels.  Both operate on mutable lists of lists and are wrapped by
-# the public rank() below; the oracle reuses the integer kernel directly.
+# the public rank() below.
 # ---------------------------------------------------------------------------
 
 
@@ -344,11 +344,6 @@ def _scaled_int_rows(a: RationalMatrix) -> list[list[int]]:
     return [
         [e.numerator * (denom // e.denominator) for e in row] for row in a.data
     ]
-
-
-def _matmul_int_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def rank(a: "RationalMatrix | IntegerMatrix") -> int:

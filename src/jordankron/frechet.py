@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .bttb import JordanSpec, block_pairs
 from .generic import kronecker_sum_sizes
-from .oracle import JordanStructure
+from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
     INFINITE,
     RationalLike,
@@ -130,19 +130,6 @@ def equal_ev_nullities(m: int, n: int, d: int) -> list[int]:
     return out
 
 
-def _sizes_from_nullities(nullities: list[int], dim: int) -> tuple[int, ...]:
-    nus = list(nullities)
-    nus.extend([dim] * 2)
-    sizes: list[int] = []
-    for s in range(1, len(nus) - 1):
-        count = 2 * nus[s] - nus[s - 1] - nus[s + 1]
-        # A negative count would mean an inconsistent rank table.
-        assert count >= 0, "negative block count from nullity sequence"
-        sizes.extend([s] * count)
-    assert sum(sizes) == dim
-    return tuple(sorted(sizes, reverse=True))
-
-
 def equal_ev_blocks(
     f: UnivariatePoly, lam: RationalLike, m: int, n: int
 ) -> tuple[Fraction, tuple[int, ...]]:
@@ -218,7 +205,7 @@ def pair_prediction(
         nullities.append(dim - sum(rk for _, _, rk in ranks))
     return PairPrediction(
         lam, mu, m, n, "equal", eig,
-        _sizes_from_nullities(nullities, dim),
+        sizes_from_nullities(nullities, dim),
         local_mult=d, rank_table=tuple(table),
     )
 

@@ -7,9 +7,15 @@ characteristic): for a nilpotent Z, the number of blocks of size s equals
 No structure theorem is consulted anywhere in this module, which is what
 makes it usable as an independent check of the predictors.
 
-Internally the rational matrices are scaled by their common denominator
-(rank is invariant under nonzero scaling) and the powers and ranks run on
-plain integers through the fraction-free elimination kernel.
+The ranks come from an image chain.  Z is scaled by the common
+denominator of its entries (rank is invariant under nonzero scaling) and
+held as sparse integer rows.  ``B_1`` is an echelon basis of the row space
+of Z, and ``B_s`` one of the row space of ``B_(s-1) Z``, which is the row
+space of ``Z^s``; so ``rank Z^s = |B_s|``.  Basis rows are kept primitive
+(divided by the gcd of their entries) and eliminated fraction-free, so all
+arithmetic is exact integer arithmetic.  The chain uses only row spaces and
+products with Z, never any property of the matrices it is given, so it stays
+structure-agnostic.
 """
 
 from __future__ import annotations
@@ -17,20 +23,52 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd
+from typing import Iterable, Mapping, Sequence
 
-from .bttb import JordanSpec, block_pairs, build_block_pair
-from .exactmat import (
-    RationalMatrix,
-    _matmul_int_rows,
-    _rank_int_rows,
-    _scaled_int_rows,
-)
+from .bttb import JordanSpec, block_pair_nilpotent_rows, block_pairs, parse_block_size
+from .exactmat import RationalMatrix, _scaled_int_rows
 from .polyring import BivariatePoly, RationalLike, format_rational, parse_rational
 
 
 class NotNilpotentError(ValueError):
     """The matrix handed to the Weyr computation is not nilpotent."""
+
+
+class WeyrConsistencyError(ArithmeticError):
+    """A nullity sequence cannot be the Weyr characteristic of any matrix.
+
+    Raised instead of an ``assert`` so the check survives ``python -O``; it
+    signals a defect in a rank computation, not bad input.
+    """
+
+
+def sizes_from_nullities(nullities: Sequence[int], dim: int) -> tuple[int, ...]:
+    """Jordan block sizes, descending, from nu_0 = 0, nu_1, ... of a
+    nilpotent part of dimension dim.
+
+    The sequence is read as constant past its last entry.  It must never
+    decrease, its steps must never grow (so no block count is negative),
+    and it must end at dim; otherwise WeyrConsistencyError is raised.
+    """
+    nus = list(nullities)
+    nus.extend([nus[-1]] * 2)
+    sizes: list[int] = []
+    for s in range(1, len(nus) - 1):
+        if nus[s] < nus[s - 1]:
+            raise WeyrConsistencyError(f"decreasing nullity step at power {s}")
+        count = 2 * nus[s] - nus[s - 1] - nus[s + 1]
+        if count < 0:
+            raise WeyrConsistencyError(
+                f"negative block count {count} for size {s}: nonconcave nullity steps"
+            )
+        sizes.extend([s] * count)
+    if sum(sizes) != dim:
+        raise WeyrConsistencyError(
+            f"block sizes sum to {sum(sizes)}, not the dimension {dim}"
+        )
+    sizes.sort(reverse=True)
+    return tuple(sizes)
 
 
 @dataclass(frozen=True)
@@ -46,57 +84,104 @@ class WeyrData:
     nullities: tuple[int, ...]
 
     def block_sizes(self) -> tuple[int, ...]:
-        nus = list(self.nullities)
-        # Pad two steps past stabilization; the sequence stays constant.
-        nus.extend([self.dimension] * 2)
-        sizes: list[int] = []
-        for s in range(1, len(nus) - 1):
-            count = 2 * nus[s] - nus[s - 1] - nus[s + 1]
-            sizes.extend([s] * count)
-        sizes.sort(reverse=True)
-        return tuple(sizes)
+        return sizes_from_nullities(self.nullities, self.dimension)
 
 
-def _weyr_nullities_int(rows: list[list[int]], dim: int) -> list[int]:
-    """Nullities of successive powers until full nullity; raises if the
-    sequence plateaus early, which happens exactly when Z^dim != 0."""
+def _sparse_rows(rows: list[list[int]]) -> list[dict[int, int]]:
+    return [{j: e for j, e in enumerate(row) if e} for row in rows]
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Primitive echelon basis of the row space of sparse integer rows.
+
+    Each basis row has its own leading column, a positive leading entry and
+    entries with gcd 1.  A row v is reduced against the basis row p owning
+    its leading column by ``v <- a v - b p``, where a and b are the two
+    leading entries divided by their gcd, so every step stays integral.
+    The input rows are consumed: elimination updates them in place.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for v in rows:
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                g = gcd(*v.values())
+                if v[lead] < 0:
+                    g = -g
+                if g != 1:
+                    v = {c: x // g for c, x in v.items()}
+                pivots[lead] = v
+                break
+            a, b = p[lead], v[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                v = {c: a * x for c, x in v.items()}
+            for c, x in p.items():
+                y = v.get(c, 0) - b * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+    return list(pivots.values())
+
+
+def _times(v: dict[int, int], z_rows: list[dict[int, int]]) -> dict[int, int]:
+    """The sparse row vector v times the matrix with sparse rows z_rows."""
+    acc: dict[int, int] = {}
+    for j, vj in v.items():
+        for c, x in z_rows[j].items():
+            acc[c] = acc.get(c, 0) + vj * x
+    return {c: x for c, x in acc.items() if x}
+
+
+def _nullity_chain(z_rows: list[dict[int, int]], strict: bool) -> list[int]:
+    """Nullities nu_0 = 0, nu_1, ... of the powers of a square matrix.
+
+    The chain stops at the first power whose nullity reaches the dimension
+    or equals the previous one (the nullities are then stable).  A stop of
+    the second kind means the matrix is not nilpotent: with ``strict`` it
+    raises NotNilpotentError, otherwise the stable value is the algebraic
+    multiplicity of the eigenvalue 0 and is the last entry returned.
+    """
+    dim = len(z_rows)
     nullities = [0]
-    current = rows
+    basis = _echelon(dict(row) for row in z_rows if row)
     while True:
-        rk = _rank_int_rows([row[:] for row in current])
-        nu = dim - rk
-        prev = nullities[-1]
-        if nu == prev:
-            raise NotNilpotentError(
-                "nullity sequence stabilized at "
-                f"{nu} below the dimension {dim}"
-            )
-        # Nullities of powers grow strictly until stabilization with
-        # concave increments; violations would mean a rank kernel bug.
-        assert nu > prev, "decreasing nullity step"
-        if len(nullities) >= 2:
-            assert nu - prev <= prev - nullities[-2], "nonconcave nullity step"
+        nu = dim - len(basis)
+        if nu == nullities[-1]:
+            if strict:
+                raise NotNilpotentError(
+                    f"nullity sequence stabilized at {nu} below the dimension {dim}"
+                )
+            return nullities
         nullities.append(nu)
         if nu == dim:
             return nullities
-        current = _matmul_int_rows(current, rows)
+        basis = _echelon(_times(row, z_rows) for row in basis)
 
 
 def weyr_data(z: RationalMatrix) -> WeyrData:
     """Nullity sequence of z, z^2, ...; z must be square and nilpotent."""
     if not z.is_square():
         raise ValueError("need a square matrix")
-    dim = z.rows
-    rows = _scaled_int_rows(z)
-    return WeyrData(dim, tuple(_weyr_nullities_int(rows, dim)))
+    rows = _sparse_rows(_scaled_int_rows(z))
+    return WeyrData(z.rows, tuple(_nullity_chain(rows, strict=True)))
 
 
 def weyr_structure(z: RationalMatrix) -> tuple[int, ...]:
     """Jordan block sizes of a nilpotent matrix, descending."""
-    data = weyr_data(z)
-    sizes = data.block_sizes()
-    assert sum(sizes) == data.dimension
-    return sizes
+    return weyr_data(z).block_sizes()
+
+
+def oracle_pair_sizes(
+    p: BivariatePoly, lam: RationalLike, m: int, mu: RationalLike, n: int
+) -> tuple[int, ...]:
+    """Jordan block sizes of p on the Jordan pair (lam, m), (mu, n), all at
+    its only eigenvalue p(lam, mu), descending."""
+    rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
+    return sizes_from_nullities(_nullity_chain(rows, strict=True), m * n)
 
 
 class JordanStructure:
@@ -154,7 +239,10 @@ class JordanStructure:
     def from_json_obj(cls, obj) -> "JordanStructure":
         try:
             pairs = [
-                (parse_rational(str(item["eig"])), [int(b) for b in item["blocks"]])
+                (
+                    parse_rational(str(item["eig"])),
+                    [parse_block_size(b) for b in item["blocks"]],
+                )
                 for item in obj["eigenvalues"]
             ]
         except (KeyError, TypeError) as exc:
@@ -180,12 +268,10 @@ def oracle_jcf(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructur
     shifted by its only eigenvalue p(lam, mu); contributions at equal
     eigenvalues merge.
     """
-    contributions = []
-    for lam, m, mu, n in block_pairs(x, y):
-        eig = p.eval(lam, mu)
-        z = build_block_pair(p, lam, m, mu, n).shifted(eig)
-        contributions.append((eig, weyr_structure(z)))
-    return JordanStructure.from_pairs(contributions)
+    return JordanStructure.from_pairs(
+        (p.eval(lam, mu), oracle_pair_sizes(p, lam, m, mu, n))
+        for lam, m, mu, n in block_pairs(x, y)
+    )
 
 
 def oracle_jcf_matrix(
@@ -204,29 +290,13 @@ def oracle_jcf_matrix(
     contributions = []
     covered = 0
     for eig in sorted({Fraction(e) for e in eigenvalues}):
-        rows = _scaled_int_rows(a.shifted(eig))
-        nullities = [0]
-        current = rows
-        while True:
-            rk = _rank_int_rows([row[:] for row in current])
-            nu = dim - rk
-            if nu == nullities[-1]:
-                break
-            assert nu > nullities[-1], "decreasing nullity step"
-            nullities.append(nu)
-            if nu == dim:
-                break
-            current = _matmul_int_rows(current, rows)
+        rows = _sparse_rows(_scaled_int_rows(a.shifted(eig)))
+        nullities = _nullity_chain(rows, strict=False)
         algebraic = nullities[-1]
         if algebraic == 0:
             continue
         covered += algebraic
-        nullities.extend([algebraic] * 2)
-        sizes = []
-        for s in range(1, len(nullities) - 1):
-            count = 2 * nullities[s] - nullities[s - 1] - nullities[s + 1]
-            sizes.extend([s] * count)
-        contributions.append((eig, sizes))
+        contributions.append((eig, sizes_from_nullities(nullities, algebraic)))
     if covered != dim:
         raise ValueError(
             f"candidate eigenvalues cover {covered} of {dim} dimensions"

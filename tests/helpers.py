@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
-from jordankron import BivariatePoly, BlockToeplitzUT, JordanSpec, UnivariatePoly
+from jordankron import (
+    BivariatePoly,
+    BlockToeplitzUT,
+    JordanSpec,
+    NotNilpotentError,
+    RationalMatrix,
+    UnivariatePoly,
+    assemble_jordan_matrix,
+)
+from jordankron.exactmat import _rank_int_rows
 
 
 def random_univariate(rng: random.Random, max_deg=8, bound=3) -> UnivariatePoly:
@@ -74,3 +84,46 @@ def random_degenerate_poly(rng: random.Random, size=4, bound=3) -> BivariatePoly
         p = BivariatePoly(grid)
         if not p.is_constant():
             return p
+
+
+def _matmul_int_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def reference_nullities(rows: list[list[int]], strict: bool = True) -> list[int]:
+    """Nullities nu_0 = 0, nu_1, ... of the powers of a dense integer matrix,
+    by forming each power with a dense product and eliminating it from
+    scratch.  Stops where the nullity reaches the dimension or stabilizes;
+    a stabilization below the dimension raises NotNilpotentError when
+    ``strict``.  Test-only reference for the oracle's image chain."""
+    dim = len(rows)
+    nullities = [0]
+    current = rows
+    while True:
+        nu = dim - _rank_int_rows([row[:] for row in current])
+        if nu == nullities[-1]:
+            if strict:
+                raise NotNilpotentError("nullities stabilized below the dimension")
+            return nullities
+        nullities.append(nu)
+        if nu == dim:
+            return nullities
+        current = _matmul_int_rows(current, rows)
+
+
+def conjugated(spec: JordanSpec, ops) -> RationalMatrix:
+    """S J S^-1 for J the Jordan matrix of spec and S the product of the
+    elementary matrices I + c e_i e_j^T given as (i, j, c) in ops; pairs with
+    i == j are skipped.  The result is dense and rational for enough ops,
+    and has exactly the Jordan structure of spec."""
+    data = [list(row) for row in assemble_jordan_matrix(spec).data]
+    for i, j, c in ops:
+        if i == j or not c:
+            continue
+        # Left factor adds c * row j to row i; right factor (its inverse)
+        # subtracts c * column i from column j.
+        data[i] = [a + c * b for a, b in zip(data[i], data[j])]
+        for row in data:
+            row[j] -= c * row[i]
+    return RationalMatrix(data)

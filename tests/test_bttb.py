@@ -23,7 +23,8 @@ from jordankron import (
     univariate_at_matrix,
     weyr_structure,
 )
-from jordankron.bttb import build_block_pair_raw
+from jordankron.bttb import block_pair_nilpotent_rows, build_block_pair_raw
+from jordankron.exactmat import _scaled_int_rows
 from helpers import random_bivariate, random_spec_total, random_univariate
 
 X_PLUS_Y = BivariatePoly([[0, 1], [1, 0]])
@@ -66,6 +67,23 @@ def test_block_pair_matches_raw_power_sum():
         assert build_block_pair(p, lam, m, mu, n) == build_block_pair_raw(
             p, lam, m, mu, n
         )
+
+
+def test_nilpotent_rows_match_scaled_shifted_build():
+    rng = random.Random(43)
+    for _ in range(40):
+        p = random_bivariate(rng, 3, 3)
+        if rng.random() < 0.5:
+            p = p * Q(1, rng.randint(2, 6)) + random_bivariate(rng, 2, 2)
+        lam = Q(rng.randint(-2, 2), rng.randint(1, 3))
+        mu = Q(rng.randint(-2, 2), rng.randint(1, 3))
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        dense = _scaled_int_rows(
+            build_block_pair(p, lam, m, mu, n).shifted(p.eval(lam, mu))
+        )
+        rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
+        assert [[row.get(c, 0) for c in range(m * n)] for row in rows] == dense
+        assert all(all(row.values()) for row in rows)
 
 
 def test_block_pair_swap_has_same_weyr_structure():
@@ -188,6 +206,9 @@ def test_jordan_spec_canonical_order_and_json():
     assert parsed.blocks == ((Q(1, 2), 3),)
     with pytest.raises(ValueError):
         JordanSpec.from_json('{"eig":"0"}')
+    for size in ("2.7", "2.0", "true", '"2"', "0", "-1", "null"):
+        with pytest.raises(ValueError, match="size"):
+            JordanSpec.from_json(f'[{{"eig":"0","size":{size}}}]')
     with pytest.raises(ValueError):
         JordanSpec([(0, 0)])
 

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
-
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from jordankron import JordanStructure
 from jordankron.cli import main
@@ -253,10 +256,44 @@ def test_input_errors_exit_1():
         ["bounds", "4", "4", "0"],
         ["nonsense-command"],
     ]
+    cases.extend(
+        ["predict", "--p", "0,1;1,0", "--X", f'[{{"eig":"0","size":{size}}}]',
+         "--Y", SPEC_02]
+        for size in ("2.7", "true", '"2"')
+    )
     for argv in cases:
         code, out, _ = run(argv)
         assert code == 1, argv
         assert "error" in json.loads(out)
+
+
+def test_non_integral_spec_size_exits_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-c", "from jordankron.cli import entry; entry()",
+         "check", "--p", "0,1;1,0", "--X", '[{"eig":"0","size":2.7}]',
+         "--Y", SPEC_02],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "size" in json.loads(proc.stdout)["error"]
+
+
+def test_leading_minus_polynomial_values():
+    x, y = '[{"eig":"1","size":3}]', '[{"eig":"-1","size":2}]'
+    for command, flag, value in (
+        ("check", "--f", "-2,0,1"),
+        ("check", "--p", "-1,1;1,0"),
+        ("predict", "--p", "-1/2,1;1,0"),
+        ("frechet", "--f", "-.5,0,0,1"),
+    ):
+        spaced = run([command, flag, value, "--X", x, "--Y", y])
+        joined = run([command, f"{flag}={value}", "--X", x, "--Y", y])
+        assert spaced[0] == 0, (command, flag, value, spaced[1])
+        assert spaced == joined
 
 
 def test_spec_from_file(tmp_path):

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordankron import (
     BivariatePoly,
@@ -9,14 +15,18 @@ from jordankron import (
     JordanStructure,
     NotNilpotentError,
     RationalMatrix,
+    WeyrConsistencyError,
     h_poly,
     jordan_block,
     oracle_jcf,
+    oracle_jcf_matrix,
     weyr_data,
     weyr_structure,
 )
 from jordankron.bttb import build_block_pair
-from helpers import random_bivariate, random_spec_total
+from jordankron.exactmat import _scaled_int_rows
+from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
+from helpers import conjugated, random_bivariate, random_spec_total, reference_nullities
 
 X_PLUS_Y = BivariatePoly([[0, 1], [1, 0]])
 
@@ -124,9 +134,90 @@ def test_structure_json_roundtrip_and_order():
     assert JordanStructure.from_json(s.to_json()) == s
     with pytest.raises(ValueError):
         JordanStructure.from_json('{"bad": 1}')
+    for size in ("2.7", "true", '"2"', "0"):
+        with pytest.raises(ValueError, match="size"):
+            JordanStructure.from_json(
+                f'{{"eigenvalues": [{{"eig": "1", "blocks": [3, {size}]}}]}}'
+            )
 
 
 def test_structure_equality_is_exact():
     a = JordanStructure({Q(1, 3): [2]})
     b = JordanStructure({Q(333333, 1000000): [2]})
     assert a != b
+
+
+@st.composite
+def conjugated_jordan(draw, eigs):
+    """(spec, S J S^-1): a dense rational matrix with a known Jordan form."""
+    blocks = draw(
+        st.lists(st.tuples(eigs, st.integers(1, 4)), min_size=1, max_size=3)
+    )
+    spec = JordanSpec(blocks)
+    dim = spec.total_size
+    index = st.integers(0, dim - 1)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+    ops = draw(
+        st.lists(st.tuples(index, index, coeff), min_size=3 * dim, max_size=4 * dim)
+    )
+    return spec, conjugated(spec, ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_jordan(st.just(Q(0))))
+def test_image_chain_matches_dense_reference_on_nilpotent(case):
+    spec, z = case
+    data = weyr_data(z)
+    assert list(data.nullities) == reference_nullities(_scaled_int_rows(z))
+    assert weyr_structure(z) == tuple(sorted((s for _, s in spec.blocks), reverse=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_jordan(st.sampled_from([Q(0), Q(-1), Q(1, 2), Q(2)])))
+def test_image_chain_matches_dense_reference_on_shifted(case):
+    spec, a = case
+    if any(eig for eig, _ in spec.blocks):
+        with pytest.raises(NotNilpotentError):
+            weyr_structure(a)
+        with pytest.raises(NotNilpotentError):
+            reference_nullities(_scaled_int_rows(a))
+    eigs = spec.eigenvalues()
+    for eig in eigs:
+        rows = _scaled_int_rows(a.shifted(eig))
+        assert _nullity_chain(_sparse_rows(rows), strict=False) == (
+            reference_nullities(rows, strict=False)
+        )
+    assert oracle_jcf_matrix(a, eigs) == JordanStructure.from_pairs(
+        (eig, [size]) for eig, size in spec.blocks
+    )
+
+
+def test_sizes_from_nullities_rejects_inconsistent_sequences():
+    assert sizes_from_nullities([0, 2, 3, 4], 4) == (3, 1)
+    assert sizes_from_nullities([0, 2, 4, 4], 4) == (2, 2)
+    with pytest.raises(WeyrConsistencyError, match="decreasing"):
+        sizes_from_nullities([0, 3, 2, 4], 4)
+    with pytest.raises(WeyrConsistencyError, match="negative block count"):
+        sizes_from_nullities([0, 1, 3, 4], 4)
+    with pytest.raises(WeyrConsistencyError, match="sum"):
+        sizes_from_nullities([0, 2, 3], 4)
+
+
+def test_consistency_checks_survive_optimized_mode():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "from jordankron.oracle import WeyrConsistencyError, sizes_from_nullities\n"
+        "try:\n"
+        "    sizes_from_nullities([0, 1, 3, 4], 4)\n"
+        "except WeyrConsistencyError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
