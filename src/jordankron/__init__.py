@@ -9,105 +9,29 @@ with a brute-force exact-rational oracle built on ranks of powers.
 All arithmetic is exact over the rationals; nothing is ever rounded.
 """
 
-from .bounds import (
-    FiltrationDims,
-    block_count_bounds,
-    filtration_dims,
-    max_block_size_bound,
-)
-from .bttb import (
-    JordanSpec,
-    assemble_jordan_matrix,
-    build_block_pair,
-    build_full,
-    build_raw_kron,
-    frechet_kronecker_form,
-    frechet_kronecker_raw,
-    univariate_at_matrix,
-)
-from .exactmat import (
-    IntegerMatrix,
-    NotSquareError,
-    RationalMatrix,
-    direct_sum,
-    jordan_block,
-    kron,
-    matrix_power,
-    nullity,
-    rank,
-)
-from .frechet import (
-    EqualEigenvaluesError,
-    PairPrediction,
-    distinct_ev_blocks,
-    equal_ev_blocks,
-    equal_ev_nullities,
-    euclid_partition,
-    first_nonvanishing_order,
-    frechet_jcf,
-    pair_prediction,
-    phi_distinct,
-    phi_equal,
-)
-from .generic import (
-    DegenerateCaseError,
-    GenericCaseTag,
-    classify,
-    generic_pair_sizes,
-    kronecker_sum_sizes,
-    nilpotent_power_sizes,
-    predict_generic,
-)
+from .bounds import PairBounds, block_count_bounds, max_block_size_bound
+from .bttb import JordanSpec, build_full, build_raw_kron
+from .exactmat import RationalMatrix
+from .frechet import EqualEigenvaluesError, frechet_jcf
+from .generic import DegenerateCaseError, PairPrediction, predict_generic
 from .oracle import (
     JordanStructure,
     NotNilpotentError,
     WeyrConsistencyError,
-    WeyrData,
     oracle_jcf,
     oracle_jcf_matrix,
-    weyr_data,
-    weyr_structure,
 )
 from .polyring import (
     INFINITE,
-    Biindex,
     BivariatePoly,
     ConstantPolynomialError,
-    Rational,
     UnivariatePoly,
     bezout_quotient,
-    eval_bivariate,
-    format_rational,
-    h_poly,
-    hasse_derivative,
-    hasse_value_table,
-    local_degree,
-    parse_rational,
-    root_multiplicity,
-    univariate_hasse_eval,
 )
-from .similarity import (
-    BlockToeplitzUT,
-    NonzeroLowOrderError,
-    SimilarityReduction,
-    SingularA1Error,
-    SingularArError,
-    SingularBlockError,
-    reduce_bidiagonal,
-    reduce_shifted,
-)
+from .similarity import BlockToeplitzUT, reduce_bidiagonal, reduce_shifted
 from .toeplitz import (
     DeficiencyRecord,
-    GammaCoeffs,
-    InvalidSpecError,
-    PropertyReport,
-    PropertyViolationError,
-    ToeplitzSpec,
     build_R,
-    check_properties,
-    gamma_coeffs,
-    offset_c,
-    rank_drop_witness,
     rho,
     scan_deficiencies,
     sufficient_rank_drop,

@@ -16,6 +16,7 @@ and also size the banded Toeplitz matrices in :mod:`jordankron.toeplitz`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -69,3 +70,28 @@ def block_count_bounds(m: int, n: int, d: int) -> tuple[int, int]:
     if delta > 0:
         lower -= delta * delta // 4
     return lower, upper
+
+
+@dataclass(frozen=True)
+class PairBounds:
+    """Both bounds for one degenerate pair of sizes (m, n) at local degree d."""
+
+    local_degree: int
+    max_block_size: int
+    count_lower: int
+    count_upper: int
+
+    def hold(self, sizes: Sequence[int]) -> bool:
+        """Whether descending block sizes satisfy both bounds."""
+        return (
+            self.count_lower <= len(sizes) <= self.count_upper
+            and sizes[0] <= self.max_block_size
+        )
+
+    def to_json_obj(self) -> dict:
+        return {
+            "localDegree": self.local_degree,
+            "maxBlockSize": self.max_block_size,
+            "countLower": self.count_lower,
+            "countUpper": self.count_upper,
+        }

@@ -4,8 +4,7 @@ Evaluating a bivariate polynomial p on a pair of Jordan blocks,
 ``P = sum a_ij (J_m(lam)^i (x) J_n(mu)^j)``, produces a block-Toeplitz
 matrix with Toeplitz blocks whose entries are Hasse derivative values of p
 at (lam, mu).  ``build_block_pair`` fills that matrix directly from the
-entry formula; ``build_block_pair_raw`` assembles the literal Kronecker sum
-of powers and exists purely as a cross-check.
+entry formula.
 
 For matrices given by their Jordan data, ``build_full`` returns the direct
 sum over all block pairs, which is permutation similar to the Kronecker
@@ -22,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .exactmat import RationalMatrix, direct_sum, jordan_block, kron, matrix_power
+from .exactmat import RationalMatrix, direct_sum, jordan_block, kron
 from .polyring import (
     BivariatePoly,
     RationalLike,
@@ -94,7 +93,7 @@ class JordanSpec:
     def from_json(cls, text: str) -> "JordanSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"bad Jordan spec JSON: {exc}") from exc
         return cls.from_json_obj(obj)
 
@@ -175,31 +174,6 @@ def block_pair_nilpotent_rows(
     ]
 
 
-def build_block_pair_raw(
-    p: BivariatePoly,
-    lam: RationalLike,
-    m: int,
-    mu: RationalLike,
-    n: int,
-) -> RationalMatrix:
-    """Same matrix as build_block_pair, via sum a_ij J^i (x) J^j.
-
-    Kept as an independent cross-check of the entry formula.
-    """
-    jx = jordan_block(lam, m)
-    jy = jordan_block(mu, n)
-    x_pows = [RationalMatrix.identity(m)]
-    for _ in range(max(p.degree_x(), 0)):
-        x_pows.append(x_pows[-1] @ jx)
-    y_pows = [RationalMatrix.identity(n)]
-    for _ in range(max(p.degree_y(), 0)):
-        y_pows.append(y_pows[-1] @ jy)
-    acc = RationalMatrix.zeros(m * n, m * n)
-    for i, j, a in p.terms():
-        acc = acc + kron(x_pows[i], y_pows[j]).scale(a)
-    return acc
-
-
 def block_pairs(x: JordanSpec, y: JordanSpec):
     """All (lam, m, mu, n) pairs of the two specs, in canonical order."""
     for lam, m in x.blocks:
@@ -235,19 +209,6 @@ def build_raw_kron(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> RationalMa
     return acc
 
 
-def univariate_at_matrix(f: UnivariatePoly, a: RationalMatrix) -> RationalMatrix:
-    """f(A) for a square matrix A, by Horner's rule."""
-    if not a.is_square():
-        raise ValueError("need a square matrix")
-    n = a.rows
-    acc = RationalMatrix.zeros(n, n)
-    for c in reversed(f.coeffs):
-        acc = acc @ a
-        if c:
-            acc = acc + RationalMatrix.identity(n).scale(c)
-    return acc
-
-
 def frechet_kronecker_form(f: UnivariatePoly, w: JordanSpec) -> RationalMatrix:
     """Matrix representation of the derivative of the map A -> f(A) at w.
 
@@ -256,29 +217,3 @@ def frechet_kronecker_form(f: UnivariatePoly, w: JordanSpec) -> RationalMatrix:
     build_full of the difference quotient of f on (w, w).
     """
     return build_full(bezout_quotient(f), w, w)
-
-
-def frechet_kronecker_raw(f: UnivariatePoly, w: RationalMatrix) -> RationalMatrix:
-    """The literal derivative representation sum_i f_i sum_j (W^T)^j (x) W^(i-j).
-
-    Here f_i is the coefficient of w^(i+1) in f.  Cross-check companion of
-    frechet_kronecker_form for a concrete matrix argument.
-    """
-    if not w.is_square():
-        raise ValueError("need a square matrix")
-    n = w.rows
-    deg = f.degree
-    dim = n * n
-    acc = RationalMatrix.zeros(dim, dim)
-    if deg < 1:
-        return acc
-    wt = w.transpose()
-    wt_pows = [matrix_power(wt, j) for j in range(deg)]
-    w_pows = [matrix_power(w, j) for j in range(deg)]
-    for i in range(deg):
-        c = f.coeffs[i + 1]
-        if not c:
-            continue
-        for j in range(i + 1):
-            acc = acc + kron(wt_pows[j], w_pows[i - j]).scale(c)
-    return acc

@@ -24,13 +24,12 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import frechet, generic
 from .bounds import block_count_bounds, max_block_size_bound
 from .bttb import JordanSpec, block_pairs, build_full, build_raw_kron
-from .frechet import frechet_jcf, pair_prediction
-from .generic import DegenerateCaseError, classify, generic_pair_sizes
+from .generic import DegenerateCaseError, PairPrediction
 from .oracle import JordanStructure, oracle_jcf, oracle_jcf_matrix, oracle_pair_sizes
 from .polyring import (
-    INFINITE,
     BivariatePoly,
     UnivariatePoly,
     bezout_quotient,
@@ -160,57 +159,19 @@ def _maybe_dump(args, p, x, y) -> None:
         print(build_full(p, x, y).dump(), file=sys.stderr)
 
 
-def _order_str(value):
-    return "inf" if value == INFINITE else value
-
-
-def _frechet_pair_diags(f, x, y) -> list[dict]:
-    diags = []
-    for lam, m, mu, n in block_pairs(x, y):
-        pred = pair_prediction(f, lam, m, mu, n)
-        entry = {
-            "lam": format_rational(pred.lam),
-            "mu": format_rational(pred.mu),
-            "m": m,
-            "n": n,
-            "branch": pred.branch,
-            "eig": format_rational(pred.eigenvalue),
-            "sizes": list(pred.sizes),
-        }
-        if pred.branch == "distinct":
-            entry["k"] = _order_str(pred.order_lam)
-            entry["h"] = _order_str(pred.order_mu)
-            entry["partsLam"] = list(pred.parts_lam)
-            entry["partsMu"] = list(pred.parts_mu)
-        else:
-            entry["d"] = _order_str(pred.local_mult)
-            if pred.rank_table:
-                entry["ranks"] = [
-                    {"s": s, "k": k, "rank": rk} for s, k, rk in pred.rank_table
-                ]
-        diags.append(entry)
-    return diags
-
-
-def _generic_pair_diags(p, x, y) -> list[dict]:
-    diags = []
-    for lam, m, mu, n in block_pairs(x, y):
-        tag = classify(p, lam, mu, m, n)
-        entry = {
-            "lam": format_rational(lam),
-            "mu": format_rational(mu),
-            "m": m,
-            "n": n,
-            "branch": tag.value,
-            "eig": format_rational(p.eval(lam, mu)),
-        }
-        diags.append(entry)
-    return diags
-
-
 def _constant_structure(p, x, y) -> JordanStructure:
     dim = x.total_size * y.total_size
     return JordanStructure({p.constant_term: (1,) * dim})
+
+
+def _pair_predictions(mode, p, f, x, y) -> list[PairPrediction]:
+    if mode == "frechet":
+        return [frechet.pair_prediction(f, *pair) for pair in block_pairs(x, y)]
+    return [generic.pair_prediction(p, *pair) for pair in block_pairs(x, y)]
+
+
+def _merged(preds: list[PairPrediction]) -> JordanStructure:
+    return JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
 
 
 def cmd_predict(args) -> int:
@@ -218,46 +179,29 @@ def cmd_predict(args) -> int:
     p, f = _load_polynomials(args, mode)
     x, y = _load_specs(args)
     _maybe_dump(args, p, x, y)
-    if mode == "frechet":
-        result = frechet_jcf(f, x, y)
-        diags = _frechet_pair_diags(f, x, y)
-    elif p.is_constant():
-        result = _constant_structure(p, x, y)
-        diags = []
+    if mode != "frechet" and p.is_constant():
+        result, preds = _constant_structure(p, x, y), []
     else:
-        try:
-            diags = _generic_pair_diags(p, x, y)
-            contributions = [
-                (p.eval(lam, mu), generic_pair_sizes(p, lam, mu, m, n))
-                for lam, m, mu, n in block_pairs(x, y)
-            ]
-            result = JordanStructure.from_pairs(contributions)
-        except DegenerateCaseError as exc:
+        preds = _pair_predictions(mode, p, f, x, y)
+        degenerate = next((pr for pr in preds if pr.bounds is not None), None)
+        if degenerate is not None:
+            entry = degenerate.to_json_obj()
             doc = {
                 "schema": SCHEMA,
                 "mode": "predict-generic",
                 "inputs": _echo_inputs(args, p, f, x, y),
-                "error": str(exc),
-                "degeneratePair": {
-                    "lam": format_rational(exc.lam),
-                    "mu": format_rational(exc.mu),
-                    "m": exc.m,
-                    "n": exc.n,
-                },
-                "bounds": {
-                    "localDegree": exc.local_degree,
-                    "maxBlockSize": exc.size_bound,
-                    "countLower": exc.count_lower,
-                    "countUpper": exc.count_upper,
-                },
+                "error": str(DegenerateCaseError(degenerate)),
+                "degeneratePair": {key: entry[key] for key in ("lam", "mu", "m", "n")},
+                "bounds": entry["bounds"],
             }
             _emit(doc, args.out)
             return 2
+        result = _merged(preds)
     report = RunReport(
         mode=f"predict-{mode}",
         inputs=_echo_inputs(args, p, f, x, y),
         result=result.to_json_obj(),
-        diagnostics=diags,
+        diagnostics=[pr.to_json_obj() for pr in preds],
     )
     _emit(report.to_json_obj(), args.out)
     return 0
@@ -291,8 +235,9 @@ def cmd_check(args) -> int:
     extra: dict = {}
     if f is not None:
         orc = oracle_jcf(p, x, y)
-        predicted = frechet_jcf(f, x, y)
-        diags = _frechet_pair_diags(f, x, y)
+        preds = _pair_predictions(mode, p, f, x, y)
+        predicted = _merged(preds)
+        diags = [pr.to_json_obj() for pr in preds]
         agreement = predicted == orc
         if not agreement:
             extra["firstDifference"] = _first_difference(predicted, orc)
@@ -307,45 +252,26 @@ def cmd_check(args) -> int:
         # the merged result.
         agreement = True
         contributions = []
-        for lam, m, mu, n in block_pairs(x, y):
-            eig = p.eval(lam, mu)
-            oracle_sizes = oracle_pair_sizes(p, lam, m, mu, n)
+        for pred in _pair_predictions(mode, p, f, x, y):
+            eig = p.eval(pred.lam, pred.mu)
+            oracle_sizes = oracle_pair_sizes(p, pred.lam, pred.m, pred.mu, pred.n)
             contributions.append((eig, oracle_sizes))
-            entry = {
-                "lam": format_rational(lam),
-                "mu": format_rational(mu),
-                "m": m,
-                "n": n,
-                "eig": format_rational(eig),
-                "oracle": list(oracle_sizes),
-            }
-            try:
-                sizes = generic_pair_sizes(p, lam, mu, m, n)
-                entry["branch"] = classify(p, lam, mu, m, n).value
-                entry["predicted"] = list(sizes)
-                pair_ok = tuple(sizes) == tuple(oracle_sizes)
+            entry = pred.to_json_obj()
+            entry["oracle"] = list(oracle_sizes)
+            if pred.bounds is not None:
+                pair_ok = entry["boundsHold"] = pred.bounds.hold(oracle_sizes)
+            else:
+                entry["predicted"] = list(pred.sizes)
+                pair_ok = pred.sizes == oracle_sizes
                 if not pair_ok:
                     extra.setdefault(
                         "firstDifference",
                         {
                             "eig": format_rational(eig),
-                            "predicted": list(sizes),
+                            "predicted": list(pred.sizes),
                             "oracle": list(oracle_sizes),
                         },
                     )
-            except DegenerateCaseError as exc:
-                entry["branch"] = "degenerate"
-                entry["bounds"] = {
-                    "localDegree": exc.local_degree,
-                    "maxBlockSize": exc.size_bound,
-                    "countLower": exc.count_lower,
-                    "countUpper": exc.count_upper,
-                }
-                pair_ok = (
-                    exc.count_lower <= len(oracle_sizes) <= exc.count_upper
-                    and oracle_sizes[0] <= exc.size_bound
-                )
-                entry["boundsHold"] = pair_ok
             entry["ok"] = pair_ok
             agreement = agreement and pair_ok
             diags.append(entry)

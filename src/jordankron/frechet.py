@@ -21,11 +21,10 @@ answered with all-size-1 blocks rather than an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bttb import JordanSpec, block_pairs
-from .generic import kronecker_sum_sizes
+from .generic import PairPrediction, kronecker_sum_sizes
 from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
     INFINITE,
@@ -92,71 +91,6 @@ def euclid_partition(size: int, order) -> tuple[int, ...]:
     return (a + 1,) * q + (a,) * (order - q)
 
 
-def distinct_ev_blocks(
-    f: UnivariatePoly,
-    lam: RationalLike,
-    m: int,
-    mu: RationalLike,
-    n: int,
-) -> tuple[Fraction, tuple[int, ...]]:
-    """(eigenvalue, block sizes) for a pair with distinct eigenvalues."""
-    pred = pair_prediction(f, lam, m, mu, n)
-    if pred.branch != "distinct":
-        raise EqualEigenvaluesError("need two distinct eigenvalues")
-    return pred.eigenvalue, pred.sizes
-
-
-def equal_ev_nullities(m: int, n: int, d: int) -> list[int]:
-    """Nullity sequence of the powers of the h_d matrix on nilpotent blocks.
-
-    Entry s holds the nullity of the s-th power, for s = 0 up to the first
-    index where it stabilizes at mn, computed as mn minus the summed ranks
-    of the banded Toeplitz matrices.
-    """
-    if m > n:
-        m, n = n, m
-    if min(m, n, d) < 1:
-        raise ValueError("arguments must be positive")
-    dim = m * n
-    top = -(-(m + n - 1) // d)
-    out = [0]
-    for s in range(1, top + 1):
-        if s * d >= m + n - 1:
-            out.append(dim)
-        else:
-            out.append(
-                dim - sum(rho(m, n, d, s, k) for k in range(d * s + 1, m + n))
-            )
-    return out
-
-
-def equal_ev_blocks(
-    f: UnivariatePoly, lam: RationalLike, m: int, n: int
-) -> tuple[Fraction, tuple[int, ...]]:
-    """(eigenvalue, block sizes) for a pair sharing the eigenvalue lam."""
-    pred = pair_prediction(f, lam, m, lam, n)
-    return pred.eigenvalue, pred.sizes
-
-
-@dataclass(frozen=True)
-class PairPrediction:
-    """Prediction for one block pair, with the quantities that drove it."""
-
-    lam: Fraction
-    mu: Fraction
-    m: int
-    n: int
-    branch: str
-    eigenvalue: Fraction
-    sizes: tuple[int, ...]
-    order_lam: "int | float | None" = None
-    order_mu: "int | float | None" = None
-    parts_lam: "tuple[int, ...] | None" = None
-    parts_mu: "tuple[int, ...] | None" = None
-    local_mult: "int | float | None" = None
-    rank_table: "tuple[tuple[int, int, int], ...] | None" = None
-
-
 def pair_prediction(
     f: UnivariatePoly,
     lam: RationalLike,
@@ -164,7 +98,8 @@ def pair_prediction(
     mu: RationalLike,
     n: int,
 ) -> PairPrediction:
-    """Full per-pair dispatch; frechet_jcf aggregates these."""
+    """Record for one block pair, on the branch its eigenvalues select;
+    frechet_jcf aggregates these."""
     lam, mu = Fraction(lam), Fraction(mu)
     if m < 1 or n < 1:
         raise ValueError("block sizes must be positive")

@@ -15,66 +15,105 @@ whenever (p_x, p_y) != 0, and also when one of the blocks has size 1:
   reduces to the previous bullet in the nontrivial variable.
 
 When both derivatives vanish and both sizes exceed one, no formula is
-offered: ``generic_pair_sizes`` raises :class:`DegenerateCaseError`, with
-the size and count bounds of :mod:`jordankron.bounds` attached, and the
+offered: ``pair_prediction`` returns a record of branch ``"degenerate"``
+carrying the size and count bounds of :mod:`jordankron.bounds`, and the
 caller picks the oracle or the bounds.
+
+:class:`PairPrediction` is the per-pair record of both predictors, this one
+and :func:`jordankron.frechet.pair_prediction`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import block_count_bounds, max_block_size_bound
+from .bounds import PairBounds, block_count_bounds, max_block_size_bound
 from .bttb import JordanSpec, block_pairs
 from .oracle import JordanStructure
 from .polyring import (
+    INFINITE,
     BivariatePoly,
     ConstantPolynomialError,
     RationalLike,
+    format_rational,
     hasse_value_table,
-    local_degree,
+    table_local_degree,
 )
 
 
-class GenericCaseTag(Enum):
-    """Which arm of the closed-form analysis applies to a block pair."""
+def _order_str(value):
+    return "inf" if value == INFINITE else value
 
-    BOTH_NONZERO = "both-nonzero"
-    PY_ZERO = "py-zero"
-    PX_ZERO = "px-zero"
-    SIZE_ONE_ESCAPE = "size-one-escape"
-    DEGENERATE = "degenerate"
+
+@dataclass(frozen=True)
+class PairPrediction:
+    """Prediction for one block pair, with the quantities that drove it.
+
+    ``branch`` names the arm of the analysis: ``"both-nonzero"``,
+    ``"py-zero"``, ``"px-zero"``, ``"size-one-escape"`` or ``"degenerate"``
+    for the generic predictor, ``"distinct"`` or ``"equal"`` for the
+    derivative one.  A degenerate record has no sizes and carries
+    ``bounds`` instead.
+    """
+
+    lam: Fraction
+    mu: Fraction
+    m: int
+    n: int
+    branch: str
+    eigenvalue: Fraction
+    sizes: tuple[int, ...]
+    order_lam: "int | float | None" = None
+    order_mu: "int | float | None" = None
+    parts_lam: "tuple[int, ...] | None" = None
+    parts_mu: "tuple[int, ...] | None" = None
+    local_mult: "int | float | None" = None
+    rank_table: "tuple[tuple[int, int, int], ...] | None" = None
+    bounds: "PairBounds | None" = None
+
+    def to_json_obj(self) -> dict:
+        """The pair's entry in the ``diagnostics`` list of a JSON report."""
+        entry = {
+            "lam": format_rational(self.lam),
+            "mu": format_rational(self.mu),
+            "m": self.m,
+            "n": self.n,
+            "branch": self.branch,
+            "eig": format_rational(self.eigenvalue),
+        }
+        if self.branch == "distinct":
+            entry["sizes"] = list(self.sizes)
+            entry["k"] = _order_str(self.order_lam)
+            entry["h"] = _order_str(self.order_mu)
+            entry["partsLam"] = list(self.parts_lam)
+            entry["partsMu"] = list(self.parts_mu)
+        elif self.branch == "equal":
+            entry["sizes"] = list(self.sizes)
+            entry["d"] = _order_str(self.local_mult)
+            if self.rank_table:
+                entry["ranks"] = [
+                    {"s": s, "k": k, "rank": rk} for s, k, rk in self.rank_table
+                ]
+        elif self.bounds is not None:
+            entry["bounds"] = self.bounds.to_json_obj()
+        return entry
 
 
 class DegenerateCaseError(ValueError):
     """Both first derivatives vanish at the pair and both sizes exceed 1.
 
-    Carries the offending pair and the block-size / block-count bounds, so
+    Carries the degenerate record in ``prediction``, bounds included, so
     callers can fall back without recomputing them.
     """
 
-    def __init__(
-        self,
-        lam: Fraction,
-        mu: Fraction,
-        m: int,
-        n: int,
-        degree: int,
-        size_bound: int,
-        count_bounds: tuple[int, int],
-    ):
-        self.lam = lam
-        self.mu = mu
-        self.m = m
-        self.n = n
-        self.local_degree = degree
-        self.size_bound = size_bound
-        self.count_lower, self.count_upper = count_bounds
+    def __init__(self, prediction: PairPrediction):
+        self.prediction = prediction
+        pr, b = prediction, prediction.bounds
         super().__init__(
-            f"no closed form for the pair at ({lam}, {mu}) with sizes "
-            f"({m}, {n}); local degree {degree}, block sizes <= {size_bound}, "
-            f"block count in [{self.count_lower}, {self.count_upper}]"
+            f"no closed form for the pair at ({pr.lam}, {pr.mu}) with sizes "
+            f"({pr.m}, {pr.n}); local degree {b.local_degree}, block sizes <= "
+            f"{b.max_block_size}, block count in [{b.count_lower}, {b.count_upper}]"
         )
 
 
@@ -101,82 +140,55 @@ def nilpotent_power_sizes(n: int, r: int) -> tuple[int, ...]:
     return sizes
 
 
-def _derivative_values(p, lam, mu, m, n):
-    return hasse_value_table(p, lam, mu, max(m - 1, 1), max(n - 1, 1))
-
-
-def classify(
-    p: BivariatePoly,
-    lam: RationalLike,
-    mu: RationalLike,
-    m: int,
-    n: int,
-) -> GenericCaseTag:
-    """Dispatch tag for the pair; raises on constant p."""
-    if p.is_constant():
-        raise ConstantPolynomialError("a constant polynomial has no case split")
-    table = _derivative_values(p, lam, mu, m, n)
-    px, py = table[1][0], table[0][1]
-    if px and py:
-        return GenericCaseTag.BOTH_NONZERO
-    if not px and not py:
-        if m == 1 or n == 1:
-            return GenericCaseTag.SIZE_ONE_ESCAPE
-        return GenericCaseTag.DEGENERATE
-    if not py:
-        return GenericCaseTag.PY_ZERO
-    return GenericCaseTag.PX_ZERO
-
-
-def _first_pure_order(values: list[Fraction], size: int) -> int:
-    # Least 1 <= k <= size-1 with values[k] != 0, else size.
-    for k in range(1, size):
-        if values[k]:
-            return k
-    return size
-
-
-def _one_sided_sizes(ks_size: int, nilp_size: int, r: int) -> tuple[int, ...]:
+def _one_sided_sizes(ks_size: int, nilp_size: int, pure: list) -> tuple[int, ...]:
+    # pure[k] is the order-k pure derivative value in the nilpotent
+    # variable; r is the least 1 <= r < nilp_size with pure[r] != 0, else
+    # nilp_size.  Orders past the end of pure vanish.
+    r = next((k for k in range(1, min(nilp_size, len(pure))) if pure[k]), nilp_size)
     sizes: list[int] = []
     for s in nilpotent_power_sizes(nilp_size, r):
         sizes.extend(kronecker_sum_sizes(ks_size, s))
     return tuple(sorted(sizes, reverse=True))
 
 
-def generic_pair_sizes(
+def pair_prediction(
     p: BivariatePoly,
     lam: RationalLike,
-    mu: RationalLike,
     m: int,
+    mu: RationalLike,
     n: int,
-) -> tuple[int, ...]:
-    """Block sizes (descending) contributed by one pair, closed form.
+) -> PairPrediction:
+    """Closed-form record for one block pair; raises on constant p.
 
-    Raises DegenerateCaseError when no arm of the analysis applies.
+    Every quantity comes from one table of Hasse derivative values at
+    (lam, mu), up to the degree of p in each variable: every higher order
+    vanishes.
     """
-    tag = classify(p, lam, mu, m, n)
-    if tag is GenericCaseTag.DEGENERATE:
-        d = local_degree(p, lam, mu)
-        raise DegenerateCaseError(
-            Fraction(lam),
-            Fraction(mu),
-            m,
-            n,
-            d,
-            max_block_size_bound(m, n, d),
-            block_count_bounds(m, n, d),
-        )
-    if tag is GenericCaseTag.BOTH_NONZERO:
-        return kronecker_sum_sizes(m, n)
-    table = _derivative_values(p, lam, mu, m, n)
-    y_branch = tag is GenericCaseTag.PY_ZERO or (
-        tag is GenericCaseTag.SIZE_ONE_ESCAPE and m == 1
+    if p.is_constant():
+        raise ConstantPolynomialError("a constant polynomial has no case split")
+    lam, mu = Fraction(lam), Fraction(mu)
+    table = hasse_value_table(
+        p, lam, mu, max(p.degree_x(), 1), max(p.degree_y(), 1)
     )
-    if y_branch:
-        r = _first_pure_order([table[0][k] for k in range(n)], n)
-        return _one_sided_sizes(m, n, r)
-    r = _first_pure_order([table[k][0] for k in range(m)], m)
-    return _one_sided_sizes(n, m, r)
+    eig, px, py = table[0][0], table[1][0], table[0][1]
+    if px and py:
+        return PairPrediction(
+            lam, mu, m, n, "both-nonzero", eig, kronecker_sum_sizes(m, n)
+        )
+    if not px and not py and m > 1 and n > 1:
+        d = table_local_degree(table)
+        return PairPrediction(
+            lam, mu, m, n, "degenerate", eig, (),
+            bounds=PairBounds(
+                d, max_block_size_bound(m, n, d), *block_count_bounds(m, n, d)
+            ),
+        )
+    branch = "py-zero" if px else "px-zero" if py else "size-one-escape"
+    if px or (not py and m == 1):
+        sizes = _one_sided_sizes(m, n, table[0])
+    else:
+        sizes = _one_sided_sizes(n, m, [row[0] for row in table])
+    return PairPrediction(lam, mu, m, n, branch, eig, sizes)
 
 
 def predict_generic(
@@ -185,10 +197,13 @@ def predict_generic(
     """Closed-form Jordan structure of p on (x, y), merged by eigenvalue.
 
     Every block pair must classify away from the degenerate case; the
-    first degenerate pair aborts the prediction with its bounds attached.
+    first degenerate pair aborts the prediction with a DegenerateCaseError
+    that carries its record.
     """
     contributions = []
     for lam, m, mu, n in block_pairs(x, y):
-        sizes = generic_pair_sizes(p, lam, mu, m, n)
-        contributions.append((p.eval(lam, mu), sizes))
+        pred = pair_prediction(p, lam, m, mu, n)
+        if pred.bounds is not None:
+            raise DegenerateCaseError(pred)
+        contributions.append((pred.eigenvalue, pred.sizes))
     return JordanStructure.from_pairs(contributions)

@@ -251,7 +251,11 @@ class JordanStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "JordanStructure":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"bad Jordan structure JSON: {exc}") from exc
+        return cls.from_json_obj(obj)
 
     def __repr__(self) -> str:
         inner = ", ".join(

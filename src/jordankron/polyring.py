@@ -20,6 +20,7 @@ needs no synchronization.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Union
@@ -37,10 +38,20 @@ class ConstantPolynomialError(ValueError):
     """Raised when an operation requires a nonconstant polynomial."""
 
 
+_RATIONAL_LITERAL = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal, either ``num/den`` or a plain integer."""
+    """Parse a rational literal, either ``num/den`` or a plain integer.
+
+    Only those two forms are accepted: decimals, exponents and underscores,
+    which ``Fraction`` would also take, are rejected.
+    """
+    text = str(text)
+    if not _RATIONAL_LITERAL.fullmatch(text):
+        raise ValueError(f"bad rational literal: {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational literal: {text!r}") from exc
 
@@ -317,11 +328,6 @@ def hasse_derivative(p: BivariatePoly, idx: "Biindex | tuple[int, int]") -> Biva
     return BivariatePoly(grid)
 
 
-def eval_bivariate(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> Fraction:
-    """Exact value of p at (lam, mu)."""
-    return p.eval(lam, mu)
-
-
 def hasse_value_table(
     p: BivariatePoly,
     lam: RationalLike,
@@ -357,13 +363,18 @@ def local_degree(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> int:
     """Smallest d >= 1 with a nonvanishing order-d Hasse derivative at (lam, mu)."""
     if p.is_constant():
         raise ConstantPolynomialError("local degree is undefined for constants")
-    dx, dy = p.degree_x(), p.degree_y()
-    table = hasse_value_table(p, lam, mu, dx, dy)
-    for d in range(1, dx + dy + 1):
-        for beta in range(max(0, d - dy), min(d, dx) + 1):
-            if table[beta][d - beta]:
-                return d
-    raise AssertionError("nonconstant polynomial with no nonzero derivative")
+    return table_local_degree(
+        hasse_value_table(p, lam, mu, p.degree_x(), p.degree_y())
+    )
+
+
+def table_local_degree(table: list[list[Fraction]]) -> int:
+    """Smallest total order h + k >= 1 of a nonzero entry of a
+    hasse_value_table; the table must reach the degree of a nonconstant p
+    in each variable, so that one exists."""
+    return min(
+        h + k for h, row in enumerate(table) for k, v in enumerate(row) if v and h + k
+    )
 
 
 def h_poly(d: int) -> BivariatePoly:

@@ -228,6 +228,9 @@ def rank_drop_witness(spec: ToeplitzSpec) -> tuple[ToeplitzSpec, list[int]]:
     return spec, v
 
 
+_INT_FIELDS = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency")
+
+
 @dataclass(frozen=True)
 class DeficiencyRecord:
     """One scanned quintuple with its rank data."""
@@ -254,17 +257,16 @@ class DeficiencyRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DeficiencyRecord":
-        spec = ToeplitzSpec(
-            int(obj["m"]), int(obj["n"]), int(obj["d"]), int(obj["ell"]),
-            int(obj["k"]),
-        )
-        return cls(
-            spec,
-            int(obj["rank"]),
-            int(obj["maxRank"]),
-            int(obj["deficiency"]),
-            bool(obj["predicted"]),
-        )
+        """Inverse of to_json_obj; every field must have its JSON type."""
+        try:
+            ints = [obj[key] for key in _INT_FIELDS]
+            predicted = obj["predicted"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad deficiency record: {obj!r}") from exc
+        if any(type(v) is not int for v in ints) or type(predicted) is not bool:
+            raise ValueError(f"bad deficiency record field types: {obj!r}")
+        m, n, d, ell, k, rk, max_rank, deficiency = ints
+        return cls(ToeplitzSpec(m, n, d, ell, k), rk, max_rank, deficiency, predicted)
 
 
 def _record_for(spec: ToeplitzSpec, rk: int) -> DeficiencyRecord:
@@ -275,14 +277,23 @@ def _record_for(spec: ToeplitzSpec, rk: int) -> DeficiencyRecord:
 
 
 def _load_records(path: Path) -> dict[tuple, DeficiencyRecord]:
+    """Records of a scan file, keyed by quintuple.
+
+    Every record ends with a newline, so text after the last one is a
+    record cut short by an interrupted run: it is dropped, and cut off the
+    file so that appended records start on a line of their own.  A
+    malformed complete line raises ValueError.
+    """
     existing: dict[tuple, DeficiencyRecord] = {}
     if not path.exists():
         return existing
-    with path.open() as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with path.open("r+b") as fh:
+            fh.truncate(end)
+    for line in data[:end].decode("utf-8").splitlines():
+        if line.strip():
             rec = DeficiencyRecord.from_json_obj(json.loads(line))
             s = rec.spec
             existing[(s.m, s.n, s.d, s.ell, s.k)] = rec

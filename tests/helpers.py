@@ -13,9 +13,9 @@ from jordankron import (
     NotNilpotentError,
     RationalMatrix,
     UnivariatePoly,
-    assemble_jordan_matrix,
 )
-from jordankron.exactmat import _rank_int_rows
+from jordankron.bttb import assemble_jordan_matrix
+from jordankron.exactmat import _rank_int_rows, kron, matrix_power
 
 
 def random_univariate(rng: random.Random, max_deg=8, bound=3) -> UnivariatePoly:
@@ -127,3 +127,42 @@ def conjugated(spec: JordanSpec, ops) -> RationalMatrix:
         for row in data:
             row[j] -= c * row[i]
     return RationalMatrix(data)
+
+
+def univariate_at_matrix(f: UnivariatePoly, a: RationalMatrix) -> RationalMatrix:
+    """f(A) for a square matrix A, by Horner's rule."""
+    if not a.is_square():
+        raise ValueError("need a square matrix")
+    n = a.rows
+    acc = RationalMatrix.zeros(n, n)
+    for c in reversed(f.coeffs):
+        acc = acc @ a
+        if c:
+            acc = acc + RationalMatrix.identity(n).scale(c)
+    return acc
+
+
+def frechet_kronecker_raw(f: UnivariatePoly, w: RationalMatrix) -> RationalMatrix:
+    """The literal derivative representation sum_i f_i sum_j (W^T)^j (x) W^(i-j).
+
+    Here f_i is the coefficient of w^(i+1) in f.  Cross-check companion of
+    frechet_kronecker_form for a concrete matrix argument.
+    """
+    if not w.is_square():
+        raise ValueError("need a square matrix")
+    n = w.rows
+    deg = f.degree
+    dim = n * n
+    acc = RationalMatrix.zeros(dim, dim)
+    if deg < 1:
+        return acc
+    wt = w.transpose()
+    wt_pows = [matrix_power(wt, j) for j in range(deg)]
+    w_pows = [matrix_power(w, j) for j in range(deg)]
+    for i in range(deg):
+        c = f.coeffs[i + 1]
+        if not c:
+            continue
+        for j in range(i + 1):
+            acc = acc + kron(wt_pows[j], w_pows[i - j]).scale(c)
+    return acc

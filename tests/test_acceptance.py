@@ -13,41 +13,38 @@ from fractions import Fraction as Q
 import pytest
 
 from jordankron import (
+    INFINITE,
     BivariatePoly,
     BlockToeplitzUT,
     DegenerateCaseError,
     JordanSpec,
     JordanStructure,
-    SingularA1Error,
+    RationalMatrix,
     UnivariatePoly,
     bezout_quotient,
     block_count_bounds,
-    build_block_pair,
-    build_R,
-    check_properties,
     frechet_jcf,
-    h_poly,
-    hasse_derivative,
-    jordan_block,
-    kron,
-    local_degree,
-    matrix_power,
     max_block_size_bound,
     oracle_jcf,
-    pair_prediction,
     predict_generic,
-    rank,
-    rank_drop_witness,
     reduce_bidiagonal,
     reduce_shifted,
     rho,
     scan_deficiencies,
     sufficient_rank_drop,
-    univariate_at_matrix,
-    weyr_structure,
 )
-from jordankron import INFINITE, RationalMatrix
-from jordankron.toeplitz import iter_valid_specs
+from jordankron.bttb import build_block_pair
+from jordankron.exactmat import jordan_block, kron, matrix_power, rank
+from jordankron.frechet import pair_prediction
+from jordankron.oracle import weyr_structure
+from jordankron.polyring import h_poly, hasse_derivative, local_degree
+from jordankron.similarity import SingularA1Error
+from jordankron.toeplitz import (
+    build_R,
+    check_properties,
+    iter_valid_specs,
+    rank_drop_witness,
+)
 from helpers import (
     random_block_toeplitz,
     random_degenerate_poly,
@@ -55,6 +52,7 @@ from helpers import (
     random_spec_total,
     random_univariate,
     random_bivariate,
+    univariate_at_matrix,
 )
 
 X_MINUS_Y = BivariatePoly([[0, -1], [1, 0]])

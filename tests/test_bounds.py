@@ -2,15 +2,12 @@ import random
 
 import pytest
 
-from jordankron import (
-    block_count_bounds,
-    build_block_pair,
-    filtration_dims,
-    local_degree,
-    matrix_power,
-    max_block_size_bound,
-    weyr_structure,
-)
+from jordankron import block_count_bounds, max_block_size_bound
+from jordankron.bounds import filtration_dims
+from jordankron.bttb import build_block_pair
+from jordankron.exactmat import matrix_power
+from jordankron.oracle import weyr_structure
+from jordankron.polyring import local_degree
 from helpers import random_degenerate_poly
 
 

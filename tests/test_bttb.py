@@ -8,24 +8,27 @@ from jordankron import (
     JordanSpec,
     RationalMatrix,
     UnivariatePoly,
-    assemble_jordan_matrix,
     bezout_quotient,
-    build_block_pair,
     build_full,
     build_raw_kron,
-    frechet_kronecker_form,
-    frechet_kronecker_raw,
-    h_poly,
-    jordan_block,
-    kron,
-    matrix_power,
     oracle_jcf_matrix,
-    univariate_at_matrix,
-    weyr_structure,
 )
-from jordankron.bttb import block_pair_nilpotent_rows, build_block_pair_raw
-from jordankron.exactmat import _scaled_int_rows
-from helpers import random_bivariate, random_spec_total, random_univariate
+from jordankron.bttb import (
+    assemble_jordan_matrix,
+    block_pair_nilpotent_rows,
+    build_block_pair,
+    frechet_kronecker_form,
+)
+from jordankron.exactmat import _scaled_int_rows, jordan_block, kron, matrix_power
+from jordankron.oracle import weyr_structure
+from jordankron.polyring import h_poly
+from helpers import (
+    frechet_kronecker_raw,
+    random_bivariate,
+    random_spec_total,
+    random_univariate,
+    univariate_at_matrix,
+)
 
 X_PLUS_Y = BivariatePoly([[0, 1], [1, 0]])
 
@@ -64,8 +67,8 @@ def test_block_pair_matches_raw_power_sum():
         p = random_bivariate(rng, 3, 3)
         lam, mu = Q(rng.randint(-2, 2)), Q(rng.randint(-2, 2))
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        assert build_block_pair(p, lam, m, mu, n) == build_block_pair_raw(
-            p, lam, m, mu, n
+        assert build_block_pair(p, lam, m, mu, n) == build_raw_kron(
+            p, JordanSpec.single(lam, m), JordanSpec.single(mu, n)
         )
 
 

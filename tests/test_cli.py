@@ -1,10 +1,13 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from jordankron import JordanStructure
 from jordankron.cli import main
@@ -218,12 +221,14 @@ def test_check_frechet_agreement():
 
 
 def test_check_disagreement_exits_3(monkeypatch):
-    import jordankron.cli as cli_mod
+    import jordankron.frechet as frechet_mod
 
-    def wrong_prediction(f, x, y):
-        return JordanStructure({0: [x.total_size * y.total_size]})
+    real = frechet_mod.pair_prediction
 
-    monkeypatch.setattr(cli_mod, "frechet_jcf", wrong_prediction)
+    def wrong_prediction(f, lam, m, mu, n):
+        return dataclasses.replace(real(f, lam, m, mu, n), sizes=(m * n,))
+
+    monkeypatch.setattr(frechet_mod, "pair_prediction", wrong_prediction)
     code, doc, _ = run_json(
         ["check", "--f", "0,0,-2,0,1", "--X", SPEC_02, "--Y", SPEC_02]
     )
@@ -267,19 +272,83 @@ def test_input_errors_exit_1():
         assert "error" in json.loads(out)
 
 
-def test_non_integral_spec_size_exits_without_traceback():
-    proc = subprocess.run(
-        [sys.executable, "-c", "from jordankron.cli import entry; entry()",
-         "check", "--p", "0,1;1,0", "--X", '[{"eig":"0","size":2.7}]',
-         "--Y", SPEC_02],
+def run_entry(*argv):
+    """The jordankron executable in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", "from jordankron.cli import entry; entry()", *argv],
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_non_integral_spec_size_exits_without_traceback():
+    proc = run_entry(
+        "check", "--p", "0,1;1,0", "--X", '[{"eig":"0","size":2.7}]', "--Y", SPEC_02
+    )
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "size" in json.loads(proc.stdout)["error"]
+
+
+def test_huge_exponent_literal_exits_quickly():
+    # Fraction("1e999999999") would build a billion-digit integer.
+    proc = run_entry(
+        "predict", "--p", "0,1;1,0", "--X", '[{"eig":"1e999999999","size":2}]',
+        "--Y", SPEC_02,
+    )
+    assert proc.returncode == 1
+    assert "bad rational literal" in json.loads(proc.stdout)["error"]
+
+
+MALFORMED_SPECS = [
+    "[" * 5000,
+    "[null]",
+    '"abc"',
+    "",
+    '{"eig":"0","size":2}',
+    '[{"eig":{"a":1},"size":2}]',
+    '[{"eig":"1e999999999","size":2}]',
+    '[{"eig":1e999999999,"size":2}]',
+    '[{"eig":"0.5","size":2}]',
+    '[{"eig":"1/0","size":2}]',
+    '[{"eig":' + "9" * 5000 + ',"size":2}]',
+    '[{"eig":"0"}]',
+    '[{"size":2}]',
+    '[{"eig":"0","size":1e999}]',
+]
+MALFORMED_POLYNOMIALS = [
+    ("--p", ""),
+    ("--p", ";"),
+    ("--p", "1,,2"),
+    ("--p", "x+y"),
+    ("--p", "0,1;1,0.5"),
+    ("--p", "1e999999999"),
+    ("--p", "1/0"),
+    ("--p", "nan"),
+    ("--p", "[" * 5000),
+    ("--f", "0,1e5"),
+    ("--f", "0,,1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["predict", "--p", "0,1;1,0", "--X", spec, "--Y", SPEC_02]
+     for spec in MALFORMED_SPECS]
+    + [["check", flag, value, "--W", SPEC_02]
+       for flag, value in MALFORMED_POLYNOMIALS],
+    ids=[f"spec{i}" for i in range(len(MALFORMED_SPECS))]
+    + [f"poly{i}" for i in range(len(MALFORMED_POLYNOMIALS))],
+)
+def test_malformed_input_exits_1_without_traceback(argv):
+    proc = run_entry(*argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert set(doc) == {"schema", "error"}
+    assert doc["schema"] == "jordan-kron/1"
 
 
 def test_leading_minus_polynomial_values():
@@ -288,12 +357,18 @@ def test_leading_minus_polynomial_values():
         ("check", "--f", "-2,0,1"),
         ("check", "--p", "-1,1;1,0"),
         ("predict", "--p", "-1/2,1;1,0"),
-        ("frechet", "--f", "-.5,0,0,1"),
+        ("frechet", "--f", "-1/2,0,0,1"),
     ):
         spaced = run([command, flag, value, "--X", x, "--Y", y])
         joined = run([command, f"{flag}={value}", "--X", x, "--Y", y])
         assert spaced[0] == 0, (command, flag, value, spaced[1])
         assert spaced == joined
+    # "-.5" is read as a value too, and then rejected as a rational literal.
+    spaced = run(["frechet", "--f", "-.5,0,0,1", "--X", x, "--Y", y])
+    joined = run(["frechet", "--f=-.5,0,0,1", "--X", x, "--Y", y])
+    assert spaced[0] == 1
+    assert "bad rational literal" in json.loads(spaced[1])["error"]
+    assert spaced == joined
 
 
 def test_spec_from_file(tmp_path):

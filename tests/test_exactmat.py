@@ -3,10 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from jordankron import (
+from jordankron import RationalMatrix
+from jordankron.exactmat import (
     IntegerMatrix,
     NotSquareError,
-    RationalMatrix,
     direct_sum,
     jordan_block,
     kron,

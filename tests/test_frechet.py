@@ -7,28 +7,25 @@ from hypothesis import strategies as st
 
 from jordankron import (
     INFINITE,
-    DegenerateCaseError,
     EqualEigenvaluesError,
     JordanSpec,
     JordanStructure,
     UnivariatePoly,
     bezout_quotient,
-    build_block_pair,
-    distinct_ev_blocks,
-    equal_ev_blocks,
-    equal_ev_nullities,
+    frechet_jcf,
+    oracle_jcf,
+)
+from jordankron.bttb import build_block_pair
+from jordankron.exactmat import rank
+from jordankron.frechet import (
     euclid_partition,
     first_nonvanishing_order,
-    frechet_jcf,
-    generic_pair_sizes,
-    h_poly,
-    oracle_jcf,
     pair_prediction,
     phi_distinct,
     phi_equal,
-    rank,
-    univariate_hasse_eval,
 )
+from jordankron.generic import pair_prediction as generic_pair_prediction
+from jordankron.polyring import h_poly, univariate_hasse_eval
 from helpers import random_spec, random_univariate
 
 QUARTIC = UnivariatePoly.from_string("0,0,-2,0,1")  # w^4 - 2w^2
@@ -94,38 +91,63 @@ def test_phi_equal_kills_first_derivative():
         assert univariate_hasse_eval(phi_equal(f, lam), 1, lam) == 0
 
 
+def distinct(f, lam, m, mu, n):
+    pred = pair_prediction(f, lam, m, mu, n)
+    assert pred.branch == "distinct"
+    return pred.eigenvalue, pred.sizes
+
+
+def equal(f, lam, m, n):
+    pred = pair_prediction(f, lam, m, lam, n)
+    assert pred.branch == "equal"
+    return pred.eigenvalue, pred.sizes
+
+
+def equal_nullities(m, n, d):
+    """Nullities of the powers of the h_d matrix on nilpotent blocks, read
+    off the rank table of the equal-branch record of w^(d+1) at 0."""
+    pred = pair_prediction(UnivariatePoly([0] * (d + 1) + [1]), 0, m, 0, n)
+    assert pred.branch == "equal" and pred.local_mult == d
+    ranks = pred.rank_table or ()
+    top = -(-(m + n - 1) // d)
+    return [0] + [
+        m * n - sum(rk for s, _, rk in ranks if s == power)
+        for power in range(1, top + 1)
+    ]
+
+
 def test_distinct_ev_blocks_examples():
-    eig, sizes = distinct_ev_blocks(QUARTIC, -1, 4, 1, 3)
+    eig, sizes = distinct(QUARTIC, -1, 4, 1, 3)
     assert (eig, sizes) == (Q(0), (3, 3, 2, 2, 1, 1))
-    eig, sizes = distinct_ev_blocks(CUBIC, 0, 4, 1, 3)
+    eig, sizes = distinct(CUBIC, 0, 4, 1, 3)
     assert (eig, sizes) == (Q(0), (4, 4, 2, 2))
     # Quadratic f always produces the plain staircase at lam + mu.
     f = UnivariatePoly([0, 0, 1])
-    eig, sizes = distinct_ev_blocks(f, 2, 3, -1, 2)
+    eig, sizes = distinct(f, 2, 3, -1, 2)
     assert (eig, sizes) == (Q(1), (4, 2))
 
 
 def test_equal_ev_nullities_examples():
-    assert equal_ev_nullities(2, 2, 1) == [0, 2, 3, 4]
-    assert equal_ev_nullities(2, 3, 2) == [0, 4, 6]
-    assert equal_ev_nullities(4, 4, 4) == [0, 13, 16]
+    assert equal_nullities(2, 2, 1) == [0, 2, 3, 4]
+    assert equal_nullities(2, 3, 2) == [0, 4, 6]
+    assert equal_nullities(4, 4, 4) == [0, 13, 16]
 
 
 def test_equal_ev_blocks_examples():
     f = UnivariatePoly([0, 0, 1])
-    assert equal_ev_blocks(f, 0, 2, 2) == (Q(0), (3, 1))
-    assert equal_ev_blocks(SHIFTED_QUARTIC, 1, 3, 2) == (Q(-8), (2, 2, 1, 1))
-    assert equal_ev_blocks(W5, 0, 4, 4) == (Q(0), (2, 2, 2) + (1,) * 10)
+    assert equal(f, 0, 2, 2) == (Q(0), (3, 1))
+    assert equal(SHIFTED_QUARTIC, 1, 3, 2) == (Q(-8), (2, 2, 1, 1))
+    assert equal(W5, 0, 4, 4) == (Q(0), (2, 2, 2) + (1,) * 10)
 
 
 def test_equal_ev_blocks_linear_and_flat_cases():
     # Linear f: the tangent-shifted derivative vanishes identically.
-    assert equal_ev_blocks(UnivariatePoly([5, 3]), 2, 3, 2) == (
+    assert equal(UnivariatePoly([5, 3]), 2, 3, 2) == (
         Q(3),
         (1,) * 6,
     )
     # Large multiplicity floors everything to unit blocks.
-    assert equal_ev_blocks(W5, 0, 2, 2) == (Q(0), (1, 1, 1, 1))
+    assert equal(W5, 0, 2, 2) == (Q(0), (1, 1, 1, 1))
 
 
 def test_frechet_jcf_examples():
@@ -154,12 +176,12 @@ def test_frechet_matches_generic_when_applicable():
             continue
         lam, mu = Q(rng.randint(-2, 2)), Q(rng.randint(-2, 2))
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        try:
-            generic = generic_pair_sizes(p, lam, mu, m, n)
-        except DegenerateCaseError:
+        generic = generic_pair_prediction(p, lam, m, mu, n)
+        if generic.branch == "degenerate":
             continue
         pred = pair_prediction(f, lam, m, mu, n)
-        assert pred.sizes == generic
+        assert pred.sizes == generic.sizes
+        assert pred.eigenvalue == generic.eigenvalue
         checked += 1
 
 
@@ -233,7 +255,7 @@ def test_nullity_sequences_are_monotone_with_nonnegative_counts():
     for m in range(1, 6):
         for n in range(m, 6):
             for d in range(1, m + n):
-                nus = equal_ev_nullities(m, n, d)
+                nus = equal_nullities(m, n, d)
                 assert nus[0] == 0 and nus[-1] == m * n
                 diffs = [b - a for a, b in zip(nus, nus[1:])]
                 assert all(x > 0 for x in diffs)

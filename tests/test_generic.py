@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
@@ -7,19 +8,19 @@ from jordankron import (
     BivariatePoly,
     ConstantPolynomialError,
     DegenerateCaseError,
-    GenericCaseTag,
     JordanSpec,
     JordanStructure,
-    classify,
-    generic_pair_sizes,
-    kronecker_sum_sizes,
-    matrix_power,
-    jordan_block,
-    nilpotent_power_sizes,
     oracle_jcf,
     predict_generic,
-    weyr_structure,
 )
+from jordankron.bounds import PairBounds
+from jordankron.exactmat import matrix_power, jordan_block
+from jordankron.generic import (
+    kronecker_sum_sizes,
+    nilpotent_power_sizes,
+    pair_prediction,
+)
+from jordankron.oracle import weyr_structure
 from helpers import random_bivariate, random_spec_total
 
 X_PLUS_Y = BivariatePoly([[0, 1], [1, 0]])
@@ -46,36 +47,63 @@ def test_nilpotent_power_sizes_match_oracle():
             assert predicted == actual
 
 
+def branch(p, lam, m, mu, n):
+    return pair_prediction(p, lam, m, mu, n).branch
+
+
 def test_classify_examples():
-    assert classify(X_PLUS_Y, 0, 0, 3, 2) is GenericCaseTag.BOTH_NONZERO
+    assert branch(X_PLUS_Y, 0, 3, 0, 2) == "both-nonzero"
     p = BivariatePoly.from_string("0,1,-1;-2,1,0")
-    assert classify(p, 0, 2, 2, 2) is GenericCaseTag.PX_ZERO
-    assert classify(p.swap(), 2, 0, 2, 2) is GenericCaseTag.PY_ZERO
+    assert branch(p, 0, 2, 2, 2) == "px-zero"
+    assert branch(p.swap(), 2, 2, 0, 2) == "py-zero"
     sq = BivariatePoly.from_string("0,0,1;0,1,0;1,0,0")
-    assert classify(sq, 0, 0, 3, 3) is GenericCaseTag.DEGENERATE
-    assert classify(sq, 0, 0, 1, 3) is GenericCaseTag.SIZE_ONE_ESCAPE
-    assert classify(sq, 0, 0, 3, 1) is GenericCaseTag.SIZE_ONE_ESCAPE
+    assert branch(sq, 0, 3, 0, 3) == "degenerate"
+    assert branch(sq, 0, 1, 0, 3) == "size-one-escape"
+    assert branch(sq, 0, 3, 0, 1) == "size-one-escape"
     with pytest.raises(ConstantPolynomialError):
-        classify(BivariatePoly([[5]]), 0, 0, 2, 2)
+        pair_prediction(BivariatePoly([[5]]), 0, 2, 0, 2)
 
 
 def test_generic_pair_sizes_examples():
-    assert generic_pair_sizes(X_PLUS_Y, 0, 0, 2, 2) == (3, 1)
+    assert pair_prediction(X_PLUS_Y, 0, 2, 0, 2).sizes == (3, 1)
     # All pure-y derivatives vanish below order n, so r = n and the pair
     # contributes n blocks of size m.
     p = BivariatePoly([[0, 0, 0, 1], [1, 0, 0, 0]])  # x + y^3
-    assert generic_pair_sizes(p, 0, 0, 2, 3) == (2, 2, 2)
+    assert pair_prediction(p, 0, 2, 0, 3).sizes == (2, 2, 2)
 
 
 def test_generic_pair_degenerate_error_payload():
     sq = BivariatePoly.from_string("0,0,1;0,1,0;1,0,0")
+    pred = pair_prediction(sq, 0, 3, 0, 3)
+    assert (pred.lam, pred.mu, pred.m, pred.n) == (Q(0), Q(0), 3, 3)
+    assert pred.sizes == ()
+    assert pred.bounds == PairBounds(
+        local_degree=2, max_block_size=3, count_lower=5, count_upper=6
+    )
     with pytest.raises(DegenerateCaseError) as info:
-        generic_pair_sizes(sq, 0, 0, 3, 3)
-    err = info.value
-    assert (err.lam, err.mu, err.m, err.n) == (Q(0), Q(0), 3, 3)
-    assert err.local_degree == 2
-    assert err.size_bound == 3
-    assert (err.count_lower, err.count_upper) == (5, 6)
+        predict_generic(sq, JordanSpec.single(0, 3), JordanSpec.single(0, 3))
+    assert info.value.prediction == pred
+    assert str(info.value) == (
+        "no closed form for the pair at (0, 0) with sizes (3, 3); local degree 2, "
+        "block sizes <= 3, block count in [5, 6]"
+    )
+
+
+def test_large_pair_memory_is_bounded_by_the_degree():
+    # The Hasse table is sized by the degree of p, not by the block sizes:
+    # an m x n table of Fractions at m = n = 2000 would take tens of MB.
+    spec = JordanSpec.single(1, 2000)
+    cases = (("3,2,2;3,3,0;1,0,0", "both-nonzero"), ("0,1;-2;1", "px-zero"))
+    for text, branch_name in cases:
+        p = BivariatePoly.from_string(text)
+        assert branch(p, 1, 2000, 1, 2000) == branch_name
+        tracemalloc.start()
+        try:
+            predict_generic(p, spec, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (text, peak)
 
 
 def test_predict_generic_mixed_example():
@@ -128,11 +156,10 @@ def test_pair_sizes_sum_to_mn():
             continue
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         lam, mu = Q(rng.randint(-2, 2)), Q(rng.randint(-2, 2))
-        try:
-            sizes = generic_pair_sizes(p, lam, mu, m, n)
-        except DegenerateCaseError:
+        pred = pair_prediction(p, lam, m, mu, n)
+        if pred.branch == "degenerate":
             continue
-        assert sum(sizes) == m * n
+        assert sum(pred.sizes) == m * n
         checked += 1
 
 
@@ -194,12 +221,11 @@ def test_size_one_escape_agrees_with_oracle_and_formula():
         n = rng.randint(1, 4)
         x = JordanSpec.single(0, 1)
         y = JordanSpec.single(0, n)
-        tag = classify(p, 0, 0, 1, n)
-        assert tag in (
-            GenericCaseTag.SIZE_ONE_ESCAPE,
-            GenericCaseTag.PX_ZERO,
-            GenericCaseTag.PY_ZERO,
-            GenericCaseTag.BOTH_NONZERO,
+        assert branch(p, 0, 1, 0, n) in (
+            "size-one-escape",
+            "px-zero",
+            "py-zero",
+            "both-nonzero",
         )
         assert predict_generic(p, x, y) == oracle_jcf(p, x, y)
         # Transposed arrangement exercises the n = 1 escape.

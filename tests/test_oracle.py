@@ -16,13 +16,12 @@ from jordankron import (
     NotNilpotentError,
     RationalMatrix,
     WeyrConsistencyError,
-    h_poly,
-    jordan_block,
     oracle_jcf,
     oracle_jcf_matrix,
-    weyr_data,
-    weyr_structure,
 )
+from jordankron.exactmat import jordan_block
+from jordankron.oracle import weyr_data, weyr_structure
+from jordankron.polyring import h_poly
 from jordankron.bttb import build_block_pair
 from jordankron.exactmat import _scaled_int_rows
 from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
@@ -132,8 +131,10 @@ def test_structure_json_roundtrip_and_order():
     assert obj["eigenvalues"][0]["eig"] == "-2"
     assert obj["eigenvalues"][1]["blocks"] == [3, 2, 1]
     assert JordanStructure.from_json(s.to_json()) == s
-    with pytest.raises(ValueError):
-        JordanStructure.from_json('{"bad": 1}')
+    decimal_eig = '{"eigenvalues": [{"eig": "0.5", "blocks": [1]}]}'
+    for text in ('{"bad": 1}', "[" * 5000, decimal_eig):
+        with pytest.raises(ValueError):
+            JordanStructure.from_json(text)
     for size in ("2.7", "true", '"2"', "0"):
         with pytest.raises(ValueError, match="size"):
             JordanStructure.from_json(

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from jordankron import (
     INFINITE,
-    Biindex,
     BivariatePoly,
     ConstantPolynomialError,
     UnivariatePoly,
     bezout_quotient,
-    eval_bivariate,
+)
+from jordankron.polyring import (
+    Biindex,
     format_rational,
     h_poly,
     hasse_derivative,
@@ -45,6 +46,18 @@ def test_parse_and_format_rationals():
         parse_rational("1/0")
     with pytest.raises(ValueError):
         parse_rational("x")
+
+
+def test_parse_rational_accepts_only_integers_and_quotients():
+    assert parse_rational(" +7 ") == Q(7)
+    assert parse_rational("\t-1/2\n") == Q(-1, 2)
+    assert parse_rational(3) == Q(3)
+    # Decimals and exponents are rejected before any arithmetic, so a huge
+    # exponent costs nothing.
+    for text in ("0.5", "-.5", "1e3", "1e999999999", "1_000", "1 / 2", "1/-2",
+                 "--1", "inf", "nan", "", "2.0", "0x10"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(text)
 
 
 def test_univariate_string_roundtrip():
@@ -98,10 +111,10 @@ def test_double_x_derivative_is_twice_second_order():
 
 
 def test_eval_bivariate_examples():
-    assert eval_bivariate(BivariatePoly([[0, 1], [1, 0]]), 0, 0) == 0
+    assert BivariatePoly([[0, 1], [1, 0]]).eval(0, 0) == 0
     p = BivariatePoly.from_string("0,1,-1;-2,1,0")  # y - 2x + xy - y^2
-    assert eval_bivariate(p, 0, 2) == -2
-    assert eval_bivariate(h_poly(4), 0, 0) == 0
+    assert p.eval(0, 2) == -2
+    assert h_poly(4).eval(0, 0) == 0
 
 
 def test_local_degree_examples():

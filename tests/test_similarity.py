@@ -6,18 +6,14 @@ import pytest
 from jordankron import (
     BivariatePoly,
     BlockToeplitzUT,
-    NonzeroLowOrderError,
     RationalMatrix,
-    SingularA1Error,
-    SingularArError,
-    generic_pair_sizes,
-    jordan_block,
-    kron,
-    matrix_power,
     reduce_bidiagonal,
     reduce_shifted,
-    weyr_structure,
 )
+from jordankron.exactmat import jordan_block, kron, matrix_power
+from jordankron.generic import pair_prediction
+from jordankron.oracle import weyr_structure
+from jordankron.similarity import NonzeroLowOrderError, SingularA1Error, SingularArError
 from helpers import random_block_toeplitz, random_ring_row
 
 
@@ -148,4 +144,4 @@ def test_shifted_normal_form_matches_one_sided_formula():
         grid[1][0] = 1
         grid[0][r] = 1
         p = BivariatePoly(grid)  # x + y^r
-        assert weyr_structure(mat) == generic_pair_sizes(p, 0, 0, m, n)
+        assert weyr_structure(mat) == pair_prediction(p, 0, m, 0, n).sizes

@@ -4,20 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordankron import (
-    DeficiencyRecord,
-    IntegerMatrix,
+from jordankron import DeficiencyRecord, rho, scan_deficiencies, sufficient_rank_drop
+from jordankron.exactmat import IntegerMatrix, rank
+from jordankron.toeplitz import (
     InvalidSpecError,
     ToeplitzSpec,
     build_R,
     check_properties,
     gamma_coeffs,
     offset_c,
-    rank,
     rank_drop_witness,
-    rho,
-    scan_deficiencies,
-    sufficient_rank_drop,
 )
 from jordankron.toeplitz import iter_valid_specs
 
@@ -168,3 +164,33 @@ def test_scan_record_schema_keys():
     assert set(obj) == {
         "m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted",
     }
+
+
+def test_scan_resume_drops_a_truncated_last_line(tmp_path):
+    out = tmp_path / "scan.jsonl"
+    full = scan_deficiencies(4, 4, 3, 2, out_path=out)
+    lines = out.read_text().splitlines(keepends=True)
+    # An interrupted run: the last record is cut in the middle.
+    out.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    resumed = scan_deficiencies(4, 4, 3, 2, out_path=out)
+    assert [r.to_json_obj() for r in resumed] == [r.to_json_obj() for r in full]
+    text = out.read_text()
+    assert text.endswith("\n")
+    assert sorted(text.splitlines(keepends=True)) == sorted(lines)
+    # A malformed complete line is an error, not a tail to drop.
+    out.write_text(lines[0] + '{"m": 1,\n' + lines[1])
+    with pytest.raises(ValueError):
+        scan_deficiencies(4, 4, 3, 2, out_path=out)
+
+
+def test_deficiency_record_rejects_coerced_fields():
+    good = {"m": 2, "n": 3, "d": 1, "ell": 1, "k": 2, "rank": 1, "maxRank": 1,
+            "deficiency": 0, "predicted": False}
+    assert DeficiencyRecord.from_json_obj(good).to_json_obj() == good
+    for key, value in (("m", 2.7), ("n", "3"), ("maxRank", True), ("rank", None),
+                       ("k", 2.0), ("predicted", "no"), ("predicted", 0)):
+        with pytest.raises(ValueError):
+            DeficiencyRecord.from_json_obj(dict(good, **{key: value}))
+    for bad in ({k: v for k, v in good.items() if k != "rank"}, [1, 2], "x", None):
+        with pytest.raises(ValueError):
+            DeficiencyRecord.from_json_obj(bad)
