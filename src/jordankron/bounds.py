@@ -30,9 +30,18 @@ class FiltrationDims:
 
     def u(self, j: int) -> int:
         """u_j, with u_j = 0 outside 1 <= j <= m + n - 1."""
-        if 1 <= j <= len(self.dims):
-            return self.dims[j - 1]
+        return filtration_dim(self.m, self.n, j)
+
+
+def filtration_dim(m: int, n: int, j: int) -> int:
+    """u_j = min(j, m, n, m + n - j) on 1 <= j <= m + n - 1, else 0.
+
+    O(1) and symmetric in (m, n); every filtration dimension in the package
+    is read from here.
+    """
+    if j < 1 or j >= m + n:
         return 0
+    return min(j, m, n, m + n - j)
 
 
 def filtration_dims(m: int, n: int) -> FiltrationDims:
@@ -41,7 +50,7 @@ def filtration_dims(m: int, n: int) -> FiltrationDims:
         raise ValueError("sizes must be positive")
     if m > n:
         m, n = n, m
-    dims = tuple(min(j, m, n + m - j) for j in range(1, m + n))
+    dims = tuple(filtration_dim(m, n, j) for j in range(1, m + n))
     return FiltrationDims(m, n, dims)
 
 

@@ -34,7 +34,8 @@ from .polyring import (
 
 
 def parse_block_size(value) -> int:
-    """A block size read from JSON: an integer >= 1, never coerced.
+    """A block size, from JSON or a constructor: an integer >= 1, never
+    coerced.
 
     Floats (even integral ones), bools and strings are rejected rather than
     truncated or converted.
@@ -57,10 +58,7 @@ class JordanSpec:
     def __init__(self, blocks: Iterable[tuple[RationalLike, int]]):
         norm = []
         for eig, size in blocks:
-            size = int(size)
-            if size < 1:
-                raise ValueError("block sizes must be positive")
-            norm.append((Fraction(eig), size))
+            norm.append((Fraction(eig), parse_block_size(size)))
         norm.sort(key=lambda b: (b[0], -b[1]))
         object.__setattr__(self, "blocks", tuple(norm))
 
@@ -82,9 +80,7 @@ class JordanSpec:
         blocks = []
         for item in obj:
             try:
-                blocks.append(
-                    (parse_rational(str(item["eig"])), parse_block_size(item["size"]))
-                )
+                blocks.append((parse_rational(str(item["eig"])), item["size"]))
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"bad Jordan block entry: {item!r}") from exc
         return cls(blocks)

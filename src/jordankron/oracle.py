@@ -192,12 +192,9 @@ class JordanStructure:
     def __init__(self, entries: Mapping[RationalLike, Iterable[int]]):
         norm: dict[Fraction, tuple[int, ...]] = {}
         for eig, sizes in entries.items():
-            sizes = tuple(sorted((int(s) for s in sizes), reverse=True))
-            if not sizes:
-                continue
-            if sizes[-1] < 1:
-                raise ValueError("block sizes must be positive")
-            norm[Fraction(eig)] = sizes
+            sizes = tuple(sorted(map(parse_block_size, sizes), reverse=True))
+            if sizes:
+                norm[Fraction(eig)] = sizes
         self.entries = norm
 
     @classmethod
@@ -206,7 +203,7 @@ class JordanStructure:
         collisions by exact rational equality."""
         acc: dict[Fraction, list[int]] = {}
         for eig, sizes in pairs:
-            acc.setdefault(Fraction(eig), []).extend(int(s) for s in sizes)
+            acc.setdefault(Fraction(eig), []).extend(sizes)
         return cls(acc)
 
     @property

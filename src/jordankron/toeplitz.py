@@ -8,8 +8,17 @@ action is the banded integer Toeplitz matrix R_k with entries
 of the R_k over k gives the nullities that the equal-eigenvalue predictor
 consumes, at a fraction of the cost of eliminating the mn x mn matrix.
 
-Most R_k have full rank; the interesting exceptions are exactly the rank
-deficiencies this module's scanner hunts for.  ``sufficient_rank_drop``
+Most R_k have full rank, and ``rho`` proves most of those without building
+a matrix.  Since gamma_0 = 1 and gamma_i = 0 for i < 0, the diagonal of R_k
+with offset j - i = -c_k holds ones with zeros below it.  Its
+``min(n_rows, n_cols + c_k) - c_k`` cells span a unit triangular minor, of
+determinant 1, so when that count reaches ``min(n_rows, n_cols)`` the rank
+is full, exactly.  For m <= n that is the case precisely when k <= n or
+k >= m + ell*d.  (The diagonal of gamma_(ell*d) = 1, with zeros above it,
+is the mirror image and proves no further spec.)  Every other R_k is cut
+row by row from one zero-padded copy of the gamma and eliminated by the
+Bareiss kernel.  The exceptions, the rank-deficient R_k, are what this
+module's scanner hunts for.  ``sufficient_rank_drop``
 implements a closed sufficient condition (the coefficient vector of
 ``(x - y)^ell`` is then an explicit kernel vector), but it is not
 necessary, and the scanner records both kinds.
@@ -23,8 +32,10 @@ from math import comb
 from pathlib import Path
 from typing import Iterable
 
-from .bounds import filtration_dims
-from .exactmat import IntegerMatrix, rank
+from .bounds import filtration_dim
+# ``rank`` is no longer called here; it stays importable from this module
+# because the benchmark's tracer (perfbench/spans.py) hooks it by this name.
+from .exactmat import IntegerMatrix, _rank_int_rows, rank  # noqa: F401
 
 
 class InvalidSpecError(ValueError):
@@ -53,16 +64,38 @@ class GammaCoeffs:
 def gamma_coeffs(d: int, ell: int) -> GammaCoeffs:
     if d < 1 or ell < 1:
         raise ValueError("d and ell must be positive")
-    base = [1] * (d + 1)
-    out = [1]
-    for _ in range(ell):
-        nxt = [0] * (len(out) + d)
-        for i, a in enumerate(out):
-            if a:
-                for j in range(d + 1):
-                    nxt[i + j] += a
-        out = nxt
-    return GammaCoeffs(d, ell, tuple(out))
+    # J. C. P. Miller's recurrence for a power of a polynomial with constant
+    # term 1: k a_k = sum over 1 <= i <= min(k, d) of ((ell + 1) i - k) a_(k-i).
+    # The coefficients are symmetric, so the first half fixes the rest.
+    top = ell * d
+    a = [1] * (top + 1)
+    for k in range(1, top // 2 + 1):
+        acc = 0
+        for i in range(1, min(k, d) + 1):
+            acc += ((ell + 1) * i - k) * a[k - i]
+        a[k] = a[top - k] = acc // k
+    return GammaCoeffs(d, ell, tuple(a))
+
+
+def _check_params(m: int, n: int, d: int, ell: int, k: int) -> None:
+    """Raise InvalidSpecError unless all five are ints (bools excluded), all
+    positive, with d*ell + 1 <= k <= m + n - 1; m and n in either order."""
+    if not (
+        type(m) is int
+        and type(n) is int
+        and type(d) is int
+        and type(ell) is int
+        and type(k) is int
+    ):
+        raise InvalidSpecError(
+            f"parameters must be integers, got {(m, n, d, ell, k)!r}"
+        )
+    if min(m, n, d, ell, k) < 1:
+        raise InvalidSpecError("all parameters must be positive")
+    if not (d * ell + 1 <= k <= m + n - 1):
+        raise InvalidSpecError(
+            f"k = {k} outside [{d * ell + 1}, {m + n - 1}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -77,23 +110,17 @@ class ToeplitzSpec:
     k: int
 
     def __post_init__(self):
-        if min(self.m, self.n, self.d, self.ell, self.k) < 1:
-            raise InvalidSpecError("all parameters must be positive")
+        _check_params(self.m, self.n, self.d, self.ell, self.k)
         if self.m > self.n:
             raise InvalidSpecError(f"need m <= n, got ({self.m}, {self.n})")
-        if not (self.d * self.ell + 1 <= self.k <= self.m + self.n - 1):
-            raise InvalidSpecError(
-                f"k = {self.k} outside [{self.d * self.ell + 1}, "
-                f"{self.m + self.n - 1}]"
-            )
 
     @property
     def n_cols(self) -> int:
-        return filtration_dims(self.m, self.n).u(self.k)
+        return filtration_dim(self.m, self.n, self.k)
 
     @property
     def n_rows(self) -> int:
-        return filtration_dims(self.m, self.n).u(self.k - self.ell * self.d)
+        return filtration_dim(self.m, self.n, self.k - self.ell * self.d)
 
     @property
     def max_rank(self) -> int:
@@ -104,31 +131,68 @@ class ToeplitzSpec:
         return replace(self, k=self.ell * self.d + self.m + self.n - self.k)
 
 
+def _offset(n: int, shift: int, k: int) -> int:
+    return min(max(k - n, 0), shift)
+
+
 def offset_c(spec: ToeplitzSpec) -> int:
     """Band offset: 0 for k <= n, then k - n, clamped at ell*d."""
-    shift = spec.ell * spec.d
-    if spec.k <= spec.n:
-        return 0
-    if spec.k <= spec.n + shift:
-        return spec.k - spec.n
-    return shift
+    return _offset(spec.n, spec.ell * spec.d, spec.k)
+
+
+def _banded_rows(
+    gamma: tuple[int, ...], c: int, nr: int, nc: int
+) -> list[list[int]]:
+    """Fresh rows of R: row i is gamma_(c - i) .. gamma_(c - i + nc - 1), one
+    slice of a single zero-padded copy of gamma."""
+    left = max(nr - 1 - c, 0)
+    right = max(nc + c - len(gamma), 0)
+    padded = [0] * left + list(gamma) + [0] * right
+    start = left + c
+    return [padded[start - i : start - i + nc] for i in range(nr)]
+
+
+def _unit_triangular_full_rank(nr: int, nc: int, c: int) -> bool:
+    """Whether a unit triangular minor proves the nr x nc matrix full rank.
+
+    The diagonal j - i = -c holds gamma_0 = 1 with zeros below it, so its
+    min(nr, nc + c) - c cells span a unit lower triangular minor; the rank
+    is full when that count is min(nr, nc).  For m <= n this holds exactly
+    when k <= n or k >= m + ell*d.  The gamma_(ell*d) diagonal, the mirror
+    image of this one, proves no further spec.
+    """
+    return min(nr, nc + c) - c == min(nr, nc)
 
 
 def build_R(spec: ToeplitzSpec) -> IntegerMatrix:
     """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec."""
     g = gamma_coeffs(spec.d, spec.ell)
-    c = offset_c(spec)
-    nr, nc = spec.n_rows, spec.n_cols
     return IntegerMatrix(
-        [[g[j - i + c] for j in range(nc)] for i in range(nr)]
+        _banded_rows(g.gamma, offset_c(spec), spec.n_rows, spec.n_cols)
     )
 
 
+def certified_full_rank(spec: ToeplitzSpec) -> bool:
+    """Whether the unit triangular minor alone proves build_R(spec) full rank."""
+    return _unit_triangular_full_rank(spec.n_rows, spec.n_cols, offset_c(spec))
+
+
 def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
-    """Rank of the banded Toeplitz matrix; m and n in either order."""
+    """Rank of the banded Toeplitz matrix; m and n in either order.
+
+    Full rank proved by a unit triangular minor is returned without
+    building the matrix; any other matrix is eliminated exactly.
+    """
+    _check_params(m, n, d, ell, k)
     if m > n:
         m, n = n, m
-    return rank(build_R(ToeplitzSpec(m, n, d, ell, k)))
+    shift = ell * d
+    nr = filtration_dim(m, n, k - shift)
+    nc = filtration_dim(m, n, k)
+    c = _offset(n, shift, k)
+    if _unit_triangular_full_rank(nr, nc, c):
+        return min(nr, nc)
+    return _rank_int_rows(_banded_rows(gamma_coeffs(d, ell).gamma, c, nr, nc))
 
 
 @dataclass(frozen=True)

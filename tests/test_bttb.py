@@ -216,6 +216,15 @@ def test_jordan_spec_canonical_order_and_json():
         JordanSpec([(0, 0)])
 
 
+def test_jordan_spec_constructor_rejects_coerced_sizes():
+    for size in (2.7, 2.0, True, "2", None, 0):
+        with pytest.raises(ValueError, match="size"):
+            JordanSpec([(0, size)])
+    with pytest.raises(ValueError, match="size"):
+        JordanSpec.single(1, 3.5)
+    assert JordanSpec([(0, 2)]).blocks == ((Q(0), 2),)
+
+
 def test_assemble_jordan_matrix():
     spec = JordanSpec([(0, 2), (1, 1)])
     assert assemble_jordan_matrix(spec) == RationalMatrix(

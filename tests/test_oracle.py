@@ -142,6 +142,15 @@ def test_structure_json_roundtrip_and_order():
             )
 
 
+def test_structure_constructor_rejects_coerced_sizes():
+    for sizes in ([2.9, True], [2.0], ["2"], [0], [3, -1]):
+        with pytest.raises(ValueError, match="size"):
+            JordanStructure({0: sizes})
+        with pytest.raises(ValueError, match="size"):
+            JordanStructure.from_pairs([(0, sizes)])
+    assert JordanStructure({0: [1, 3], 1: []}).entries == {Q(0): (3, 1)}
+
+
 def test_structure_equality_is_exact():
     a = JordanStructure({Q(1, 3): [2]})
     b = JordanStructure({Q(333333, 1000000): [2]})
@@ -208,10 +217,17 @@ def test_consistency_checks_survive_optimized_mode():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from jordankron.oracle import WeyrConsistencyError, sizes_from_nullities\n"
+        "from jordankron.toeplitz import InvalidSpecError, ToeplitzSpec, rho\n"
         "try:\n"
         "    sizes_from_nullities([0, 1, 3, 4], 4)\n"
         "except WeyrConsistencyError:\n"
         "    print('raised')\n"
+        "for bad in ((2.5, 3, 1, 1, 2), (True, 3, 1, 1, 2), (2, 3.0, 1, 1, 2)):\n"
+        "    for build in (rho, ToeplitzSpec):\n"
+        "        try:\n"
+        "            build(*bad)\n"
+        "        except InvalidSpecError:\n"
+        "            print('raised')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -221,4 +237,4 @@ def test_consistency_checks_survive_optimized_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised"
+    assert proc.stdout.split() == ["raised"] * 7

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordankron import DeficiencyRecord, rho, scan_deficiencies, sufficient_rank_drop
@@ -10,6 +10,7 @@ from jordankron.toeplitz import (
     InvalidSpecError,
     ToeplitzSpec,
     build_R,
+    certified_full_rank,
     check_properties,
     gamma_coeffs,
     offset_c,
@@ -27,12 +28,17 @@ def test_gamma_coeffs_examples():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 6), st.integers(1, 4))
+@given(st.integers(1, 6), st.integers(1, 12))
 def test_gamma_symmetry_and_sum(d, ell):
     g = gamma_coeffs(d, ell).gamma
     assert len(g) == ell * d + 1
     assert g == g[::-1]
     assert sum(g) == (d + 1) ** ell
+    # Reference: ell schoolbook products by 1 + z + ... + z^d.
+    ref = [1]
+    for _ in range(ell):
+        ref = [sum(ref[max(0, i - d) : i + 1]) for i in range(len(ref) + d)]
+    assert g == tuple(ref)
 
 
 def test_offset_examples():
@@ -67,6 +73,90 @@ def test_spec_validation():
         ToeplitzSpec(4, 4, 1, 1, 8)  # k above m + n - 1
     with pytest.raises(InvalidSpecError):
         ToeplitzSpec(0, 4, 1, 1, 2)
+
+
+def test_spec_rejects_non_int_parameters():
+    for bad in (
+        (2.5, 3, 1, 1, 2),
+        (True, 3, 1, 1, 2),
+        (2, 3.0, 1, 1, 2),
+        (2, 3, 1, 1, True),
+        (2, 3, "1", 1, 2),
+        (2, 3, 1, None, 2),
+    ):
+        with pytest.raises(InvalidSpecError, match="integers"):
+            rho(*bad)
+        with pytest.raises(InvalidSpecError, match="integers"):
+            ToeplitzSpec(*bad)
+
+
+def _entry_formula_rows(spec):
+    g = gamma_coeffs(spec.d, spec.ell)
+    c = offset_c(spec)
+    return tuple(
+        tuple(g[j - i + c] for j in range(spec.n_cols))
+        for i in range(spec.n_rows)
+    )
+
+
+def _has_full_unit_diagonal(spec):
+    # Entries gamma_0 = 1 lie on offset j - i = -c, gamma_(ell*d) = 1 on
+    # offset ell*d - c; count the cells of each diagonal inside the matrix.
+    c = offset_c(spec)
+    return any(
+        sum(1 for i in range(spec.n_rows) if 0 <= i + t < spec.n_cols)
+        == spec.max_rank
+        for t in (-c, spec.ell * spec.d - c)
+    )
+
+
+def _assert_rho_matches_bareiss(spec):
+    ref = rank(build_R(spec))
+    assert rho(spec.m, spec.n, spec.d, spec.ell, spec.k) == ref
+    assert rho(spec.n, spec.m, spec.d, spec.ell, spec.k) == ref
+    if certified_full_rank(spec):
+        assert ref == spec.max_rank
+    return ref
+
+
+def test_rho_matches_bareiss_on_every_small_spec():
+    certified = deficient = 0
+    for spec in iter_valid_specs(12, 12, 4, 4):
+        assert build_R(spec).data == _entry_formula_rows(spec)
+        certificate = certified_full_rank(spec)
+        assert certificate == _has_full_unit_diagonal(spec)
+        assert certificate == (
+            spec.k <= spec.n or spec.k >= spec.m + spec.ell * spec.d
+        )
+        ref = _assert_rho_matches_bareiss(spec)
+        certified += certificate
+        deficient += ref < spec.max_rank
+    # Both sides of the certificate are exercised.
+    assert certified and deficient
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_rho_matches_bareiss_on_random_specs(a, b, d, ell, data):
+    m, n = min(a, b), max(a, b)
+    assume(d * ell + 1 <= m + n - 1)
+    k = data.draw(st.integers(d * ell + 1, m + n - 1))
+    _assert_rho_matches_bareiss(ToeplitzSpec(m, n, d, ell, k))
+
+
+def test_rho_matches_bareiss_on_scanned_deficiencies():
+    records = scan_deficiencies(8, 8, 4, 3)
+    assert records
+    for rec in records:
+        assert not certified_full_rank(rec.spec)
+        assert _assert_rho_matches_bareiss(rec.spec) == rec.rank
+        assert rec.deficiency == rec.max_rank - rec.rank > 0
 
 
 def test_rho_examples_and_argument_swap():
