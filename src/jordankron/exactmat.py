@@ -3,8 +3,12 @@
 Two matrix flavors: ``RationalMatrix`` holds ``fractions.Fraction`` entries,
 ``IntegerMatrix`` holds Python ints.  Rank is computed by elimination only,
 never numerically: a pivoted rational Gauss path for the rational flavor
-and a Bareiss fraction-free path for the integer flavor.  The two paths are
-cross-checked against each other in the test suite.
+and a fraction-free row echelon path for the integer flavor.  Each step of
+the integer path scales a row by a nonzero integer, subtracts a multiple
+of the pivot row or divides a row by a common factor of its entries, so
+the rank over Q never changes; the division keeps the entries as small as
+minors of the input.  The two paths are cross-checked against each other,
+and against a full-pivot Bareiss reference, in the test suite.
 
 Matrices are immutable after construction (tuples of tuples), so concurrent
 reads are safe and rank computations can run in parallel from the caller's
@@ -14,7 +18,8 @@ side.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -234,54 +239,58 @@ def matrix_power(a: RationalMatrix, e: int) -> RationalMatrix:
 
 
 def _rank_int_rows(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination rank; mutates its argument.
+    """Rank over Q by row echelon elimination on integer rows; consumes its
+    argument.
 
-    Full pivoting (largest absolute value) keeps every intermediate entry a
-    minor of the input, so the division by the previous pivot is exact.
+    Columns are cleared from left to right.  The pivot is the nonzero entry
+    of least magnitude in the column, and the search stops at a unit.  Below
+    a unit pivot p a row x with x_j = f becomes x - (f p) y, unscaled, for
+    y the pivot row.  Below any other pivot it becomes (p / g) x - (f / g) y
+    for g = gcd(p, f), divided by the gcd of its entries, so it stays
+    primitive.  A row with a zero in the pivot column is left as it is.  Each
+    step scales a row by a nonzero integer, subtracts a multiple of the pivot
+    row or divides by a common factor, so the row space over Q never
+    changes, and the rank is the number of pivots.
     """
-    nrows = len(rows)
-    if not nrows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    prev = 1
-    lim = min(nrows, ncols)
-    while r < lim:
-        bi = bj = -1
-        best = 0
-        for i in range(r, nrows):
-            row = rows[i]
-            for j in range(r, ncols):
-                v = row[j]
-                if v:
-                    a = -v if v < 0 else v
-                    if a > best:
-                        best, bi, bj = a, i, j
-        if bi < 0:
-            return r
-        if bi != r:
-            rows[r], rows[bi] = rows[bi], rows[r]
-        if bj != r:
-            for row in rows:
-                row[r], row[bj] = row[bj], row[r]
-        piv_row = rows[r]
-        piv = piv_row[r]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            f = row[r]
-            if f:
-                for j in range(r + 1, ncols):
-                    row[j] = (row[j] * piv - f * piv_row[j]) // prev
-            elif prev != 1:
-                for j in range(r + 1, ncols):
-                    row[j] = row[j] * piv // prev
+    # ``active`` holds the rows without a pivot yet, each cut down to its
+    # entries from the current column on.
+    active = rows
+    rank = 0
+    while active and active[0]:
+        best = bi = 0
+        for i, row in enumerate(active):
+            v = row[0]
+            if v:
+                a = v if v > 0 else -v
+                if not best or a < best:
+                    best, bi = a, i
+                    if a == 1:
+                        break
+        if not best:
+            for row in active:
+                del row[0]
+            continue
+        piv_row = active.pop(bi)
+        piv = piv_row[0]
+        del piv_row[0]
+        rank += 1
+        nxt = []
+        for row in active:
+            f = row[0]
+            if not f:
+                del row[0]
+                nxt.append(row)
+            elif best == 1:
+                q = f * piv
+                nxt.append([x - q * y for x, y in zip(islice(row, 1, None), piv_row)])
             else:
-                for j in range(r + 1, ncols):
-                    row[j] = row[j] * piv
-            row[r] = 0
-        prev = piv
-        r += 1
-    return r
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                new = [x * a - y * b for x, y in zip(islice(row, 1, None), piv_row)]
+                g = gcd(*new)
+                nxt.append([x // g for x in new] if g > 1 else new)
+        active = nxt
+    return rank
 
 
 def _pivot_score(q: Fraction) -> int:

@@ -33,7 +33,7 @@ from .polyring import (
     root_multiplicity,
     univariate_hasse_eval,
 )
-from .toeplitz import rho
+from .toeplitz import rank_row
 
 
 class EqualEigenvaluesError(ValueError):
@@ -127,17 +127,16 @@ def pair_prediction(
         return PairPrediction(
             lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d
         )
-    mm, nn = (m, n) if m <= n else (n, m)
-    top = -(-(mm + nn - 1) // d)
+    top = -(-(m + n - 1) // d)
     table: list[tuple[int, int, int]] = []
     nullities = [0]
     for s in range(1, top + 1):
-        if s * d >= mm + nn - 1:
+        if s * d >= m + n - 1:
             nullities.append(dim)
             continue
-        ranks = [(s, k, rho(mm, nn, d, s, k)) for k in range(d * s + 1, mm + nn)]
-        table.extend(ranks)
-        nullities.append(dim - sum(rk for _, _, rk in ranks))
+        row = rank_row(m, n, d, s)
+        table.extend((s, k, rk) for k, rk in row.items())
+        nullities.append(dim - sum(row.values()))
     return PairPrediction(
         lam, mu, m, n, "equal", eig,
         sizes_from_nullities(nullities, dim),

@@ -8,16 +8,22 @@ action is the banded integer Toeplitz matrix R_k with entries
 of the R_k over k gives the nullities that the equal-eigenvalue predictor
 consumes, at a fraction of the cost of eliminating the mn x mn matrix.
 
-Most R_k have full rank, and ``rho`` proves most of those without building
-a matrix.  Since gamma_0 = 1 and gamma_i = 0 for i < 0, the diagonal of R_k
-with offset j - i = -c_k holds ones with zeros below it.  Its
-``min(n_rows, n_cols + c_k) - c_k`` cells span a unit triangular minor, of
-determinant 1, so when that count reaches ``min(n_rows, n_cols)`` the rank
-is full, exactly.  For m <= n that is the case precisely when k <= n or
-k >= m + ell*d.  (The diagonal of gamma_(ell*d) = 1, with zeros above it,
-is the mirror image and proves no further spec.)  Every other R_k is cut
-row by row from one zero-padded copy of the gamma and eliminated by the
-Bareiss kernel.  The exceptions, the rank-deficient R_k, are what this
+``rank_row`` gives the ranks of every R_k of one quadruple (m, n, d, ell) in
+one pass, and ``rho`` gives one of them.  The flip-transpose identity
+rank R_k = rank R_(ell*d + m + n - k) leaves only the half
+k <= (m + n + ell*d) / 2 to compute, where R_k has no more rows than
+columns.  Most R_k have full rank, and most of those are proved so without
+building a matrix.  Since gamma_0 = 1 and gamma_i = 0 for i < 0, the
+diagonal of R_k with offset j - i = -c_k holds ones with zeros below it.
+Its ``min(n_rows, n_cols + c_k) - c_k`` cells span a unit triangular
+minor, of determinant 1, so when that count reaches ``min(n_rows, n_cols)``
+the rank is full, exactly.  For m <= n that is the case precisely when
+k <= n or k >= m + ell*d.  (The diagonal of gamma_(ell*d) = 1, with zeros
+above it, is the mirror image and proves no further spec.)  Every other R_k
+is cut row by row from one zero-padded copy of the gamma and eliminated by
+the echelon kernel of :mod:`jordankron.exactmat`, whose unit pivots, such
+as those of the gamma_0 diagonal, clear a column without scaling a row.
+The exceptions, the rank-deficient R_k, are what this
 module's scanner hunts for.  ``sufficient_rank_drop``
 implements a closed sufficient condition (the coefficient vector of
 ``(x - y)^ell`` is then an explicit kernel vector), but it is not
@@ -33,9 +39,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .bounds import filtration_dim
-# ``rank`` is no longer called here; it stays importable from this module
-# because the benchmark's tracer (perfbench/spans.py) hooks it by this name.
-from .exactmat import IntegerMatrix, _rank_int_rows, rank  # noqa: F401
+from .exactmat import IntegerMatrix, _rank_int_rows
 
 
 class InvalidSpecError(ValueError):
@@ -77,25 +81,27 @@ def gamma_coeffs(d: int, ell: int) -> GammaCoeffs:
     return GammaCoeffs(d, ell, tuple(a))
 
 
-def _check_params(m: int, n: int, d: int, ell: int, k: int) -> None:
-    """Raise InvalidSpecError unless all five are ints (bools excluded), all
-    positive, with d*ell + 1 <= k <= m + n - 1; m and n in either order."""
+def _check_params(m: int, n: int, d: int, ell: int, k: int | None = None) -> None:
+    """Raise InvalidSpecError unless all parameters are ints (bools
+    excluded), all positive, with d*ell + 1 <= k <= m + n - 1; without k,
+    unless some k fits that range.  m and n in either order."""
+    params = (m, n, d, ell) if k is None else (m, n, d, ell, k)
     if not (
         type(m) is int
         and type(n) is int
         and type(d) is int
         and type(ell) is int
-        and type(k) is int
+        and (k is None or type(k) is int)
     ):
-        raise InvalidSpecError(
-            f"parameters must be integers, got {(m, n, d, ell, k)!r}"
-        )
-    if min(m, n, d, ell, k) < 1:
+        raise InvalidSpecError(f"parameters must be integers, got {params!r}")
+    if min(params) < 1:
         raise InvalidSpecError("all parameters must be positive")
-    if not (d * ell + 1 <= k <= m + n - 1):
-        raise InvalidSpecError(
-            f"k = {k} outside [{d * ell + 1}, {m + n - 1}]"
-        )
+    lo, hi = d * ell + 1, m + n - 1
+    if k is None:
+        if lo > hi:
+            raise InvalidSpecError(f"no k in [{lo}, {hi}]")
+    elif not lo <= k <= hi:
+        raise InvalidSpecError(f"k = {k} outside [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -140,15 +146,20 @@ def offset_c(spec: ToeplitzSpec) -> int:
     return _offset(spec.n, spec.ell * spec.d, spec.k)
 
 
+def _padded_gamma(d: int, ell: int, m: int) -> list[int]:
+    """The gamma of (d, ell) with m - 1 zeros on each side.  Every row of
+    every R_k on an m x n grid, m <= n, is one slice of it: R_k has at most
+    m rows and m columns, and 0 <= c_k <= ell*d."""
+    pad = [0] * (m - 1)
+    return pad + list(gamma_coeffs(d, ell).gamma) + pad
+
+
 def _banded_rows(
-    gamma: tuple[int, ...], c: int, nr: int, nc: int
+    padded: list[int], m: int, c: int, nr: int, nc: int
 ) -> list[list[int]]:
-    """Fresh rows of R: row i is gamma_(c - i) .. gamma_(c - i + nc - 1), one
-    slice of a single zero-padded copy of gamma."""
-    left = max(nr - 1 - c, 0)
-    right = max(nc + c - len(gamma), 0)
-    padded = [0] * left + list(gamma) + [0] * right
-    start = left + c
+    """Fresh rows of R: row i is gamma_(c - i) .. gamma_(c - i + nc - 1), cut
+    from ``_padded_gamma(d, ell, m)``."""
+    start = m - 1 + c
     return [padded[start - i : start - i + nc] for i in range(nr)]
 
 
@@ -166,9 +177,9 @@ def _unit_triangular_full_rank(nr: int, nc: int, c: int) -> bool:
 
 def build_R(spec: ToeplitzSpec) -> IntegerMatrix:
     """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec."""
-    g = gamma_coeffs(spec.d, spec.ell)
+    padded = _padded_gamma(spec.d, spec.ell, spec.m)
     return IntegerMatrix(
-        _banded_rows(g.gamma, offset_c(spec), spec.n_rows, spec.n_cols)
+        _banded_rows(padded, spec.m, offset_c(spec), spec.n_rows, spec.n_cols)
     )
 
 
@@ -177,22 +188,50 @@ def certified_full_rank(spec: ToeplitzSpec) -> bool:
     return _unit_triangular_full_rank(spec.n_rows, spec.n_cols, offset_c(spec))
 
 
-def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
-    """Rank of the banded Toeplitz matrix; m and n in either order.
-
-    Full rank proved by a unit triangular minor is returned without
-    building the matrix; any other matrix is eliminated exactly.
-    """
-    _check_params(m, n, d, ell, k)
-    if m > n:
-        m, n = n, m
-    shift = ell * d
+def _rank_k(padded: list[int], m: int, n: int, shift: int, k: int) -> int:
+    """Rank of R_k for m <= n and shift = ell*d, with ``padded`` from
+    ``_padded_gamma``.  Full rank proved by a unit triangular minor is
+    returned without building the matrix; any other R_k is eliminated
+    exactly."""
     nr = filtration_dim(m, n, k - shift)
     nc = filtration_dim(m, n, k)
     c = _offset(n, shift, k)
     if _unit_triangular_full_rank(nr, nc, c):
         return min(nr, nc)
-    return _rank_int_rows(_banded_rows(gamma_coeffs(d, ell).gamma, c, nr, nc))
+    return _rank_int_rows(_banded_rows(padded, m, c, nr, nc))
+
+
+def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
+    """Ranks of R_k for every valid k of (m, n, d, ell), keyed by k in
+    ascending order; m and n in either order.
+
+    Only the low half, k <= (m + n + ell*d) / 2, is computed.  There R_k
+    has no more rows than columns, the orientation the elimination kernel
+    clears fastest.  The rest follows from the flip-transpose identity
+    rank R_k = rank R_(ell*d + m + n - k).
+    """
+    _check_params(m, n, d, ell)
+    if m > n:
+        m, n = n, m
+    shift = ell * d
+    total = m + n + shift
+    lo = shift + 1
+    padded = _padded_gamma(d, ell, m)
+    low = [_rank_k(padded, m, n, shift, k) for k in range(lo, total // 2 + 1)]
+    return {k: low[min(k, total - k) - lo] for k in range(lo, m + n)}
+
+
+def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
+    """Rank of the banded Toeplitz matrix R_k; m and n in either order.
+
+    The entry of ``rank_row(m, n, d, ell)`` at k, computed alone.
+    """
+    _check_params(m, n, d, ell, k)
+    if m > n:
+        m, n = n, m
+    shift = ell * d
+    k = min(k, m + n + shift - k)
+    return _rank_k(_padded_gamma(d, ell, m), m, n, shift, k)
 
 
 @dataclass(frozen=True)
@@ -270,10 +309,13 @@ def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
     The test requires u_k > ell so that v is nonzero, and a kernel vector
     of a rows >= cols matrix forces rank < u_k.
     """
-    spec = _normalized_wide(spec)
-    if spec.n_cols <= spec.ell:
+    m, n, d, ell = spec.m, spec.n, spec.d, spec.ell
+    shift = ell * d
+    # The index of the flip-normalized spec, read off without building it.
+    k = max(spec.k, m + n + shift - spec.k)
+    if filtration_dim(m, n, k) <= ell:
         return False
-    return (spec.ell + offset_c(spec)) % (spec.d + 1) >= spec.n_rows
+    return (ell + _offset(n, shift, k)) % (d + 1) >= filtration_dim(m, n, k - shift)
 
 
 def rank_drop_witness(spec: ToeplitzSpec) -> tuple[ToeplitzSpec, list[int]]:
@@ -373,11 +415,10 @@ def scan_deficiencies(
 ) -> list[DeficiencyRecord]:
     """Scan all valid quintuples in range and return the rank-deficient ones.
 
-    Only normalized pairs m <= n are visited, and within each quadruple the
-    flip symmetry halves the rank computations (the mirrored index has the
-    same rank).  With ``out_path`` every scanned record is appended as one
-    JSON line, and records already present there are not recomputed, so an
-    interrupted sweep resumes where it stopped.
+    Only normalized pairs m <= n are visited, and each quadruple takes one
+    ``rank_row``.  With ``out_path`` every scanned record is appended as one
+    JSON line, and a quadruple whose records are all present there is not
+    recomputed, so an interrupted sweep resumes where it stopped.
     """
     if min(m_max, n_max, d_max, ell_max) < 1:
         raise ValueError("bounds must be positive")
@@ -393,24 +434,14 @@ def scan_deficiencies(
                         lo, hi = d * ell + 1, m + n - 1
                         if lo > hi:
                             continue
-                        mid = -(-(m + n + ell * d) // 2)
-                        ranks: dict[int, int] = {}
-                        for k in range(max(lo, mid), hi + 1):
-                            key = (m, n, d, ell, k)
-                            if key in existing:
-                                ranks[k] = existing[key].rank
-                            else:
-                                ranks[k] = rho(m, n, d, ell, k)
-                        for k in range(lo, hi + 1):
-                            key = (m, n, d, ell, k)
-                            if key in existing:
-                                rec = existing[key]
-                            else:
-                                rk = ranks.get(k)
-                                if rk is None:
-                                    rk = ranks[ell * d + m + n - k]
+                        found = [existing.get((m, n, d, ell, k))
+                                 for k in range(lo, hi + 1)]
+                        if any(rec is None for rec in found):
+                            ranks = rank_row(m, n, d, ell)
+                        for k, rec in zip(range(lo, hi + 1), found):
+                            if rec is None:
                                 rec = _record_for(
-                                    ToeplitzSpec(m, n, d, ell, k), rk
+                                    ToeplitzSpec(m, n, d, ell, k), ranks[k]
                                 )
                                 if sink is not None:
                                     sink.write(

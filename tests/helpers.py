@@ -15,7 +15,7 @@ from jordankron import (
     UnivariatePoly,
 )
 from jordankron.bttb import assemble_jordan_matrix
-from jordankron.exactmat import _rank_int_rows, kron, matrix_power
+from jordankron.exactmat import kron, matrix_power
 
 
 def random_univariate(rng: random.Random, max_deg=8, bound=3) -> UnivariatePoly:
@@ -86,6 +86,59 @@ def random_degenerate_poly(rng: random.Random, size=4, bound=3) -> BivariatePoly
             return p
 
 
+def reference_rank_int(rows: list[list[int]]) -> int:
+    """Rank over Q by Bareiss fraction-free elimination with full pivoting;
+    mutates its argument.  Test-only reference for the package's echelon
+    kernel.
+
+    Full pivoting (largest absolute value) keeps every intermediate entry a
+    minor of the input, so the division by the previous pivot is exact.
+    """
+    nrows = len(rows)
+    if not nrows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    prev = 1
+    lim = min(nrows, ncols)
+    while r < lim:
+        bi = bj = -1
+        best = 0
+        for i in range(r, nrows):
+            row = rows[i]
+            for j in range(r, ncols):
+                v = row[j]
+                if v:
+                    a = -v if v < 0 else v
+                    if a > best:
+                        best, bi, bj = a, i, j
+        if bi < 0:
+            return r
+        if bi != r:
+            rows[r], rows[bi] = rows[bi], rows[r]
+        if bj != r:
+            for row in rows:
+                row[r], row[bj] = row[bj], row[r]
+        piv_row = rows[r]
+        piv = piv_row[r]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[r]
+            if f:
+                for j in range(r + 1, ncols):
+                    row[j] = (row[j] * piv - f * piv_row[j]) // prev
+            elif prev != 1:
+                for j in range(r + 1, ncols):
+                    row[j] = row[j] * piv // prev
+            else:
+                for j in range(r + 1, ncols):
+                    row[j] = row[j] * piv
+            row[r] = 0
+        prev = piv
+        r += 1
+    return r
+
+
 def _matmul_int_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     bt = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
@@ -101,7 +154,7 @@ def reference_nullities(rows: list[list[int]], strict: bool = True) -> list[int]
     nullities = [0]
     current = rows
     while True:
-        nu = dim - _rank_int_rows([row[:] for row in current])
+        nu = dim - reference_rank_int([row[:] for row in current])
         if nu == nullities[-1]:
             if strict:
                 raise NotNilpotentError("nullities stabilized below the dimension")

@@ -1,7 +1,10 @@
 import random
+import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordankron import RationalMatrix
 from jordankron.exactmat import (
@@ -15,6 +18,8 @@ from jordankron.exactmat import (
     rank,
 )
 from jordankron.exactmat import _rank_fraction_rows, _rank_int_rows
+
+from helpers import reference_rank_int
 
 
 def random_rational(rng, rows, cols, bound=10, denominators=(1,)):
@@ -117,6 +122,70 @@ def test_rank_paths_cross_check_rational_entries():
             [e.numerator * (30 // e.denominator) for e in row] for row in a.data
         ]
         assert rank(a) == _rank_int_rows(scaled)
+
+
+@st.composite
+def low_rank_int_rows(draw):
+    """A product of random integer factors, so its rank is at most the inner
+    dimension, then column by column: left alone, zeroed, scaled so that it
+    holds no unit, or given a unit entry."""
+    nrows = draw(st.integers(1, 7))
+    ncols = draw(st.integers(1, 7))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    entry = st.integers(-5, 5)
+    left = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                          min_size=inner, max_size=inner))
+    rows = [
+        [sum(left[i][t] * right[t][j] for t in range(inner)) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+    units = 0
+    for j in range(ncols):
+        kind = draw(st.sampled_from(("plain", "zero", "no-unit", "unit")))
+        if kind == "zero":
+            for row in rows:
+                row[j] = 0
+        elif kind == "no-unit":
+            factor = draw(st.integers(2, 4))
+            for row in rows:
+                row[j] *= factor
+        elif kind == "unit":
+            rows[draw(st.integers(0, nrows - 1))][j] = draw(st.sampled_from((-1, 1)))
+            units += 1
+    return rows, inner + units
+
+
+@settings(max_examples=400, deadline=None)
+@given(low_rank_int_rows())
+def test_echelon_kernel_matches_bareiss_and_rational_kernels(case):
+    rows, rank_bound = case
+    r = _rank_int_rows([row[:] for row in rows])
+    assert r == reference_rank_int([row[:] for row in rows])
+    assert r == _rank_fraction_rows([[Q(e) for e in row] for row in rows])
+    assert r <= min(rank_bound, len(rows), len(rows[0]))
+    transposed = [list(col) for col in zip(*rows)]
+    assert _rank_int_rows(transposed) == r
+
+
+def test_echelon_kernel_keeps_entries_small():
+    # Dividing each new row by the gcd of its entries keeps them the size of
+    # minors of the input, as Bareiss' exact division does; without it the
+    # entries grow with every step.  7-digit entries give no unit pivots.
+    rng = random.Random(3)
+    rows = [[rng.randint(10**6, 10**7) for _ in range(30)] for _ in range(30)]
+
+    def peak(kernel):
+        data = [row[:] for row in rows]
+        tracemalloc.start()
+        try:
+            assert kernel(data) == 30
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(_rank_int_rows) < 3.5 * peak(reference_rank_int)
 
 
 def test_nilpotent_power_nullity():

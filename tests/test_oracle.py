@@ -217,7 +217,8 @@ def test_consistency_checks_survive_optimized_mode():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from jordankron.oracle import WeyrConsistencyError, sizes_from_nullities\n"
-        "from jordankron.toeplitz import InvalidSpecError, ToeplitzSpec, rho\n"
+        "from jordankron.toeplitz import InvalidSpecError, ToeplitzSpec\n"
+        "from jordankron.toeplitz import rank_row, rho\n"
         "try:\n"
         "    sizes_from_nullities([0, 1, 3, 4], 4)\n"
         "except WeyrConsistencyError:\n"
@@ -228,6 +229,12 @@ def test_consistency_checks_survive_optimized_mode():
         "            build(*bad)\n"
         "        except InvalidSpecError:\n"
         "            print('raised')\n"
+        "for bad in ((2.5, 3, 1, 1), (True, 3, 1, 1), (2, 3.0, 1, 1), (0, 3, 1, 1),\n"
+        "            (2, 3, 2, 2)):\n"
+        "    try:\n"
+        "        rank_row(*bad)\n"
+        "    except InvalidSpecError:\n"
+        "        print('raised')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -237,4 +244,4 @@ def test_consistency_checks_survive_optimized_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 7
+    assert proc.stdout.split() == ["raised"] * 12

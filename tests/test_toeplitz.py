@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jordankron import DeficiencyRecord, rho, scan_deficiencies, sufficient_rank_drop
+from jordankron import toeplitz
 from jordankron.exactmat import IntegerMatrix, rank
 from jordankron.toeplitz import (
     InvalidSpecError,
@@ -15,8 +16,11 @@ from jordankron.toeplitz import (
     gamma_coeffs,
     offset_c,
     rank_drop_witness,
+    rank_row,
 )
 from jordankron.toeplitz import iter_valid_specs
+
+from helpers import reference_rank_int
 
 
 def test_gamma_coeffs_examples():
@@ -111,7 +115,7 @@ def _has_full_unit_diagonal(spec):
 
 
 def _assert_rho_matches_bareiss(spec):
-    ref = rank(build_R(spec))
+    ref = reference_rank_int([list(row) for row in build_R(spec).data])
     assert rho(spec.m, spec.n, spec.d, spec.ell, spec.k) == ref
     assert rho(spec.n, spec.m, spec.d, spec.ell, spec.k) == ref
     if certified_full_rank(spec):
@@ -121,7 +125,15 @@ def _assert_rho_matches_bareiss(spec):
 
 def test_rho_matches_bareiss_on_every_small_spec():
     certified = deficient = 0
+    rows = {}
     for spec in iter_valid_specs(12, 12, 4, 4):
+        quad = (spec.m, spec.n, spec.d, spec.ell)
+        if quad not in rows:
+            row = rank_row(*quad)
+            assert list(row) == list(range(spec.ell * spec.d + 1, spec.m + spec.n))
+            swapped = rank_row(spec.n, spec.m, spec.d, spec.ell)
+            assert list(swapped.items()) == list(row.items())
+            rows[quad] = row
         assert build_R(spec).data == _entry_formula_rows(spec)
         certificate = certified_full_rank(spec)
         assert certificate == _has_full_unit_diagonal(spec)
@@ -129,6 +141,7 @@ def test_rho_matches_bareiss_on_every_small_spec():
             spec.k <= spec.n or spec.k >= spec.m + spec.ell * spec.d
         )
         ref = _assert_rho_matches_bareiss(spec)
+        assert rows[quad][spec.k] == ref
         certified += certificate
         deficient += ref < spec.max_rank
     # Both sides of the certificate are exercised.
@@ -157,6 +170,28 @@ def test_rho_matches_bareiss_on_scanned_deficiencies():
         assert not certified_full_rank(rec.spec)
         assert _assert_rho_matches_bareiss(rec.spec) == rec.rank
         assert rec.deficiency == rec.max_rank - rec.rank > 0
+
+
+def test_rank_row_rejects_bad_parameters():
+    for bad in (
+        (2.5, 3, 1, 1),
+        (True, 3, 1, 1),
+        (2, 3.0, 1, 1),
+        (2, 3, "1", 1),
+        (2, 3, 1, None),
+        (2, 3, 1, False),
+    ):
+        with pytest.raises(InvalidSpecError, match="integers"):
+            rank_row(*bad)
+    for bad in ((0, 3, 1, 1), (2, -3, 1, 1), (2, 3, 0, 1), (2, 3, 1, 0)):
+        with pytest.raises(InvalidSpecError, match="positive"):
+            rank_row(*bad)
+    # d*ell + 1 > m + n - 1 leaves no valid k.
+    for bad in ((2, 3, 2, 2), (1, 1, 1, 1), (3, 2, 4, 1)):
+        with pytest.raises(InvalidSpecError, match="no k"):
+            rank_row(*bad)
+    assert rank_row(2, 3, 1, 3) == {4: 1}
+    assert rank_row(8, 4, 3, 2)[9] == 2
 
 
 def test_rho_examples_and_argument_swap():
@@ -209,6 +244,27 @@ def test_sufficient_rank_drop_examples():
     assert rank(build_R(full)) == full.max_rank == 1
 
 
+def _sufficient_on_mirrored_spec(spec):
+    # The condition evaluated on the flip-normalized spec itself.
+    mid = -(-(spec.m + spec.n + spec.ell * spec.d) // 2)
+    wide = spec if spec.k >= mid else spec.mirror()
+    assert wide.n_rows >= wide.n_cols
+    if wide.n_cols <= wide.ell:
+        return wide, False
+    return wide, (wide.ell + offset_c(wide)) % (wide.d + 1) >= wide.n_rows
+
+
+def test_sufficient_rank_drop_matches_mirrored_spec():
+    hits = 0
+    for spec in iter_valid_specs(14, 14, 5, 5):
+        wide, expected = _sufficient_on_mirrored_spec(spec)
+        assert sufficient_rank_drop(spec) is expected
+        if expected:
+            assert rank_drop_witness(spec)[0] == wide
+            hits += 1
+    assert hits
+
+
 def test_sufficient_condition_is_sound_with_kernel_witness():
     for spec in iter_valid_specs(6, 6, 4, 3):
         if not sufficient_rank_drop(spec):
@@ -233,7 +289,18 @@ def test_scan_contains_known_records():
     assert quartic.deficiency == 1
 
 
-def test_scan_persists_and_resumes(tmp_path):
+def _counting_rank_row(monkeypatch):
+    calls = []
+
+    def counted(*quad):
+        calls.append(quad)
+        return rank_row(*quad)
+
+    monkeypatch.setattr(toeplitz, "rank_row", counted)
+    return calls
+
+
+def test_scan_persists_and_resumes(tmp_path, monkeypatch):
     out = tmp_path / "scan.jsonl"
     first = scan_deficiencies(4, 4, 3, 2, out_path=out)
     lines = out.read_text().strip().splitlines()
@@ -241,8 +308,10 @@ def test_scan_persists_and_resumes(tmp_path):
     assert len(lines) == total_specs
     rec = DeficiencyRecord.from_json_obj(json.loads(lines[0]))
     assert rec.max_rank - rec.rank == rec.deficiency
-    # A second run reuses the file and appends nothing.
+    # A second run reuses the file, computes no rank and appends nothing.
+    calls = _counting_rank_row(monkeypatch)
     second = scan_deficiencies(4, 4, 3, 2, out_path=out)
+    assert calls == []
     assert out.read_text().strip().splitlines() == lines
     assert [r.to_json_obj() for r in first] == [r.to_json_obj() for r in second]
 
@@ -256,13 +325,17 @@ def test_scan_record_schema_keys():
     }
 
 
-def test_scan_resume_drops_a_truncated_last_line(tmp_path):
+def test_scan_resume_drops_a_truncated_last_line(tmp_path, monkeypatch):
     out = tmp_path / "scan.jsonl"
     full = scan_deficiencies(4, 4, 3, 2, out_path=out)
     lines = out.read_text().splitlines(keepends=True)
     # An interrupted run: the last record is cut in the middle.
     out.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+    calls = _counting_rank_row(monkeypatch)
     resumed = scan_deficiencies(4, 4, 3, 2, out_path=out)
+    # Only the quadruple of the lost record is computed again.
+    last = json.loads(lines[-1])
+    assert calls == [(last["m"], last["n"], last["d"], last["ell"])]
     assert [r.to_json_obj() for r in resumed] == [r.to_json_obj() for r in full]
     text = out.read_text()
     assert text.endswith("\n")
