@@ -19,20 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class FiltrationDims:
-    """Dimensions u_1 .. u_(m+n-1) of the graded pieces of the antidiagonal
-    filtration of an m x n grid (normalized so m <= n)."""
-
-    m: int
-    n: int
-    dims: tuple[int, ...]
-
-    def u(self, j: int) -> int:
-        """u_j, with u_j = 0 outside 1 <= j <= m + n - 1."""
-        return filtration_dim(self.m, self.n, j)
-
-
 def filtration_dim(m: int, n: int, j: int) -> int:
     """u_j = min(j, m, n, m + n - j) on 1 <= j <= m + n - 1, else 0.
 
@@ -42,16 +28,6 @@ def filtration_dim(m: int, n: int, j: int) -> int:
     if j < 1 or j >= m + n:
         return 0
     return min(j, m, n, m + n - j)
-
-
-def filtration_dims(m: int, n: int) -> FiltrationDims:
-    """The sequence u_j = min(j, m, n + m - j); arguments in either order."""
-    if m < 1 or n < 1:
-        raise ValueError("sizes must be positive")
-    if m > n:
-        m, n = n, m
-    dims = tuple(filtration_dim(m, n, j) for j in range(1, m + n))
-    return FiltrationDims(m, n, dims)
 
 
 def max_block_size_bound(m: int, n: int, d: int) -> int:

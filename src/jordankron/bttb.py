@@ -21,12 +21,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .exactmat import RationalMatrix, direct_sum, jordan_block, kron
+from .exactmat import RationalMatrix, _from_int_rows, direct_sum, jordan_block, kron
 from .polyring import (
     BivariatePoly,
     RationalLike,
-    UnivariatePoly,
-    bezout_quotient,
     format_rational,
     hasse_value_table,
     parse_rational,
@@ -118,22 +116,16 @@ def build_block_pair(
     if m < 1 or n < 1:
         raise ValueError("block sizes must be positive")
     vals = hasse_value_table(p, lam, mu, m - 1, n - 1)
-    zero = Fraction(0)
+    den = lcm(*(v.denominator for hrow in vals for v in hrow))
+    ints = [[v.numerator * (den // v.denominator) for v in hrow] for hrow in vals]
     data = []
     for br in range(m):
         for jr in range(n):
-            row = []
-            for bc in range(m):
-                h = bc - br
-                if h < 0:
-                    row.extend([zero] * n)
-                    continue
-                hrow = vals[h]
-                row.extend(
-                    hrow[jc - jr] if jc >= jr else zero for jc in range(n)
-                )
+            row = [0] * (n * br)
+            for hrow in ints[: m - br]:
+                row.extend([0] * jr + hrow[: n - jr])
             data.append(row)
-    return RationalMatrix(data)
+    return _from_int_rows(data, den)
 
 
 def block_pair_nilpotent_rows(
@@ -146,8 +138,8 @@ def block_pair_nilpotent_rows(
     """Sparse integer rows of L * (P - p(lam, mu) I), P = build_block_pair(...).
 
     L is the common denominator of the entries, so the rows are exactly
-    ``_scaled_int_rows(build_block_pair(p, lam, m, mu, n).shifted(eig))``
-    with eig = p(lam, mu), the order-(0, 0) value.  Row r maps each column
+    those of ``build_block_pair(p, lam, m, mu, n).shifted(eig).num`` with
+    eig = p(lam, mu), the order-(0, 0) value.  Row r maps each column
     holding a nonzero entry to that entry.
     """
     if m < 1 or n < 1:
@@ -204,12 +196,3 @@ def build_raw_kron(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> RationalMa
         acc = acc + kron(a_pows[i], b_pows[j]).scale(coeff)
     return acc
 
-
-def frechet_kronecker_form(f: UnivariatePoly, w: JordanSpec) -> RationalMatrix:
-    """Matrix representation of the derivative of the map A -> f(A) at w.
-
-    A Jordan spec is similarity invariant under transposition, so the
-    transposed left factor contributes the same spec and the result is
-    build_full of the difference quotient of f on (w, w).
-    """
-    return build_full(bezout_quotient(f), w, w)

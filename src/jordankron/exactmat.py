@@ -1,14 +1,21 @@
-"""Dense exact matrices over Q and Z with exact rank kernels.
+"""Dense exact matrices over Q and their exact rank.
 
-Two matrix flavors: ``RationalMatrix`` holds ``fractions.Fraction`` entries,
-``IntegerMatrix`` holds Python ints.  Rank is computed by elimination only,
-never numerically: a pivoted rational Gauss path for the rational flavor
-and a fraction-free row echelon path for the integer flavor.  Each step of
-the integer path scales a row by a nonzero integer, subtracts a multiple
-of the pivot row or divides a row by a common factor of its entries, so
-the rank over Q never changes; the division keeps the entries as small as
-minors of the input.  The two paths are cross-checked against each other,
-and against a full-pivot Bareiss reference, in the test suite.
+``RationalMatrix`` is the package's one dense matrix type.  It stores
+integer rows ``num`` over one positive denominator ``den``, in canonical
+form: ``gcd(den, every entry) == 1``, so the zero matrix has ``den == 1``.
+Every operation works on the integer rows and sets one denominator; entries
+are ``Fraction`` objects only in the read-only ``data`` view, which is
+rebuilt on each read.  Entries must be exact: ints, ``Fraction``s or
+rational strings, never floats or bools.
+
+Rank is computed by elimination only, never numerically, with a
+fraction-free row echelon kernel on ``num`` (scaling by ``den`` does not
+change the rank).  Each step of the kernel scales a row by a nonzero
+integer, subtracts a multiple of the pivot row or divides a row by a common
+factor of its entries, so the rank over Q never changes; the division keeps
+the entries as small as minors of the input.  The kernel is cross-checked
+against a full-pivot Bareiss reference and a rational Gauss reference in
+the test suite.
 
 Matrices are immutable after construction (tuples of tuples), so concurrent
 reads are safe and rank computations can run in parallel from the caller's
@@ -20,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .polyring import RationalLike, format_rational
@@ -30,21 +36,68 @@ class NotSquareError(ValueError):
     """Raised when a square matrix is required."""
 
 
-class RationalMatrix:
-    """Dense matrix of Fractions; treat instances as read-only values."""
+def _exact(e):
+    """An int or Fraction equal to the matrix entry or scalar e; floats and
+    bools are rejected, since neither is an exact rational."""
+    if type(e) is int or type(e) is Fraction:
+        return e
+    if isinstance(e, (float, bool)):
+        raise ValueError(f"matrix entries must be exact rationals, got {e!r}")
+    return Fraction(e)
 
-    __slots__ = ("rows", "cols", "data")
+
+def _from_int_rows(num: Sequence[Sequence[int]], den: int = 1) -> "RationalMatrix":
+    """The matrix num / den for nonempty rectangular integer rows and a
+    positive den, reduced to canonical form.  Module-internal: the rows are
+    not validated."""
+    if den != 1:
+        g = den
+        for row in num:
+            g = gcd(g, *row)
+            if g == 1:
+                break
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+    a = RationalMatrix.__new__(RationalMatrix)
+    a.num = tuple(map(tuple, num))
+    a.den = den
+    a.rows = len(a.num)
+    a.cols = len(a.num[0])
+    return a
+
+
+class RationalMatrix:
+    """Dense matrix over Q as integer rows over one denominator; treat
+    instances as read-only values."""
+
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows_data: Iterable[Iterable[RationalLike]]):
-        data = tuple(tuple(Fraction(e) for e in row) for row in rows_data)
+        data = [[_exact(e) for e in row] for row in rows_data]
         if not data or not data[0]:
             raise ValueError("a matrix needs at least one row and one column")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("ragged rows")
-        self.data = data
+        # The lcm of the reduced denominators is already canonical.
+        den = 1
+        for row in data:
+            for e in row:
+                if den % e.denominator:
+                    den = lcm(den, e.denominator)
+        self.num = tuple(
+            tuple(e.numerator * (den // e.denominator) for e in row) for row in data
+        )
+        self.den = den
         self.rows = len(data)
         self.cols = width
+
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as Fractions, rebuilt on every read."""
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -52,146 +105,115 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.data for e in row)
+        return not any(map(any, self.num))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(zip(*self.data))
+        return _from_int_rows(list(zip(*self.num)), self.den)
 
     def scale(self, c: RationalLike) -> "RationalMatrix":
-        c = Fraction(c)
-        return RationalMatrix((c * e for e in row) for row in self.data)
+        c = Fraction(_exact(c))
+        p, q = c.numerator, c.denominator
+        return _from_int_rows([[p * x for x in row] for row in self.num], q * self.den)
 
     def shifted(self, c: RationalLike) -> "RationalMatrix":
         """self - c * I, for square matrices."""
         if not self.is_square():
             raise NotSquareError("diagonal shift needs a square matrix")
-        c = Fraction(c)
-        return RationalMatrix(
-            tuple(e - c if i == j else e for j, e in enumerate(row))
-            for i, row in enumerate(self.data)
+        c = Fraction(_exact(c))
+        q = c.denominator
+        diag = c.numerator * self.den
+        out = [[q * x for x in row] for row in self.num]
+        for i, row in enumerate(out):
+            row[i] -= diag
+        return _from_int_rows(out, q * self.den)
+
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _from_int_rows(
+            [[fa * x + fb * y for x, y in zip(ra, rb)]
+             for ra, rb in zip(self.num, other.num)],
+            den,
         )
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            (a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return RationalMatrix(
-            (a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix((-e for e in row) for row in self.data)
+        return _from_int_rows([[-x for x in row] for row in self.num], self.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        bt = list(zip(*other.data))
-        return RationalMatrix(
-            [sum(map(mul, row, col)) for col in bt] for row in self.data
-        )
+        # Row i of the product combines the rows of other picked by the
+        # nonzero entries of row i of self.
+        zero = [0] * other.cols
+        out = []
+        for row in self.num:
+            acc = zero
+            for x, orow in zip(row, other.num):
+                if x:
+                    acc = [a + x * y for a, y in zip(acc, orow)]
+            out.append(acc)
+        return _from_int_rows(out, self.den * other.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return self.data == other.data
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.num, self.den))
 
     def dump(self) -> str:
         """Debug format: one row per line, entries space-separated."""
+        den = self.den
         return "\n".join(
-            " ".join(format_rational(e) for e in row) for row in self.data
+            " ".join(format_rational(Fraction(x, den)) for x in row)
+            for row in self.num
         )
 
     def __repr__(self) -> str:
         return f"RationalMatrix({self.rows}x{self.cols})"
 
 
-class IntegerMatrix:
-    """Dense matrix of arbitrary-precision integers."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows_data: Iterable[Iterable[int]]):
-        data = []
-        for row in rows_data:
-            out = []
-            for e in row:
-                iv = int(e)
-                if iv != e:
-                    raise ValueError(f"non-integer entry: {e!r}")
-                out.append(iv)
-            data.append(tuple(out))
-        if not data or not data[0]:
-            raise ValueError("a matrix needs at least one row and one column")
-        width = len(data[0])
-        if any(len(r) != width for r in data):
-            raise ValueError("ragged rows")
-        self.data = tuple(data)
-        self.rows = len(data)
-        self.cols = width
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(zip(*self.data))
-
-    def matvec(self, v: Sequence[int]) -> list[int]:
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return [sum(map(mul, row, v)) for row in self.data]
-
-    def to_rational(self) -> RationalMatrix:
-        return RationalMatrix(self.data)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntegerMatrix):
-            return NotImplemented
-        return self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
-
-    def dump(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.data)
-
-    def __repr__(self) -> str:
-        return f"IntegerMatrix({self.rows}x{self.cols})"
-
-
 def jordan_block(lam: RationalLike, size: int) -> RationalMatrix:
     """Upper bidiagonal block: lam on the diagonal, ones above it."""
     if size < 1:
         raise ValueError("block size must be positive")
-    lam = Fraction(lam)
-    return RationalMatrix(
+    lam = Fraction(_exact(lam))
+    p, q = lam.numerator, lam.denominator
+    return _from_int_rows(
         [
-            [lam if i == j else 1 if j == i + 1 else 0 for j in range(size)]
+            [p if i == j else q if j == i + 1 else 0 for j in range(size)]
             for i in range(size)
-        ]
+        ],
+        q,
     )
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     """Kronecker product: the block matrix [a_ij * B]."""
+    zero = [0] * b.cols
     out = []
-    for arow in a.data:
-        for brow in b.data:
-            out.append([ae * be for ae in arow for be in brow])
-    return RationalMatrix(out)
+    for arow in a.num:
+        for brow in b.num:
+            row: list[int] = []
+            for x in arow:
+                row.extend([x * y for y in brow] if x else zero)
+            out.append(row)
+    return _from_int_rows(out, a.den * b.den)
 
 
 def direct_sum(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
@@ -202,40 +224,15 @@ def direct_sum(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
     if any(not blk.is_square() for blk in blocks):
         raise NotSquareError("direct sum blocks must be square")
     total = sum(blk.rows for blk in blocks)
-    zero = Fraction(0)
-    out = [[zero] * total for _ in range(total)]
+    den = lcm(*(blk.den for blk in blocks))
+    out = []
     offset = 0
     for blk in blocks:
-        for i, row in enumerate(blk.data):
-            orow = out[offset + i]
-            for j, e in enumerate(row):
-                orow[offset + j] = e
+        f = den // blk.den
+        left, right = [0] * offset, [0] * (total - offset - blk.rows)
+        out.extend(left + [f * x for x in row] + right for row in blk.num)
         offset += blk.rows
-    return RationalMatrix(out)
-
-
-def matrix_power(a: RationalMatrix, e: int) -> RationalMatrix:
-    """a**e by binary exponentiation; a**0 is the identity."""
-    if not a.is_square():
-        raise NotSquareError("only square matrices have powers")
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = RationalMatrix.identity(a.rows)
-    base = a
-    while e:
-        if e & 1:
-            result = result @ base
-        base_needed = e >> 1
-        if base_needed:
-            base = base @ base
-        e = base_needed
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Rank kernels.  Both operate on mutable lists of lists and are wrapped by
-# the public rank() below.
-# ---------------------------------------------------------------------------
+    return _from_int_rows(out, den)
 
 
 def _rank_int_rows(rows: list[list[int]]) -> int:
@@ -293,76 +290,6 @@ def _rank_int_rows(rows: list[list[int]]) -> int:
     return rank
 
 
-def _pivot_score(q: Fraction) -> int:
-    # Magnitude bound used for pivot selection: |num| * den.
-    return abs(q.numerator) * q.denominator
-
-
-def _rank_fraction_rows(rows: list[list[Fraction]]) -> int:
-    """Pivoted rational Gauss elimination rank; mutates its argument.
-
-    The pivot is the entry of the trailing submatrix with the largest
-    |numerator| * denominator bound, ties broken by lowest row index.
-    """
-    nrows = len(rows)
-    if not nrows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    lim = min(nrows, ncols)
-    while r < lim:
-        bi = bj = -1
-        best = 0
-        for i in range(r, nrows):
-            row = rows[i]
-            for j in range(r, ncols):
-                v = row[j]
-                if v:
-                    score = _pivot_score(v)
-                    if score > best:
-                        best, bi, bj = score, i, j
-        if bi < 0:
-            return r
-        if bi != r:
-            rows[r], rows[bi] = rows[bi], rows[r]
-        if bj != r:
-            for row in rows:
-                row[r], row[bj] = row[bj], row[r]
-        piv_row = rows[r]
-        piv = piv_row[r]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            if row[r]:
-                factor = row[r] / piv
-                for j in range(r + 1, ncols):
-                    row[j] -= factor * piv_row[j]
-                row[r] = Fraction(0)
-        r += 1
-    return r
-
-
-def _scaled_int_rows(a: RationalMatrix) -> list[list[int]]:
-    """Integer rows equal to L * a for L the common denominator."""
-    denom = 1
-    for row in a.data:
-        for e in row:
-            if e.denominator != 1:
-                denom = lcm(denom, e.denominator)
-    if denom == 1:
-        return [[e.numerator for e in row] for row in a.data]
-    return [
-        [e.numerator * (denom // e.denominator) for e in row] for row in a.data
-    ]
-
-
-def rank(a: "RationalMatrix | IntegerMatrix") -> int:
+def rank(a: RationalMatrix) -> int:
     """Exact rank over Q."""
-    if isinstance(a, IntegerMatrix):
-        return _rank_int_rows([list(row) for row in a.data])
-    if isinstance(a, RationalMatrix):
-        return _rank_fraction_rows([list(row) for row in a.data])
-    raise TypeError(f"unsupported matrix type: {type(a)!r}")
-
-
-def nullity(a: "RationalMatrix | IntegerMatrix") -> int:
-    return a.cols - rank(a)
+    return _rank_int_rows(list(map(list, a.num)))

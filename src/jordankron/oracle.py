@@ -7,27 +7,28 @@ characteristic): for a nilpotent Z, the number of blocks of size s equals
 No structure theorem is consulted anywhere in this module, which is what
 makes it usable as an independent check of the predictors.
 
-The ranks come from an image chain.  Z is scaled by the common
-denominator of its entries (rank is invariant under nonzero scaling) and
-held as sparse integer rows.  ``B_1`` is an echelon basis of the row space
-of Z, and ``B_s`` one of the row space of ``B_(s-1) Z``, which is the row
-space of ``Z^s``; so ``rank Z^s = |B_s|``.  Basis rows are kept primitive
-(divided by the gcd of their entries) and eliminated fraction-free, so all
-arithmetic is exact integer arithmetic.  The chain uses only row spaces and
-products with Z, never any property of the matrices it is given, so it stays
+The ranks come from an image chain on sparse integer rows of Z scaled by
+its common denominator (rank is invariant under nonzero scaling): the
+``num`` rows of a :class:`~jordankron.exactmat.RationalMatrix`, or for a
+block pair the rows of :func:`~jordankron.bttb.block_pair_nilpotent_rows`.
+``B_1`` is an echelon basis of the row space of Z, and ``B_s`` one of the
+row space of ``B_(s-1) Z``, which is the row space of ``Z^s``; so
+``rank Z^s = |B_s|``.  Basis rows are kept primitive (divided by the gcd of
+their entries) and eliminated fraction-free, so all arithmetic is exact
+integer arithmetic.  The chain uses only row spaces and products with Z,
+never any property of the matrices it is given, so it stays
 structure-agnostic.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .bttb import JordanSpec, block_pair_nilpotent_rows, block_pairs, parse_block_size
-from .exactmat import RationalMatrix, _scaled_int_rows
+from .exactmat import RationalMatrix
 from .polyring import BivariatePoly, RationalLike, format_rational, parse_rational
 
 
@@ -71,23 +72,7 @@ def sizes_from_nullities(nullities: Sequence[int], dim: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-@dataclass(frozen=True)
-class WeyrData:
-    """Nullity sequence nu_0 = 0, nu_1, ... of the powers of a nilpotent matrix.
-
-    The stored sequence ends at the first index reaching the ambient
-    dimension.  It is strictly increasing until then, with concave
-    increments.
-    """
-
-    dimension: int
-    nullities: tuple[int, ...]
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return sizes_from_nullities(self.nullities, self.dimension)
-
-
-def _sparse_rows(rows: list[list[int]]) -> list[dict[int, int]]:
+def _sparse_rows(rows: Iterable[Sequence[int]]) -> list[dict[int, int]]:
     return [{j: e for j, e in enumerate(row) if e} for row in rows]
 
 
@@ -160,19 +145,6 @@ def _nullity_chain(z_rows: list[dict[int, int]], strict: bool) -> list[int]:
         if nu == dim:
             return nullities
         basis = _echelon(_times(row, z_rows) for row in basis)
-
-
-def weyr_data(z: RationalMatrix) -> WeyrData:
-    """Nullity sequence of z, z^2, ...; z must be square and nilpotent."""
-    if not z.is_square():
-        raise ValueError("need a square matrix")
-    rows = _sparse_rows(_scaled_int_rows(z))
-    return WeyrData(z.rows, tuple(_nullity_chain(rows, strict=True)))
-
-
-def weyr_structure(z: RationalMatrix) -> tuple[int, ...]:
-    """Jordan block sizes of a nilpotent matrix, descending."""
-    return weyr_data(z).block_sizes()
 
 
 def oracle_pair_sizes(
@@ -291,7 +263,7 @@ def oracle_jcf_matrix(
     contributions = []
     covered = 0
     for eig in sorted({Fraction(e) for e in eigenvalues}):
-        rows = _sparse_rows(_scaled_int_rows(a.shifted(eig)))
+        rows = _sparse_rows(a.shifted(eig).num)
         nullities = _nullity_chain(rows, strict=False)
         algebraic = nullities[-1]
         if algebraic == 0:

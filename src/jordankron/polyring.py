@@ -4,14 +4,15 @@ Univariate and bivariate polynomials with ``fractions.Fraction``
 coefficients, plus the handful of operations the matrix-structure code is
 built on:
 
-* Hasse derivatives, the binomial-weighted formal derivatives with
-  ``D_{x^a y^b} x^i y^j = C(i,a) C(j,b) x^(i-a) y^(j-b)``.  They keep
-  integer data integral (no factorial denominators appear).
-* The local degree of a bivariate polynomial at a point: the smallest
-  total order d >= 1 of a Hasse derivative that does not vanish there.
-* The complete homogeneous symmetric polynomials ``h_d = sum_j x^j y^(d-j)``.
+* Values of Hasse derivatives, the binomial-weighted formal derivatives
+  with ``D_{x^a y^b} x^i y^j = C(i,a) C(j,b) x^(i-a) y^(j-b)``, at a point,
+  all orders in one table.  They keep integer data integral (no factorial
+  denominators appear).
+* The local degree read off such a table: the smallest total order
+  d >= 1 of a Hasse derivative that does not vanish at the point.
 * The difference quotient ``(f(x) - f(y)) / (x - y)`` of a univariate f,
-  which expands as ``sum_i f_i h_(i-1)``.
+  which expands as ``sum_i f_i h_(i-1)`` for the complete homogeneous
+  symmetric polynomials ``h_d = sum_j x^j y^(d-j)``.
 
 Everything here is a pure function on immutable values, so concurrent use
 needs no synchronization.
@@ -23,9 +24,8 @@ import math
 import re
 from fractions import Fraction
 from math import comb
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 #: Sentinel shared by every "no finite order" answer: the multiplicity of a
@@ -147,17 +147,6 @@ class UnivariatePoly:
         return f"UnivariatePoly({self.to_string()!r})"
 
 
-class Biindex(NamedTuple):
-    """A pair of Hasse derivative orders (x-order, y-order)."""
-
-    beta: int
-    gamma: int
-
-    @property
-    def total(self) -> int:
-        return self.beta + self.gamma
-
-
 class BivariatePoly:
     """Dense bivariate polynomial; ``coeffs[i][j]`` multiplies ``x**i * y**j``.
 
@@ -227,9 +216,6 @@ class BivariatePoly:
     def degree_y(self) -> int:
         return max((j for _, j, _ in self.terms()), default=-1)
 
-    def total_degree(self) -> int:
-        return max((i + j for i, j, _ in self.terms()), default=-1)
-
     def eval(self, lam: RationalLike, mu: RationalLike) -> Fraction:
         lam, mu = Fraction(lam), Fraction(mu)
         # Horner in x over Horner in y.
@@ -240,10 +226,6 @@ class BivariatePoly:
                 racc = racc * mu + c
             acc = acc * lam + racc
         return acc
-
-    def swap(self) -> "BivariatePoly":
-        """The polynomial p(y, x), i.e. the transposed coefficient grid."""
-        return BivariatePoly(zip(*self.coeffs))
 
     def _trimmed(self):
         dx, dy = self.degree_x(), self.degree_y()
@@ -295,37 +277,8 @@ class BivariatePoly:
 
     __rmul__ = __mul__
 
-    def plus_constant(self, c: RationalLike) -> "BivariatePoly":
-        grid = [list(row) for row in self.coeffs]
-        grid[0][0] += Fraction(c)
-        return BivariatePoly(grid)
-
     def __repr__(self) -> str:
         return f"BivariatePoly({self.to_string()!r})"
-
-
-X_MINUS_Y = BivariatePoly([[0, -1], [1, 0]])
-
-
-def hasse_derivative(p: BivariatePoly, idx: "Biindex | tuple[int, int]") -> BivariatePoly:
-    """Formal Hasse derivative of order (beta, gamma)."""
-    beta, gamma = idx
-    if beta < 0 or gamma < 0:
-        raise ValueError("derivative orders must be nonnegative")
-    nr = max(p.nrows - beta, 1)
-    nc = max(p.ncols - gamma, 1)
-    zero = Fraction(0)
-    grid = []
-    for i in range(nr):
-        row = []
-        for j in range(nc):
-            si, sj = i + beta, j + gamma
-            if si < p.nrows and sj < p.ncols:
-                row.append(comb(si, beta) * comb(sj, gamma) * p.coeffs[si][sj])
-            else:
-                row.append(zero)
-        grid.append(row)
-    return BivariatePoly(grid)
 
 
 def hasse_value_table(
@@ -359,15 +312,6 @@ def hasse_value_table(
     return table
 
 
-def local_degree(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> int:
-    """Smallest d >= 1 with a nonvanishing order-d Hasse derivative at (lam, mu)."""
-    if p.is_constant():
-        raise ConstantPolynomialError("local degree is undefined for constants")
-    return table_local_degree(
-        hasse_value_table(p, lam, mu, p.degree_x(), p.degree_y())
-    )
-
-
 def table_local_degree(table: list[list[Fraction]]) -> int:
     """Smallest total order h + k >= 1 of a nonzero entry of a
     hasse_value_table; the table must reach the degree of a nonconstant p
@@ -375,16 +319,6 @@ def table_local_degree(table: list[list[Fraction]]) -> int:
     return min(
         h + k for h, row in enumerate(table) for k, v in enumerate(row) if v and h + k
     )
-
-
-def h_poly(d: int) -> BivariatePoly:
-    """Complete homogeneous symmetric polynomial of degree d: sum_j x^j y^(d-j)."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    grid = [[0] * (d + 1) for _ in range(d + 1)]
-    for j in range(d + 1):
-        grid[j][d - j] = 1
-    return BivariatePoly(grid)
 
 
 def bezout_quotient(f: UnivariatePoly) -> BivariatePoly:

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .exactmat import RationalMatrix
+from .exactmat import RationalMatrix, _from_int_rows
 
 
 class SingularBlockError(ValueError):
@@ -102,17 +103,16 @@ def _tz_to_matrix(row) -> RationalMatrix:
     )
 
 
-def _first_row_of_ut_toeplitz(block: RationalMatrix) -> tuple[Fraction, ...]:
+def _first_row(block: RationalMatrix) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, block.den) for x in block.num[0])
+
+
+def _check_ut_toeplitz(block: RationalMatrix) -> None:
     if not block.is_square():
         raise ValueError("blocks must be square")
-    n = block.rows
-    row = block.data[0]
-    for i in range(n):
-        for j in range(n):
-            expected = row[j - i] if j >= i else Fraction(0)
-            if block.data[i][j] != expected:
-                raise ValueError("block is not upper triangular Toeplitz")
-    return row
+    first = block.num[0]
+    if any(row != (0,) * i + first[: block.cols - i] for i, row in enumerate(block.num)):
+        raise ValueError("block is not upper triangular Toeplitz")
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,9 @@ class BlockToeplitzUT:
         blocks = tuple(blocks)
         if not blocks:
             raise ValueError("need at least one block")
-        rows = [_first_row_of_ut_toeplitz(b) for b in blocks]
-        if len({len(r) for r in rows}) != 1:
+        for b in blocks:
+            _check_ut_toeplitz(b)
+        if len({b.rows for b in blocks}) != 1:
             raise ValueError("blocks must share one size")
         object.__setattr__(self, "blocks", blocks)
 
@@ -147,25 +148,25 @@ class BlockToeplitzUT:
         return self.blocks[0].rows
 
     def first_rows(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(b.data[0]) for b in self.blocks]
+        return [_first_row(b) for b in self.blocks]
 
     def to_matrix(self) -> RationalMatrix:
         m, n = self.block_count, self.block_size
-        zero_row = [Fraction(0)] * (m * n)
-        out = [list(zero_row) for _ in range(m * n)]
+        den = lcm(*(b.den for b in self.blocks))
+        # Block row bi is bi zero blocks, then A_0 .. A_(m-1-bi).
+        out = []
         for bi in range(m):
-            for bj in range(bi, m):
-                blk = self.blocks[bj - bi]
-                for i in range(n):
-                    orow = out[bi * n + i]
-                    brow = blk.data[i]
-                    for j in range(n):
-                        orow[bj * n + j] = brow[j]
-        return RationalMatrix(out)
+            for i in range(n):
+                row = [0] * (bi * n)
+                for blk in self.blocks[: m - bi]:
+                    f = den // blk.den
+                    row.extend([f * x for x in blk.num[i]])
+                out.append(row)
+        return _from_int_rows(out, den)
 
 
 def _assemble_block_grid(grid, m: int, n: int) -> RationalMatrix:
-    out = [[Fraction(0)] * (m * n) for _ in range(m * n)]
+    out = [[0] * (m * n) for _ in range(m * n)]
     for bi in range(m):
         for bj in range(m):
             row = grid[bi][bj]
@@ -182,17 +183,14 @@ def _assemble_block_grid(grid, m: int, n: int) -> RationalMatrix:
 class SimilarityReduction:
     """Outcome of a reduction: Z @ transform == transform @ target, and
     scaling conjugates target onto normal_form (target @ scaling ==
-    scaling @ normal_form)."""
+    scaling @ normal_form), so S = transform @ scaling has
+    Z @ S == S @ normal_form."""
 
     shift_order: int
     transform: RationalMatrix
     target: RationalMatrix
     scaling: RationalMatrix
     normal_form: RationalMatrix
-
-    def full_transform(self) -> RationalMatrix:
-        """S with Z @ S == S @ normal_form."""
-        return self.transform @ self.scaling
 
 
 def reduce_shifted(z: BlockToeplitzUT, r: int) -> SimilarityReduction:

@@ -33,22 +33,15 @@ necessary, and the scanner records both kinds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from math import comb
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 from .bounds import filtration_dim
-from .exactmat import IntegerMatrix, _rank_int_rows
+from .exactmat import RationalMatrix, _from_int_rows, _rank_int_rows
 
 
 class InvalidSpecError(ValueError):
     """Parameters outside the defining range of the banded matrices."""
-
-
-class PropertyViolationError(AssertionError):
-    """A structural property of the banded matrices failed; this would
-    indicate an implementation bug, never expected on valid specs."""
 
 
 @dataclass(frozen=True)
@@ -132,10 +125,6 @@ class ToeplitzSpec:
     def max_rank(self) -> int:
         return min(self.n_rows, self.n_cols)
 
-    def mirror(self) -> "ToeplitzSpec":
-        """The spec at the flip-symmetric index ell*d + m + n - k."""
-        return replace(self, k=self.ell * self.d + self.m + self.n - self.k)
-
 
 def _offset(n: int, shift: int, k: int) -> int:
     return min(max(k - n, 0), shift)
@@ -175,10 +164,11 @@ def _unit_triangular_full_rank(nr: int, nc: int, c: int) -> bool:
     return min(nr, nc + c) - c == min(nr, nc)
 
 
-def build_R(spec: ToeplitzSpec) -> IntegerMatrix:
-    """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec."""
+def build_R(spec: ToeplitzSpec) -> RationalMatrix:
+    """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec, an integer
+    matrix (denominator 1)."""
     padded = _padded_gamma(spec.d, spec.ell, spec.m)
-    return IntegerMatrix(
+    return _from_int_rows(
         _banded_rows(padded, spec.m, offset_c(spec), spec.n_rows, spec.n_cols)
     )
 
@@ -234,66 +224,6 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     return _rank_k(_padded_gamma(d, ell, m), m, n, shift, k)
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    """Outcome of the structural checks on one spec; all fields True on a
-    correct implementation."""
-
-    offset_in_range: bool
-    dimension_relation: bool
-    top_left_positive: bool
-    bottom_right_positive: bool
-    flip_transpose: bool
-
-    def all_ok(self) -> bool:
-        return all(
-            (
-                self.offset_in_range,
-                self.dimension_relation,
-                self.top_left_positive,
-                self.bottom_right_positive,
-                self.flip_transpose,
-            )
-        )
-
-
-def check_properties(spec: ToeplitzSpec) -> PropertyReport:
-    """Verify the five structural properties of the banded matrix family.
-
-    Raises PropertyViolationError if any fails.
-    """
-    shift = spec.ell * spec.d
-    c = offset_c(spec)
-    u_k = spec.n_cols
-    u_k_shift = spec.n_rows
-    r = build_R(spec)
-    g = gamma_coeffs(spec.d, spec.ell)
-    mirror = build_R(spec.mirror())
-    flipped_ok = mirror.rows == r.cols and mirror.cols == r.rows and all(
-        r.data[r.rows - 1 - i][r.cols - 1 - j] == mirror.data[j][i]
-        for i in range(r.rows)
-        for j in range(r.cols)
-    )
-    report = PropertyReport(
-        offset_in_range=0 <= c <= shift,
-        dimension_relation=u_k_shift <= u_k + c <= u_k_shift + shift,
-        top_left_positive=r.data[0][0] == g[c] > 0,
-        bottom_right_positive=(
-            r.data[-1][-1] == g[u_k - u_k_shift + c] > 0
-        ),
-        flip_transpose=flipped_ok,
-    )
-    if not report.all_ok():
-        raise PropertyViolationError(f"{spec}: {report}")
-    return report
-
-
-def _normalized_wide(spec: ToeplitzSpec) -> ToeplitzSpec:
-    # Flip so that rows >= cols, i.e. k >= ceil((m + n + ell*d) / 2).
-    mid = -(-(spec.m + spec.n + spec.ell * spec.d) // 2)
-    return spec if spec.k >= mid else spec.mirror()
-
-
 def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
     """Closed sufficient (not necessary) test for rank deficiency.
 
@@ -316,22 +246,6 @@ def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
     if filtration_dim(m, n, k) <= ell:
         return False
     return (ell + _offset(n, shift, k)) % (d + 1) >= filtration_dim(m, n, k - shift)
-
-
-def rank_drop_witness(spec: ToeplitzSpec) -> tuple[ToeplitzSpec, list[int]]:
-    """The kernel vector promised by the sufficient condition.
-
-    Returns the flip-normalized spec together with the integer vector v of
-    length u_k holding the coefficients of (z - 1)^ell, low power first,
-    padded with zeros; build_R of that spec annihilates it.
-    """
-    spec = _normalized_wide(spec)
-    if not sufficient_rank_drop(spec):
-        raise ValueError("the sufficient condition does not hold for this spec")
-    ell = spec.ell
-    v = [comb(ell, s) * (-1) ** (ell - s) for s in range(ell + 1)]
-    v.extend([0] * (spec.n_cols - len(v)))
-    return spec, v
 
 
 _INT_FIELDS = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency")
@@ -457,14 +371,3 @@ def scan_deficiencies(
     )
     return deficient
 
-
-def iter_valid_specs(
-    m_max: int, n_max: int, d_max: int, ell_max: int
-) -> Iterable[ToeplitzSpec]:
-    """All valid specs with m <= n in the given ranges."""
-    for m in range(1, m_max + 1):
-        for n in range(m, n_max + 1):
-            for d in range(1, d_max + 1):
-                for ell in range(1, ell_max + 1):
-                    for k in range(d * ell + 1, m + n):
-                        yield ToeplitzSpec(m, n, d, ell, k)

@@ -1,21 +1,41 @@
-"""Shared random-instance generators for the test suites."""
+"""Shared random-instance generators, references and test-only
+constructions for the test suites.
+
+The references here are the slow, obviously correct counterparts of the
+package's fast paths (rank kernels, the oracle's image chain, the integer
+row representation of matrices); the constructions (Weyr data of a dense
+matrix, Hasse derivative polynomials, structural checks of the banded
+Toeplitz family, filtration dimensions) are only needed to cross-check the
+package, so they live here rather than in it.
+"""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 from operator import mul
+from typing import Iterable, NamedTuple
 
 from jordankron import (
     BivariatePoly,
     BlockToeplitzUT,
+    ConstantPolynomialError,
     JordanSpec,
     NotNilpotentError,
     RationalMatrix,
     UnivariatePoly,
+    bezout_quotient,
+    build_full,
 )
+from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
-from jordankron.exactmat import kron, matrix_power
+from jordankron.exactmat import NotSquareError, kron, rank
+from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
+from jordankron.polyring import RationalLike, hasse_value_table, table_local_degree
+from jordankron.similarity import SimilarityReduction
+from jordankron.toeplitz import ToeplitzSpec, build_R, gamma_coeffs, offset_c, sufficient_rank_drop
 
 
 def random_univariate(rng: random.Random, max_deg=8, bound=3) -> UnivariatePoly:
@@ -219,3 +239,391 @@ def frechet_kronecker_raw(f: UnivariatePoly, w: RationalMatrix) -> RationalMatri
         for j in range(i + 1):
             acc = acc + kron(wt_pows[j], w_pows[i - j]).scale(c)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Dense matrices: powers, nullity, and the entrywise Fraction reference of
+# every RationalMatrix operation.
+# ---------------------------------------------------------------------------
+
+
+def matrix_power(a: RationalMatrix, e: int) -> RationalMatrix:
+    """a**e by binary exponentiation; a**0 is the identity."""
+    if not a.is_square():
+        raise NotSquareError("only square matrices have powers")
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = RationalMatrix.identity(a.rows)
+    base = a
+    while e:
+        if e & 1:
+            result = result @ base
+        e >>= 1
+        if e:
+            base = base @ base
+    return result
+
+
+def nullity(a: RationalMatrix) -> int:
+    return a.cols - rank(a)
+
+
+def _pivot_score(q: Fraction) -> int:
+    # Magnitude bound used for pivot selection: |num| * den.
+    return abs(q.numerator) * q.denominator
+
+
+def reference_rank_fraction(rows: list[list[Fraction]]) -> int:
+    """Pivoted rational Gauss elimination rank; mutates its argument.
+    Test-only rational reference for the package's echelon kernel.
+
+    The pivot is the entry of the trailing submatrix with the largest
+    |numerator| * denominator bound, ties broken by lowest row index.
+    """
+    nrows = len(rows)
+    if not nrows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    lim = min(nrows, ncols)
+    while r < lim:
+        bi = bj = -1
+        best = 0
+        for i in range(r, nrows):
+            row = rows[i]
+            for j in range(r, ncols):
+                v = row[j]
+                if v:
+                    score = _pivot_score(v)
+                    if score > best:
+                        best, bi, bj = score, i, j
+        if bi < 0:
+            return r
+        if bi != r:
+            rows[r], rows[bi] = rows[bi], rows[r]
+        if bj != r:
+            for row in rows:
+                row[r], row[bj] = row[bj], row[r]
+        piv_row = rows[r]
+        piv = piv_row[r]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            if row[r]:
+                factor = row[r] / piv
+                for j in range(r + 1, ncols):
+                    row[j] -= factor * piv_row[j]
+                row[r] = Fraction(0)
+        r += 1
+    return r
+
+
+# Entrywise references on tuples of tuples of Fractions, the representation
+# RationalMatrix had before it kept integer rows over one denominator.
+
+Grid = tuple[tuple[Fraction, ...], ...]
+
+
+def _grid(rows) -> Grid:
+    return tuple(tuple(Fraction(e) for e in row) for row in rows)
+
+
+def ref_add(a: Grid, b: Grid) -> Grid:
+    return _grid((x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_sub(a: Grid, b: Grid) -> Grid:
+    return _grid((x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_neg(a: Grid) -> Grid:
+    return _grid((-x for x in row) for row in a)
+
+
+def ref_matmul(a: Grid, b: Grid) -> Grid:
+    return _grid([sum(map(mul, row, col), Fraction(0)) for col in zip(*b)] for row in a)
+
+
+def ref_scale(a: Grid, c: Fraction) -> Grid:
+    return _grid((c * x for x in row) for row in a)
+
+
+def ref_shifted(a: Grid, c: Fraction) -> Grid:
+    return _grid((x - c if i == j else x for j, x in enumerate(row)) for i, row in enumerate(a))
+
+
+def ref_transpose(a: Grid) -> Grid:
+    return _grid(zip(*a))
+
+
+def ref_zeros(rows: int, cols: int) -> Grid:
+    return _grid([0] * cols for _ in range(rows))
+
+
+def ref_identity(n: int) -> Grid:
+    return _grid([int(i == j) for j in range(n)] for i in range(n))
+
+
+def ref_kron(a: Grid, b: Grid) -> Grid:
+    return _grid([x * y for x in arow for y in brow] for arow in a for brow in b)
+
+
+def ref_direct_sum(blocks: list[Grid]) -> Grid:
+    total = sum(len(blk) for blk in blocks)
+    out = [[Fraction(0)] * total for _ in range(total)]
+    offset = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            out[offset + i][offset : offset + len(row)] = row
+        offset += len(blk)
+    return _grid(out)
+
+
+def ref_jordan_block(lam: Fraction, size: int) -> Grid:
+    return _grid(
+        [lam if i == j else 1 if j == i + 1 else 0 for j in range(size)]
+        for i in range(size)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Weyr data of a dense nilpotent matrix, through the oracle's own chain.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeyrData:
+    """Nullity sequence nu_0 = 0, nu_1, ... of the powers of a nilpotent matrix.
+
+    The stored sequence ends at the first index reaching the ambient
+    dimension.  It is strictly increasing until then, with concave
+    increments.
+    """
+
+    dimension: int
+    nullities: tuple[int, ...]
+
+    def block_sizes(self) -> tuple[int, ...]:
+        return sizes_from_nullities(self.nullities, self.dimension)
+
+
+def weyr_data(z: RationalMatrix) -> WeyrData:
+    """Nullity sequence of z, z^2, ...; z must be square and nilpotent."""
+    if not z.is_square():
+        raise ValueError("need a square matrix")
+    return WeyrData(z.rows, tuple(_nullity_chain(_sparse_rows(z.num), strict=True)))
+
+
+def weyr_structure(z: RationalMatrix) -> tuple[int, ...]:
+    """Jordan block sizes of a nilpotent matrix, descending."""
+    return weyr_data(z).block_sizes()
+
+
+def frechet_kronecker_form(f: UnivariatePoly, w: JordanSpec) -> RationalMatrix:
+    """Matrix representation of the derivative of the map A -> f(A) at w.
+
+    A Jordan spec is similarity invariant under transposition, so the
+    transposed left factor contributes the same spec and the result is
+    build_full of the difference quotient of f on (w, w).
+    """
+    return build_full(bezout_quotient(f), w, w)
+
+
+def full_transform(red: SimilarityReduction) -> RationalMatrix:
+    """S with Z @ S == S @ normal_form."""
+    return red.transform @ red.scaling
+
+
+# ---------------------------------------------------------------------------
+# Polynomials: Hasse derivatives as polynomials, h_d, local degree.
+# ---------------------------------------------------------------------------
+
+
+class Biindex(NamedTuple):
+    """A pair of Hasse derivative orders (x-order, y-order)."""
+
+    beta: int
+    gamma: int
+
+    @property
+    def total(self) -> int:
+        return self.beta + self.gamma
+
+
+def hasse_derivative(p: BivariatePoly, idx: "Biindex | tuple[int, int]") -> BivariatePoly:
+    """Formal Hasse derivative of order (beta, gamma)."""
+    beta, gamma = idx
+    if beta < 0 or gamma < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    nr = max(p.nrows - beta, 1)
+    nc = max(p.ncols - gamma, 1)
+    zero = Fraction(0)
+    grid = []
+    for i in range(nr):
+        row = []
+        for j in range(nc):
+            si, sj = i + beta, j + gamma
+            if si < p.nrows and sj < p.ncols:
+                row.append(comb(si, beta) * comb(sj, gamma) * p.coeffs[si][sj])
+            else:
+                row.append(zero)
+        grid.append(row)
+    return BivariatePoly(grid)
+
+
+def local_degree(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> int:
+    """Smallest d >= 1 with a nonvanishing order-d Hasse derivative at (lam, mu)."""
+    if p.is_constant():
+        raise ConstantPolynomialError("local degree is undefined for constants")
+    return table_local_degree(
+        hasse_value_table(p, lam, mu, p.degree_x(), p.degree_y())
+    )
+
+
+def h_poly(d: int) -> BivariatePoly:
+    """Complete homogeneous symmetric polynomial of degree d: sum_j x^j y^(d-j)."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    grid = [[0] * (d + 1) for _ in range(d + 1)]
+    for j in range(d + 1):
+        grid[j][d - j] = 1
+    return BivariatePoly(grid)
+
+
+def total_degree(p: BivariatePoly) -> int:
+    return max((i + j for i, j, _ in p.terms()), default=-1)
+
+
+def swap(p: BivariatePoly) -> BivariatePoly:
+    """The polynomial p(y, x), i.e. the transposed coefficient grid."""
+    return BivariatePoly(zip(*p.coeffs))
+
+
+def plus_constant(p: BivariatePoly, c: RationalLike) -> BivariatePoly:
+    grid = [list(row) for row in p.coeffs]
+    grid[0][0] += Fraction(c)
+    return BivariatePoly(grid)
+
+
+# ---------------------------------------------------------------------------
+# Filtration dimensions and the banded Toeplitz family.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FiltrationDims:
+    """Dimensions u_1 .. u_(m+n-1) of the graded pieces of the antidiagonal
+    filtration of an m x n grid (normalized so m <= n)."""
+
+    m: int
+    n: int
+    dims: tuple[int, ...]
+
+    def u(self, j: int) -> int:
+        """u_j, with u_j = 0 outside 1 <= j <= m + n - 1."""
+        return filtration_dim(self.m, self.n, j)
+
+
+def filtration_dims(m: int, n: int) -> FiltrationDims:
+    """The sequence u_j = min(j, m, n + m - j); arguments in either order."""
+    if m < 1 or n < 1:
+        raise ValueError("sizes must be positive")
+    if m > n:
+        m, n = n, m
+    dims = tuple(filtration_dim(m, n, j) for j in range(1, m + n))
+    return FiltrationDims(m, n, dims)
+
+
+def iter_valid_specs(
+    m_max: int, n_max: int, d_max: int, ell_max: int
+) -> Iterable[ToeplitzSpec]:
+    """All valid specs with m <= n in the given ranges."""
+    for m in range(1, m_max + 1):
+        for n in range(m, n_max + 1):
+            for d in range(1, d_max + 1):
+                for ell in range(1, ell_max + 1):
+                    for k in range(d * ell + 1, m + n):
+                        yield ToeplitzSpec(m, n, d, ell, k)
+
+
+def mirror(spec: ToeplitzSpec) -> ToeplitzSpec:
+    """The spec at the flip-symmetric index ell*d + m + n - k."""
+    return replace(spec, k=spec.ell * spec.d + spec.m + spec.n - spec.k)
+
+
+class PropertyViolationError(AssertionError):
+    """A structural property of the banded matrices failed; this would
+    indicate an implementation bug, never expected on valid specs."""
+
+
+@dataclass(frozen=True)
+class PropertyReport:
+    """Outcome of the structural checks on one spec; all fields True on a
+    correct implementation."""
+
+    offset_in_range: bool
+    dimension_relation: bool
+    top_left_positive: bool
+    bottom_right_positive: bool
+    flip_transpose: bool
+
+    def all_ok(self) -> bool:
+        return all(
+            (
+                self.offset_in_range,
+                self.dimension_relation,
+                self.top_left_positive,
+                self.bottom_right_positive,
+                self.flip_transpose,
+            )
+        )
+
+
+def check_properties(spec: ToeplitzSpec) -> PropertyReport:
+    """Verify the five structural properties of the banded matrix family.
+
+    Raises PropertyViolationError if any fails.
+    """
+    shift = spec.ell * spec.d
+    c = offset_c(spec)
+    u_k = spec.n_cols
+    u_k_shift = spec.n_rows
+    r = build_R(spec).num
+    g = gamma_coeffs(spec.d, spec.ell)
+    flipped = tuple(tuple(row[::-1]) for row in r[::-1])
+    report = PropertyReport(
+        offset_in_range=0 <= c <= shift,
+        dimension_relation=u_k_shift <= u_k + c <= u_k_shift + shift,
+        top_left_positive=r[0][0] == g[c] > 0,
+        bottom_right_positive=r[-1][-1] == g[u_k - u_k_shift + c] > 0,
+        flip_transpose=build_R(mirror(spec)).num == tuple(zip(*flipped)),
+    )
+    if not report.all_ok():
+        raise PropertyViolationError(f"{spec}: {report}")
+    return report
+
+
+def normalized_wide(spec: ToeplitzSpec) -> ToeplitzSpec:
+    # Flip so that rows >= cols, i.e. k >= ceil((m + n + ell*d) / 2).
+    mid = -(-(spec.m + spec.n + spec.ell * spec.d) // 2)
+    return spec if spec.k >= mid else mirror(spec)
+
+
+def rank_drop_witness(spec: ToeplitzSpec) -> tuple[ToeplitzSpec, list[int]]:
+    """The kernel vector promised by the sufficient condition.
+
+    Returns the flip-normalized spec together with the integer vector v of
+    length u_k holding the coefficients of (z - 1)^ell, low power first,
+    padded with zeros; build_R of that spec annihilates it.
+    """
+    spec = normalized_wide(spec)
+    if not sufficient_rank_drop(spec):
+        raise ValueError("the sufficient condition does not hold for this spec")
+    ell = spec.ell
+    v = [comb(ell, s) * (-1) ** (ell - s) for s in range(ell + 1)]
+    v.extend([0] * (spec.n_cols - len(v)))
+    return spec, v
+
+
+def annihilates(a: RationalMatrix, v: list[int]) -> bool:
+    """Whether a @ v == 0 for an integer column vector v."""
+    return all(sum(map(mul, row, v)) == 0 for row in a.num)

@@ -5,6 +5,8 @@ parsed stdout of ``jordankron`` (one document, or a list of the JSON lines
 of ``scan-ranks``), recorded before the CLI built its diagnostics from
 ``PairPrediction`` records, when it ran its own per-pair loops.  Comparing
 whole documents locks the ``jordan-kron/1`` schema, not only selected keys.
+The ``DUMP_CASES`` records also hold the ``--dump`` text printed to stderr,
+recorded while matrices still stored one ``Fraction`` per entry.
 
 Regenerate (only on purpose, after a deliberate schema change) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -68,15 +70,22 @@ CASES = {
                                        "--W", '[{"eig":"0","size":2},{"eig":"1","size":1}]'],
 }
 
+# The built matrix on stderr, with entries of several denominators.
+DUMP_CASES = {
+    "dump-rational": ["predict", "--p", "1/2,1;1/3,0",
+                      "--X", '[{"eig":"1/2","size":2},{"eig":"0","size":1}]',
+                      "--Y", '[{"eig":"1/2","size":2}]', "--dump"],
+}
+
 
 def run_case(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     text = out.getvalue()
     if argv[0] == "scan-ranks":
-        return code, [json.loads(line) for line in text.splitlines()]
-    return code, json.loads(text)
+        return code, [json.loads(line) for line in text.splitlines()], err.getvalue()
+    return code, json.loads(text), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -84,23 +93,35 @@ def test_cli_document_matches_golden(name, tmp_path, monkeypatch):
     golden = json.loads(DATA.read_text())[name]
     assert golden["argv"] == CASES[name]
     monkeypatch.chdir(tmp_path)
-    code, doc = run_case(CASES[name])
+    code, doc, _ = run_case(CASES[name])
     assert code == golden["exit"]
     assert doc == golden["stdout"]
+
+
+@pytest.mark.parametrize("name", sorted(DUMP_CASES))
+def test_dump_text_matches_golden(name):
+    golden = json.loads(DATA.read_text())[name]
+    assert golden["argv"] == DUMP_CASES[name]
+    code, doc, err = run_case(DUMP_CASES[name])
+    assert code == golden["exit"]
+    assert doc == golden["stdout"]
+    assert err == golden["stderr"]
 
 
 if __name__ == "__main__":
     import tempfile
 
     records = {}
-    for name, argv in CASES.items():
+    for name, argv in {**CASES, **DUMP_CASES}.items():
         with tempfile.TemporaryDirectory() as tmp:
             here = os.getcwd()
             os.chdir(tmp)
             try:
-                code, doc = run_case(argv)
+                code, doc, err = run_case(argv)
             finally:
                 os.chdir(here)
         records[name] = {"argv": argv, "exit": code, "stdout": doc}
+        if name in DUMP_CASES:
+            records[name]["stderr"] = err
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction as Q
@@ -7,19 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordankron import RationalMatrix
-from jordankron.exactmat import (
-    IntegerMatrix,
-    NotSquareError,
-    direct_sum,
-    jordan_block,
-    kron,
-    matrix_power,
-    nullity,
-    rank,
-)
-from jordankron.exactmat import _rank_fraction_rows, _rank_int_rows
+from jordankron.exactmat import NotSquareError, direct_sum, jordan_block, kron, rank
+from jordankron.exactmat import _rank_int_rows
 
-from helpers import reference_rank_int
+import helpers
+from helpers import matrix_power, nullity, reference_rank_fraction, reference_rank_int
 
 
 def random_rational(rng, rows, cols, bound=10, denominators=(1,)):
@@ -77,9 +70,7 @@ def test_kron_swap_via_permutation():
 def test_rank_examples():
     assert rank(RationalMatrix.zeros(3, 4)) == 0
     assert rank(RationalMatrix([[2, 3, 4], [1, 2, 3], [0, 1, 2]])) == 2
-    assert rank(IntegerMatrix([[2, 3, 4], [1, 2, 3], [0, 1, 2]])) == 2
     assert rank(RationalMatrix([[1, 1], [1, 1]])) == 1
-    assert rank(IntegerMatrix([[1, 1], [1, 1]])) == 1
 
 
 def test_rank_transpose_invariance():
@@ -109,9 +100,9 @@ def test_rank_paths_cross_check():
             # Force linear dependence to exercise nontrivial kernels.
             data[5] = [3 * a - 2 * b for a, b in zip(data[0], data[1])]
         r_int = _rank_int_rows([row[:] for row in data])
-        r_frac = _rank_fraction_rows([[Q(e) for e in row] for row in data])
+        r_frac = reference_rank_fraction([[Q(e) for e in row] for row in data])
         assert r_int == r_frac
-        assert rank(IntegerMatrix(data)) == rank(RationalMatrix(data))
+        assert rank(RationalMatrix(data)) == r_int
 
 
 def test_rank_paths_cross_check_rational_entries():
@@ -122,6 +113,7 @@ def test_rank_paths_cross_check_rational_entries():
             [e.numerator * (30 // e.denominator) for e in row] for row in a.data
         ]
         assert rank(a) == _rank_int_rows(scaled)
+        assert rank(a) == reference_rank_fraction([list(row) for row in a.data])
 
 
 @st.composite
@@ -163,7 +155,7 @@ def test_echelon_kernel_matches_bareiss_and_rational_kernels(case):
     rows, rank_bound = case
     r = _rank_int_rows([row[:] for row in rows])
     assert r == reference_rank_int([row[:] for row in rows])
-    assert r == _rank_fraction_rows([[Q(e) for e in row] for row in rows])
+    assert r == reference_rank_fraction([[Q(e) for e in row] for row in rows])
     assert r <= min(rank_bound, len(rows), len(rows[0]))
     transposed = [list(col) for col in zip(*rows)]
     assert _rank_int_rows(transposed) == r
@@ -223,7 +215,7 @@ def test_direct_sum_examples():
 def test_dump_format():
     a = RationalMatrix([[Q(1, 2), 3], [0, Q(-5, 7)]])
     assert a.dump() == "1/2 3\n0 -5/7"
-    assert IntegerMatrix([[1, -2]]).dump() == "1 -2"
+    assert RationalMatrix([[1, -2]]).dump() == "1 -2"
 
 
 def test_shifted_subtracts_scalar_diagonal():
@@ -233,8 +225,103 @@ def test_shifted_subtracts_scalar_diagonal():
         RationalMatrix([[1, 2, 3]]).shifted(1)
 
 
-def test_integer_matrix_rejects_fractions():
+def test_entries_must_be_exact():
+    # 0.1 and 0.3 are binary floats, not 1/10 and 3/10: read as Fractions
+    # they would make this rank-1 matrix rank 2.
+    assert rank(RationalMatrix([["1/10", "3/10"], [1, 3]])) == 1
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(ValueError):
+            RationalMatrix([[bad, 0], [1, 3]])
+    a = RationalMatrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
-        IntegerMatrix([[Q(1, 2)]])
-    # Integral Fractions are accepted.
-    assert IntegerMatrix([[Q(4, 2)]]).data == ((2,),)
+        a.scale(0.5)
+    with pytest.raises(ValueError):
+        a.shifted(True)
+    with pytest.raises(ValueError):
+        jordan_block(0.5, 2)
+
+
+def test_canonical_form_examples():
+    a = RationalMatrix([[Q(1, 2), Q(1, 3)], [0, 1]])
+    assert (a.num, a.den) == (((3, 2), (0, 6)), 6)
+    assert a.data == ((Q(1, 2), Q(1, 3)), (Q(0), Q(1)))
+    half = RationalMatrix([[Q(1, 2), Q(1, 2)]])
+    assert half + half == RationalMatrix([[1, 1]])
+    assert (half + half).den == 1
+    assert (half - half).den == 1 and (half - half).is_zero()
+    assert RationalMatrix.zeros(2, 3).den == 1
+    assert RationalMatrix([[Q(4, 2)]]).num == ((2,),)
+
+
+ENTRY = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    entry = draw(st.sampled_from((st.integers(-6, 6), ENTRY, st.just(0))))
+    return RationalMatrix(
+        draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    )
+
+
+def assert_canonical(a):
+    assert a.den > 0
+    g = a.den
+    for row in a.num:
+        assert all(type(x) is int for x in row)
+        g = math.gcd(g, *row)
+    assert g == 1
+    assert (a.rows, a.cols) == (len(a.num), len(a.num[0]))
+
+
+@st.composite
+def operation_cases(draw):
+    r, k, c = (draw(st.integers(1, 4)) for _ in range(3))
+    a, b = draw(matrices(r, c)), draw(matrices(r, c))
+    sq = draw(matrices(r, r))
+    left, right = draw(matrices(r, k)), draw(matrices(k, c))
+    blocks = [draw(matrices(n, n)) for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))]
+    scalar = draw(ENTRY)
+    return a, b, sq, left, right, blocks, scalar, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(operation_cases())
+def test_operations_match_entrywise_fraction_reference(case):
+    a, b, sq, left, right, blocks, c, k = case
+    pairs = [
+        (a + b, helpers.ref_add(a.data, b.data)),
+        (a - b, helpers.ref_sub(a.data, b.data)),
+        (-a, helpers.ref_neg(a.data)),
+        (left @ right, helpers.ref_matmul(left.data, right.data)),
+        (a.scale(c), helpers.ref_scale(a.data, c)),
+        (sq.shifted(c), helpers.ref_shifted(sq.data, c)),
+        (a.transpose(), helpers.ref_transpose(a.data)),
+        (RationalMatrix.zeros(a.rows, k), helpers.ref_zeros(a.rows, k)),
+        (RationalMatrix.identity(k), helpers.ref_identity(k)),
+        (kron(a, right), helpers.ref_kron(a.data, right.data)),
+        (direct_sum(blocks), helpers.ref_direct_sum([blk.data for blk in blocks])),
+        (jordan_block(c, k), helpers.ref_jordan_block(c, k)),
+    ]
+    for got, want in pairs:
+        assert_canonical(got)
+        assert got.data == want
+        assert got == RationalMatrix(want)
+    assert a.is_zero() == all(not e for row in a.data for e in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), matrices())
+def test_equality_and_hash_agree_with_entries(a, b):
+    assert_canonical(a)
+    same = a.data == b.data
+    assert (a == b) is same
+    if same:
+        assert hash(a) == hash(b)
+    # Writing the same entries another way gives the same value.
+    twin = RationalMatrix([[str(e) for e in row] for row in a.data])
+    assert twin == a and hash(twin) == hash(a)
+    assert RationalMatrix(a.data) == a

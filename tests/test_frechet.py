@@ -25,8 +25,8 @@ from jordankron.frechet import (
     phi_equal,
 )
 from jordankron.generic import pair_prediction as generic_pair_prediction
-from jordankron.polyring import h_poly, univariate_hasse_eval
-from helpers import random_spec, random_univariate
+from jordankron.polyring import univariate_hasse_eval
+from helpers import h_poly, random_spec, random_univariate
 
 QUARTIC = UnivariatePoly.from_string("0,0,-2,0,1")  # w^4 - 2w^2
 CUBIC = UnivariatePoly.from_string("0,0,-1,1")  # w^3 - w^2

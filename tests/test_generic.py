@@ -14,14 +14,13 @@ from jordankron import (
     predict_generic,
 )
 from jordankron.bounds import PairBounds
-from jordankron.exactmat import matrix_power, jordan_block
+from jordankron.exactmat import jordan_block
 from jordankron.generic import (
     kronecker_sum_sizes,
     nilpotent_power_sizes,
     pair_prediction,
 )
-from jordankron.oracle import weyr_structure
-from helpers import random_bivariate, random_spec_total
+from helpers import matrix_power, random_bivariate, random_spec_total, swap, weyr_structure
 
 X_PLUS_Y = BivariatePoly([[0, 1], [1, 0]])
 
@@ -55,7 +54,7 @@ def test_classify_examples():
     assert branch(X_PLUS_Y, 0, 3, 0, 2) == "both-nonzero"
     p = BivariatePoly.from_string("0,1,-1;-2,1,0")
     assert branch(p, 0, 2, 2, 2) == "px-zero"
-    assert branch(p.swap(), 2, 2, 0, 2) == "py-zero"
+    assert branch(swap(p), 2, 2, 0, 2) == "py-zero"
     sq = BivariatePoly.from_string("0,0,1;0,1,0;1,0,0")
     assert branch(sq, 0, 3, 0, 3) == "degenerate"
     assert branch(sq, 0, 1, 0, 3) == "size-one-escape"

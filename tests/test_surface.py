@@ -1,0 +1,41 @@
+"""The public surface the README documents is the one the package has."""
+
+import importlib
+import re
+import types
+from pathlib import Path
+
+import jordankron
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _root_export_list() -> set[str]:
+    """Backticked names in the bullets of the README's "package root
+    exports" list."""
+    section = README.split("The package root exports", 1)[1].split("\n\n", 1)[1]
+    bullets = section.split("\n\n", 1)[0]
+    return set(re.findall(r"`(\w+)`", bullets))
+
+
+def test_package_root_exports_exactly_the_readme_list():
+    documented = _root_export_list()
+    assert {"RationalMatrix", "build_R", "WeyrConsistencyError"} <= documented
+    exported = {
+        name
+        for name, value in vars(jordankron).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == documented
+
+
+def test_module_qualified_names_in_readme_resolve():
+    cited = set(re.findall(r"`jordankron\.(\w+)\.(\w+)", README))
+    assert {
+        ("toeplitz", "rank_row"),
+        ("toeplitz", "certified_full_rank"),
+        ("generic", "pair_prediction"),
+        ("frechet", "pair_prediction"),
+    } <= cited
+    for module, name in cited:
+        assert callable(getattr(importlib.import_module(f"jordankron.{module}"), name))

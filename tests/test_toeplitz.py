@@ -6,21 +6,26 @@ from hypothesis import strategies as st
 
 from jordankron import DeficiencyRecord, rho, scan_deficiencies, sufficient_rank_drop
 from jordankron import toeplitz
-from jordankron.exactmat import IntegerMatrix, rank
+from jordankron import RationalMatrix
+from jordankron.exactmat import rank
 from jordankron.toeplitz import (
     InvalidSpecError,
     ToeplitzSpec,
     build_R,
     certified_full_rank,
-    check_properties,
     gamma_coeffs,
     offset_c,
-    rank_drop_witness,
     rank_row,
 )
-from jordankron.toeplitz import iter_valid_specs
 
-from helpers import reference_rank_int
+from helpers import (
+    annihilates,
+    check_properties,
+    iter_valid_specs,
+    mirror,
+    rank_drop_witness,
+    reference_rank_int,
+)
 
 
 def test_gamma_coeffs_examples():
@@ -53,19 +58,20 @@ def test_offset_examples():
 
 
 def test_build_R_golden_matrices():
-    assert build_R(ToeplitzSpec(4, 8, 3, 2, 9)).data == (
+    assert build_R(ToeplitzSpec(4, 8, 3, 2, 9)).num == (
         (2, 3, 4),
         (1, 2, 3),
         (0, 1, 2),
     )
-    assert build_R(ToeplitzSpec(6, 6, 2, 1, 7)).data == (
+    assert build_R(ToeplitzSpec(6, 6, 2, 1, 7)).num == (
         (1, 1, 0, 0, 0),
         (1, 1, 1, 0, 0),
         (0, 1, 1, 1, 0),
         (0, 0, 1, 1, 1),
         (0, 0, 0, 1, 1),
     )
-    assert build_R(ToeplitzSpec(4, 4, 4, 1, 6)).data == ((1, 1), (1, 1))
+    assert build_R(ToeplitzSpec(4, 4, 4, 1, 6)).num == ((1, 1), (1, 1))
+    assert build_R(ToeplitzSpec(4, 4, 4, 1, 6)).den == 1
 
 
 def test_spec_validation():
@@ -115,7 +121,7 @@ def _has_full_unit_diagonal(spec):
 
 
 def _assert_rho_matches_bareiss(spec):
-    ref = reference_rank_int([list(row) for row in build_R(spec).data])
+    ref = reference_rank_int([list(row) for row in build_R(spec).num])
     assert rho(spec.m, spec.n, spec.d, spec.ell, spec.k) == ref
     assert rho(spec.n, spec.m, spec.d, spec.ell, spec.k) == ref
     if certified_full_rank(spec):
@@ -134,7 +140,7 @@ def test_rho_matches_bareiss_on_every_small_spec():
             swapped = rank_row(spec.n, spec.m, spec.d, spec.ell)
             assert list(swapped.items()) == list(row.items())
             rows[quad] = row
-        assert build_R(spec).data == _entry_formula_rows(spec)
+        assert build_R(spec).num == _entry_formula_rows(spec)
         certificate = certified_full_rank(spec)
         assert certificate == _has_full_unit_diagonal(spec)
         assert certificate == (
@@ -215,7 +221,7 @@ def test_check_properties_small_sweep():
 
 def test_check_properties_self_mirror_case():
     spec = ToeplitzSpec(4, 8, 3, 2, 9)
-    assert spec.mirror() == spec
+    assert mirror(spec) == spec
     assert check_properties(spec).all_ok()
 
 
@@ -225,10 +231,10 @@ def test_flip_pair_of_displayed_shapes():
     assert (r5.rows, r5.cols) == (1, 3)
     assert (r7.rows, r7.cols) == (3, 1)
     flipped = [
-        [r5.data[r5.rows - 1 - i][r5.cols - 1 - j] for j in range(r5.cols)]
+        [r5.num[r5.rows - 1 - i][r5.cols - 1 - j] for j in range(r5.cols)]
         for i in range(r5.rows)
     ]
-    assert IntegerMatrix(flipped) == r7.transpose()
+    assert RationalMatrix(flipped) == r7.transpose()
 
 
 def test_sufficient_rank_drop_examples():
@@ -247,7 +253,7 @@ def test_sufficient_rank_drop_examples():
 def _sufficient_on_mirrored_spec(spec):
     # The condition evaluated on the flip-normalized spec itself.
     mid = -(-(spec.m + spec.n + spec.ell * spec.d) // 2)
-    wide = spec if spec.k >= mid else spec.mirror()
+    wide = spec if spec.k >= mid else mirror(spec)
     assert wide.n_rows >= wide.n_cols
     if wide.n_cols <= wide.ell:
         return wide, False
@@ -272,7 +278,7 @@ def test_sufficient_condition_is_sound_with_kernel_witness():
         wide, v = rank_drop_witness(spec)
         r = build_R(wide)
         assert any(v)
-        assert r.matvec(v) == [0] * r.rows
+        assert annihilates(r, v)
         assert rank(r) < wide.max_rank
 
 
