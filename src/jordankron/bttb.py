@@ -4,7 +4,9 @@ Evaluating a bivariate polynomial p on a pair of Jordan blocks,
 ``P = sum a_ij (J_m(lam)^i (x) J_n(mu)^j)``, produces a block-Toeplitz
 matrix with Toeplitz blocks whose entries are Hasse derivative values of p
 at (lam, mu).  ``build_block_pair`` fills that matrix directly from the
-entry formula.
+entry formula, with the integer rows of one Hasse value table over its one
+denominator, and ``block_pair_nilpotent_rows`` gives the oracle the same
+matrix, shifted to be nilpotent, as sparse integer rows.
 
 For matrices given by their Jordan data, ``build_full`` returns the direct
 sum over all block pairs, which is permutation similar to the Kronecker
@@ -18,13 +20,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Iterable
 
 from .exactmat import RationalMatrix, _from_int_rows, direct_sum, jordan_block, kron
 from .polyring import (
     BivariatePoly,
     RationalLike,
+    exact_rational,
     format_rational,
     hasse_value_table,
     parse_rational,
@@ -56,7 +59,7 @@ class JordanSpec:
     def __init__(self, blocks: Iterable[tuple[RationalLike, int]]):
         norm = []
         for eig, size in blocks:
-            norm.append((Fraction(eig), parse_block_size(size)))
+            norm.append((Fraction(exact_rational(eig)), parse_block_size(size)))
         norm.sort(key=lambda b: (b[0], -b[1]))
         object.__setattr__(self, "blocks", tuple(norm))
 
@@ -111,18 +114,18 @@ def build_block_pair(
 
     Entry (r, c), with r = n*(i_r - 1) + j_r and c = n*(i_c - 1) + j_c,
     equals the order-(i_c - i_r, j_c - j_r) Hasse derivative of p at
-    (lam, mu) when both offsets are nonnegative, and 0 otherwise.
+    (lam, mu) when both offsets are nonnegative, and 0 otherwise.  The
+    integer rows of the Hasse table over its one denominator fill the
+    matrix's integer rows directly.
     """
     if m < 1 or n < 1:
         raise ValueError("block sizes must be positive")
-    vals = hasse_value_table(p, lam, mu, m - 1, n - 1)
-    den = lcm(*(v.denominator for hrow in vals for v in hrow))
-    ints = [[v.numerator * (den // v.denominator) for v in hrow] for hrow in vals]
+    num, den = hasse_value_table(p, lam, mu, m - 1, n - 1)
     data = []
     for br in range(m):
         for jr in range(n):
             row = [0] * (n * br)
-            for hrow in ints[: m - br]:
+            for hrow in num[: m - br]:
                 row.extend([0] * jr + hrow[: n - jr])
             data.append(row)
     return _from_int_rows(data, den)
@@ -140,21 +143,24 @@ def block_pair_nilpotent_rows(
     L is the common denominator of the entries, so the rows are exactly
     those of ``build_block_pair(p, lam, m, mu, n).shifted(eig).num`` with
     eig = p(lam, mu), the order-(0, 0) value.  Row r maps each column
-    holding a nonzero entry to that entry.
+    holding a nonzero entry to that entry.  The entries are the Hasse
+    table's integer numerators, divided by their gcd with its denominator.
     """
     if m < 1 or n < 1:
         raise ValueError("block sizes must be positive")
-    vals = hasse_value_table(p, lam, mu, m - 1, n - 1)
-    # The shift cancels the diagonal offset (0, 0); every other offset
-    # occurs in the matrix, so its denominator enters L.
+    num, den = hasse_value_table(p, lam, mu, m - 1, n - 1)
+    # The shift cancels the diagonal offset (0, 0).  Every other offset
+    # occurs in the matrix, so L is den over the gcd of den and those
+    # offsets' numerators.
     offsets = [
         (h, k, v)
-        for h, hrow in enumerate(vals)
+        for h, hrow in enumerate(num)
         for k, v in enumerate(hrow)
         if v and (h or k)
     ]
-    denom = lcm(*(v.denominator for _, _, v in offsets))
-    offsets = [(h, k, v.numerator * (denom // v.denominator)) for h, k, v in offsets]
+    g = gcd(den, *(v for _, _, v in offsets))
+    if g != 1:
+        offsets = [(h, k, v // g) for h, k, v in offsets]
     return [
         {n * (br + h) + jr + k: v for h, k, v in offsets if br + h < m and jr + k < n}
         for br in range(m)

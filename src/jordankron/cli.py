@@ -17,6 +17,7 @@ prediction, 3 prediction/oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -386,13 +387,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--mode", choices=("generic", "frechet"), default="generic")
     _add_poly_and_specs(sp)
     _add_common_io(sp)
-    sp.set_defaults(func=cmd_predict)
+    sp.set_defaults(func="cmd_predict")
 
     sf = subs.add_parser("frechet",
                          help="predict --mode frechet")
     _add_poly_and_specs(sf, with_p=False)
     _add_common_io(sf)
-    sf.set_defaults(func=cmd_predict, mode="frechet", p=None)
+    sf.set_defaults(func="cmd_predict", mode="frechet", p=None)
 
     sc = subs.add_parser("check",
                          help="prediction vs brute-force oracle")
@@ -403,7 +404,7 @@ def build_parser() -> _Parser:
     sc.add_argument("--raw-kron", action="store_true", dest="raw_kron",
                     help="also cross-check against the literal Kronecker build")
     _add_common_io(sc)
-    sc.set_defaults(func=cmd_check)
+    sc.set_defaults(func="cmd_check")
 
     sb = subs.add_parser("bounds",
                          help="degenerate-case block bounds")
@@ -411,7 +412,7 @@ def build_parser() -> _Parser:
     sb.add_argument("n", type=int)
     sb.add_argument("d", type=int)
     _add_common_io(sb)
-    sb.set_defaults(func=cmd_bounds)
+    sb.set_defaults(func="cmd_bounds")
 
     ss = subs.add_parser("scan-ranks",
                          help="rank-deficiency sweep; JSON lines output")
@@ -421,7 +422,7 @@ def build_parser() -> _Parser:
     ss.add_argument("--ell-max", type=int, required=True)
     ss.add_argument("--out", help="append every scanned record to this JSONL "
                     "file and resume from it")
-    ss.set_defaults(func=cmd_scan)
+    ss.set_defaults(func="cmd_scan")
 
     sr = subs.add_parser("reduce",
                          help="similarity-reduction demo")
@@ -429,22 +430,29 @@ def build_parser() -> _Parser:
                     help="m n [r]")
     sr.add_argument("--seed", type=int, default=0)
     _add_common_io(sr)
-    sr.set_defaults(func=cmd_reduce)
+    sr.set_defaults(func="cmd_reduce")
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """One parser per process, built on the first ``main`` call rather than
+    at import.  Parsing leaves a parser unchanged, and each subcommand names
+    its handler, which ``main`` looks up only when the command runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command == "reduce":
             demo = args.demo
             if not 2 <= len(demo) <= 3:
                 raise CliInputError("--demo takes m n [r]")
             args.m, args.n = demo[0], demo[1]
             args.r = demo[2] if len(demo) == 3 else None
-        return args.func(args)
+        return globals()[args.func](args)
     except (CliInputError, ValueError) as exc:
         _emit_error(str(exc))
         return 1

@@ -29,21 +29,11 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .polyring import RationalLike, format_rational
+from .polyring import RationalLike, exact_rational, format_rational
 
 
 class NotSquareError(ValueError):
     """Raised when a square matrix is required."""
-
-
-def _exact(e):
-    """An int or Fraction equal to the matrix entry or scalar e; floats and
-    bools are rejected, since neither is an exact rational."""
-    if type(e) is int or type(e) is Fraction:
-        return e
-    if isinstance(e, (float, bool)):
-        raise ValueError(f"matrix entries must be exact rationals, got {e!r}")
-    return Fraction(e)
 
 
 def _from_int_rows(num: Sequence[Sequence[int]], den: int = 1) -> "RationalMatrix":
@@ -74,7 +64,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, rows_data: Iterable[Iterable[RationalLike]]):
-        data = [[_exact(e) for e in row] for row in rows_data]
+        data = [[exact_rational(e) for e in row] for row in rows_data]
         if not data or not data[0]:
             raise ValueError("a matrix needs at least one row and one column")
         width = len(data[0])
@@ -117,7 +107,7 @@ class RationalMatrix:
         return _from_int_rows(list(zip(*self.num)), self.den)
 
     def scale(self, c: RationalLike) -> "RationalMatrix":
-        c = Fraction(_exact(c))
+        c = Fraction(exact_rational(c))
         p, q = c.numerator, c.denominator
         return _from_int_rows([[p * x for x in row] for row in self.num], q * self.den)
 
@@ -125,7 +115,7 @@ class RationalMatrix:
         """self - c * I, for square matrices."""
         if not self.is_square():
             raise NotSquareError("diagonal shift needs a square matrix")
-        c = Fraction(_exact(c))
+        c = Fraction(exact_rational(c))
         q = c.denominator
         diag = c.numerator * self.den
         out = [[q * x for x in row] for row in self.num]
@@ -192,7 +182,7 @@ def jordan_block(lam: RationalLike, size: int) -> RationalMatrix:
     """Upper bidiagonal block: lam on the diagonal, ones above it."""
     if size < 1:
         raise ValueError("block size must be positive")
-    lam = Fraction(_exact(lam))
+    lam = Fraction(exact_rational(lam))
     p, q = lam.numerator, lam.denominator
     return _from_int_rows(
         [

@@ -30,6 +30,7 @@ from .polyring import (
     INFINITE,
     RationalLike,
     UnivariatePoly,
+    exact_rational,
     root_multiplicity,
     univariate_hasse_eval,
 )
@@ -47,7 +48,7 @@ def phi_distinct(
 
     The result takes equal values at lam and mu by construction.
     """
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
     if lam == mu:
         raise EqualEigenvaluesError("need two distinct eigenvalues")
     slope = (f(lam) - f(mu)) / (lam - mu)
@@ -100,7 +101,7 @@ def pair_prediction(
 ) -> PairPrediction:
     """Record for one block pair, on the branch its eigenvalues select;
     frechet_jcf aggregates these."""
-    lam, mu = Fraction(lam), Fraction(mu)
+    lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
     if m < 1 or n < 1:
         raise ValueError("block sizes must be positive")
     cap = max(f.degree, 1)

@@ -36,6 +36,7 @@ from .polyring import (
     BivariatePoly,
     ConstantPolynomialError,
     RationalLike,
+    exact_rational,
     format_rational,
     hasse_value_table,
     table_local_degree,
@@ -162,15 +163,16 @@ def pair_prediction(
 
     Every quantity comes from one table of Hasse derivative values at
     (lam, mu), up to the degree of p in each variable: every higher order
-    vanishes.
+    vanishes.  The table's integer rows share one positive denominator, so
+    every zero test reads an integer.
     """
     if p.is_constant():
         raise ConstantPolynomialError("a constant polynomial has no case split")
-    lam, mu = Fraction(lam), Fraction(mu)
-    table = hasse_value_table(
+    lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
+    table, den = hasse_value_table(
         p, lam, mu, max(p.degree_x(), 1), max(p.degree_y(), 1)
     )
-    eig, px, py = table[0][0], table[1][0], table[0][1]
+    eig, px, py = Fraction(table[0][0], den), table[1][0], table[0][1]
     if px and py:
         return PairPrediction(
             lam, mu, m, n, "both-nonzero", eig, kronecker_sum_sizes(m, n)

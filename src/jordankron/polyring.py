@@ -2,12 +2,16 @@
 
 Univariate and bivariate polynomials with ``fractions.Fraction``
 coefficients, plus the handful of operations the matrix-structure code is
-built on:
+built on.  Coefficients and points must be exact (``exact_rational``):
+ints, Fractions or rational strings, never floats or bools.
 
 * Values of Hasse derivatives, the binomial-weighted formal derivatives
   with ``D_{x^a y^b} x^i y^j = C(i,a) C(j,b) x^(i-a) y^(j-b)``, at a point,
   all orders in one table.  They keep integer data integral (no factorial
-  denominators appear).
+  denominators appear).  The table is integer rows over one denominator,
+  computed by two Taylor shifts in integer arithmetic, one per variable
+  (von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts and
+  certain difference equations", ISSAC 1997, give faster variants).
 * The local degree read off such a table: the smallest total order
   d >= 1 of a Hasse derivative that does not vanish at the point.
 * The difference quotient ``(f(x) - f(y)) / (x - y)`` of a univariate f,
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -56,6 +60,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal: {text!r}") from exc
 
 
+def exact_rational(value: RationalLike) -> "int | Fraction":
+    """An int or Fraction equal to value, which must be exact: an int, a
+    Fraction or a rational string.  Floats and bools raise ValueError, since
+    neither is an exact rational (0.1 is a binary fraction, True is not a
+    number)."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"expected an exact rational, got {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -72,7 +88,7 @@ class UnivariatePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [Fraction(exact_rational(c)) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -96,7 +112,7 @@ class UnivariatePoly:
         return not self.coeffs
 
     def __call__(self, w: RationalLike) -> Fraction:
-        w = Fraction(w)
+        w = Fraction(exact_rational(w))
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * w + c
@@ -138,7 +154,7 @@ class UnivariatePoly:
                     for j, b in enumerate(other.coeffs):
                         out[i + j] += a * b
             return UnivariatePoly(out)
-        c = Fraction(other)
+        c = Fraction(exact_rational(other))
         return UnivariatePoly(c * a for a in self.coeffs)
 
     __rmul__ = __mul__
@@ -158,7 +174,7 @@ class BivariatePoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]] = ((0,),)):
-        grid = [[Fraction(c) for c in row] for row in rows]
+        grid = [[Fraction(exact_rational(c)) for c in row] for row in rows]
         width = max((len(r) for r in grid), default=0)
         if width == 0:
             grid, width = [[Fraction(0)]], 1
@@ -217,7 +233,7 @@ class BivariatePoly:
         return max((j for _, j, _ in self.terms()), default=-1)
 
     def eval(self, lam: RationalLike, mu: RationalLike) -> Fraction:
-        lam, mu = Fraction(lam), Fraction(mu)
+        lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
         # Horner in x over Horner in y.
         acc = Fraction(0)
         for row in reversed(self.coeffs):
@@ -272,7 +288,7 @@ class BivariatePoly:
                 for k, l, b in other.terms():
                     out[i + k][j + l] += a * b
             return BivariatePoly(out)
-        c = Fraction(other)
+        c = Fraction(exact_rational(other))
         return BivariatePoly((c * a for a in row) for row in self.coeffs)
 
     __rmul__ = __mul__
@@ -281,41 +297,85 @@ class BivariatePoly:
         return f"BivariatePoly({self.to_string()!r})"
 
 
+def _taylor_shift(coeffs, a: int, b: int, width: int) -> list[int]:
+    """Coefficients of t^0 .. t^(width - 1) in b^D f(a/b + t), for the
+    integer polynomial f = sum_j coeffs[j] w^j of length D + 1 >= 1.
+
+    Horner in the scaled form: q <- q (a + b t) + coeffs[j] b^(D - j), from
+    j = D down.  Multiplying by a + b t only moves coefficients up, so q is
+    kept truncated to width terms throughout.
+    """
+    if a == 0:  # then b == 1: no shift
+        return list(coeffs[:width]) + [0] * (width - len(coeffs))
+    q = [coeffs[-1]]
+    scale = 1
+    for c in reversed(coeffs[:-1]):
+        scale *= b
+        top = [b * q[-1]] if len(q) < width else []
+        q = [a * q[0] + c * scale] + [a * x + b * y for x, y in zip(q[1:], q)] + top
+    return q + [0] * (width - len(q))
+
+
 def hasse_value_table(
     p: BivariatePoly,
     lam: RationalLike,
     mu: RationalLike,
     max_x_order: int,
     max_y_order: int,
-) -> list[list[Fraction]]:
-    """Values of all Hasse derivatives of p at (lam, mu), in one pass.
+) -> tuple[list[list[int]], int]:
+    """Values of all Hasse derivatives of p at (lam, mu), in one pass, as
+    integer rows over one denominator.
 
-    Returns ``table`` with ``table[h][k]`` the order-(h, k) Hasse derivative
-    value, for 0 <= h <= max_x_order and 0 <= k <= max_y_order.
+    Returns ``(num, den)``: the order-(h, k) Hasse derivative value is
+    ``num[h][k] / den``, for 0 <= h <= max_x_order and 0 <= k <= max_y_order,
+    with ``den > 0`` and ``gcd(den, every entry) == 1`` (so ``den == 1`` for
+    an all-zero table).  The order-(h, k) value is the coefficient of
+    s^h t^k in p(lam + s, mu + t), so two integer Taylor shifts give the
+    table: with the coefficient denominators cleared to L, lam = a/b and
+    mu = c/e, each x-row is shifted in y by mu, then each column in x by
+    lam, and the denominator is L b^Dx e^Dy for the degrees Dx, Dy of p.
     """
-    lam, mu = Fraction(lam), Fraction(mu)
-    lam_pow = [Fraction(1)]
-    for _ in range(max(p.nrows - 1, 0)):
-        lam_pow.append(lam_pow[-1] * lam)
-    mu_pow = [Fraction(1)]
-    for _ in range(max(p.ncols - 1, 0)):
-        mu_pow.append(mu_pow[-1] * mu)
-    table = [
-        [Fraction(0)] * (max_y_order + 1) for _ in range(max_x_order + 1)
+    if max_x_order < 0 or max_y_order < 0:
+        raise ValueError("derivative orders must be nonnegative")
+    lam, mu = exact_rational(lam), exact_rational(mu)
+    width = max_y_order + 1
+    big_l = lcm(*(c.denominator for row in p.coeffs for c in row))
+    grid = [[c.numerator * (big_l // c.denominator) for c in row] for row in p.coeffs]
+    # Trim the zero rows and columns at the boundary, so that the grid is
+    # (Dx + 1) x (Dy + 1).
+    while len(grid) > 1 and not any(grid[-1]):
+        grid.pop()
+    ncols = len(grid[0])
+    while ncols > 1 and not any(row[ncols - 1] for row in grid):
+        ncols -= 1
+    if len(grid) == ncols == 1 and not grid[0][0]:  # p == 0
+        return [[0] * width for _ in range(max_x_order + 1)], 1
+    dx, dy = len(grid) - 1, ncols - 1
+    ky, hx = min(ncols, width), min(dx + 1, max_x_order + 1)
+    shifted = [
+        _taylor_shift(row[:ncols], mu.numerator, mu.denominator, ky) for row in grid
     ]
-    for i, j, a in p.terms():
-        for h in range(min(i, max_x_order) + 1):
-            left = comb(i, h) * a * lam_pow[i - h]
-            row = table[h]
-            for k in range(min(j, max_y_order) + 1):
-                row[k] += left * comb(j, k) * mu_pow[j - k]
-    return table
+    cols = [
+        _taylor_shift(col, lam.numerator, lam.denominator, hx)
+        for col in zip(*shifted)
+    ]
+    den = big_l * lam.denominator**dx * mu.denominator**dy
+    g = gcd(den, *(v for col in cols for v in col)) if den != 1 else 1
+    pad = [0] * (width - ky)
+    if g == 1:
+        num = [list(row) + pad for row in zip(*cols)]
+    else:
+        num = [[v // g for v in row] + pad for row in zip(*cols)]
+        den //= g
+    num.extend([0] * width for _ in range(max_x_order + 1 - hx))
+    return num, den
 
 
-def table_local_degree(table: list[list[Fraction]]) -> int:
-    """Smallest total order h + k >= 1 of a nonzero entry of a
-    hasse_value_table; the table must reach the degree of a nonconstant p
-    in each variable, so that one exists."""
+def table_local_degree(table: list[list[int]]) -> int:
+    """Smallest total order h + k >= 1 of a nonzero entry of the rows of a
+    hasse_value_table (its ``num``; zero tests need no denominator).  The
+    table must reach the degree of a nonconstant p in each variable, so
+    that one exists."""
     return min(
         h + k for h, row in enumerate(table) for k, v in enumerate(row) if v and h + k
     )
@@ -346,7 +406,7 @@ def root_multiplicity(g: UnivariatePoly, lam: RationalLike):
     """
     if g.is_zero():
         return INFINITE
-    lam = Fraction(lam)
+    lam = Fraction(exact_rational(lam))
     mult = 0
     coeffs = list(g.coeffs)
     while True:
@@ -367,7 +427,7 @@ def univariate_hasse_eval(f: UnivariatePoly, order: int, lam: RationalLike) -> F
     """Value at lam of the order-th Hasse derivative of f."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    lam = Fraction(lam)
+    lam = Fraction(exact_rational(lam))
     total = Fraction(0)
     for i in range(len(f.coeffs) - 1, order - 1, -1):
         c = f.coeffs[i]

@@ -239,10 +239,14 @@ def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
     The test requires u_k > ell so that v is nonzero, and a kernel vector
     of a rows >= cols matrix forces rank < u_k.
     """
-    m, n, d, ell = spec.m, spec.n, spec.d, spec.ell
+    return _drop_predicted(spec.m, spec.n, spec.d, spec.ell, spec.k)
+
+
+def _drop_predicted(m: int, n: int, d: int, ell: int, k: int) -> bool:
+    """sufficient_rank_drop on the integers of a valid quintuple, m <= n."""
     shift = ell * d
     # The index of the flip-normalized spec, read off without building it.
-    k = max(spec.k, m + n + shift - spec.k)
+    k = max(k, m + n + shift - k)
     if filtration_dim(m, n, k) <= ell:
         return False
     return (ell + _offset(n, shift, k)) % (d + 1) >= filtration_dim(m, n, k - shift)
@@ -277,7 +281,9 @@ class DeficiencyRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DeficiencyRecord":
-        """Inverse of to_json_obj; every field must have its JSON type."""
+        """Inverse of to_json_obj; every field must have its JSON type, and
+        maxRank, deficiency and predicted must be those of the quintuple
+        and its rank, which is checked by arithmetic alone."""
         try:
             ints = [obj[key] for key in _INT_FIELDS]
             predicted = obj["predicted"]
@@ -286,14 +292,15 @@ class DeficiencyRecord:
         if any(type(v) is not int for v in ints) or type(predicted) is not bool:
             raise ValueError(f"bad deficiency record field types: {obj!r}")
         m, n, d, ell, k, rk, max_rank, deficiency = ints
-        return cls(ToeplitzSpec(m, n, d, ell, k), rk, max_rank, deficiency, predicted)
-
-
-def _record_for(spec: ToeplitzSpec, rk: int) -> DeficiencyRecord:
-    max_rank = spec.max_rank
-    return DeficiencyRecord(
-        spec, rk, max_rank, max_rank - rk, sufficient_rank_drop(spec)
-    )
+        spec = ToeplitzSpec(m, n, d, ell, k)
+        if (
+            max_rank != min(filtration_dim(m, n, k), filtration_dim(m, n, k - ell * d))
+            or not 0 <= rk <= max_rank
+            or deficiency != max_rank - rk
+            or predicted is not _drop_predicted(m, n, d, ell, k)
+        ):
+            raise ValueError(f"deficiency record disagrees with its spec: {obj!r}")
+        return cls(spec, rk, max_rank, deficiency, predicted)
 
 
 def _load_records(path: Path) -> dict[tuple, DeficiencyRecord]:
@@ -332,7 +339,8 @@ def scan_deficiencies(
     Only normalized pairs m <= n are visited, and each quadruple takes one
     ``rank_row``.  With ``out_path`` every scanned record is appended as one
     JSON line, and a quadruple whose records are all present there is not
-    recomputed, so an interrupted sweep resumes where it stopped.
+    recomputed, so an interrupted sweep resumes where it stopped.  Resumed
+    records are checked against their quintuples.
     """
     if min(m_max, n_max, d_max, ell_max) < 1:
         raise ValueError("bounds must be positive")
@@ -345,24 +353,42 @@ def scan_deficiencies(
             for n in range(m, n_max + 1):
                 for d in range(1, d_max + 1):
                     for ell in range(1, ell_max + 1):
-                        lo, hi = d * ell + 1, m + n - 1
+                        shift = d * ell
+                        lo, hi = shift + 1, m + n - 1
                         if lo > hi:
                             continue
                         found = [existing.get((m, n, d, ell, k))
                                  for k in range(lo, hi + 1)]
                         if any(rec is None for rec in found):
                             ranks = rank_row(m, n, d, ell)
+                        # A fresh record is one line, byte for byte
+                        # json.dumps(record.to_json_obj()), and becomes a
+                        # DeficiencyRecord only if it is deficient.
+                        lines = []
                         for k, rec in zip(range(lo, hi + 1), found):
-                            if rec is None:
-                                rec = _record_for(
-                                    ToeplitzSpec(m, n, d, ell, k), ranks[k]
+                            if rec is not None:
+                                if rec.deficiency > 0:
+                                    deficient.append(rec)
+                                continue
+                            rk = ranks[k]
+                            max_rank = min(filtration_dim(m, n, k),
+                                           filtration_dim(m, n, k - shift))
+                            predicted = _drop_predicted(m, n, d, ell, k)
+                            if sink is not None:
+                                lines.append(
+                                    f'{{"m": {m}, "n": {n}, "d": {d}, '
+                                    f'"ell": {ell}, "k": {k}, "rank": {rk}, '
+                                    f'"maxRank": {max_rank}, '
+                                    f'"deficiency": {max_rank - rk}, '
+                                    f'"predicted": {"true" if predicted else "false"}}}\n'
                                 )
-                                if sink is not None:
-                                    sink.write(
-                                        json.dumps(rec.to_json_obj()) + "\n"
-                                    )
-                            if rec.deficiency > 0:
-                                deficient.append(rec)
+                            if rk < max_rank:
+                                deficient.append(DeficiencyRecord(
+                                    ToeplitzSpec(m, n, d, ell, k), rk, max_rank,
+                                    max_rank - rk, predicted,
+                                ))
+                        if lines:
+                            sink.write("".join(lines))
     finally:
         if sink is not None:
             sink.close()
@@ -370,4 +396,3 @@ def scan_deficiencies(
         key=lambda r: (r.spec.m, r.spec.n, r.spec.d, r.spec.ell, r.spec.k)
     )
     return deficient
-

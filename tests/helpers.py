@@ -33,7 +33,7 @@ from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
 from jordankron.exactmat import NotSquareError, kron, rank
 from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
-from jordankron.polyring import RationalLike, hasse_value_table, table_local_degree
+from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import ToeplitzSpec, build_R, gamma_coeffs, offset_c, sufficient_rank_drop
 
@@ -470,12 +470,41 @@ def hasse_derivative(p: BivariatePoly, idx: "Biindex | tuple[int, int]") -> Biva
     return BivariatePoly(grid)
 
 
+def reference_hasse_value_table(
+    p: BivariatePoly,
+    lam: RationalLike,
+    mu: RationalLike,
+    max_x_order: int,
+    max_y_order: int,
+) -> list[list[Fraction]]:
+    """Reference for ``hasse_value_table``: ``table[h][k]`` is the
+    order-(h, k) Hasse derivative value at (lam, mu) as a Fraction, summed
+    term by term as C(i, h) C(j, k) a_ij lam^(i-h) mu^(j-k)."""
+    lam, mu = Fraction(lam), Fraction(mu)
+    lam_pow = [Fraction(1)]
+    for _ in range(max(p.nrows - 1, 0)):
+        lam_pow.append(lam_pow[-1] * lam)
+    mu_pow = [Fraction(1)]
+    for _ in range(max(p.ncols - 1, 0)):
+        mu_pow.append(mu_pow[-1] * mu)
+    table = [
+        [Fraction(0)] * (max_y_order + 1) for _ in range(max_x_order + 1)
+    ]
+    for i, j, a in p.terms():
+        for h in range(min(i, max_x_order) + 1):
+            left = comb(i, h) * a * lam_pow[i - h]
+            row = table[h]
+            for k in range(min(j, max_y_order) + 1):
+                row[k] += left * comb(j, k) * mu_pow[j - k]
+    return table
+
+
 def local_degree(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> int:
     """Smallest d >= 1 with a nonvanishing order-d Hasse derivative at (lam, mu)."""
     if p.is_constant():
         raise ConstantPolynomialError("local degree is undefined for constants")
     return table_local_degree(
-        hasse_value_table(p, lam, mu, p.degree_x(), p.degree_y())
+        reference_hasse_value_table(p, lam, mu, p.degree_x(), p.degree_y())
     )
 
 

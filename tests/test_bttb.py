@@ -29,6 +29,7 @@ from helpers import (
     random_bivariate,
     random_spec_total,
     random_univariate,
+    reference_hasse_value_table,
     univariate_at_matrix,
 )
 
@@ -77,13 +78,21 @@ def test_block_pair_matches_raw_power_sum():
 def test_nilpotent_rows_match_scaled_shifted_build():
     rng = random.Random(43)
     for _ in range(40):
-        p = random_bivariate(rng, 3, 3)
-        if rng.random() < 0.5:
-            p = p * Q(1, rng.randint(2, 6)) + random_bivariate(rng, 2, 2)
+        # At least one coefficient is not an integer, at a random place.
+        grid = [[Q(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
+                for _ in range(4)]
+        grid[rng.randint(0, 3)][rng.randint(0, 3)] = rng.randint(-3, 3) + Q(
+            1, rng.randint(2, 6)
+        )
+        p = BivariatePoly(grid)
         lam = Q(rng.randint(-2, 2), rng.randint(1, 3))
         mu = Q(rng.randint(-2, 2), rng.randint(1, 3))
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        dense = build_block_pair(p, lam, m, mu, n).shifted(p.eval(lam, mu)).num
+        built = build_block_pair(p, lam, m, mu, n)
+        # Row 0 holds the whole Hasse table, order (h, k) in column n*h + k.
+        table = reference_hasse_value_table(p, lam, mu, m - 1, n - 1)
+        assert built.data[0] == tuple(v for hrow in table for v in hrow)
+        dense = built.shifted(p.eval(lam, mu)).num
         rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
         assert tuple(tuple(row.get(c, 0) for c in range(m * n)) for row in rows) == dense
         assert all(all(row.values()) for row in rows)
@@ -223,6 +232,15 @@ def test_jordan_spec_constructor_rejects_coerced_sizes():
     with pytest.raises(ValueError, match="size"):
         JordanSpec.single(1, 3.5)
     assert JordanSpec([(0, 2)]).blocks == ((Q(0), 2),)
+
+
+def test_jordan_spec_rejects_inexact_eigenvalues():
+    for eig in (0.1, 2.0, True, False):
+        with pytest.raises(ValueError):
+            JordanSpec([(eig, 2)])
+        with pytest.raises(ValueError):
+            JordanSpec.single(eig, 2)
+    assert JordanSpec([("1/10", 2), (Q(1, 2), 1)]).blocks == ((Q(1, 10), 2), (Q(1, 2), 1))
 
 
 def test_assemble_jordan_matrix():

@@ -438,3 +438,56 @@ def test_out_flag_writes_file(tmp_path):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["result"]["eigenvalues"] == [{"eig": "0", "blocks": [3, 1]}]
+
+
+# Runs the argvs given as JSON through one interpreter's ``main`` and
+# prints each (exit code, stdout, stderr) with the number of parsers built.
+_SHARED_PARSER_RUN = """
+import contextlib, io, json, sys
+from jordankron import cli
+
+built = []
+fresh_parser = cli.build_parser
+
+def counted():
+    built.append(1)
+    return fresh_parser()
+
+cli.build_parser = counted
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"built": len(built), "runs": runs}))
+"""
+
+
+def test_one_parser_serves_every_main_call():
+    golden = json.loads(
+        (Path(__file__).resolve().parent / "data" / "cli_golden.json").read_text()
+    )
+    names = [None, "check-generic-branches", "readme-frechet-W", None, "readme-reduce"]
+    sequence = [
+        ["check", "--p"],  # argparse rejects it: exit 1 with an error document
+        golden["check-generic-branches"]["argv"],
+        golden["readme-frechet-W"]["argv"],  # defaults mode and p=None
+        ["reduce", "--demo", "4", "3", "--seed", "7"],  # r is not carried over
+        golden["readme-reduce"]["argv"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SHARED_PARSER_RUN, json.dumps(sequence)],
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    shared = json.loads(proc.stdout)
+    assert shared["built"] == 1
+    for name, argv, (code, out, err) in zip(names, sequence, shared["runs"]):
+        fresh = run_entry(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        if name is not None:
+            assert (code, json.loads(out)) == (golden[name]["exit"], golden[name]["stdout"])
+    assert shared["runs"][0][0] == 1
+    assert "expected one argument" in json.loads(shared["runs"][0][1])["error"]
+    assert json.loads(shared["runs"][3][1])["inputs"]["r"] == 1

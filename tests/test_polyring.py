@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction as Q
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordankron import (
@@ -27,6 +27,7 @@ from helpers import (
     local_degree,
     random_bivariate,
     random_univariate,
+    reference_hasse_value_table,
     swap,
     total_degree,
 )
@@ -227,10 +228,63 @@ def test_hasse_value_table_matches_pointwise_derivatives():
     for _ in range(10):
         p = random_bivariate(rng, 3, 3)
         lam, mu = Q(rng.randint(-2, 2), 1), Q(rng.randint(-3, 3), 2)
-        table = hasse_value_table(p, lam, mu, 4, 4)
+        num, den = hasse_value_table(p, lam, mu, 4, 4)
+        reference = reference_hasse_value_table(p, lam, mu, 4, 4)
         for h in range(5):
             for k in range(5):
-                assert table[h][k] == hasse_derivative(p, (h, k)).eval(lam, mu)
+                value = hasse_derivative(p, (h, k)).eval(lam, mu)
+                assert Q(num[h][k], den) == reference[h][k] == value
+
+
+COEFF = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+POINT = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(COEFF, min_size=1, max_size=4), min_size=1, max_size=4),
+    POINT,
+    POINT,
+    st.integers(0, 6),
+    st.integers(0, 6),
+)
+@example([[0]], Q(1, 3), Q(-5, 7), 2, 3)
+@example([[Q(1, 2), 3], [Q(-2, 3), Q(5, 4)]], Q(-5, 7), Q(2, 5), 0, 0)
+def test_hasse_value_table_matches_fraction_reference(grid, lam, mu, mx, my):
+    # Orders up to 6 run past the degree (at most 3) in each variable.
+    p = BivariatePoly(grid)
+    num, den = hasse_value_table(p, lam, mu, mx, my)
+    assert len(num) == mx + 1 and all(len(row) == my + 1 for row in num)
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for row in num for v in row)
+    assert gcd(den, *(v for row in num for v in row)) == 1
+    assert [[Q(v, den) for v in row] for row in num] == reference_hasse_value_table(
+        p, lam, mu, mx, my
+    )
+    if p.is_zero():
+        assert den == 1
+
+
+def test_polynomial_input_must_be_exact():
+    # 0.1 is the binary fraction 3602879701896397/2^55, and True is no
+    # coefficient at all; neither may pass for a rational.
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(ValueError):
+            UnivariatePoly([1, bad])
+        with pytest.raises(ValueError):
+            BivariatePoly([[0, 1], [bad, 0]])
+        with pytest.raises(ValueError):
+            UnivariatePoly([1, 2]) * bad
+        with pytest.raises(ValueError):
+            BivariatePoly([[0, 1]]) * bad
+        with pytest.raises(ValueError):
+            BivariatePoly([[0, 1]]).eval(bad, 0)
+        with pytest.raises(ValueError):
+            hasse_value_table(BivariatePoly([[0, 1]]), 0, bad, 1, 1)
+    with pytest.raises(ValueError):
+        BivariatePoly([[0.1, True]])
+    assert BivariatePoly([["1/10", Q(1, 2)], [3, "-2"]]).to_string() == "1/10,1/2;3,-2"
+    assert UnivariatePoly(["1/10", 1]).to_string() == "1/10,1"
 
 
 def test_bivariate_padding_and_degrees():

@@ -314,6 +314,9 @@ def test_scan_persists_and_resumes(tmp_path, monkeypatch):
     assert len(lines) == total_specs
     rec = DeficiencyRecord.from_json_obj(json.loads(lines[0]))
     assert rec.max_rank - rec.rank == rec.deficiency
+    for line in lines:
+        parsed = DeficiencyRecord.from_json_obj(json.loads(line))
+        assert line == json.dumps(parsed.to_json_obj())
     # A second run reuses the file, computes no rank and appends nothing.
     calls = _counting_rank_row(monkeypatch)
     second = scan_deficiencies(4, 4, 3, 2, out_path=out)
@@ -349,6 +352,26 @@ def test_scan_resume_drops_a_truncated_last_line(tmp_path, monkeypatch):
     # A malformed complete line is an error, not a tail to drop.
     out.write_text(lines[0] + '{"m": 1,\n' + lines[1])
     with pytest.raises(ValueError):
+        scan_deficiencies(4, 4, 3, 2, out_path=out)
+
+
+@pytest.mark.parametrize("lie", [
+    {"deficiency": 1},  # a full-rank record claiming a deficiency
+    {"maxRank": 4, "deficiency": 1},
+    {"rank": 4, "deficiency": -1},  # above the largest possible rank
+    {"predicted": True},
+])
+def test_scan_resume_rejects_records_that_disagree_with_their_spec(tmp_path, lie):
+    out = tmp_path / "scan.jsonl"
+    scan_deficiencies(4, 4, 3, 2, out_path=out)
+    lines = out.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line) == {"m": 3, "n": 4, "d": 1, "ell": 1, "k": 4,
+                                      "rank": 3, "maxRank": 3, "deficiency": 0,
+                                      "predicted": False})
+    lines[at] = json.dumps(dict(json.loads(lines[at]), **lie)) + "\n"
+    out.write_text("".join(lines))
+    with pytest.raises(ValueError, match="disagrees with its spec"):
         scan_deficiencies(4, 4, 3, 2, out_path=out)
 
 
