@@ -12,7 +12,7 @@ All arithmetic is exact over the rationals; nothing is ever rounded.
 from .bounds import PairBounds, block_count_bounds, max_block_size_bound
 from .bttb import JordanSpec, build_full, build_raw_kron
 from .exactmat import RationalMatrix
-from .frechet import EqualEigenvaluesError, frechet_jcf
+from .frechet import frechet_jcf
 from .generic import DegenerateCaseError, PairPrediction, predict_generic
 from .oracle import (
     JordanStructure,

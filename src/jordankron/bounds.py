@@ -30,10 +30,15 @@ def filtration_dim(m: int, n: int, j: int) -> int:
     return min(j, m, n, m + n - j)
 
 
+def _check_arguments(m: int, n: int, d: int) -> None:
+    """Raise ValueError unless m, n and d are ints >= 1 (bools excluded)."""
+    if any(type(a) is not int or a < 1 for a in (m, n, d)):
+        raise ValueError(f"arguments must be integers >= 1, got {(m, n, d)!r}")
+
+
 def max_block_size_bound(m: int, n: int, d: int) -> int:
     """Upper bound ceil((m + n - 1) / d) on any Jordan block size."""
-    if m < 1 or n < 1 or d < 1:
-        raise ValueError("arguments must be positive")
+    _check_arguments(m, n, d)
     return -(-(m + n - 1) // d)
 
 
@@ -45,8 +50,7 @@ def block_count_bounds(m: int, n: int, d: int) -> tuple[int, int]:
     bound is d * min(m, n), reduced by floor(delta^2 / 4) when
     delta = d - |n - m| is positive.
     """
-    if m < 1 or n < 1 or d < 1:
-        raise ValueError("arguments must be positive")
+    _check_arguments(m, n, d)
     if d >= m + n - 1:
         return m * n, m * n
     upper = max(m, n) * min(m, n, d)

@@ -2,18 +2,21 @@
 
 The derivative of ``A -> f(A)`` in Kronecker form corresponds to the
 bivariate difference quotient ``(f(x) - f(y)) / (x - y)``, and that rigid
-shape admits a complete answer, block pair by block pair:
+shape admits a complete answer, block pair by block pair, from the Hermite
+data v = (f^[0](lam), ..., f^[deg f](lam)) of f at each eigenvalue: row 0
+of the :func:`jordankron.polyring.hasse_value_table` of f as a polynomial
+in y, the one table the generic predictor reads too.
 
-* distinct eigenvalues lam != mu: shift f by the secant slope, read off
-  the first surviving derivative orders k at lam and h at mu, split m and
-  n by Euclidean division into partitions driven by k and h, and emit a
-  Kronecker-sum staircase for every pair of parts; the eigenvalue is the
-  secant slope itself;
-* equal eigenvalues: shift f by the tangent slope, let d be the
-  multiplicity of lam as a root of the shifted derivative, and count
-  blocks through the nullity sequence of the powers of the h_d matrix on
-  nilpotent blocks, obtained by summing banded Toeplitz ranks from
-  :mod:`jordankron.toeplitz`; the eigenvalue is the tangent slope.
+* distinct eigenvalues lam != mu: the eigenvalue is the secant slope
+  (v_lam[0] - v_mu[0]) / (lam - mu); k is the least i >= 1 with
+  v_lam[i] != slope * [i = 1], and h the same at mu.  Euclidean division
+  splits m and n into partitions driven by k and h, and every pair of
+  parts emits a Kronecker-sum staircase;
+* equal eigenvalues: the eigenvalue is the tangent slope v_lam[1], and
+  d, the least i >= 2 with v_lam[i] != 0 minus one, is the multiplicity
+  of lam as a root of f' - f'(lam).  Blocks are counted through the
+  nullities of the powers of the h_d matrix on nilpotent blocks, sums of
+  banded Toeplitz ranks from :mod:`jordankron.toeplitz`.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
@@ -23,56 +26,24 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bttb import JordanSpec, block_pairs
+from .bttb import JordanSpec, block_pairs, parse_block_size
 from .generic import PairPrediction, kronecker_sum_sizes
 from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
     INFINITE,
+    BivariatePoly,
     RationalLike,
     UnivariatePoly,
     exact_rational,
-    root_multiplicity,
-    univariate_hasse_eval,
+    hasse_value_table,
 )
 from .toeplitz import rank_row
 
 
-class EqualEigenvaluesError(ValueError):
-    """The two eigenvalues must be distinct for the secant construction."""
-
-
-def phi_distinct(
-    f: UnivariatePoly, lam: RationalLike, mu: RationalLike
-) -> UnivariatePoly:
-    """f minus w times the secant slope (f(lam) - f(mu)) / (lam - mu).
-
-    The result takes equal values at lam and mu by construction.
-    """
-    lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
-    if lam == mu:
-        raise EqualEigenvaluesError("need two distinct eigenvalues")
-    slope = (f(lam) - f(mu)) / (lam - mu)
-    return f - UnivariatePoly([0, slope])
-
-
-def phi_equal(f: UnivariatePoly, lam: RationalLike) -> UnivariatePoly:
-    """f minus w times the tangent slope f'(lam)."""
-    return f - UnivariatePoly([0, univariate_hasse_eval(f, 1, lam)])
-
-
-def first_nonvanishing_order(g: UnivariatePoly, lam: RationalLike, cap: int):
-    """Least order i >= 1 whose Hasse derivative of g survives at lam.
-
-    The search stops at min(cap, deg g); when nothing survives there the
-    INFINITE sentinel is returned, which for cap >= deg g means exactly
-    that g - g(lam) is the zero polynomial.
-    """
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    for i in range(1, min(cap, g.degree) + 1):
-        if univariate_hasse_eval(g, i, lam):
-            return i
-    return INFINITE
+def _first_order(v: list[int], start: int, at_one=0):
+    """Least i >= start with v[i] != (at_one if i == 1 else 0), else INFINITE."""
+    hits = (i for i in range(start, len(v)) if v[i] != (at_one if i == 1 else 0))
+    return next(hits, INFINITE)
 
 
 def euclid_partition(size: int, order) -> tuple[int, ...]:
@@ -84,7 +55,7 @@ def euclid_partition(size: int, order) -> tuple[int, ...]:
     """
     if size < 1:
         raise ValueError("size must be positive")
-    if order == INFINITE or order >= size:
+    if order >= size:  # INFINITE included
         return (1,) * size
     if order < 1:
         raise ValueError("order must be positive")
@@ -102,42 +73,37 @@ def pair_prediction(
     """Record for one block pair, on the branch its eigenvalues select;
     frechet_jcf aggregates these."""
     lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
-    if m < 1 or n < 1:
-        raise ValueError("block sizes must be positive")
-    cap = max(f.degree, 1)
+    m, n = parse_block_size(m), parse_block_size(n)
+    f_y, deg = BivariatePoly([f.coeffs]), max(f.degree, 0)
+    (v_lam,), den_lam = hasse_value_table(f_y, 0, lam, 0, deg)
     if lam != mu:
-        shifted = phi_distinct(f, lam, mu)
-        eig = (f(lam) - f(mu)) / (lam - mu)
-        k = first_nonvanishing_order(shifted, lam, cap)
-        h = first_nonvanishing_order(shifted, mu, cap)
+        (v_mu,), den_mu = hasse_value_table(f_y, 0, mu, 0, deg)
+        eig = (Fraction(v_lam[0], den_lam) - Fraction(v_mu[0], den_mu)) / (lam - mu)
+        k = _first_order(v_lam, 1, eig * den_lam)
+        h = _first_order(v_mu, 1, eig * den_mu)
         s_parts = euclid_partition(m, k)
         t_parts = euclid_partition(n, h)
-        sizes: list[int] = []
-        for si in s_parts:
-            for tj in t_parts:
-                sizes.extend(kronecker_sum_sizes(si, tj))
+        sizes = [z for si in s_parts for tj in t_parts
+                 for z in kronecker_sum_sizes(si, tj)]
         return PairPrediction(
             lam, mu, m, n, "distinct", eig,
             tuple(sorted(sizes, reverse=True)),
             order_lam=k, order_mu=h, parts_lam=s_parts, parts_mu=t_parts,
         )
-    eig = univariate_hasse_eval(f, 1, lam)
-    d = root_multiplicity(phi_equal(f, lam).derivative(), lam)
+    eig = Fraction(v_lam[1], den_lam) if deg else Fraction(0)
+    d = _first_order(v_lam, 2) - 1  # INFINITE - 1 is INFINITE
     dim = m * n
-    if d == INFINITE or d >= m + n - 1:
-        return PairPrediction(
-            lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d
-        )
+    if d >= m + n - 1:
+        return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
+    # Past the power top - 1 the h_d matrix vanishes: s * d >= m + n - 1.
     top = -(-(m + n - 1) // d)
     table: list[tuple[int, int, int]] = []
     nullities = [0]
-    for s in range(1, top + 1):
-        if s * d >= m + n - 1:
-            nullities.append(dim)
-            continue
+    for s in range(1, top):
         row = rank_row(m, n, d, s)
         table.extend((s, k, rk) for k, rk in row.items())
         nullities.append(dim - sum(row.values()))
+    nullities.append(dim)
     return PairPrediction(
         lam, mu, m, n, "equal", eig,
         sizes_from_nullities(nullities, dim),
@@ -151,8 +117,5 @@ def frechet_jcf(f: UnivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStruct
     Dispatches every block pair on whether its eigenvalues coincide and
     merges contributions at equal output eigenvalues, exactly.
     """
-    contributions = []
-    for lam, m, mu, n in block_pairs(x, y):
-        pred = pair_prediction(f, lam, m, mu, n)
-        contributions.append((pred.eigenvalue, pred.sizes))
-    return JordanStructure.from_pairs(contributions)
+    preds = (pair_prediction(f, *pair) for pair in block_pairs(x, y))
+    return JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import PairBounds, block_count_bounds, max_block_size_bound
-from .bttb import JordanSpec, block_pairs
+from .bttb import JordanSpec, block_pairs, parse_block_size
 from .oracle import JordanStructure
 from .polyring import (
     INFINITE,
@@ -169,6 +169,7 @@ def pair_prediction(
     if p.is_constant():
         raise ConstantPolynomialError("a constant polynomial has no case split")
     lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
+    m, n = parse_block_size(m), parse_block_size(n)
     table, den = hasse_value_table(
         p, lam, mu, max(p.degree_x(), 1), max(p.degree_y(), 1)
     )

@@ -29,7 +29,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .bttb import JordanSpec, block_pair_nilpotent_rows, block_pairs, parse_block_size
 from .exactmat import RationalMatrix
-from .polyring import BivariatePoly, RationalLike, format_rational, parse_rational
+from .polyring import (
+    BivariatePoly,
+    RationalLike,
+    exact_rational,
+    format_rational,
+    parse_rational,
+)
 
 
 class NotNilpotentError(ValueError):
@@ -166,7 +172,7 @@ class JordanStructure:
         for eig, sizes in entries.items():
             sizes = tuple(sorted(map(parse_block_size, sizes), reverse=True))
             if sizes:
-                norm[Fraction(eig)] = sizes
+                norm[Fraction(exact_rational(eig))] = sizes
         self.entries = norm
 
     @classmethod
@@ -175,7 +181,7 @@ class JordanStructure:
         collisions by exact rational equality."""
         acc: dict[Fraction, list[int]] = {}
         for eig, sizes in pairs:
-            acc.setdefault(Fraction(eig), []).extend(sizes)
+            acc.setdefault(Fraction(exact_rational(eig)), []).extend(sizes)
         return cls(acc)
 
     @property
@@ -262,7 +268,7 @@ def oracle_jcf_matrix(
     dim = a.rows
     contributions = []
     covered = 0
-    for eig in sorted({Fraction(e) for e in eigenvalues}):
+    for eig in sorted({Fraction(exact_rational(e)) for e in eigenvalues}):
         rows = _sparse_rows(a.shifted(eig).num)
         nullities = _nullity_chain(rows, strict=False)
         algebraic = nullities[-1]

@@ -12,6 +12,9 @@ ints, Fractions or rational strings, never floats or bools.
   computed by two Taylor shifts in integer arithmetic, one per variable
   (von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts and
   certain difference equations", ISSAC 1997, give faster variants).
+  It is the one place a Hasse value is computed: both predictors read it,
+  the derivative one taking f^[0](lam) .. f^[deg f](lam) from row 0 of
+  the table of f as a polynomial in y.
 * The local degree read off such a table: the smallest total order
   d >= 1 of a Hasse derivative that does not vanish at the point.
 * The difference quotient ``(f(x) - f(y)) / (x - y)`` of a univariate f,
@@ -24,10 +27,9 @@ needs no synchronization.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -35,7 +37,7 @@ RationalLike = Union[Fraction, int, str]
 #: Sentinel shared by every "no finite order" answer: the multiplicity of a
 #: root of the zero polynomial, or the first nonvanishing derivative order
 #: of a constant.  Compares correctly against any integer.
-INFINITE = math.inf
+INFINITE = inf
 
 
 class ConstantPolynomialError(ValueError):
@@ -396,41 +398,3 @@ def bezout_quotient(f: UnivariatePoly) -> BivariatePoly:
         for i in range(deg)
     ]
     return BivariatePoly(grid)
-
-
-def root_multiplicity(g: UnivariatePoly, lam: RationalLike):
-    """Largest t with (w - lam)^t dividing g.
-
-    Returns 0 when g(lam) != 0 and the INFINITE sentinel when g is the zero
-    polynomial.
-    """
-    if g.is_zero():
-        return INFINITE
-    lam = Fraction(exact_rational(lam))
-    mult = 0
-    coeffs = list(g.coeffs)
-    while True:
-        # Synthetic division by (w - lam): bs[0] is the remainder g(lam),
-        # bs[1:] the quotient coefficients.
-        bs = [Fraction(0)] * len(coeffs)
-        acc = Fraction(0)
-        for i in range(len(coeffs) - 1, -1, -1):
-            acc = coeffs[i] + lam * acc
-            bs[i] = acc
-        if bs[0] != 0:
-            return mult
-        mult += 1
-        coeffs = bs[1:]
-
-
-def univariate_hasse_eval(f: UnivariatePoly, order: int, lam: RationalLike) -> Fraction:
-    """Value at lam of the order-th Hasse derivative of f."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    lam = Fraction(exact_rational(lam))
-    total = Fraction(0)
-    for i in range(len(f.coeffs) - 1, order - 1, -1):
-        c = f.coeffs[i]
-        if c:
-            total += comb(i, order) * c * lam ** (i - order)
-    return total

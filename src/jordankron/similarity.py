@@ -30,6 +30,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .exactmat import RationalMatrix, _from_int_rows
+from .polyring import exact_rational
 
 
 class SingularBlockError(ValueError):
@@ -137,7 +138,10 @@ class BlockToeplitzUT:
 
     @classmethod
     def from_first_rows(cls, rows: Sequence[Sequence]) -> "BlockToeplitzUT":
-        return cls(_tz_to_matrix(tuple(Fraction(c) for c in row)) for row in rows)
+        return cls(
+            _tz_to_matrix(tuple(Fraction(exact_rational(c)) for c in row))
+            for row in rows
+        )
 
     @property
     def block_count(self) -> int:

@@ -3,7 +3,8 @@ constructions for the test suites.
 
 The references here are the slow, obviously correct counterparts of the
 package's fast paths (rank kernels, the oracle's image chain, the integer
-row representation of matrices); the constructions (Weyr data of a dense
+row representation of matrices, Hasse values and the derivative
+predictor's Fraction route); the constructions (Weyr data of a dense
 matrix, Hasse derivative polynomials, structural checks of the banded
 Toeplitz family, filtration dimensions) are only needed to cross-check the
 package, so they live here rather than in it.
@@ -19,6 +20,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from jordankron import (
+    INFINITE,
     BivariatePoly,
     BlockToeplitzUT,
     ConstantPolynomialError,
@@ -32,10 +34,19 @@ from jordankron import (
 from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
 from jordankron.exactmat import NotSquareError, kron, rank
+from jordankron.frechet import euclid_partition
+from jordankron.generic import PairPrediction, kronecker_sum_sizes
 from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
 from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
-from jordankron.toeplitz import ToeplitzSpec, build_R, gamma_coeffs, offset_c, sufficient_rank_drop
+from jordankron.toeplitz import (
+    ToeplitzSpec,
+    build_R,
+    gamma_coeffs,
+    offset_c,
+    rank_row,
+    sufficient_rank_drop,
+)
 
 
 def random_univariate(rng: random.Random, max_deg=8, bound=3) -> UnivariatePoly:
@@ -497,6 +508,114 @@ def reference_hasse_value_table(
             for k in range(min(j, max_y_order) + 1):
                 row[k] += left * comb(j, k) * mu_pow[j - k]
     return table
+
+
+# ---------------------------------------------------------------------------
+# The derivative predictor's Fraction route: Hasse values summed term by
+# term, secant and tangent shifts of f, and root multiplicities by
+# synthetic division.  The package reads all of these off one Hasse table.
+# ---------------------------------------------------------------------------
+
+
+def reference_univariate_hasse_eval(
+    f: UnivariatePoly, order: int, lam: RationalLike
+) -> Fraction:
+    """Value at lam of the order-th Hasse derivative of f."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    lam = Fraction(lam)
+    total = Fraction(0)
+    for i in range(len(f.coeffs) - 1, order - 1, -1):
+        c = f.coeffs[i]
+        if c:
+            total += comb(i, order) * c * lam ** (i - order)
+    return total
+
+
+def reference_root_multiplicity(g: UnivariatePoly, lam: RationalLike):
+    """Largest t with (w - lam)^t dividing g; 0 when g(lam) != 0 and
+    INFINITE for the zero polynomial."""
+    if g.is_zero():
+        return INFINITE
+    lam = Fraction(lam)
+    mult = 0
+    coeffs = list(g.coeffs)
+    while True:
+        # Synthetic division by (w - lam): bs[0] is the remainder g(lam),
+        # bs[1:] the quotient coefficients.
+        bs = [Fraction(0)] * len(coeffs)
+        acc = Fraction(0)
+        for i in range(len(coeffs) - 1, -1, -1):
+            acc = coeffs[i] + lam * acc
+            bs[i] = acc
+        if bs[0] != 0:
+            return mult
+        mult += 1
+        coeffs = bs[1:]
+
+
+def reference_phi_distinct(
+    f: UnivariatePoly, lam: RationalLike, mu: RationalLike
+) -> UnivariatePoly:
+    """f minus w times the secant slope (f(lam) - f(mu)) / (lam - mu), for
+    lam != mu; it takes equal values at lam and mu."""
+    lam, mu = Fraction(lam), Fraction(mu)
+    return f - UnivariatePoly([0, (f(lam) - f(mu)) / (lam - mu)])
+
+
+def reference_phi_equal(f: UnivariatePoly, lam: RationalLike) -> UnivariatePoly:
+    """f minus w times the tangent slope f'(lam)."""
+    return f - UnivariatePoly([0, reference_univariate_hasse_eval(f, 1, lam)])
+
+
+def reference_first_nonvanishing_order(g: UnivariatePoly, lam: RationalLike, cap: int):
+    """Least order 1 <= i <= min(cap, deg g) whose Hasse derivative of g
+    survives at lam, else INFINITE."""
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    for i in range(1, min(cap, g.degree) + 1):
+        if reference_univariate_hasse_eval(g, i, lam):
+            return i
+    return INFINITE
+
+
+def reference_pair_prediction(
+    f: UnivariatePoly, lam: RationalLike, m: int, mu: RationalLike, n: int
+) -> PairPrediction:
+    """The record of ``frechet.pair_prediction`` by the Fraction route: the
+    orders k and h of the secant-shifted f, and d as the root multiplicity
+    of lam in the derivative of the tangent-shifted f."""
+    lam, mu = Fraction(lam), Fraction(mu)
+    cap = max(f.degree, 1)
+    if lam != mu:
+        shifted = reference_phi_distinct(f, lam, mu)
+        eig = (f(lam) - f(mu)) / (lam - mu)
+        k = reference_first_nonvanishing_order(shifted, lam, cap)
+        h = reference_first_nonvanishing_order(shifted, mu, cap)
+        s_parts, t_parts = euclid_partition(m, k), euclid_partition(n, h)
+        sizes = [z for si in s_parts for tj in t_parts
+                 for z in kronecker_sum_sizes(si, tj)]
+        return PairPrediction(
+            lam, mu, m, n, "distinct", eig, tuple(sorted(sizes, reverse=True)),
+            order_lam=k, order_mu=h, parts_lam=s_parts, parts_mu=t_parts,
+        )
+    eig = reference_univariate_hasse_eval(f, 1, lam)
+    d = reference_root_multiplicity(reference_phi_equal(f, lam).derivative(), lam)
+    dim = m * n
+    if d == INFINITE or d >= m + n - 1:
+        return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
+    table, nullities = [], [0]
+    for s in range(1, -(-(m + n - 1) // d) + 1):
+        if s * d >= m + n - 1:
+            nullities.append(dim)
+            continue
+        row = rank_row(m, n, d, s)
+        table.extend((s, k, rk) for k, rk in row.items())
+        nullities.append(dim - sum(row.values()))
+    return PairPrediction(
+        lam, mu, m, n, "equal", eig, sizes_from_nullities(nullities, dim),
+        local_mult=d, rank_table=tuple(table),
+    )
 
 
 def local_degree(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> int:

@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from jordankron import block_count_bounds, max_block_size_bound
+from jordankron import (
+    UnivariatePoly,
+    bezout_quotient,
+    block_count_bounds,
+    max_block_size_bound,
+    scan_deficiencies,
+)
+from jordankron import frechet, generic
 from jordankron.bttb import build_block_pair
 from helpers import (
     filtration_dims,
@@ -21,6 +28,28 @@ def test_max_block_size_bound_examples():
             assert max_block_size_bound(m, n, m + n - 1) == 1
     with pytest.raises(ValueError):
         max_block_size_bound(2, 2, 0)
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, 2.0, "2"])
+def test_library_entry_points_take_only_integer_parameters(bad):
+    # Sizes, degrees and scan bounds are ints: a bool, a float or a string
+    # raises ValueError rather than being coerced or failing later.
+    f = UnivariatePoly([0, 0, 1])
+    calls = [
+        lambda: generic.pair_prediction(bezout_quotient(f), 0, bad, 1, 3),
+        lambda: generic.pair_prediction(bezout_quotient(f), 0, 3, 1, bad),
+        lambda: frechet.pair_prediction(f, 0, bad, 1, 3),
+        lambda: frechet.pair_prediction(f, 0, 3, 0, bad),
+        lambda: max_block_size_bound(bad, 3, 1),
+        lambda: max_block_size_bound(2, 3, bad),
+        lambda: block_count_bounds(2, bad, 1),
+        lambda: block_count_bounds(2, 3, bad),
+        lambda: scan_deficiencies(bad, 3, 1, 1),
+        lambda: scan_deficiencies(3, 3, 1, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_block_count_bounds_examples():

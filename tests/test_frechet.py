@@ -2,12 +2,11 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordankron import (
     INFINITE,
-    EqualEigenvaluesError,
     JordanSpec,
     JordanStructure,
     UnivariatePoly,
@@ -17,16 +16,18 @@ from jordankron import (
 )
 from jordankron.bttb import build_block_pair
 from jordankron.exactmat import rank
-from jordankron.frechet import (
-    euclid_partition,
-    first_nonvanishing_order,
-    pair_prediction,
-    phi_distinct,
-    phi_equal,
-)
+from jordankron.frechet import euclid_partition, pair_prediction
 from jordankron.generic import pair_prediction as generic_pair_prediction
-from jordankron.polyring import univariate_hasse_eval
-from helpers import h_poly, random_spec, random_univariate
+from helpers import (
+    h_poly,
+    random_spec,
+    random_univariate,
+    reference_first_nonvanishing_order,
+    reference_pair_prediction,
+    reference_phi_distinct,
+    reference_phi_equal,
+    reference_univariate_hasse_eval,
+)
 
 QUARTIC = UnivariatePoly.from_string("0,0,-2,0,1")  # w^4 - 2w^2
 CUBIC = UnivariatePoly.from_string("0,0,-1,1")  # w^3 - w^2
@@ -35,11 +36,9 @@ W5 = UnivariatePoly.from_string("0,0,0,0,0,1")  # w^5
 
 
 def test_phi_distinct_examples():
-    assert phi_distinct(QUARTIC, -1, 1) == QUARTIC
-    assert phi_distinct(CUBIC, 0, 1) == CUBIC
-    assert phi_distinct(UnivariatePoly([0, 2]), 0, 5).is_zero()
-    with pytest.raises(EqualEigenvaluesError):
-        phi_distinct(QUARTIC, 1, 1)
+    assert reference_phi_distinct(QUARTIC, -1, 1) == QUARTIC
+    assert reference_phi_distinct(CUBIC, 0, 1) == CUBIC
+    assert reference_phi_distinct(UnivariatePoly([0, 2]), 0, 5).is_zero()
 
 
 def test_phi_distinct_balances_endpoints():
@@ -49,15 +48,15 @@ def test_phi_distinct_balances_endpoints():
         lam, mu = Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3))
         if lam == mu:
             mu = lam + 1
-        phi = phi_distinct(f, lam, mu)
+        phi = reference_phi_distinct(f, lam, mu)
         assert phi(lam) == phi(mu)
 
 
 def test_first_nonvanishing_order_examples():
-    assert first_nonvanishing_order(QUARTIC, -1, 4) == 2
-    assert first_nonvanishing_order(CUBIC, 1, 3) == 1
-    assert first_nonvanishing_order(UnivariatePoly([9]), 0, 5) == INFINITE
-    assert first_nonvanishing_order(UnivariatePoly(), 0, 5) == INFINITE
+    assert reference_first_nonvanishing_order(QUARTIC, -1, 4) == 2
+    assert reference_first_nonvanishing_order(CUBIC, 1, 3) == 1
+    assert reference_first_nonvanishing_order(UnivariatePoly([9]), 0, 5) == INFINITE
+    assert reference_first_nonvanishing_order(UnivariatePoly(), 0, 5) == INFINITE
 
 
 def test_euclid_partition_examples():
@@ -78,9 +77,11 @@ def test_euclid_partition_sums_and_shape(size, order):
 
 
 def test_phi_equal_examples():
-    assert phi_equal(SHIFTED_QUARTIC, 1) == SHIFTED_QUARTIC + UnivariatePoly([0, 8])
-    assert phi_equal(W5, 0) == W5
-    assert phi_equal(UnivariatePoly([7, 3]), 2) == UnivariatePoly([7])
+    assert reference_phi_equal(SHIFTED_QUARTIC, 1) == SHIFTED_QUARTIC + UnivariatePoly(
+        [0, 8]
+    )
+    assert reference_phi_equal(W5, 0) == W5
+    assert reference_phi_equal(UnivariatePoly([7, 3]), 2) == UnivariatePoly([7])
 
 
 def test_phi_equal_kills_first_derivative():
@@ -88,7 +89,66 @@ def test_phi_equal_kills_first_derivative():
     for _ in range(20):
         f = random_univariate(rng, max_deg=7)
         lam = Q(rng.randint(-3, 3))
-        assert univariate_hasse_eval(phi_equal(f, lam), 1, lam) == 0
+        assert reference_univariate_hasse_eval(reference_phi_equal(f, lam), 1, lam) == 0
+
+
+RATIONALS = st.builds(Q, st.integers(-4, 4), st.integers(1, 3))
+
+
+def _poly_power(base: UnivariatePoly, e: int) -> UnivariatePoly:
+    out = UnivariatePoly([1])
+    for _ in range(e):
+        out = out * base
+    return out
+
+
+@st.composite
+def derivative_pairs(draw):
+    """(f, lam, m, mu, n) with f of degree -1..8 and mu = lam on about half
+    the draws.  f is drawn one of three ways, so that many Hasse values
+    vanish: sparse coefficients in powers of w, or in powers of (w - lam),
+    or c + e*w + g (w - lam)^a (w - mu)^b, whose orders past the slope are
+    k = a and h = b when lam != mu and g vanishes at neither."""
+    lam = draw(RATIONALS)
+    mu = lam if draw(st.booleans()) else draw(RATIONALS)
+    # Sparse coefficients whose last one is zero only one time in nine.
+    coeffs = draw(st.lists(st.one_of(st.just(0), RATIONALS), max_size=8))
+    coeffs.append(draw(RATIONALS))
+    way = draw(st.sampled_from(["w", "w - lam", "pinned"]))
+    if way == "w":
+        f = UnivariatePoly(coeffs)
+    elif way == "w - lam":
+        f = UnivariatePoly()
+        for i, c in enumerate(coeffs):
+            f = f + _poly_power(UnivariatePoly([-lam, 1]), i) * c
+    else:
+        g = UnivariatePoly(coeffs[-3:])
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        f = UnivariatePoly(draw(st.lists(RATIONALS, max_size=2))) + g * _poly_power(
+            UnivariatePoly([-lam, 1]), a
+        ) * _poly_power(UnivariatePoly([-mu, 1]), b)
+    return f, lam, draw(st.integers(1, 6)), mu, draw(st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(derivative_pairs())
+@example((UnivariatePoly(), 1, 2, 1, 3))
+@example((UnivariatePoly([5]), 0, 2, 1, 3))
+@example((UnivariatePoly([5, 3]), Q(1, 2), 3, Q(1, 2), 2))
+@example((UnivariatePoly([0, 0, 1]), -1, 3, 1, 2))
+@example((QUARTIC, -1, 4, 1, 3))  # slope 0 = f'(-1), so k = 2
+@example((CUBIC, 0, 4, 1, 3))  # k = 2, h = 1
+def test_pair_prediction_matches_reference_route(case):
+    f, lam, m, mu, n = case
+    pred = pair_prediction(f, lam, m, mu, n)
+    ref = reference_pair_prediction(f, lam, m, mu, n)
+    assert pred.eigenvalue == ref.eigenvalue
+    if lam != mu:
+        assert (pred.order_lam, pred.order_mu) == (ref.order_lam, ref.order_mu)
+    else:
+        assert pred.local_mult == ref.local_mult
+    assert pred == ref
+    assert pred.to_json_obj() == ref.to_json_obj()
 
 
 def distinct(f, lam, m, mu, n):

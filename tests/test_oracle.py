@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from jordankron import (
     BivariatePoly,
+    BlockToeplitzUT,
     JordanSpec,
     JordanStructure,
     NotNilpotentError,
@@ -252,3 +253,22 @@ def test_consistency_checks_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised"] * 12
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True])
+def test_scalar_constructors_reject_floats_and_bools(bad):
+    # A float is a binary fraction and a bool is not a number: neither may
+    # become an eigenvalue or a matrix entry.
+    with pytest.raises(ValueError):
+        JordanStructure({bad: [1]})
+    with pytest.raises(ValueError):
+        JordanStructure.from_pairs([(bad, [1])])
+    with pytest.raises(ValueError):
+        oracle_jcf_matrix(RationalMatrix([[1]]), [1, bad])
+    with pytest.raises(ValueError):
+        BlockToeplitzUT.from_first_rows([[Q(1, 2)], [bad]])
+    assert JordanStructure({"1/2": [1]}) == JordanStructure.from_pairs([(Q(1, 2), [1])])
+    assert BlockToeplitzUT.from_first_rows([["1/2"], [1]]).first_rows() == [
+        (Q(1, 2),),
+        (Q(1),),
+    ]

