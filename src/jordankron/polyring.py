@@ -170,10 +170,14 @@ class BivariatePoly:
 
     The stored rectangle is at least 1x1 and may carry zero rows or columns
     at the boundary; degree queries ignore them.  Ragged input rows are
-    padded with zeros.
+    padded with zeros.  ``_cleared`` holds the integer grid that
+    ``hasse_value_table`` shifts, built once here: ``(rows, L)`` with
+    ``coeffs[i][j] == rows[i][j] / L`` for L the lcm of the coefficient
+    denominators, trimmed of zero rows and columns at the boundary to
+    (Dx + 1) x (Dy + 1), or ``((0,),)`` for the zero polynomial.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_cleared")
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]] = ((0,),)):
         grid = [[Fraction(exact_rational(c)) for c in row] for row in rows]
@@ -184,6 +188,16 @@ class BivariatePoly:
         self.coeffs = tuple(
             tuple(r) + (zero,) * (width - len(r)) for r in grid
         )
+        big_l = lcm(*(c.denominator for row in self.coeffs for c in row))
+        ints = [
+            [c.numerator * (big_l // c.denominator) for c in row] for row in self.coeffs
+        ]
+        while len(ints) > 1 and not any(ints[-1]):
+            ints.pop()
+        ncols = width
+        while ncols > 1 and not any(row[ncols - 1] for row in ints):
+            ncols -= 1
+        self._cleared = tuple(tuple(row[:ncols]) for row in ints), big_l
 
     @classmethod
     def from_string(cls, text: str) -> "BivariatePoly":
@@ -341,22 +355,12 @@ def hasse_value_table(
         raise ValueError("derivative orders must be nonnegative")
     lam, mu = exact_rational(lam), exact_rational(mu)
     width = max_y_order + 1
-    big_l = lcm(*(c.denominator for row in p.coeffs for c in row))
-    grid = [[c.numerator * (big_l // c.denominator) for c in row] for row in p.coeffs]
-    # Trim the zero rows and columns at the boundary, so that the grid is
-    # (Dx + 1) x (Dy + 1).
-    while len(grid) > 1 and not any(grid[-1]):
-        grid.pop()
-    ncols = len(grid[0])
-    while ncols > 1 and not any(row[ncols - 1] for row in grid):
-        ncols -= 1
-    if len(grid) == ncols == 1 and not grid[0][0]:  # p == 0
+    grid, big_l = p._cleared
+    dx, dy = len(grid) - 1, len(grid[0]) - 1
+    if dx == dy == 0 and not grid[0][0]:  # p == 0
         return [[0] * width for _ in range(max_x_order + 1)], 1
-    dx, dy = len(grid) - 1, ncols - 1
-    ky, hx = min(ncols, width), min(dx + 1, max_x_order + 1)
-    shifted = [
-        _taylor_shift(row[:ncols], mu.numerator, mu.denominator, ky) for row in grid
-    ]
+    ky, hx = min(dy + 1, width), min(dx + 1, max_x_order + 1)
+    shifted = [_taylor_shift(row, mu.numerator, mu.denominator, ky) for row in grid]
     cols = [
         _taylor_shift(col, lam.numerator, lam.denominator, hx)
         for col in zip(*shifted)

@@ -9,8 +9,8 @@ of the R_k over k gives the nullities that the equal-eigenvalue predictor
 consumes, at a fraction of the cost of eliminating the mn x mn matrix.
 
 ``rank_row`` gives the ranks of every R_k of one quadruple (m, n, d, ell) in
-one pass, and ``rho`` gives one of them.  The flip-transpose identity
-rank R_k = rank R_(ell*d + m + n - k) leaves only the half
+one pass, and ``rho`` reads one of them off that row.  The flip-transpose
+identity rank R_k = rank R_(ell*d + m + n - k) leaves only the half
 k <= (m + n + ell*d) / 2 to compute, where R_k has no more rows than
 columns.  Most R_k have full rank, and most of those are proved so without
 building a matrix.  Since gamma_0 = 1 and gamma_i = 0 for i < 0, the
@@ -19,15 +19,24 @@ Its ``min(n_rows, n_cols + c_k) - c_k`` cells span a unit triangular
 minor, of determinant 1, so when that count reaches ``min(n_rows, n_cols)``
 the rank is full, exactly.  For m <= n that is the case precisely when
 k <= n or k >= m + ell*d.  (The diagonal of gamma_(ell*d) = 1, with zeros
-above it, is the mirror image and proves no further spec.)  Every other R_k
-is cut row by row from one zero-padded copy of the gamma and eliminated by
-the echelon kernel of :mod:`jordankron.exactmat`, whose unit pivots, such
-as those of the gamma_0 diagonal, clear a column without scaling a row.
-The exceptions, the rank-deficient R_k, are what this
-module's scanner hunts for.  ``sufficient_rank_drop``
-implements a closed sufficient condition (the coefficient vector of
-``(x - y)^ell`` is then an explicit kernel vector), but it is not
-necessary, and the scanner records both kinds.
+above it, is the mirror image and proves no further spec.)
+
+Every other R_k of the low half, n < k < m + D with D = ell*d, is with its
+rows reversed a Hankel matrix ``[s_(i+j)]`` of the same sequence
+``s_t = gamma_(D - n + 1 + t)``, t < N = m + n - D - 1, with k - D rows
+and m + n - k columns, which add up to N + 1.  By the rank profile of a
+Hankel sequence (Iohvidov, *Hankel and Toeplitz Matrices and Forms*, 1982;
+Heinig and Rost, *Algebraic Methods for Toeplitz-like Matrices and
+Operators*, 1984), such matrices have rank min(rows, cols, r) for one
+number r, the rank of the one with (N + 1) // 2 rows.  So one exact
+elimination per quadruple, by the echelon kernel of
+:mod:`jordankron.exactmat`, gives the whole row.
+
+The rank-deficient R_k, those with min(rows, cols) > r, are what this
+module's scanner hunts for.  ``sufficient_rank_drop`` implements a closed
+sufficient condition (the coefficient vector of ``(x - y)^ell`` is then an
+explicit kernel vector), but it is not necessary, and the scanner records
+both kinds.
 """
 
 from __future__ import annotations
@@ -178,27 +187,24 @@ def certified_full_rank(spec: ToeplitzSpec) -> bool:
     return _unit_triangular_full_rank(spec.n_rows, spec.n_cols, offset_c(spec))
 
 
-def _rank_k(padded: list[int], m: int, n: int, shift: int, k: int) -> int:
-    """Rank of R_k for m <= n and shift = ell*d, with ``padded`` from
-    ``_padded_gamma``.  Full rank proved by a unit triangular minor is
-    returned without building the matrix; any other R_k is eliminated
-    exactly."""
-    nr = filtration_dim(m, n, k - shift)
-    nc = filtration_dim(m, n, k)
-    c = _offset(n, shift, k)
-    if _unit_triangular_full_rank(nr, nc, c):
-        return min(nr, nc)
-    return _rank_int_rows(_banded_rows(padded, m, c, nr, nc))
-
-
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     """Ranks of R_k for every valid k of (m, n, d, ell), keyed by k in
     ascending order; m and n in either order.
 
-    Only the low half, k <= (m + n + ell*d) / 2, is computed.  There R_k
-    has no more rows than columns, the orientation the elimination kernel
-    clears fastest.  The rest follows from the flip-transpose identity
-    rank R_k = rank R_(ell*d + m + n - k).
+    Only the low half, k <= (m + n + ell*d) / 2, is computed; the rest
+    follows from the flip-transpose identity rank R_k = rank R_(ell*d + m +
+    n - k).  With m <= n and D = ell*d, a low-half R_k is proved full rank
+    by its unit triangular minor unless n < k < m + D.  Each such R_k has
+    k - D rows and m + n - k columns, and with its rows reversed it is the
+    Hankel matrix ``[s_(i+j)]`` of the one sequence
+    ``s_t = gamma_(D - n + 1 + t)``, t < N = m + n - D - 1.  All these
+    Hankel matrices have rows + columns - 1 = N, and by the rank profile of
+    a Hankel sequence their ranks are min(rows, cols, r), where r is the
+    rank of the one with (N + 1) // 2 rows.  No uncertified R_k has more
+    than q = min(m - 1, (N + 1) // 2) rows, so r may be replaced by
+    min(q, r), the rank of the q x (N + 1 - q) Hankel matrix.  That matrix
+    is the one exact elimination of the row, made only when some k is
+    uncertified.
     """
     _check_params(m, n, d, ell)
     if m > n:
@@ -206,22 +212,28 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     shift = ell * d
     total = m + n + shift
     lo = shift + 1
-    padded = _padded_gamma(d, ell, m)
-    low = [_rank_k(padded, m, n, shift, k) for k in range(lo, total // 2 + 1)]
+    # Rows of the largest uncertified R_k, at k = min(m + D - 1, total // 2).
+    q = min(m - 1, total // 2 - shift)
+    r = q
+    if max(n, shift) < q + shift:  # some uncertified k in the low half
+        g = gamma_coeffs(d, ell)
+        s = [g[t] for t in range(shift - n + 1, m)]
+        width = len(s) + 1 - q
+        r = _rank_int_rows([s[i : i + width] for i in range(q)])
+    low = []
+    for k in range(lo, total // 2 + 1):
+        full = min(filtration_dim(m, n, k - shift), filtration_dim(m, n, k))
+        low.append(min(full, r) if n < k < m + shift else full)
     return {k: low[min(k, total - k) - lo] for k in range(lo, m + n)}
 
 
 def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """Rank of the banded Toeplitz matrix R_k; m and n in either order.
 
-    The entry of ``rank_row(m, n, d, ell)`` at k, computed alone.
+    The entry of ``rank_row(m, n, d, ell)`` at k, after k is checked.
     """
     _check_params(m, n, d, ell, k)
-    if m > n:
-        m, n = n, m
-    shift = ell * d
-    k = min(k, m + n + shift - k)
-    return _rank_k(_padded_gamma(d, ell, m), m, n, shift, k)
+    return rank_row(m, n, d, ell)[k]
 
 
 def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
@@ -239,17 +251,23 @@ def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
     The test requires u_k > ell so that v is nonzero, and a kernel vector
     of a rows >= cols matrix forces rank < u_k.
     """
-    return _drop_predicted(spec.m, spec.n, spec.d, spec.ell, spec.k)
+    return _drop_predicted(
+        spec.m, spec.n, spec.d, spec.ell, spec.k, spec.n_rows, spec.n_cols
+    )
 
 
-def _drop_predicted(m: int, n: int, d: int, ell: int, k: int) -> bool:
-    """sufficient_rank_drop on the integers of a valid quintuple, m <= n."""
-    shift = ell * d
-    # The index of the flip-normalized spec, read off without building it.
-    k = max(k, m + n + shift - k)
-    if filtration_dim(m, n, k) <= ell:
+def _drop_predicted(
+    m: int, n: int, d: int, ell: int, k: int, nr: int, nc: int
+) -> bool:
+    """sufficient_rank_drop on the integers of a valid quintuple, m <= n,
+    whose R_k is nr x nc.  The flip-normalized spec, of index
+    max(k, m + n + ell*d - k), has the larger of nr and nc as its rows and
+    the smaller as its columns."""
+    if min(nr, nc) <= ell:
         return False
-    return (ell + _offset(n, shift, k)) % (d + 1) >= filtration_dim(m, n, k - shift)
+    shift = ell * d
+    c = _offset(n, shift, max(k, m + n + shift - k))
+    return (ell + c) % (d + 1) >= max(nr, nc)
 
 
 _INT_FIELDS = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency")
@@ -274,11 +292,12 @@ def _checked_fields(obj: dict) -> tuple:
     _check_params(m, n, d, ell, k)
     if m > n:
         raise InvalidSpecError(f"need m <= n, got ({m}, {n})")
+    nr, nc = filtration_dim(m, n, k - ell * d), filtration_dim(m, n, k)
     if (
-        max_rank != min(filtration_dim(m, n, k), filtration_dim(m, n, k - ell * d))
+        max_rank != min(nr, nc)
         or not 0 <= rk <= max_rank
         or deficiency != max_rank - rk
-        or predicted is not _drop_predicted(m, n, d, ell, k)
+        or predicted is not _drop_predicted(m, n, d, ell, k, nr, nc)
     ):
         raise ValueError(f"deficiency record disagrees with its spec: {obj!r}")
     return tuple(fields)
@@ -378,12 +397,14 @@ def scan_deficiencies(
                         # it becomes a DeficiencyRecord only if deficient.
                         lines = []
                         for k, rk in zip(range(lo, hi + 1), found):
-                            max_rank = min(filtration_dim(m, n, k),
-                                           filtration_dim(m, n, k - shift))
+                            nr = filtration_dim(m, n, k - shift)
+                            nc = filtration_dim(m, n, k)
+                            max_rank = min(nr, nc)
                             if rk is None:
                                 rk = ranks[k]
                                 if sink is not None:
-                                    predicted = _drop_predicted(m, n, d, ell, k)
+                                    predicted = _drop_predicted(
+                                        m, n, d, ell, k, nr, nc)
                                     lines.append(
                                         f'{{"m": {m}, "n": {n}, "d": {d}, '
                                         f'"ell": {ell}, "k": {k}, "rank": {rk}, '
@@ -394,7 +415,8 @@ def scan_deficiencies(
                             if rk < max_rank:
                                 deficient.append(DeficiencyRecord(
                                     ToeplitzSpec(m, n, d, ell, k), rk, max_rank,
-                                    max_rank - rk, _drop_predicted(m, n, d, ell, k),
+                                    max_rank - rk,
+                                    _drop_predicted(m, n, d, ell, k, nr, nc),
                                 ))
                         if lines:
                             sink.write("".join(lines))

@@ -1,5 +1,9 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +19,7 @@ from jordankron import (
     oracle_jcf,
 )
 from jordankron.bttb import build_block_pair
+from jordankron.cli import main
 from jordankron.exactmat import rank
 from jordankron.frechet import euclid_partition, pair_prediction
 from jordankron.generic import pair_prediction as generic_pair_prediction
@@ -33,6 +38,11 @@ QUARTIC = UnivariatePoly.from_string("0,0,-2,0,1")  # w^4 - 2w^2
 CUBIC = UnivariatePoly.from_string("0,0,-1,1")  # w^3 - w^2
 SHIFTED_QUARTIC = UnivariatePoly.from_string("0,0,-6,0,1")  # w^4 - 6w^2
 W5 = UnivariatePoly.from_string("0,0,0,0,0,1")  # w^5
+
+# ``jordankron frechet`` for w^3 on J_60(0), J_60(0): exit code, argv and the
+# whole document, with all 3,481 ranks, recorded while every uncertified
+# banded-Toeplitz rank was still eliminated on its own matrix.
+J60_DOC = Path(__file__).resolve().parent / "data" / "frechet_w3_j60.json"
 
 
 def test_phi_distinct_examples():
@@ -322,3 +332,14 @@ def test_nullity_sequences_are_monotone_with_nonnegative_counts():
                 padded = nus + [m * n] * 2
                 for s in range(1, len(padded) - 1):
                     assert 2 * padded[s] - padded[s - 1] - padded[s + 1] >= 0
+
+
+def test_frechet_w3_on_j60_matches_recorded_document():
+    golden = json.loads(J60_DOC.read_text())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(golden["argv"]) == golden["exit"] == 0
+    assert json.loads(out.getvalue()) == golden["stdout"]
+    w = JordanSpec.single(0, 60)
+    result = frechet_jcf(UnivariatePoly.from_string("0,0,0,1"), w, w)
+    assert result.to_json_obj() == golden["stdout"]["result"]

@@ -132,7 +132,7 @@ def _assert_rho_matches_bareiss(spec):
 def test_rho_matches_bareiss_on_every_small_spec():
     certified = deficient = 0
     rows = {}
-    for spec in iter_valid_specs(12, 12, 4, 4):
+    for spec in iter_valid_specs(18, 20, 5, 5):
         quad = (spec.m, spec.n, spec.d, spec.ell)
         if quad not in rows:
             row = rank_row(*quad)
@@ -152,6 +152,41 @@ def test_rho_matches_bareiss_on_every_small_spec():
         deficient += ref < spec.max_rank
     # Both sides of the certificate are exercised.
     assert certified and deficient
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 6), st.integers(1, 6))
+def test_rank_row_matches_bareiss_on_random_quadruples(a, b, d, ell):
+    assume(d * ell + 1 <= a + b - 1)
+    m, n = min(a, b), max(a, b)
+    row = rank_row(a, b, d, ell)
+    assert list(row) == list(range(d * ell + 1, m + n))
+    for k, rk in row.items():
+        matrix = build_R(ToeplitzSpec(m, n, d, ell, k)).num
+        assert rk == reference_rank_int([list(r) for r in matrix])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8),
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3)), max_size=16),
+    st.integers(0, 8),
+)
+def test_hankel_rank_profile(lead, core, trail):
+    # rank_row rests on this: the (N + 1 - q) x q Hankel matrices of one
+    # sequence of length N have rank min(q, N + 1 - q, r), r the rank of
+    # the one with q = (N + 1) // 2.  The sequences have many zeros, as the
+    # gamma windows of rank_row do: runs at either end, sparse inside.
+    s = ([0] * lead + core + [0] * trail)[:16]
+    assume(s)
+    big_n = len(s)
+
+    def hankel_rank(q):
+        return reference_rank_int([s[i : i + q] for i in range(big_n + 1 - q)])
+
+    r = hankel_rank((big_n + 1) // 2)
+    for q in range(1, big_n + 1):
+        assert hankel_rank(q) == min(q, big_n + 1 - q, r)
 
 
 @settings(max_examples=300, deadline=None)
