@@ -51,7 +51,7 @@ class JordanSpec:
     """A matrix described by its Jordan blocks: a multiset of (eigenvalue, size).
 
     Blocks are kept in canonical order, eigenvalue ascending then size
-    descending.
+    descending.  A spec has at least one block.
     """
 
     blocks: tuple[tuple[Fraction, int], ...]
@@ -60,6 +60,8 @@ class JordanSpec:
         norm = []
         for eig, size in blocks:
             norm.append((Fraction(exact_rational(eig)), parse_block_size(size)))
+        if not norm:
+            raise ValueError("a Jordan spec needs at least one block")
         norm.sort(key=lambda b: (b[0], -b[1]))
         object.__setattr__(self, "blocks", tuple(norm))
 

@@ -10,8 +10,13 @@ run; the rank scanner emits JSON lines):
 * ``scan-ranks``  rank-deficiency sweep over the banded Toeplitz family
 * ``reduce``    similarity-reduction demo with exact residual
 
-Exit codes: 0 success, 1 malformed input, 2 degenerate pair in generic
-prediction, 3 prediction/oracle disagreement.
+Exit codes: 0 success, 1 malformed input (any ValueError from the library
+included), 2 degenerate pair in generic prediction, 3 prediction/oracle
+disagreement.
+
+The commands only serialize library calls.  ``check`` runs the oracle once
+per block pair, and that one pass gives the merged result, the per-pair
+comparison and the candidate eigenvalues for ``--raw-kron``.
 """
 
 from __future__ import annotations
@@ -22,21 +27,20 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import frechet, generic
 from .bounds import block_count_bounds, max_block_size_bound
 from .bttb import JordanSpec, block_pairs, build_full, build_raw_kron
 from .generic import DegenerateCaseError, PairPrediction
-from .oracle import JordanStructure, oracle_jcf, oracle_jcf_matrix, oracle_pair_sizes
+from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair_sizes
 from .polyring import (
     BivariatePoly,
     UnivariatePoly,
     bezout_quotient,
     format_rational,
 )
-from .similarity import BlockToeplitzUT, reduce_bidiagonal, reduce_shifted
+from .similarity import BlockToeplitzUT, reduce_shifted
 from .toeplitz import scan_deficiencies
 
 SCHEMA = "jordan-kron/1"
@@ -60,29 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-@dataclass
-class RunReport:
-    """One run's JSON document."""
-
-    mode: str
-    inputs: dict
-    result: "dict | None" = None
-    diagnostics: list = field(default_factory=list)
-    agreement: "bool | None" = None
-    extra: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        doc: dict = {"schema": SCHEMA, "mode": self.mode, "inputs": self.inputs}
-        if self.result is not None:
-            doc["result"] = self.result
-        if self.diagnostics:
-            doc["diagnostics"] = self.diagnostics
-        if self.agreement is not None:
-            doc["agreement"] = self.agreement
-        doc.update(self.extra)
-        return doc
-
-
 def _read_arg_text(text: str) -> str:
     if text.startswith("@"):
         path = Path(text[1:])
@@ -94,10 +75,7 @@ def _read_arg_text(text: str) -> str:
 
 
 def _load_spec(text: str) -> JordanSpec:
-    try:
-        return JordanSpec.from_json(_read_arg_text(text))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    return JordanSpec.from_json(_read_arg_text(text))
 
 
 def _load_specs(args) -> tuple[JordanSpec, JordanSpec]:
@@ -116,23 +94,25 @@ def _load_polynomials(args, mode: str):
     taking its difference quotient; derivative mode requires --f."""
     p = f = None
     if getattr(args, "f", None) is not None:
-        try:
-            f = UnivariatePoly.from_string(_read_arg_text(args.f))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        f = UnivariatePoly.from_string(_read_arg_text(args.f))
         p = bezout_quotient(f)
     if getattr(args, "p", None) is not None:
         if f is not None:
             raise CliInputError("give either --p or --f, not both")
         if mode == "frechet":
             raise CliInputError("derivative mode takes --f, not --p")
-        try:
-            p = BivariatePoly.from_string(_read_arg_text(args.p))
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        p = BivariatePoly.from_string(_read_arg_text(args.p))
     if p is None:
         raise CliInputError("need a polynomial (--p or --f)")
     return p, f
+
+
+def _document(mode: "str | None", inputs: "dict | None", **fields) -> dict:
+    """A ``jordan-kron/1`` document: the schema, mode and inputs, then the
+    fields in order.  None values are left out; an input error has neither
+    mode nor inputs."""
+    items = {"mode": mode, "inputs": inputs, **fields}
+    return {"schema": SCHEMA, **{k: v for k, v in items.items() if v is not None}}
 
 
 def _emit(doc: dict, out: "str | None") -> None:
@@ -143,11 +123,7 @@ def _emit(doc: dict, out: "str | None") -> None:
         print(text)
 
 
-def _emit_error(message: str, out: "str | None" = None) -> None:
-    _emit({"schema": SCHEMA, "error": message}, out)
-
-
-def _echo_inputs(args, p, f, x, y) -> dict:
+def _echo_inputs(p, f, x, y) -> dict:
     inputs = {"X": x.to_json_obj(), "Y": y.to_json_obj()}
     if f is not None:
         inputs["f"] = f.to_string()
@@ -160,19 +136,28 @@ def _maybe_dump(args, p, x, y) -> None:
         print(build_full(p, x, y).dump(), file=sys.stderr)
 
 
-def _constant_structure(p, x, y) -> JordanStructure:
-    dim = x.total_size * y.total_size
-    return JordanStructure({p.constant_term: (1,) * dim})
+def _predictions(mode, p, f, x, y) -> tuple[list[PairPrediction], JordanStructure]:
+    """The mode's record for every block pair, and their merged structure.
+
+    A constant p in generic mode has no records: p(X, Y) is p's constant
+    times the identity, all blocks of size 1.
+    """
+    if mode == "generic" and p.is_constant():
+        dim = x.total_size * y.total_size
+        return [], JordanStructure({p.constant_term: (1,) * dim})
+    module, poly = (frechet, f) if mode == "frechet" else (generic, p)
+    preds = [module.pair_prediction(poly, *pair) for pair in block_pairs(x, y)]
+    merged = JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
+    return preds, merged
 
 
-def _pair_predictions(mode, p, f, x, y) -> list[PairPrediction]:
-    if mode == "frechet":
-        return [frechet.pair_prediction(f, *pair) for pair in block_pairs(x, y)]
-    return [generic.pair_prediction(p, *pair) for pair in block_pairs(x, y)]
-
-
-def _merged(preds: list[PairPrediction]) -> JordanStructure:
-    return JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
+def _difference(eig, predicted, oracle) -> dict:
+    """A ``firstDifference`` entry: the sizes each side gives at eig."""
+    return {
+        "eig": format_rational(eig),
+        "predicted": list(predicted),
+        "oracle": list(oracle),
+    }
 
 
 def cmd_predict(args) -> int:
@@ -180,46 +165,23 @@ def cmd_predict(args) -> int:
     p, f = _load_polynomials(args, mode)
     x, y = _load_specs(args)
     _maybe_dump(args, p, x, y)
-    if mode != "frechet" and p.is_constant():
-        result, preds = _constant_structure(p, x, y), []
-    else:
-        preds = _pair_predictions(mode, p, f, x, y)
-        degenerate = next((pr for pr in preds if pr.bounds is not None), None)
-        if degenerate is not None:
-            entry = degenerate.to_json_obj()
-            doc = {
-                "schema": SCHEMA,
-                "mode": "predict-generic",
-                "inputs": _echo_inputs(args, p, f, x, y),
-                "error": str(DegenerateCaseError(degenerate)),
-                "degeneratePair": {key: entry[key] for key in ("lam", "mu", "m", "n")},
-                "bounds": entry["bounds"],
-            }
-            _emit(doc, args.out)
-            return 2
-        result = _merged(preds)
-    report = RunReport(
-        mode=f"predict-{mode}",
-        inputs=_echo_inputs(args, p, f, x, y),
-        result=result.to_json_obj(),
-        diagnostics=[pr.to_json_obj() for pr in preds],
-    )
-    _emit(report.to_json_obj(), args.out)
+    preds, result = _predictions(mode, p, f, x, y)
+    inputs = _echo_inputs(p, f, x, y)
+    degenerate = next((pr for pr in preds if pr.bounds is not None), None)
+    if degenerate is not None:
+        entry = degenerate.to_json_obj()
+        _emit(_document(
+            "predict-generic", inputs,
+            error=str(DegenerateCaseError(degenerate)),
+            degeneratePair={key: entry[key] for key in ("lam", "mu", "m", "n")},
+            bounds=entry["bounds"],
+        ), args.out)
+        return 2
+    diags = [pr.to_json_obj() for pr in preds]
+    _emit(_document(
+        f"predict-{mode}", inputs, result=result.to_json_obj(), diagnostics=diags or None
+    ), args.out)
     return 0
-
-
-def _first_difference(a: JordanStructure, b: JordanStructure) -> "dict | None":
-    eigs = sorted(set(a.entries) | set(b.entries))
-    for eig in eigs:
-        sa = a.entries.get(eig, ())
-        sb = b.entries.get(eig, ())
-        if sa != sb:
-            return {
-                "eig": format_rational(eig),
-                "predicted": list(sa),
-                "oracle": list(sb),
-            }
-    return None
 
 
 def cmd_check(args) -> int:
@@ -232,92 +194,70 @@ def cmd_check(args) -> int:
             f"total dimension {dim} exceeds the oracle cap {args.cap}"
         )
     _maybe_dump(args, p, x, y)
-    diags: list[dict] = []
-    extra: dict = {}
-    if f is not None:
-        orc = oracle_jcf(p, x, y)
-        preds = _pair_predictions(mode, p, f, x, y)
-        predicted = _merged(preds)
-        diags = [pr.to_json_obj() for pr in preds]
-        agreement = predicted == orc
-        if not agreement:
-            extra["firstDifference"] = _first_difference(predicted, orc)
-        extra["predicted"] = predicted.to_json_obj()
-    elif p.is_constant():
-        orc = oracle_jcf(p, x, y)
-        predicted = _constant_structure(p, x, y)
-        agreement = predicted == orc
-        extra["predicted"] = predicted.to_json_obj()
-    else:
-        # One oracle pass per pair serves both the per-pair comparison and
-        # the merged result.
-        agreement = True
-        contributions = []
-        for pred in _pair_predictions(mode, p, f, x, y):
-            eig = p.eval(pred.lam, pred.mu)
-            oracle_sizes = oracle_pair_sizes(p, pred.lam, pred.m, pred.mu, pred.n)
-            contributions.append((eig, oracle_sizes))
+    preds, predicted = _predictions(mode, p, f, x, y)
+    pairs = list(block_pairs(x, y))
+    eigs = [p.eval(lam, mu) for lam, _, mu, _ in pairs]
+    oracle = [oracle_pair_sizes(p, *pair) for pair in pairs]
+    result = JordanStructure.from_pairs(zip(eigs, oracle))
+    if preds and mode == "generic":
+        # Pair by pair; a degenerate pair passes when the oracle's sizes
+        # respect its bounds.
+        diags, shown = [], None
+        for pred, sizes in zip(preds, oracle):
             entry = pred.to_json_obj()
-            entry["oracle"] = list(oracle_sizes)
+            entry["oracle"] = list(sizes)
             if pred.bounds is not None:
-                pair_ok = entry["boundsHold"] = pred.bounds.hold(oracle_sizes)
+                ok = entry["boundsHold"] = pred.bounds.hold(sizes)
             else:
                 entry["predicted"] = list(pred.sizes)
-                pair_ok = pred.sizes == oracle_sizes
-                if not pair_ok:
-                    extra.setdefault(
-                        "firstDifference",
-                        {
-                            "eig": format_rational(eig),
-                            "predicted": list(pred.sizes),
-                            "oracle": list(oracle_sizes),
-                        },
-                    )
-            entry["ok"] = pair_ok
-            agreement = agreement and pair_ok
+                ok = pred.sizes == sizes
+            entry["ok"] = ok
             diags.append(entry)
-        orc = JordanStructure.from_pairs(contributions)
+        agreement = all(entry["ok"] for entry in diags)
+        wrong = [
+            (eig, pred.sizes, sizes)
+            for eig, pred, sizes in zip(eigs, preds, oracle)
+            if pred.bounds is None and pred.sizes != sizes
+        ]
+    else:
+        diags, shown = [pr.to_json_obj() for pr in preds], predicted.to_json_obj()
+        agreement = predicted == result
+        a, b = predicted.entries, result.entries
+        wrong = [
+            (eig, a.get(eig, ()), b.get(eig, ()))
+            for eig in sorted(a.keys() | b.keys())
+            if a.get(eig) != b.get(eig)
+        ]
+    raw_agrees = None
     if args.raw_kron:
-        candidates = [p.eval(lam, mu) for lam, m, mu, n in block_pairs(x, y)]
-        raw = oracle_jcf_matrix(build_raw_kron(p, x, y), candidates)
-        raw_ok = raw == orc
-        extra["rawKronAgrees"] = raw_ok
-        agreement = agreement and raw_ok
-    report = RunReport(
-        mode="check",
-        inputs=_echo_inputs(args, p, f, x, y),
-        result=orc.to_json_obj(),
-        diagnostics=diags,
+        raw_agrees = oracle_jcf_matrix(build_raw_kron(p, x, y), eigs) == result
+        agreement = agreement and raw_agrees
+    _emit(_document(
+        "check", _echo_inputs(p, f, x, y),
+        result=result.to_json_obj(),
+        diagnostics=diags or None,
         agreement=agreement,
-        extra=extra,
-    )
-    _emit(report.to_json_obj(), args.out)
+        firstDifference=_difference(*wrong[0]) if wrong else None,
+        predicted=shown,
+        rawKronAgrees=raw_agrees,
+    ), args.out)
     return 0 if agreement else 3
 
 
 def cmd_bounds(args) -> int:
-    try:
-        size_bound = max_block_size_bound(args.m, args.n, args.d)
-        lo, hi = block_count_bounds(args.m, args.n, args.d)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    doc = {
-        "schema": SCHEMA,
-        "mode": "bounds",
-        "inputs": {"m": args.m, "n": args.n, "d": args.d},
-        "result": {"maxBlockSize": size_bound, "countLower": lo, "countUpper": hi},
-    }
-    _emit(doc, args.out)
+    size_bound = max_block_size_bound(args.m, args.n, args.d)
+    lo, hi = block_count_bounds(args.m, args.n, args.d)
+    _emit(_document(
+        "bounds", {"m": args.m, "n": args.n, "d": args.d},
+        result={"maxBlockSize": size_bound, "countLower": lo, "countUpper": hi},
+    ), args.out)
     return 0
 
 
 def cmd_scan(args) -> int:
-    try:
-        records = scan_deficiencies(
-            args.m_max, args.n_max, args.d_max, args.ell_max, out_path=args.out
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    records = scan_deficiencies(
+        args.m_max, args.n_max, args.d_max, args.ell_max, out_path=args.out
+    )
     for rec in records:
         print(json.dumps(rec.to_json_obj()))
     return 0
@@ -332,8 +272,9 @@ def _random_ring_row(rng: random.Random, n: int, unit: bool) -> list[int]:
 
 
 def cmd_reduce(args) -> int:
-    m, n = args.m, args.n
-    r = args.r if args.r is not None else 1
+    if not 2 <= len(args.demo) <= 3:
+        raise CliInputError("--demo takes m n [r]")
+    m, n, r = (*args.demo, 1)[:3]
     if m < 2 or n < 1 or not 1 <= r <= m - 1:
         raise CliInputError("need m >= 2, n >= 1 and 1 <= r <= m - 1")
     rng = random.Random(args.seed)
@@ -342,20 +283,17 @@ def cmd_reduce(args) -> int:
     rows.append(_random_ring_row(rng, n, unit=True))
     rows.extend(_random_ring_row(rng, n, unit=False) for _ in range(r + 1, m))
     z = BlockToeplitzUT.from_first_rows(rows)
-    red = reduce_shifted(z, r) if r > 1 else reduce_bidiagonal(z)
+    red = reduce_shifted(z, r)
     zmat = z.to_matrix()
     residual = zmat @ red.transform - red.transform @ red.target
-    doc = {
-        "schema": SCHEMA,
-        "mode": "reduce",
-        "inputs": {"m": m, "n": n, "r": r, "seed": args.seed},
-        "Z": zmat.dump(),
-        "transform": red.transform.dump(),
-        "target": red.target.dump(),
-        "normalForm": red.normal_form.dump(),
-        "residualIsZero": residual.is_zero(),
-    }
-    _emit(doc, args.out)
+    _emit(_document(
+        "reduce", {"m": m, "n": n, "r": r, "seed": args.seed},
+        Z=zmat.dump(),
+        transform=red.transform.dump(),
+        target=red.target.dump(),
+        normalForm=red.normal_form.dump(),
+        residualIsZero=residual.is_zero(),
+    ), args.out)
     return 0
 
 
@@ -446,15 +384,9 @@ def _shared_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
-        if args.command == "reduce":
-            demo = args.demo
-            if not 2 <= len(demo) <= 3:
-                raise CliInputError("--demo takes m n [r]")
-            args.m, args.n = demo[0], demo[1]
-            args.r = demo[2] if len(demo) == 3 else None
         return globals()[args.func](args)
     except (CliInputError, ValueError) as exc:
-        _emit_error(str(exc))
+        _emit(_document(None, None, error=str(exc)), None)
         return 1
 
 

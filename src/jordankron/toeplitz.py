@@ -9,7 +9,8 @@ of the R_k over k gives the nullities that the equal-eigenvalue predictor
 consumes, at a fraction of the cost of eliminating the mn x mn matrix.
 
 ``rank_row`` gives the ranks of every R_k of one quadruple (m, n, d, ell) in
-one pass, and ``rho`` reads one of them off that row.  The flip-transpose
+one pass, and ``rho`` reads one of them off that row unless the certificate
+below proves it full rank on its own.  The flip-transpose
 identity rank R_k = rank R_(ell*d + m + n - k) leaves only the half
 k <= (m + n + ell*d) / 2 to compute, where R_k has no more rows than
 columns.  Most R_k have full rank, and most of those are proved so without
@@ -230,9 +231,16 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
 def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """Rank of the banded Toeplitz matrix R_k; m and n in either order.
 
-    The entry of ``rank_row(m, n, d, ell)`` at k, after k is checked.
+    Full rank when the unit triangular minor proves it, which costs no
+    matrix; otherwise the entry of ``rank_row(m, n, d, ell)`` at k.
     """
     _check_params(m, n, d, ell, k)
+    if m > n:
+        m, n = n, m
+    shift = ell * d
+    nr, nc = filtration_dim(m, n, k - shift), filtration_dim(m, n, k)
+    if _unit_triangular_full_rank(nr, nc, _offset(n, shift, k)):
+        return min(nr, nc)
     return rank_row(m, n, d, ell)[k]
 
 

@@ -234,6 +234,12 @@ def test_jordan_spec_constructor_rejects_coerced_sizes():
     assert JordanSpec([(0, 2)]).blocks == ((Q(0), 2),)
 
 
+def test_jordan_spec_needs_a_block():
+    for make in (lambda: JordanSpec([]), lambda: JordanSpec.from_json("[]")):
+        with pytest.raises(ValueError, match="at least one block"):
+            make()
+
+
 def test_jordan_spec_rejects_inexact_eigenvalues():
     for eig in (0.1, 2.0, True, False):
         with pytest.raises(ValueError):

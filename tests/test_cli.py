@@ -237,6 +237,118 @@ def test_check_disagreement_exits_3(monkeypatch):
     assert doc["firstDifference"]["eig"] == "0"
 
 
+# p = 2x + y on four block pairs with eigenvalues 2, 3, 4 and 5.
+GENERIC_FOUR_PAIRS = [
+    "check", "--p", "0,1;2,0",
+    "--X", '[{"eig":"0","size":2},{"eig":"1","size":1}]',
+    "--Y", '[{"eig":"2","size":2},{"eig":"3","size":1}]',
+]
+
+
+def test_check_generic_disagreement_names_the_first_wrong_pair(monkeypatch):
+    import jordankron.generic as generic_mod
+
+    real = generic_mod.pair_prediction
+    wrong_pairs = {(0, 3), (1, 2)}  # (lam, mu) at eigenvalues 3 and 4
+
+    def wrong_prediction(p, lam, m, mu, n):
+        pred = real(p, lam, m, mu, n)
+        if (lam, mu) in wrong_pairs:
+            pred = dataclasses.replace(pred, sizes=(1,) * (m * n))
+        return pred
+
+    monkeypatch.setattr(generic_mod, "pair_prediction", wrong_prediction)
+    code, doc, _ = run_json(GENERIC_FOUR_PAIRS)
+    assert code == 3
+    assert doc["agreement"] is False
+    assert [(e["eig"], e["ok"]) for e in doc["diagnostics"]] == [
+        ("2", True), ("3", False), ("4", False), ("5", True)
+    ]
+    assert doc["firstDifference"] == {"eig": "3", "predicted": [1, 1], "oracle": [2]}
+    # The result is the oracle's, whatever the predictions say.
+    assert doc["result"]["eigenvalues"] == [
+        {"eig": "2", "blocks": [3, 1]}, {"eig": "3", "blocks": [2]},
+        {"eig": "4", "blocks": [2]}, {"eig": "5", "blocks": [1]},
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    GENERIC_FOUR_PAIRS,
+    ["check", "--f", "0,0,-2,0,1", "--X", '[{"eig":"-1","size":2}]', "--Y", SPEC_02],
+    ["check", "--p", "5", "--X", SPEC_02, "--Y", '[{"eig":"1","size":2}]'],
+])
+def test_check_raw_kron_disagreement_exits_3(monkeypatch, argv):
+    import jordankron.cli as cli_mod
+
+    monkeypatch.setattr(
+        cli_mod, "oracle_jcf_matrix", lambda a, eigs: JordanStructure({7: [a.rows]})
+    )
+    code, doc, _ = run_json(argv + ["--raw-kron"])
+    assert code == 3
+    assert doc["rawKronAgrees"] is False
+    assert doc["agreement"] is False
+    assert "firstDifference" not in doc
+    assert all(entry.get("ok", True) for entry in doc.get("diagnostics", []))
+
+
+@pytest.mark.parametrize("argv, predictor, pairs", [
+    (GENERIC_FOUR_PAIRS + ["--raw-kron"], "generic", 4),
+    (["check", "--p", "0,0,1;0,2,0;-1,0,0", "--X",
+      '[{"eig":"0","size":3},{"eig":"1","size":2}]', "--Y", SPEC_02], "generic", 2),
+    (["check", "--f", "0,0,-6,0,1", "--X", '[{"eig":"1","size":3},{"eig":"-1","size":2}]',
+      "--Y", '[{"eig":"1","size":2},{"eig":"2","size":1}]', "--raw-kron"], "frechet", 4),
+    (["check", "--f", "5,3", "--W", '[{"eig":"0","size":2},{"eig":"1","size":1}]'],
+     "frechet", 4),
+    (["check", "--p", "5", "--W", '[{"eig":"0","size":2},{"eig":"1","size":1}]',
+      "--raw-kron"], None, 4),
+])
+def test_check_runs_oracle_and_predictor_once_per_pair(monkeypatch, argv, predictor, pairs):
+    import jordankron.cli as cli_mod
+    import jordankron.frechet as frechet_mod
+    import jordankron.generic as generic_mod
+    import jordankron.oracle as oracle_mod
+
+    calls = {"oracle": 0, "generic": 0, "frechet": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    for module in (cli_mod, oracle_mod):
+        monkeypatch.setattr(
+            module, "oracle_pair_sizes", counted("oracle", oracle_mod.oracle_pair_sizes)
+        )
+    for name, module in (("generic", generic_mod), ("frechet", frechet_mod)):
+        monkeypatch.setattr(module, "pair_prediction", counted(name, module.pair_prediction))
+    code, doc, _ = run_json(argv)
+    assert code == 0
+    assert doc["agreement"] is True
+    assert calls == {
+        "oracle": pairs,
+        "generic": pairs if predictor == "generic" else 0,
+        "frechet": pairs if predictor == "frechet" else 0,
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--p", "0,1;1,0", "--X", "[]", "--Y", SPEC_02],
+    ["check", "--p", "0,1;1,0", "--X", "[]", "--Y", SPEC_02, "--raw-kron"],
+    ["check", "--p", "0,1;1,0", "--X", "[]", "--Y", SPEC_02, "--dump"],
+    ["check", "--p", "5", "--X", SPEC_02, "--Y", "[]"],
+    ["predict", "--p", "0,1;1,0", "--W", "[]"],
+    ["frechet", "--f", "0,0,1", "--W", "[]"],
+])
+def test_empty_jordan_spec_exits_1(argv):
+    code, doc, err = run_json(argv)
+    assert code == 1
+    assert doc == {
+        "schema": "jordan-kron/1", "error": "a Jordan spec needs at least one block"
+    }
+    assert err == ""
+
+
 def test_check_dimension_cap():
     spec5 = '[{"eig":"0","size":5}]'
     code, doc, _ = run_json(

@@ -6,7 +6,9 @@ of ``scan-ranks``), recorded before the CLI built its diagnostics from
 ``PairPrediction`` records, when it ran its own per-pair loops.  Comparing
 whole documents locks the ``jordan-kron/1`` schema, not only selected keys.
 The ``DUMP_CASES`` records also hold the ``--dump`` text printed to stderr,
-recorded while matrices still stored one ``Fraction`` per entry.
+recorded while matrices still stored one ``Fraction`` per entry.  The
+``check`` cases on a constant p and on a linear f were recorded while the
+CLI still ran the oracle through ``oracle_jcf`` in those modes.
 
 Regenerate (only on purpose, after a deliberate schema change) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -68,6 +70,12 @@ CASES = {
         "--Y", '[{"eig":"0","size":3},{"eig":"-1","size":1}]'],
     "frechet-linear-infinite-orders": ["frechet", "--f", "5,3",
                                        "--W", '[{"eig":"0","size":2},{"eig":"1","size":1}]'],
+    # Check on a constant p, and on a linear f, compares merged structures.
+    "check-constant-raw-kron": ["check", "--p", "5",
+                                "--X", '[{"eig":"0","size":2}]',
+                                "--Y", '[{"eig":"1","size":2}]', "--raw-kron"],
+    "check-frechet-linear": ["check", "--f", "5,3",
+                             "--W", '[{"eig":"0","size":2},{"eig":"1","size":1}]'],
 }
 
 # The built matrix on stderr, with entries of several denominators.

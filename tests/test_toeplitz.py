@@ -241,6 +241,25 @@ def test_rho_examples_and_argument_swap():
     assert rho(4, 4, 4, 1, 6) == 1
 
 
+@pytest.mark.parametrize("quad", [(60, 60, 2, 25), (100, 100, 2, 40), (100, 40, 3, 30)])
+def test_rho_answers_certified_k_without_elimination(monkeypatch, quad):
+    m, n, d, ell = quad
+    row = rank_row(*quad)
+
+    def no_kernel(rows):
+        raise AssertionError("rho eliminated a matrix")
+
+    monkeypatch.setattr(toeplitz, "_rank_int_rows", no_kernel)
+    certified = [k for k in row if k <= max(m, n) or k >= min(m, n) + ell * d]
+    assert len(certified) < len(row)
+    for k in certified:
+        assert rho(m, n, d, ell, k) == row[k]
+        assert rho(n, m, d, ell, k) == row[k]
+    uncertified = next(k for k in row if k not in certified)
+    with pytest.raises(AssertionError, match="eliminated"):
+        rho(m, n, d, ell, uncertified)
+
+
 def test_rho_flip_symmetry():
     for spec in iter_valid_specs(5, 6, 3, 2):
         s = spec
