@@ -22,8 +22,8 @@ from typing import Sequence
 def filtration_dim(m: int, n: int, j: int) -> int:
     """u_j = min(j, m, n, m + n - j) on 1 <= j <= m + n - 1, else 0.
 
-    O(1) and symmetric in (m, n); every filtration dimension in the package
-    is read from here.
+    O(1) and symmetric in (m, n).  toeplitz._ranks writes min(u_(k - ell*d),
+    u_k) out as min(k - ell*d, m + n - k, m); all else reads u from here.
     """
     if j < 1 or j >= m + n:
         return 0

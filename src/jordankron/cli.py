@@ -385,7 +385,7 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return globals()[args.func](args)
-    except (CliInputError, ValueError) as exc:
+    except (CliInputError, ValueError, OSError) as exc:
         _emit(_document(None, None, error=str(exc)), None)
         return 1
 

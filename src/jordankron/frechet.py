@@ -16,7 +16,9 @@ in y, the one table the generic predictor reads too.
   d, the least i >= 2 with v_lam[i] != 0 minus one, is the multiplicity
   of lam as a root of f' - f'(lam).  Blocks are counted through the
   nullities of the powers of the h_d matrix on nilpotent blocks, sums of
-  banded Toeplitz ranks from :mod:`jordankron.toeplitz`.
+  banded Toeplitz ranks from :mod:`jordankron.toeplitz`.  Power s takes one
+  ``hankel_rank(m, n, d, s)``, which fixes every rank it sums, and the
+  record keeps just those per-power ranks.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
@@ -27,40 +29,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bttb import JordanSpec, block_pairs, parse_block_size
-from .generic import PairPrediction, kronecker_sum_sizes
+from .generic import (
+    PairPrediction,
+    _first_order,
+    euclid_partition,
+    kronecker_sum_sizes,
+)
 from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
-    INFINITE,
     BivariatePoly,
     RationalLike,
     UnivariatePoly,
     exact_rational,
     hasse_value_table,
 )
-from .toeplitz import rank_row
-
-
-def _first_order(v: list[int], start: int, at_one=0):
-    """Least i >= start with v[i] != (at_one if i == 1 else 0), else INFINITE."""
-    hits = (i for i in range(start, len(v)) if v[i] != (at_one if i == 1 else 0))
-    return next(hits, INFINITE)
-
-
-def euclid_partition(size: int, order) -> tuple[int, ...]:
-    """Partition of ``size`` into parts controlled by ``order``.
-
-    For order >= size (including the INFINITE sentinel): size parts of 1.
-    Otherwise, with size = a * order + q, there are q parts equal to a + 1
-    and order - q parts equal to a.  Parts sum to size.
-    """
-    if size < 1:
-        raise ValueError("size must be positive")
-    if order >= size:  # INFINITE included
-        return (1,) * size
-    if order < 1:
-        raise ValueError("order must be positive")
-    a, q = divmod(size, order)
-    return (a + 1,) * q + (a,) * (order - q)
+from .toeplitz import _ranks, hankel_rank
 
 
 def pair_prediction(
@@ -96,18 +79,19 @@ def pair_prediction(
     if d >= m + n - 1:
         return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
     # Past the power top - 1 the h_d matrix vanishes: s * d >= m + n - 1.
+    # Each power below it has one Hankel rank, which with the formula of
+    # toeplitz._ranks fixes every rank R_k that its nullity sums.
     top = -(-(m + n - 1) // d)
-    table: list[tuple[int, int, int]] = []
-    nullities = [0]
-    for s in range(1, top):
-        row = rank_row(m, n, d, s)
-        table.extend((s, k, rk) for k, rk in row.items())
-        nullities.append(dim - sum(row.values()))
-    nullities.append(dim)
+    hankel = tuple(hankel_rank(m, n, d, s) for s in range(1, top))
+    short, long = min(m, n), max(m, n)
+    nullities = [0] + [
+        dim - sum(_ranks(short, long, s * d, r, range(s * d + 1, m + n)))
+        for s, r in enumerate(hankel, 1)
+    ] + [dim]
     return PairPrediction(
         lam, mu, m, n, "equal", eig,
         sizes_from_nullities(nullities, dim),
-        local_mult=d, rank_table=tuple(table),
+        local_mult=d, rank_table=hankel,
     )
 
 

@@ -41,6 +41,7 @@ from .polyring import (
     hasse_value_table,
     table_local_degree,
 )
+from .toeplitz import _ranks
 
 
 def _order_str(value):
@@ -56,6 +57,12 @@ class PairPrediction:
     for the generic predictor, ``"distinct"`` or ``"equal"`` for the
     derivative one.  A degenerate record has no sizes and carries
     ``bounds`` instead.
+
+    An equal record below the top power keeps in ``rank_table`` the
+    ``hankel_rank(m, n, d, s)`` of each power s = 1, 2, ...; with the
+    formula of :mod:`jordankron.toeplitz` they fix every rank R_k that its
+    nullities sum, and ``to_json_obj`` expands them into the ``"ranks"``
+    list of ``{"s", "k", "rank"}`` entries.
     """
 
     lam: Fraction
@@ -70,7 +77,7 @@ class PairPrediction:
     parts_lam: "tuple[int, ...] | None" = None
     parts_mu: "tuple[int, ...] | None" = None
     local_mult: "int | float | None" = None
-    rank_table: "tuple[tuple[int, int, int], ...] | None" = None
+    rank_table: "tuple[int, ...] | None" = None
     bounds: "PairBounds | None" = None
 
     def to_json_obj(self) -> dict:
@@ -93,9 +100,12 @@ class PairPrediction:
             entry["sizes"] = list(self.sizes)
             entry["d"] = _order_str(self.local_mult)
             if self.rank_table:
-                entry["ranks"] = [
-                    {"s": s, "k": k, "rank": rk} for s, k, rk in self.rank_table
-                ]
+                d, m, n = self.local_mult, min(self.m, self.n), max(self.m, self.n)
+                ranks = entry["ranks"] = []
+                for s, r in enumerate(self.rank_table, 1):
+                    ks = range(s * d + 1, m + n)
+                    ranks.extend({"s": s, "k": k, "rank": rk}
+                                 for k, rk in zip(ks, _ranks(m, n, s * d, r, ks)))
         elif self.bounds is not None:
             entry["bounds"] = self.bounds.to_json_obj()
         return entry
@@ -126,28 +136,36 @@ def kronecker_sum_sizes(m: int, n: int) -> tuple[int, ...]:
     return tuple(m + n + 1 - 2 * k for k in range(1, min(m, n) + 1))
 
 
-def nilpotent_power_sizes(n: int, r: int) -> tuple[int, ...]:
-    """Block sizes of the r-th power of a nilpotent block of size n.
+def _first_order(v: list[int], start: int, at_one=0):
+    """Least i >= start with v[i] != (at_one if i == 1 else 0), else INFINITE."""
+    hits = (i for i in range(start, len(v)) if v[i] != (at_one if i == 1 else 0))
+    return next(hits, INFINITE)
 
-    With n = a*r + b (0 <= b < r): b blocks of size a+1 and r-b blocks of
-    size a.  Size-0 blocks (a = 0, i.e. r > n) are dropped.
+
+def euclid_partition(size: int, order) -> tuple[int, ...]:
+    """Partition of ``size`` into parts controlled by ``order``: the block
+    sizes of the order-th power of a nilpotent block of size ``size``.
+
+    For order >= size (including the INFINITE sentinel): size parts of 1.
+    Otherwise, with size = a * order + q, there are q parts equal to a + 1
+    and order - q parts equal to a.  Parts sum to size.
     """
-    if n < 1 or r < 1:
-        raise ValueError("arguments must be positive")
-    a, b = divmod(n, r)
-    sizes = (a + 1,) * b
-    if a > 0:
-        sizes += (a,) * (r - b)
-    return sizes
+    if size < 1:
+        raise ValueError("size must be positive")
+    if order >= size:  # INFINITE included
+        return (1,) * size
+    if order < 1:
+        raise ValueError("order must be positive")
+    a, q = divmod(size, order)
+    return (a + 1,) * q + (a,) * (order - q)
 
 
 def _one_sided_sizes(ks_size: int, nilp_size: int, pure: list) -> tuple[int, ...]:
     # pure[k] is the order-k pure derivative value in the nilpotent
-    # variable; r is the least 1 <= r < nilp_size with pure[r] != 0, else
-    # nilp_size.  Orders past the end of pure vanish.
-    r = next((k for k in range(1, min(nilp_size, len(pure))) if pure[k]), nilp_size)
+    # variable; its first order r >= 1 splits that block into the parts of
+    # its r-th power.  Orders past the end of pure vanish.
     sizes: list[int] = []
-    for s in nilpotent_power_sizes(nilp_size, r):
+    for s in euclid_partition(nilp_size, _first_order(pure, 1)):
         sizes.extend(kronecker_sum_sizes(ks_size, s))
     return tuple(sorted(sizes, reverse=True))
 

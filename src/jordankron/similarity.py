@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Sequence
 
-from .exactmat import RationalMatrix, _from_int_rows
+from .exactmat import RationalMatrix
 from .polyring import exact_rational
 
 
@@ -155,21 +154,14 @@ class BlockToeplitzUT:
         return [_first_row(b) for b in self.blocks]
 
     def to_matrix(self) -> RationalMatrix:
-        m, n = self.block_count, self.block_size
-        den = lcm(*(b.den for b in self.blocks))
-        # Block row bi is bi zero blocks, then A_0 .. A_(m-1-bi).
-        out = []
-        for bi in range(m):
-            for i in range(n):
-                row = [0] * (bi * n)
-                for blk in self.blocks[: m - bi]:
-                    f = den // blk.den
-                    row.extend([f * x for x in blk.num[i]])
-                out.append(row)
-        return _from_int_rows(out, den)
+        m, a = self.block_count, self.first_rows()
+        grid = [[a[j - i] if j >= i else None for j in range(m)] for i in range(m)]
+        return _assemble_block_grid(grid, m, self.block_size)
 
 
 def _assemble_block_grid(grid, m: int, n: int) -> RationalMatrix:
+    """The m x m block matrix whose block (i, j) is the upper triangular
+    Toeplitz matrix of first row grid[i][j], or zero where that is None."""
     out = [[0] * (m * n) for _ in range(m * n)]
     for bi in range(m):
         for bj in range(m):

@@ -8,30 +8,33 @@ action is the banded integer Toeplitz matrix R_k with entries
 of the R_k over k gives the nullities that the equal-eigenvalue predictor
 consumes, at a fraction of the cost of eliminating the mn x mn matrix.
 
-``rank_row`` gives the ranks of every R_k of one quadruple (m, n, d, ell) in
-one pass, and ``rho`` reads one of them off that row unless the certificate
-below proves it full rank on its own.  The flip-transpose
-identity rank R_k = rank R_(ell*d + m + n - k) leaves only the half
-k <= (m + n + ell*d) / 2 to compute, where R_k has no more rows than
-columns.  Most R_k have full rank, and most of those are proved so without
-building a matrix.  Since gamma_0 = 1 and gamma_i = 0 for i < 0, the
-diagonal of R_k with offset j - i = -c_k holds ones with zeros below it.
-Its ``min(n_rows, n_cols + c_k) - c_k`` cells span a unit triangular
-minor, of determinant 1, so when that count reaches ``min(n_rows, n_cols)``
-the rank is full, exactly.  For m <= n that is the case precisely when
-k <= n or k >= m + ell*d.  (The diagonal of gamma_(ell*d) = 1, with zeros
-above it, is the mirror image and proves no further spec.)
+With m <= n and D = ell*d, R_k is u_(k - D) x u_k for the filtration
+dimensions u, so min(u_(k - D), u_k) = min(k - D, m + n - k, m).  Most R_k
+have that full rank, and most of those are proved so without building a
+matrix.  Since gamma_0 = 1 and gamma_i = 0 for i < 0, the diagonal of R_k
+with offset j - i = -c_k holds ones with zeros below it.  Its
+``min(n_rows, n_cols + c_k) - c_k`` cells span a unit triangular minor, of
+determinant 1, so when that count reaches ``min(n_rows, n_cols)`` the rank
+is full, exactly.  That is the case precisely when k <= n or k >= m + D.
+(The diagonal of gamma_D = 1, with zeros above it, is the mirror image and
+proves no further spec.)
 
-Every other R_k of the low half, n < k < m + D with D = ell*d, is with its
-rows reversed a Hankel matrix ``[s_(i+j)]`` of the same sequence
-``s_t = gamma_(D - n + 1 + t)``, t < N = m + n - D - 1, with k - D rows
-and m + n - k columns, which add up to N + 1.  By the rank profile of a
-Hankel sequence (Iohvidov, *Hankel and Toeplitz Matrices and Forms*, 1982;
-Heinig and Rost, *Algebraic Methods for Toeplitz-like Matrices and
-Operators*, 1984), such matrices have rank min(rows, cols, r) for one
-number r, the rank of the one with (N + 1) // 2 rows.  So one exact
-elimination per quadruple, by the echelon kernel of
-:mod:`jordankron.exactmat`, gives the whole row.
+Every uncertified R_k, n < k < m + D, is with its rows reversed a Hankel
+matrix ``[s_(i+j)]`` of the same sequence ``s_t = gamma_(D - n + 1 + t)``,
+t < N = m + n - D - 1, with k - D rows and m + n - k columns, which add up
+to N + 1.  By the rank profile of a Hankel sequence (Iohvidov, *Hankel and
+Toeplitz Matrices and Forms*, 1982; Heinig and Rost, *Algebraic Methods for
+Toeplitz-like Matrices and Operators*, 1984), such matrices have rank
+min(rows, cols, r) for one number r, the rank of the one with (N + 1) // 2
+rows.  So one exact elimination per quadruple, ``hankel_rank``, by the
+echelon kernel of :mod:`jordankron.exactmat`, fixes every rank of the row:
+
+    rank R_k = min(k - D, m + n - k, r if n < k < m + D else m).
+
+``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
+for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
+for a certified k, and the equal-eigenvalue predictor of
+:mod:`jordankron.frechet` sums it per power.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  ``sufficient_rank_drop`` implements a closed
@@ -162,18 +165,6 @@ def _banded_rows(
     return [padded[start - i : start - i + nc] for i in range(nr)]
 
 
-def _unit_triangular_full_rank(nr: int, nc: int, c: int) -> bool:
-    """Whether a unit triangular minor proves the nr x nc matrix full rank.
-
-    The diagonal j - i = -c holds gamma_0 = 1 with zeros below it, so its
-    min(nr, nc + c) - c cells span a unit lower triangular minor; the rank
-    is full when that count is min(nr, nc).  For m <= n this holds exactly
-    when k <= n or k >= m + ell*d.  The gamma_(ell*d) diagonal, the mirror
-    image of this one, proves no further spec.
-    """
-    return min(nr, nc + c) - c == min(nr, nc)
-
-
 def build_R(spec: ToeplitzSpec) -> RationalMatrix:
     """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec, an integer
     matrix (denominator 1)."""
@@ -184,64 +175,74 @@ def build_R(spec: ToeplitzSpec) -> RationalMatrix:
 
 
 def certified_full_rank(spec: ToeplitzSpec) -> bool:
-    """Whether the unit triangular minor alone proves build_R(spec) full rank."""
-    return _unit_triangular_full_rank(spec.n_rows, spec.n_cols, offset_c(spec))
+    """Whether the unit triangular minor alone proves build_R(spec) full rank.
+
+    The diagonal j - i = -c holds gamma_0 = 1 with zeros below it, so its
+    min(nr, nc + c) - c cells span a unit lower triangular minor; the rank
+    is full when that count is min(nr, nc).  This holds exactly when k <= n
+    or k >= m + ell*d, the certified k of ``_ranks``.
+    """
+    nr, nc, c = spec.n_rows, spec.n_cols, offset_c(spec)
+    return min(nr, nc + c) - c == min(nr, nc)
+
+
+def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
+    """rank R_k for each k of ks, for m <= n, shift = ell*d and
+    r = hankel_rank(m, n, d, ell); a certified k never reads r."""
+    top = m + shift
+    return [min(k - shift, m + n - k, r if n < k < top else m) for k in ks]
+
+
+def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
+    """The rank r of R_k at the middle k = (m + n + ell*d) // 2 of the row
+    of (m, n, d, ell); m and n in either order.
+
+    The uncertified k are closed under the flip k -> m + n + ell*d - k, so
+    the middle one is uncertified if any is.  Then it is the Hankel matrix
+    of the module docstring with (N + 1) // 2 rows, and r takes one exact
+    elimination; a certified middle R_k has full rank and needs none.
+    """
+    _check_params(m, n, d, ell)
+    if m > n:
+        m, n = n, m
+    shift = ell * d
+    mid = (m + n + shift) // 2
+    rows, cols = mid - shift, m + n - mid
+    if not n < mid < m + shift:
+        return min(rows, cols, m)
+    g = gamma_coeffs(d, ell)
+    s = [g[t] for t in range(shift - n + 1, m)]
+    return _rank_int_rows([s[i : i + cols] for i in range(rows)])
 
 
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     """Ranks of R_k for every valid k of (m, n, d, ell), keyed by k in
     ascending order; m and n in either order.
 
-    Only the low half, k <= (m + n + ell*d) / 2, is computed; the rest
-    follows from the flip-transpose identity rank R_k = rank R_(ell*d + m +
-    n - k).  With m <= n and D = ell*d, a low-half R_k is proved full rank
-    by its unit triangular minor unless n < k < m + D.  Each such R_k has
-    k - D rows and m + n - k columns, and with its rows reversed it is the
-    Hankel matrix ``[s_(i+j)]`` of the one sequence
-    ``s_t = gamma_(D - n + 1 + t)``, t < N = m + n - D - 1.  All these
-    Hankel matrices have rows + columns - 1 = N, and by the rank profile of
-    a Hankel sequence their ranks are min(rows, cols, r), where r is the
-    rank of the one with (N + 1) // 2 rows.  No uncertified R_k has more
-    than q = min(m - 1, (N + 1) // 2) rows, so r may be replaced by
-    min(q, r), the rank of the q x (N + 1 - q) Hankel matrix.  That matrix
-    is the one exact elimination of the row, made only when some k is
-    uncertified.
+    They are ``_ranks`` of the row's one ``hankel_rank``, so the row costs
+    at most one exact elimination.
     """
-    _check_params(m, n, d, ell)
+    r = hankel_rank(m, n, d, ell)
     if m > n:
         m, n = n, m
     shift = ell * d
-    total = m + n + shift
-    lo = shift + 1
-    # Rows of the largest uncertified R_k, at k = min(m + D - 1, total // 2).
-    q = min(m - 1, total // 2 - shift)
-    r = q
-    if max(n, shift) < q + shift:  # some uncertified k in the low half
-        g = gamma_coeffs(d, ell)
-        s = [g[t] for t in range(shift - n + 1, m)]
-        width = len(s) + 1 - q
-        r = _rank_int_rows([s[i : i + width] for i in range(q)])
-    low = []
-    for k in range(lo, total // 2 + 1):
-        full = min(filtration_dim(m, n, k - shift), filtration_dim(m, n, k))
-        low.append(min(full, r) if n < k < m + shift else full)
-    return {k: low[min(k, total - k) - lo] for k in range(lo, m + n)}
+    ks = range(shift + 1, m + n)
+    return dict(zip(ks, _ranks(m, n, shift, r, ks)))
 
 
 def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """Rank of the banded Toeplitz matrix R_k; m and n in either order.
 
-    Full rank when the unit triangular minor proves it, which costs no
-    matrix; otherwise the entry of ``rank_row(m, n, d, ell)`` at k.
+    A certified k costs no matrix; any other takes the row's
+    ``hankel_rank``, one exact elimination.
     """
     _check_params(m, n, d, ell, k)
     if m > n:
         m, n = n, m
     shift = ell * d
-    nr, nc = filtration_dim(m, n, k - shift), filtration_dim(m, n, k)
-    if _unit_triangular_full_rank(nr, nc, _offset(n, shift, k)):
-        return min(nr, nc)
-    return rank_row(m, n, d, ell)[k]
+    # A certified k never reads r, so m stands in for it there.
+    r = hankel_rank(m, n, d, ell) if n < k < m + shift else m
+    return _ranks(m, n, shift, r, range(k, k + 1))[0]
 
 
 def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:

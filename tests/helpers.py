@@ -44,7 +44,6 @@ from jordankron.toeplitz import (
     build_R,
     gamma_coeffs,
     offset_c,
-    rank_row,
     sufficient_rank_drop,
 )
 
@@ -583,8 +582,9 @@ def reference_pair_prediction(
     f: UnivariatePoly, lam: RationalLike, m: int, mu: RationalLike, n: int
 ) -> PairPrediction:
     """The record of ``frechet.pair_prediction`` by the Fraction route: the
-    orders k and h of the secant-shifted f, and d as the root multiplicity
-    of lam in the derivative of the tangent-shifted f."""
+    orders k and h of the secant-shifted f, d as the root multiplicity of
+    lam in the derivative of the tangent-shifted f, and every banded
+    Toeplitz rank by the Bareiss reference."""
     lam, mu = Fraction(lam), Fraction(mu)
     cap = max(f.degree, 1)
     if lam != mu:
@@ -604,17 +604,25 @@ def reference_pair_prediction(
     dim = m * n
     if d == INFINITE or d >= m + n - 1:
         return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
-    table, nullities = [], [0]
+    # Every rank R_k of every power s is eliminated on its own matrix; the
+    # record keeps the rank of the middle R_k of each power.
+    hankel, nullities = [], [0]
     for s in range(1, -(-(m + n - 1) // d) + 1):
         if s * d >= m + n - 1:
             nullities.append(dim)
             continue
-        row = rank_row(m, n, d, s)
-        table.extend((s, k, rk) for k, rk in row.items())
-        nullities.append(dim - sum(row.values()))
+        ranks = {
+            k: reference_rank_int(
+                [list(row) for row in build_R(ToeplitzSpec(
+                    min(m, n), max(m, n), d, s, k)).num]
+            )
+            for k in range(s * d + 1, m + n)
+        }
+        hankel.append(ranks[(m + n + s * d) // 2])
+        nullities.append(dim - sum(ranks.values()))
     return PairPrediction(
         lam, mu, m, n, "equal", eig, sizes_from_nullities(nullities, dim),
-        local_mult=d, rank_table=tuple(table),
+        local_mult=d, rank_table=tuple(hankel),
     )
 
 

@@ -384,6 +384,21 @@ def test_input_errors_exit_1():
         assert "error" in json.loads(out)
 
 
+@pytest.mark.parametrize("command", [
+    ["bounds", "4", "4", "4"],
+    ["scan-ranks", "--m-max", "3", "--n-max", "3", "--d-max", "1", "--ell-max", "1"],
+])
+@pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
+def test_unwritable_out_path_exits_1_with_error_document(tmp_path, command, target):
+    # A path under a missing directory, and a directory itself, cannot be
+    # written: the command reports it in a document instead of a traceback.
+    code, out, _ = run([*command, "--out", str(tmp_path / target)])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["schema"] == "jordan-kron/1" and set(doc) == {"schema", "error"}
+    assert str(tmp_path) in doc["error"]
+
+
 def run_entry(*argv):
     """The jordankron executable in a fresh interpreter."""
     return subprocess.run(

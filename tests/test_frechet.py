@@ -175,13 +175,13 @@ def equal(f, lam, m, n):
 
 def equal_nullities(m, n, d):
     """Nullities of the powers of the h_d matrix on nilpotent blocks, read
-    off the rank table of the equal-branch record of w^(d+1) at 0."""
+    off the serialized ranks of the equal-branch record of w^(d+1) at 0."""
     pred = pair_prediction(UnivariatePoly([0] * (d + 1) + [1]), 0, m, 0, n)
     assert pred.branch == "equal" and pred.local_mult == d
-    ranks = pred.rank_table or ()
+    ranks = pred.to_json_obj().get("ranks", [])
     top = -(-(m + n - 1) // d)
     return [0] + [
-        m * n - sum(rk for s, _, rk in ranks if s == power)
+        m * n - sum(e["rank"] for e in ranks if e["s"] == power)
         for power in range(1, top + 1)
     ]
 

@@ -16,8 +16,8 @@ from jordankron import (
 from jordankron.bounds import PairBounds
 from jordankron.exactmat import jordan_block
 from jordankron.generic import (
+    euclid_partition,
     kronecker_sum_sizes,
-    nilpotent_power_sizes,
     pair_prediction,
 )
 from helpers import matrix_power, random_bivariate, random_spec_total, swap, weyr_structure
@@ -32,16 +32,17 @@ def test_kronecker_sum_sizes_examples():
     assert kronecker_sum_sizes(3, 4) == (6, 4, 2)
 
 
-def test_nilpotent_power_sizes_examples():
-    assert nilpotent_power_sizes(4, 2) == (2, 2)
-    assert nilpotent_power_sizes(5, 2) == (3, 2)
-    assert nilpotent_power_sizes(3, 5) == (1, 1, 1)
+def test_euclid_partition_power_examples():
+    # The block sizes of the r-th power of a nilpotent block of size n.
+    assert euclid_partition(4, 2) == (2, 2)
+    assert euclid_partition(5, 2) == (3, 2)
+    assert euclid_partition(3, 5) == (1, 1, 1)
 
 
-def test_nilpotent_power_sizes_match_oracle():
+def test_euclid_partition_matches_oracle():
     for n in range(1, 7):
         for r in range(1, n + 3):
-            predicted = nilpotent_power_sizes(n, r)
+            predicted = euclid_partition(n, r)
             actual = weyr_structure(matrix_power(jordan_block(0, n), r))
             assert predicted == actual
 
@@ -197,7 +198,7 @@ def test_unit_order_reduces_to_plain_kronecker_sum():
     for m in range(1, 6):
         for n in range(1, 6):
             via_power = []
-            for s in nilpotent_power_sizes(n, 1):
+            for s in euclid_partition(n, 1):
                 via_power.extend(kronecker_sum_sizes(m, s))
             assert tuple(sorted(via_power, reverse=True)) == tuple(
                 sorted(kronecker_sum_sizes(m, n), reverse=True)

@@ -226,7 +226,7 @@ def test_consistency_checks_survive_optimized_mode():
     code = (
         "from jordankron.oracle import WeyrConsistencyError, sizes_from_nullities\n"
         "from jordankron.toeplitz import InvalidSpecError, ToeplitzSpec\n"
-        "from jordankron.toeplitz import rank_row, rho\n"
+        "from jordankron.toeplitz import hankel_rank, rank_row, rho\n"
         "try:\n"
         "    sizes_from_nullities([0, 1, 3, 4], 4)\n"
         "except WeyrConsistencyError:\n"
@@ -239,10 +239,11 @@ def test_consistency_checks_survive_optimized_mode():
         "            print('raised')\n"
         "for bad in ((2.5, 3, 1, 1), (True, 3, 1, 1), (2, 3.0, 1, 1), (0, 3, 1, 1),\n"
         "            (2, 3, 2, 2)):\n"
-        "    try:\n"
-        "        rank_row(*bad)\n"
-        "    except InvalidSpecError:\n"
-        "        print('raised')\n"
+        "    for build in (rank_row, hankel_rank):\n"
+        "        try:\n"
+        "            build(*bad)\n"
+        "        except InvalidSpecError:\n"
+        "            print('raised')\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code],
@@ -252,7 +253,7 @@ def test_consistency_checks_survive_optimized_mode():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 12
+    assert proc.stdout.split() == ["raised"] * 17
 
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, True])

@@ -14,6 +14,7 @@ from jordankron.toeplitz import (
     build_R,
     certified_full_rank,
     gamma_coeffs,
+    hankel_rank,
     offset_c,
     rank_row,
 )
@@ -139,6 +140,10 @@ def test_rho_matches_bareiss_on_every_small_spec():
             assert list(row) == list(range(spec.ell * spec.d + 1, spec.m + spec.n))
             swapped = rank_row(spec.n, spec.m, spec.d, spec.ell)
             assert list(swapped.items()) == list(row.items())
+            # hankel_rank is the rank of the middle R_k, checked by Bareiss
+            # below with every other k.
+            middle = (spec.m + spec.n + spec.ell * spec.d) // 2
+            assert hankel_rank(*quad) == row[middle]
             rows[quad] = row
         assert build_R(spec).num == _entry_formula_rows(spec)
         certificate = certified_full_rank(spec)
@@ -152,6 +157,37 @@ def test_rho_matches_bareiss_on_every_small_spec():
         deficient += ref < spec.max_rank
     # Both sides of the certificate are exercised.
     assert certified and deficient
+
+
+def test_rank_formula_matches_definitions_on_the_40_box():
+    # By arithmetic alone: the uncapped formula min(k - D, m + n - k, m) is
+    # min(u_(k - D), u_k), and the Hankel cap r applies, n < k < m + D,
+    # exactly where the unit triangular minor proves nothing.
+    capped = 0
+    for spec in iter_valid_specs(40, 40, 6, 8):
+        m, n, shift, k = spec.m, spec.n, spec.ell * spec.d, spec.k
+        assert min(k - shift, m + n - k, m) == spec.max_rank
+        cap = n < k < m + shift
+        assert cap is not certified_full_rank(spec)
+        capped += cap
+    assert capped
+
+
+def test_rank_row_makes_at_most_one_elimination(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return reference_rank_int(rows)
+
+    monkeypatch.setattr(toeplitz, "_rank_int_rows", counted)
+    for quad in ((30, 30, 2, 7), (12, 40, 3, 5), (40, 12, 1, 30), (5, 60, 1, 2)):
+        calls.clear()
+        row = rank_row(*quad)
+        m, n = min(quad[:2]), max(quad[:2])
+        shift = quad[2] * quad[3]
+        uncertified = [k for k in row if n < k < m + shift]
+        assert len(calls) == (1 if uncertified else 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -222,15 +258,18 @@ def test_rank_row_rejects_bad_parameters():
         (2, 3, 1, None),
         (2, 3, 1, False),
     ):
-        with pytest.raises(InvalidSpecError, match="integers"):
-            rank_row(*bad)
+        for build in (rank_row, hankel_rank):
+            with pytest.raises(InvalidSpecError, match="integers"):
+                build(*bad)
     for bad in ((0, 3, 1, 1), (2, -3, 1, 1), (2, 3, 0, 1), (2, 3, 1, 0)):
-        with pytest.raises(InvalidSpecError, match="positive"):
-            rank_row(*bad)
+        for build in (rank_row, hankel_rank):
+            with pytest.raises(InvalidSpecError, match="positive"):
+                build(*bad)
     # d*ell + 1 > m + n - 1 leaves no valid k.
     for bad in ((2, 3, 2, 2), (1, 1, 1, 1), (3, 2, 4, 1)):
-        with pytest.raises(InvalidSpecError, match="no k"):
-            rank_row(*bad)
+        for build in (rank_row, hankel_rank):
+            with pytest.raises(InvalidSpecError, match="no k"):
+                build(*bad)
     assert rank_row(2, 3, 1, 3) == {4: 1}
     assert rank_row(8, 4, 3, 2)[9] == 2
 
