@@ -18,7 +18,9 @@ in y, the one table the generic predictor reads too.
   nullities of the powers of the h_d matrix on nilpotent blocks, sums of
   banded Toeplitz ranks from :mod:`jordankron.toeplitz`.  Power s takes one
   ``hankel_rank(m, n, d, s)``, which fixes every rank it sums, and the
-  record keeps just those per-power ranks.
+  closed sum ``_rank_sum`` of those ranks; the record keeps just the
+  per-power Hankel ranks.  The gamma of power s comes from that of s - 1
+  by one convolution step, so no power recomputes it.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
@@ -43,7 +45,7 @@ from .polyring import (
     exact_rational,
     hasse_value_table,
 )
-from .toeplitz import _ranks, hankel_rank
+from .toeplitz import _gamma_step, _hankel_rank, _rank_sum
 
 
 def pair_prediction(
@@ -80,18 +82,21 @@ def pair_prediction(
         return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
     # Past the power top - 1 the h_d matrix vanishes: s * d >= m + n - 1.
     # Each power below it has one Hankel rank, which with the formula of
-    # toeplitz._ranks fixes every rank R_k that its nullity sums.
+    # toeplitz._ranks fixes every rank R_k that its nullity sums, and
+    # toeplitz._rank_sum adds those ranks up in closed form.
     top = -(-(m + n - 1) // d)
-    hankel = tuple(hankel_rank(m, n, d, s) for s in range(1, top))
     short, long = min(m, n), max(m, n)
-    nullities = [0] + [
-        dim - sum(_ranks(short, long, s * d, r, range(s * d + 1, m + n)))
-        for s, r in enumerate(hankel, 1)
-    ] + [dim]
+    gamma, hankel, nullities = [1], [], [0]
+    for s in range(1, top):
+        gamma = _gamma_step(gamma, d)
+        r = _hankel_rank(short, long, d, s, gamma)
+        hankel.append(r)
+        nullities.append(dim - _rank_sum(short, long, s * d, r))
+    nullities.append(dim)
     return PairPrediction(
         lam, mu, m, n, "equal", eig,
         sizes_from_nullities(nullities, dim),
-        local_mult=d, rank_table=hankel,
+        local_mult=d, rank_table=tuple(hankel),
     )
 
 

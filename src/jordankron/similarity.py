@@ -26,9 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
-from .exactmat import RationalMatrix
+from .exactmat import RationalMatrix, _from_int_rows
 from .polyring import exact_rational
 
 
@@ -161,18 +162,21 @@ class BlockToeplitzUT:
 
 def _assemble_block_grid(grid, m: int, n: int) -> RationalMatrix:
     """The m x m block matrix whose block (i, j) is the upper triangular
-    Toeplitz matrix of first row grid[i][j], or zero where that is None."""
+    Toeplitz matrix of first row grid[i][j], or zero where that is None.
+
+    The entries are Fractions (or ints); the matrix is built as integer rows
+    over the lcm of their denominators."""
+    den = lcm(*{x.denominator for grid_row in grid for first in grid_row
+                if first is not None for x in first})
     out = [[0] * (m * n) for _ in range(m * n)]
-    for bi in range(m):
-        for bj in range(m):
-            row = grid[bi][bj]
-            if row is None:
+    for bi, grid_row in enumerate(grid):
+        for bj, first in enumerate(grid_row):
+            if first is None:
                 continue
+            ints = [x.numerator * (den // x.denominator) for x in first]
             for i in range(n):
-                orow = out[bi * n + i]
-                for j in range(i, n):
-                    orow[bj * n + j] = row[j - i]
-    return RationalMatrix(out)
+                out[bi * n + i][bj * n + i : (bj + 1) * n] = ints[: n - i]
+    return _from_int_rows(out, den)
 
 
 @dataclass(frozen=True)

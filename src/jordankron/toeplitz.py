@@ -33,8 +33,10 @@ echelon kernel of :mod:`jordankron.exactmat`, fixes every rank of the row:
 
 ``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
 for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
-for a certified k, and the equal-eigenvalue predictor of
-:mod:`jordankron.frechet` sums it per power.
+for a certified k.  Over the k of one quadruple the formula is a capped
+tent in k, so ``_rank_sum`` adds it up in closed form, O(1) instead of
+O(m + n); the equal-eigenvalue predictor of :mod:`jordankron.frechet`
+takes each power's nullity from that sum.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  ``sufficient_rank_drop`` implements a closed
@@ -47,6 +49,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import sub
 from pathlib import Path
 
 from .bounds import filtration_dim
@@ -59,32 +63,28 @@ class InvalidSpecError(ValueError):
 
 @dataclass(frozen=True)
 class GammaCoeffs:
-    """Coefficients of (1 + z + ... + z^d)^ell; zero outside 0..ell*d."""
+    """Coefficients gamma_0 .. gamma_(ell*d) of (1 + z + ... + z^d)^ell."""
 
     d: int
     ell: int
     gamma: tuple[int, ...]
 
-    def __getitem__(self, i: int) -> int:
-        if 0 <= i < len(self.gamma):
-            return self.gamma[i]
-        return 0
+
+def _gamma_step(gamma: list[int], d: int) -> list[int]:
+    """The coefficients of (1 + z + ... + z^d)^(ell + 1), given those of the
+    power ell: entry i is gamma_(i - d) + ... + gamma_i, a difference of
+    two prefix sums."""
+    p = [*accumulate(gamma + [0] * d, initial=0)]
+    return [*p[1 : d + 1], *map(sub, p[d + 1 :], p)]
 
 
 def gamma_coeffs(d: int, ell: int) -> GammaCoeffs:
     if d < 1 or ell < 1:
         raise ValueError("d and ell must be positive")
-    # J. C. P. Miller's recurrence for a power of a polynomial with constant
-    # term 1: k a_k = sum over 1 <= i <= min(k, d) of ((ell + 1) i - k) a_(k-i).
-    # The coefficients are symmetric, so the first half fixes the rest.
-    top = ell * d
-    a = [1] * (top + 1)
-    for k in range(1, top // 2 + 1):
-        acc = 0
-        for i in range(1, min(k, d) + 1):
-            acc += ((ell + 1) * i - k) * a[k - i]
-        a[k] = a[top - k] = acc // k
-    return GammaCoeffs(d, ell, tuple(a))
+    gamma = [1] * (d + 1)
+    for _ in range(ell - 1):
+        gamma = _gamma_step(gamma, d)
+    return GammaCoeffs(d, ell, tuple(gamma))
 
 
 def _check_params(m: int, n: int, d: int, ell: int, k: int | None = None) -> None:
@@ -193,6 +193,65 @@ def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
     return [min(k - shift, m + n - k, r if n < k < top else m) for k in ks]
 
 
+def _ramp_sum(x: int, c: int) -> int:
+    """The sum of min(y, c) over 1 <= y <= x, for x, c >= 0: a triangle of
+    min(x, c) rows and a rectangle of height c."""
+    a = min(x, c)
+    return a * (a + 1) // 2 + c * (x - a)
+
+
+def _rank_sum(m: int, n: int, shift: int, r: int) -> int:
+    """``sum(_ranks(m, n, shift, r, range(shift + 1, m + n)))`` in O(1), for
+    m <= n, shift = ell*d and r = hankel_rank(m, n, d, ell).
+
+    Put x = k - shift and t = m + n - shift.  The term of k in ``_ranks`` is
+    min(x, t - x, c) for x = 1 .. t - 1, with the cap c = r on the
+    uncertified k, n < k < m + shift, and c = m on the others.  The
+    uncertified x run from low + 1 to t - low - 1, for low = max(n - shift,
+    0), so the certified x are two mirror-image runs of length low, or all
+    of them when 2 low + 1 >= t; then no term reads r, and r = m gives the
+    same terms.
+
+    - A cap c <= t // 2 over every x sums to c (t - c): the tent rises by 1
+      to c, stays there, and falls back by 1.  Since min(x, t - x) <= t // 2,
+      the cap may first be cut to t // 2.
+    - On x <= low < t / 2, min(x, t - x, c) is min(x, c), so either run
+      sums to ``_ramp_sum(low, c)``.
+
+    So the sum is the whole tent capped at r, with both certified runs
+    moved from cap r to cap m.
+    """
+    t = m + n - shift
+    low = max(n - shift, 0)
+    if 2 * low + 1 >= t:
+        r = m
+    cm, cr = min(m, t // 2), min(r, t // 2)
+    return cr * (t - cr) + 2 * (_ramp_sum(low, cm) - _ramp_sum(low, cr))
+
+
+def _hankel_rank(
+    m: int, n: int, d: int, ell: int, gamma: list[int] | None = None
+) -> int:
+    """``hankel_rank`` for m <= n, given the list of coefficients of
+    (d, ell) or None to compute it here; a certified middle R_k reads none.
+
+    With shift = ell*d, the window s_t = gamma_(shift - n + 1 + t),
+    t < N = m + n - shift - 1, is one slice of gamma with zeros on either
+    side where it runs past index 0 (n > shift + 1) or past index shift
+    (m > shift + 1).
+    """
+    shift = ell * d
+    mid = (m + n + shift) // 2
+    rows, cols = mid - shift, m + n - mid
+    if not n < mid < m + shift:
+        return min(rows, cols, m)
+    if gamma is None:
+        gamma = list(gamma_coeffs(d, ell).gamma)
+    a = shift - n + 1
+    s = [0] * -a + gamma[max(a, 0) : m] + [0] * (m - 1 - shift)
+    return _rank_int_rows([s[i : i + cols] for i in range(rows)])
+
+
 def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     """The rank r of R_k at the middle k = (m + n + ell*d) // 2 of the row
     of (m, n, d, ell); m and n in either order.
@@ -205,14 +264,7 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     _check_params(m, n, d, ell)
     if m > n:
         m, n = n, m
-    shift = ell * d
-    mid = (m + n + shift) // 2
-    rows, cols = mid - shift, m + n - mid
-    if not n < mid < m + shift:
-        return min(rows, cols, m)
-    g = gamma_coeffs(d, ell)
-    s = [g[t] for t in range(shift - n + 1, m)]
-    return _rank_int_rows([s[i : i + cols] for i in range(rows)])
+    return _hankel_rank(m, n, d, ell)
 
 
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:

@@ -41,8 +41,10 @@ from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
     ToeplitzSpec,
+    _ranks,
     build_R,
     gamma_coeffs,
+    hankel_rank,
     offset_c,
     sufficient_rank_drop,
 )
@@ -626,6 +628,32 @@ def reference_pair_prediction(
     )
 
 
+def per_k_pair_prediction(
+    f: UnivariatePoly, lam: RationalLike, m: int, n: int
+) -> PairPrediction:
+    """The equal-branch record of ``frechet.pair_prediction`` on the pair
+    (lam, m), (lam, n) by its per-k route: one ``hankel_rank`` per power s,
+    with gamma recomputed for each, and each nullity m*n minus the sum of
+    the ``_ranks`` of every k of that power.  The eigenvalue and d come
+    from the Fraction route."""
+    lam = Fraction(lam)
+    eig = reference_univariate_hasse_eval(f, 1, lam)
+    d = reference_root_multiplicity(reference_phi_equal(f, lam).derivative(), lam)
+    dim = m * n
+    if d == INFINITE or d >= m + n - 1:
+        return PairPrediction(lam, lam, m, n, "equal", eig, (1,) * dim, local_mult=d)
+    hankel = tuple(hankel_rank(m, n, d, s) for s in range(1, -(-(m + n - 1) // d)))
+    short, long = min(m, n), max(m, n)
+    nullities = [0] + [
+        dim - sum(_ranks(short, long, s * d, r, range(s * d + 1, m + n)))
+        for s, r in enumerate(hankel, 1)
+    ] + [dim]
+    return PairPrediction(
+        lam, lam, m, n, "equal", eig, sizes_from_nullities(nullities, dim),
+        local_mult=d, rank_table=hankel,
+    )
+
+
 def local_degree(p: BivariatePoly, lam: RationalLike, mu: RationalLike) -> int:
     """Smallest d >= 1 with a nonvanishing order-d Hasse derivative at (lam, mu)."""
     if p.is_constant():
@@ -744,13 +772,13 @@ def check_properties(spec: ToeplitzSpec) -> PropertyReport:
     u_k = spec.n_cols
     u_k_shift = spec.n_rows
     r = build_R(spec).num
-    g = gamma_coeffs(spec.d, spec.ell)
+    g = dict(enumerate(gamma_coeffs(spec.d, spec.ell).gamma))
     flipped = tuple(tuple(row[::-1]) for row in r[::-1])
     report = PropertyReport(
         offset_in_range=0 <= c <= shift,
         dimension_relation=u_k_shift <= u_k + c <= u_k_shift + shift,
-        top_left_positive=r[0][0] == g[c] > 0,
-        bottom_right_positive=r[-1][-1] == g[u_k - u_k_shift + c] > 0,
+        top_left_positive=r[0][0] == g.get(c, 0) > 0,
+        bottom_right_positive=r[-1][-1] == g.get(u_k - u_k_shift + c, 0) > 0,
         flip_transpose=build_R(mirror(spec)).num == tuple(zip(*flipped)),
     )
     if not report.all_ok():

@@ -25,6 +25,7 @@ from jordankron.frechet import euclid_partition, pair_prediction
 from jordankron.generic import pair_prediction as generic_pair_prediction
 from helpers import (
     h_poly,
+    per_k_pair_prediction,
     random_spec,
     random_univariate,
     reference_first_nonvanishing_order,
@@ -157,6 +158,32 @@ def test_pair_prediction_matches_reference_route(case):
         assert (pred.order_lam, pred.order_mu) == (ref.order_lam, ref.order_mu)
     else:
         assert pred.local_mult == ref.local_mult
+    assert pred == ref
+    assert pred.to_json_obj() == ref.to_json_obj()
+
+
+@st.composite
+def equal_pairs(draw):
+    """(f, lam, m, n, d) with m, n <= 40 and f = a + b w + c (w - lam)^(d+1)
+    + e (w - lam)^(d+2), c != 0, whose tangent multiplicity at lam is d."""
+    lam, d = draw(RATIONALS), draw(st.integers(1, 5))
+    a, b, e = (draw(RATIONALS) for _ in range(3))
+    c = draw(RATIONALS.filter(bool))
+    base = UnivariatePoly([-lam, 1])
+    f = UnivariatePoly([a, b]) + _poly_power(base, d + 1) * c + _poly_power(base, d + 2) * e
+    return f, lam, draw(st.integers(1, 40)), draw(st.integers(1, 40)), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(equal_pairs())
+@example((_poly_power(UnivariatePoly([0, 1]), 2), 0, 40, 40, 1))
+@example((_poly_power(UnivariatePoly([-1, 1]), 6), 1, 1, 40, 5))
+def test_equal_pair_prediction_matches_per_k_route(case):
+    f, lam, m, n, d = case
+    pred = pair_prediction(f, lam, m, lam, n)
+    ref = per_k_pair_prediction(f, lam, m, n)
+    assert pred.local_mult == d
+    assert (pred.sizes, pred.rank_table) == (ref.sizes, ref.rank_table)
     assert pred == ref
     assert pred.to_json_obj() == ref.to_json_obj()
 

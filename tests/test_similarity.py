@@ -12,7 +12,12 @@ from jordankron import (
 )
 from jordankron.exactmat import jordan_block, kron
 from jordankron.generic import pair_prediction
-from jordankron.similarity import NonzeroLowOrderError, SingularA1Error, SingularArError
+from jordankron.similarity import (
+    NonzeroLowOrderError,
+    SingularA1Error,
+    SingularArError,
+    _assemble_block_grid,
+)
 from helpers import (
     full_transform,
     matrix_power,
@@ -30,6 +35,29 @@ def test_block_container_validation():
     assert z.to_matrix() == RationalMatrix(
         [[1, 2, 0, 5], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
     )
+
+
+def test_block_grid_matches_fraction_construction():
+    # Integer rows over the lcm of the grid's denominators against the
+    # matrix built from its Fraction entries, with zero blocks (None) and
+    # fractional first rows.
+    rng = random.Random(167)
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [
+            [None if rng.random() < 0.3 else tuple(
+                Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(n))
+             for _ in range(m)]
+            for _ in range(m)
+        ]
+        dense = [[Q(0)] * (m * n) for _ in range(m * n)]
+        for bi in range(m):
+            for bj in range(m):
+                if grid[bi][bj] is not None:
+                    for i in range(n):
+                        for j in range(i, n):
+                            dense[bi * n + i][bj * n + j] = grid[bi][bj][j - i]
+        assert _assemble_block_grid(grid, m, n) == RationalMatrix(dense)
 
 
 def test_two_blocks_need_no_transform():

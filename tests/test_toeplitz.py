@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,10 @@ from jordankron.exactmat import rank
 from jordankron.toeplitz import (
     InvalidSpecError,
     ToeplitzSpec,
+    _gamma_step,
+    _hankel_rank,
+    _rank_sum,
+    _ranks,
     build_R,
     certified_full_rank,
     gamma_coeffs,
@@ -33,8 +38,6 @@ def test_gamma_coeffs_examples():
     assert gamma_coeffs(3, 2).gamma == (1, 2, 3, 4, 3, 2, 1)
     assert gamma_coeffs(4, 1).gamma == (1, 1, 1, 1, 1)
     assert gamma_coeffs(1, 2).gamma == (1, 2, 1)
-    g = gamma_coeffs(2, 2)
-    assert g[-1] == 0 and g[99] == 0 and g[0] == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,6 +52,14 @@ def test_gamma_symmetry_and_sum(d, ell):
     for _ in range(ell):
         ref = [sum(ref[max(0, i - d) : i + 1]) for i in range(len(ref) + d)]
     assert g == tuple(ref)
+
+
+def test_gamma_coeffs_match_schoolbook_products_up_to_d8_ell40():
+    for d in range(1, 9):
+        ref = [1]
+        for ell in range(1, 41):
+            ref = [sum(ref[max(0, i - d) : i + 1]) for i in range(len(ref) + d)]
+            assert gamma_coeffs(d, ell).gamma == tuple(ref)
 
 
 def test_offset_examples():
@@ -102,10 +113,10 @@ def test_spec_rejects_non_int_parameters():
 
 
 def _entry_formula_rows(spec):
-    g = gamma_coeffs(spec.d, spec.ell)
+    g = dict(enumerate(gamma_coeffs(spec.d, spec.ell).gamma))
     c = offset_c(spec)
     return tuple(
-        tuple(g[j - i + c] for j in range(spec.n_cols))
+        tuple(g.get(j - i + c, 0) for j in range(spec.n_cols))
         for i in range(spec.n_rows)
     )
 
@@ -171,6 +182,41 @@ def test_rank_formula_matches_definitions_on_the_40_box():
         assert cap is not certified_full_rank(spec)
         capped += cap
     assert capped
+
+
+def test_rank_sum_matches_summed_ranks_on_the_40_box():
+    # The edge values of r and one at random.  The summed _ranks read r
+    # only on the uncertified k, and _rank_sum must ignore it elsewhere too.
+    rng = random.Random(211)
+    for m in range(1, 41):
+        for n in range(m, 41):
+            for shift in range(1, m + n - 1):
+                ks = range(shift + 1, m + n)
+                for r in {0, 1, m - 1, m, rng.randint(0, m)}:
+                    assert _rank_sum(m, n, shift, r) == sum(_ranks(m, n, shift, r, ks))
+
+
+def test_sliced_window_rank_past_either_end_of_gamma():
+    # The window gamma_(shift - n + 1) .. gamma_(m - 1) runs past index 0
+    # when n > shift + 1 and past index shift when m > shift + 1; both are
+    # cut from a stepped gamma and checked against hankel_rank and against
+    # the Bareiss rank of the middle R_k that build_R builds.
+    past_low = past_high = 0
+    for d in range(1, 5):
+        gamma = [1]
+        for ell in range(1, 9):
+            gamma, shift = _gamma_step(gamma, d), d * ell
+            for m in range(1, 25):
+                for n in range(m, 25):
+                    mid = (m + n + shift) // 2
+                    if shift + 1 > m + n - 1 or not n < mid < m + shift:
+                        continue
+                    ref = reference_rank_int(
+                        [list(row) for row in build_R(ToeplitzSpec(m, n, d, ell, mid)).num])
+                    assert _hankel_rank(m, n, d, ell, gamma) == hankel_rank(m, n, d, ell) == ref
+                    past_low += n > shift + 1
+                    past_high += m > shift + 1
+    assert past_low and past_high
 
 
 def test_rank_row_makes_at_most_one_elimination(monkeypatch):
