@@ -31,7 +31,6 @@ from .polyring import (
 from .similarity import BlockToeplitzUT, reduce_bidiagonal, reduce_shifted
 from .toeplitz import (
     DeficiencyRecord,
-    build_R,
     rho,
     scan_deficiencies,
     sufficient_rank_drop,

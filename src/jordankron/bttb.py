@@ -120,8 +120,7 @@ def build_block_pair(
     integer rows of the Hasse table over its one denominator fill the
     matrix's integer rows directly.
     """
-    if m < 1 or n < 1:
-        raise ValueError("block sizes must be positive")
+    m, n = parse_block_size(m), parse_block_size(n)
     num, den = hasse_value_table(p, lam, mu, m - 1, n - 1)
     data = []
     for br in range(m):
@@ -148,8 +147,7 @@ def block_pair_nilpotent_rows(
     holding a nonzero entry to that entry.  The entries are the Hasse
     table's integer numerators, divided by their gcd with its denominator.
     """
-    if m < 1 or n < 1:
-        raise ValueError("block sizes must be positive")
+    m, n = parse_block_size(m), parse_block_size(n)
     num, den = hasse_value_table(p, lam, mu, m - 1, n - 1)
     # The shift cancels the diagonal offset (0, 0).  Every other offset
     # occurs in the matrix, so L is den over the gcd of den and those

@@ -180,8 +180,8 @@ class RationalMatrix:
 
 def jordan_block(lam: RationalLike, size: int) -> RationalMatrix:
     """Upper bidiagonal block: lam on the diagonal, ones above it."""
-    if size < 1:
-        raise ValueError("block size must be positive")
+    if type(size) is not int or size < 1:
+        raise ValueError(f"block size must be an integer >= 1, got {size!r}")
     lam = Fraction(exact_rational(lam))
     p, q = lam.numerator, lam.denominator
     return _from_int_rows(

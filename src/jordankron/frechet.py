@@ -31,12 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bttb import JordanSpec, block_pairs, parse_block_size
-from .generic import (
-    PairPrediction,
-    _first_order,
-    euclid_partition,
-    kronecker_sum_sizes,
-)
+from .generic import PairPrediction, _first_order, _staircase_sizes, euclid_partition
 from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
     BivariatePoly,
@@ -68,11 +63,8 @@ def pair_prediction(
         h = _first_order(v_mu, 1, eig * den_mu)
         s_parts = euclid_partition(m, k)
         t_parts = euclid_partition(n, h)
-        sizes = [z for si in s_parts for tj in t_parts
-                 for z in kronecker_sum_sizes(si, tj)]
         return PairPrediction(
-            lam, mu, m, n, "distinct", eig,
-            tuple(sorted(sizes, reverse=True)),
+            lam, mu, m, n, "distinct", eig, _staircase_sizes(s_parts, t_parts),
             order_lam=k, order_mu=h, parts_lam=s_parts, parts_mu=t_parts,
         )
     eig = Fraction(v_lam[1], den_lam) if deg else Fraction(0)

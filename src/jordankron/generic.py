@@ -160,13 +160,13 @@ def euclid_partition(size: int, order) -> tuple[int, ...]:
     return (a + 1,) * q + (a,) * (order - q)
 
 
-def _one_sided_sizes(ks_size: int, nilp_size: int, pure: list) -> tuple[int, ...]:
-    # pure[k] is the order-k pure derivative value in the nilpotent
-    # variable; its first order r >= 1 splits that block into the parts of
-    # its r-th power.  Orders past the end of pure vanish.
+def _staircase_sizes(parts_a, parts_b) -> tuple[int, ...]:
+    """Descending sizes of every Kronecker sum of a part of parts_a with a
+    part of parts_b."""
     sizes: list[int] = []
-    for s in euclid_partition(nilp_size, _first_order(pure, 1)):
-        sizes.extend(kronecker_sum_sizes(ks_size, s))
+    for a in parts_a:
+        for b in parts_b:
+            sizes.extend(kronecker_sum_sizes(a, b))
     return tuple(sorted(sizes, reverse=True))
 
 
@@ -205,10 +205,14 @@ def pair_prediction(
             ),
         )
     branch = "py-zero" if px else "px-zero" if py else "size-one-escape"
+    # The pure derivative values in the nilpotent variable, row 0 or column
+    # 0 of the table: their first order r >= 1 splits that block into the
+    # parts of its r-th power.  Orders past the end of the table vanish.
     if px or (not py and m == 1):
-        sizes = _one_sided_sizes(m, n, table[0])
+        sizes = _staircase_sizes((m,), euclid_partition(n, _first_order(table[0], 1)))
     else:
-        sizes = _one_sided_sizes(n, m, [row[0] for row in table])
+        col = [row[0] for row in table]
+        sizes = _staircase_sizes(euclid_partition(m, _first_order(col, 1)), (n,))
     return PairPrediction(lam, mu, m, n, branch, eig, sizes)
 
 

@@ -17,7 +17,10 @@ row space of ``B_(s-1) Z``, which is the row space of ``Z^s``; so
 their entries) and eliminated fraction-free, so all arithmetic is exact
 integer arithmetic.  The chain uses only row spaces and products with Z,
 never any property of the matrices it is given, so it stays
-structure-agnostic.
+structure-agnostic.  It runs until the nullities stop growing, and their
+last value is the algebraic multiplicity of 0: ``oracle_pair_sizes``
+requires it to be the dimension, and ``oracle_jcf_matrix`` reads it as the
+multiplicity of each candidate eigenvalue.
 """
 
 from __future__ import annotations
@@ -127,14 +130,14 @@ def _times(v: dict[int, int], z_rows: list[dict[int, int]]) -> dict[int, int]:
     return {c: x for c, x in acc.items() if x}
 
 
-def _nullity_chain(z_rows: list[dict[int, int]], strict: bool) -> list[int]:
-    """Nullities nu_0 = 0, nu_1, ... of the powers of a square matrix.
+def _nullity_chain(z_rows: list[dict[int, int]]) -> list[int]:
+    """Nullities nu_0 = 0, nu_1, ... of the powers of a square matrix, up to
+    their stable value.
 
     The chain stops at the first power whose nullity reaches the dimension
-    or equals the previous one (the nullities are then stable).  A stop of
-    the second kind means the matrix is not nilpotent: with ``strict`` it
-    raises NotNilpotentError, otherwise the stable value is the algebraic
-    multiplicity of the eigenvalue 0 and is the last entry returned.
+    or equals the previous one (the nullities are then stable).  The last
+    entry returned is the stable value, the algebraic multiplicity of the
+    eigenvalue 0; it is the dimension exactly when the matrix is nilpotent.
     """
     dim = len(z_rows)
     nullities = [0]
@@ -142,10 +145,6 @@ def _nullity_chain(z_rows: list[dict[int, int]], strict: bool) -> list[int]:
     while True:
         nu = dim - len(basis)
         if nu == nullities[-1]:
-            if strict:
-                raise NotNilpotentError(
-                    f"nullity sequence stabilized at {nu} below the dimension {dim}"
-                )
             return nullities
         nullities.append(nu)
         if nu == dim:
@@ -158,8 +157,12 @@ def oracle_pair_sizes(
 ) -> tuple[int, ...]:
     """Jordan block sizes of p on the Jordan pair (lam, m), (mu, n), all at
     its only eigenvalue p(lam, mu), descending."""
-    rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
-    return sizes_from_nullities(_nullity_chain(rows, strict=True), m * n)
+    nullities = _nullity_chain(block_pair_nilpotent_rows(p, lam, m, mu, n))
+    if nullities[-1] != m * n:
+        raise NotNilpotentError(
+            f"nullities stabilized at {nullities[-1]} below the dimension {m * n}"
+        )
+    return sizes_from_nullities(nullities, m * n)
 
 
 class JordanStructure:
@@ -270,7 +273,7 @@ def oracle_jcf_matrix(
     covered = 0
     for eig in sorted({Fraction(exact_rational(e)) for e in eigenvalues}):
         rows = _sparse_rows(a.shifted(eig).num)
-        nullities = _nullity_chain(rows, strict=False)
+        nullities = _nullity_chain(rows)
         algebraic = nullities[-1]
         if algebraic == 0:
             continue

@@ -4,7 +4,9 @@ An n x n upper triangular Toeplitz matrix is determined by its first row,
 and such matrices form a commutative ring isomorphic to truncated power
 series.  A block upper triangular Toeplitz matrix Z with such blocks
 A_0 .. A_(m-1) on its first block row can be compressed whenever the first
-nonzero off-diagonal block is invertible:
+nonzero off-diagonal block is invertible.  ``BlockToeplitzUT`` holds Z as
+the first rows of A_0 .. A_(m-1), and the reductions work on those rows
+until they assemble their matrices:
 
 * ``reduce_bidiagonal`` (A_1 invertible over Q) produces a unit block
   upper triangular X with identity first block row such that
@@ -97,65 +99,42 @@ def _tz_pow(a, e: int):
     return out
 
 
-def _tz_to_matrix(row) -> RationalMatrix:
-    n = len(row)
-    return RationalMatrix(
-        [[row[j - i] if j >= i else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def _first_row(block: RationalMatrix) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x, block.den) for x in block.num[0])
-
-
-def _check_ut_toeplitz(block: RationalMatrix) -> None:
-    if not block.is_square():
-        raise ValueError("blocks must be square")
-    first = block.num[0]
-    if any(row != (0,) * i + first[: block.cols - i] for i, row in enumerate(block.num)):
-        raise ValueError("block is not upper triangular Toeplitz")
-
-
 @dataclass(frozen=True)
 class BlockToeplitzUT:
     """Block upper triangular Toeplitz matrix with UT Toeplitz blocks.
 
     Block (i, j) equals A_(j-i), so the whole matrix is determined by the
-    first block row A_0 .. A_(m-1).
+    first block row A_0 .. A_(m-1); it is held as their first rows, tuples
+    of Fractions.
     """
 
-    blocks: tuple[RationalMatrix, ...]
+    rows: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, blocks: Iterable[RationalMatrix]):
-        blocks = tuple(blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        for b in blocks:
-            _check_ut_toeplitz(b)
-        if len({b.rows for b in blocks}) != 1:
+    def __init__(self, rows: Iterable[Sequence]):
+        rows = tuple(tuple(Fraction(exact_rational(c)) for c in row) for row in rows)
+        if not rows or not rows[0]:
+            raise ValueError("need at least one block of size >= 1")
+        if len({len(row) for row in rows}) != 1:
             raise ValueError("blocks must share one size")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_first_rows(cls, rows: Sequence[Sequence]) -> "BlockToeplitzUT":
-        return cls(
-            _tz_to_matrix(tuple(Fraction(exact_rational(c)) for c in row))
-            for row in rows
-        )
+        return cls(rows)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.rows)
 
     @property
     def block_size(self) -> int:
-        return self.blocks[0].rows
+        return len(self.rows[0])
 
     def first_rows(self) -> list[tuple[Fraction, ...]]:
-        return [_first_row(b) for b in self.blocks]
+        return list(self.rows)
 
     def to_matrix(self) -> RationalMatrix:
-        m, a = self.block_count, self.first_rows()
+        m, a = self.block_count, self.rows
         grid = [[a[j - i] if j >= i else None for j in range(m)] for i in range(m)]
         return _assemble_block_grid(grid, m, self.block_size)
 
@@ -203,8 +182,8 @@ def reduce_shifted(z: BlockToeplitzUT, r: int) -> SimilarityReduction:
     of X from already-known entries, walking down each diagonal.
     """
     m, n = z.block_count, z.block_size
-    if not 1 <= r <= m - 1:
-        raise ValueError(f"shift order must satisfy 1 <= r <= {m - 1}")
+    if type(r) is not int or not 1 <= r <= m - 1:
+        raise ValueError(f"shift order must be an integer in [1, {m - 1}], got {r!r}")
     a = z.first_rows()
     for i in range(1, r):
         if any(a[i]):
@@ -238,11 +217,11 @@ def reduce_shifted(z: BlockToeplitzUT, r: int) -> SimilarityReduction:
 
     target_rows = [a[0] if i == 0 else zero for i in range(m)]
     target_rows[r] = a[r]
-    target = BlockToeplitzUT.from_first_rows(target_rows).to_matrix()
+    target = BlockToeplitzUT(target_rows).to_matrix()
 
     normal_rows = [a[0] if i == 0 else zero for i in range(m)]
     normal_rows[r] = one
-    normal_form = BlockToeplitzUT.from_first_rows(normal_rows).to_matrix()
+    normal_form = BlockToeplitzUT(normal_rows).to_matrix()
 
     # Scaling D = diag(B_1..B_m) with B_(i+r) = A_r^{-1} B_i, kept in
     # nonnegative powers of A_r; then target @ D == D @ normal_form.

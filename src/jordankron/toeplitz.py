@@ -6,7 +6,9 @@ action is the banded integer Toeplitz matrix R_k with entries
 ``gamma_(j - i + c_k)``, where the gamma are the coefficients of
 ``(1 + z + ... + z^d)^ell`` and c_k is a clamped offset.  Summing the ranks
 of the R_k over k gives the nullities that the equal-eigenvalue predictor
-consumes, at a fraction of the cost of eliminating the mn x mn matrix.
+consumes, at a fraction of the cost of eliminating the mn x mn matrix.  The
+ranks come from the formula below, which builds at most one R_k per
+quadruple, as a Hankel matrix.
 
 With m <= n and D = ell*d, R_k is u_(k - D) x u_k for the filtration
 dimensions u, so min(u_(k - D), u_k) = min(k - D, m + n - k, m).  Most R_k
@@ -54,20 +56,11 @@ from operator import sub
 from pathlib import Path
 
 from .bounds import filtration_dim
-from .exactmat import RationalMatrix, _from_int_rows, _rank_int_rows
+from .exactmat import _rank_int_rows
 
 
 class InvalidSpecError(ValueError):
     """Parameters outside the defining range of the banded matrices."""
-
-
-@dataclass(frozen=True)
-class GammaCoeffs:
-    """Coefficients gamma_0 .. gamma_(ell*d) of (1 + z + ... + z^d)^ell."""
-
-    d: int
-    ell: int
-    gamma: tuple[int, ...]
 
 
 def _gamma_step(gamma: list[int], d: int) -> list[int]:
@@ -78,13 +71,14 @@ def _gamma_step(gamma: list[int], d: int) -> list[int]:
     return [*p[1 : d + 1], *map(sub, p[d + 1 :], p)]
 
 
-def gamma_coeffs(d: int, ell: int) -> GammaCoeffs:
-    if d < 1 or ell < 1:
-        raise ValueError("d and ell must be positive")
+def gamma_coeffs(d: int, ell: int) -> tuple[int, ...]:
+    """Coefficients gamma_0 .. gamma_(ell*d) of (1 + z + ... + z^d)^ell."""
+    if type(d) is not int or type(ell) is not int or d < 1 or ell < 1:
+        raise ValueError(f"d and ell must be positive integers, got {(d, ell)!r}")
     gamma = [1] * (d + 1)
     for _ in range(ell - 1):
         gamma = _gamma_step(gamma, d)
-    return GammaCoeffs(d, ell, tuple(gamma))
+    return tuple(gamma)
 
 
 def _check_params(m: int, n: int, d: int, ell: int, k: int | None = None) -> None:
@@ -148,44 +142,6 @@ def offset_c(spec: ToeplitzSpec) -> int:
     return _offset(spec.n, spec.ell * spec.d, spec.k)
 
 
-def _padded_gamma(d: int, ell: int, m: int) -> list[int]:
-    """The gamma of (d, ell) with m - 1 zeros on each side.  Every row of
-    every R_k on an m x n grid, m <= n, is one slice of it: R_k has at most
-    m rows and m columns, and 0 <= c_k <= ell*d."""
-    pad = [0] * (m - 1)
-    return pad + list(gamma_coeffs(d, ell).gamma) + pad
-
-
-def _banded_rows(
-    padded: list[int], m: int, c: int, nr: int, nc: int
-) -> list[list[int]]:
-    """Fresh rows of R: row i is gamma_(c - i) .. gamma_(c - i + nc - 1), cut
-    from ``_padded_gamma(d, ell, m)``."""
-    start = m - 1 + c
-    return [padded[start - i : start - i + nc] for i in range(nr)]
-
-
-def build_R(spec: ToeplitzSpec) -> RationalMatrix:
-    """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec, an integer
-    matrix (denominator 1)."""
-    padded = _padded_gamma(spec.d, spec.ell, spec.m)
-    return _from_int_rows(
-        _banded_rows(padded, spec.m, offset_c(spec), spec.n_rows, spec.n_cols)
-    )
-
-
-def certified_full_rank(spec: ToeplitzSpec) -> bool:
-    """Whether the unit triangular minor alone proves build_R(spec) full rank.
-
-    The diagonal j - i = -c holds gamma_0 = 1 with zeros below it, so its
-    min(nr, nc + c) - c cells span a unit lower triangular minor; the rank
-    is full when that count is min(nr, nc).  This holds exactly when k <= n
-    or k >= m + ell*d, the certified k of ``_ranks``.
-    """
-    nr, nc, c = spec.n_rows, spec.n_cols, offset_c(spec)
-    return min(nr, nc + c) - c == min(nr, nc)
-
-
 def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
     """rank R_k for each k of ks, for m <= n, shift = ell*d and
     r = hankel_rank(m, n, d, ell); a certified k never reads r."""
@@ -246,7 +202,7 @@ def _hankel_rank(
     if not n < mid < m + shift:
         return min(rows, cols, m)
     if gamma is None:
-        gamma = list(gamma_coeffs(d, ell).gamma)
+        gamma = list(gamma_coeffs(d, ell))
     a = shift - n + 1
     s = [0] * -a + gamma[max(a, 0) : m] + [0] * (m - 1 - shift)
     return _rank_int_rows([s[i : i + cols] for i in range(rows)])

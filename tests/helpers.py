@@ -33,7 +33,7 @@ from jordankron import (
 )
 from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
-from jordankron.exactmat import NotSquareError, kron, rank
+from jordankron.exactmat import NotSquareError, _from_int_rows, kron, rank
 from jordankron.frechet import euclid_partition
 from jordankron.generic import PairPrediction, kronecker_sum_sizes
 from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
@@ -42,7 +42,6 @@ from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
     ToeplitzSpec,
     _ranks,
-    build_R,
     gamma_coeffs,
     hankel_rank,
     offset_c,
@@ -169,6 +168,45 @@ def reference_rank_int(rows: list[list[int]]) -> int:
         prev = piv
         r += 1
     return r
+
+
+def _padded_gamma(d: int, ell: int, m: int) -> list[int]:
+    """The gamma of (d, ell) with m - 1 zeros on each side.  Every row of
+    every R_k on an m x n grid, m <= n, is one slice of it: R_k has at most
+    m rows and m columns, and 0 <= c_k <= ell*d."""
+    pad = [0] * (m - 1)
+    return pad + list(gamma_coeffs(d, ell)) + pad
+
+
+def _banded_rows(
+    padded: list[int], m: int, c: int, nr: int, nc: int
+) -> list[list[int]]:
+    """Fresh rows of R: row i is gamma_(c - i) .. gamma_(c - i + nc - 1), cut
+    from ``_padded_gamma(d, ell, m)``."""
+    start = m - 1 + c
+    return [padded[start - i : start - i + nc] for i in range(nr)]
+
+
+def build_R(spec: ToeplitzSpec) -> RationalMatrix:
+    """The u_(k - ell*d) x u_k banded Toeplitz matrix of the spec, an integer
+    matrix (denominator 1).  Test-only dense reference for the rank formula
+    of ``jordankron.toeplitz``."""
+    padded = _padded_gamma(spec.d, spec.ell, spec.m)
+    return _from_int_rows(
+        _banded_rows(padded, spec.m, offset_c(spec), spec.n_rows, spec.n_cols)
+    )
+
+
+def certified_full_rank(spec: ToeplitzSpec) -> bool:
+    """Whether the unit triangular minor alone proves build_R(spec) full rank.
+
+    The diagonal j - i = -c holds gamma_0 = 1 with zeros below it, so its
+    min(nr, nc + c) - c cells span a unit lower triangular minor; the rank
+    is full when that count is min(nr, nc).  This holds exactly when k <= n
+    or k >= m + ell*d, the certified k of ``jordankron.toeplitz._ranks``.
+    """
+    nr, nc, c = spec.n_rows, spec.n_cols, offset_c(spec)
+    return min(nr, nc + c) - c == min(nr, nc)
 
 
 def _matmul_int_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -422,7 +460,10 @@ def weyr_data(z: RationalMatrix) -> WeyrData:
     """Nullity sequence of z, z^2, ...; z must be square and nilpotent."""
     if not z.is_square():
         raise ValueError("need a square matrix")
-    return WeyrData(z.rows, tuple(_nullity_chain(_sparse_rows(z.num), strict=True)))
+    nullities = _nullity_chain(_sparse_rows(z.num))
+    if nullities[-1] != z.rows:
+        raise NotNilpotentError("nullities stabilized below the dimension")
+    return WeyrData(z.rows, tuple(nullities))
 
 
 def weyr_structure(z: RationalMatrix) -> tuple[int, ...]:
@@ -772,7 +813,7 @@ def check_properties(spec: ToeplitzSpec) -> PropertyReport:
     u_k = spec.n_cols
     u_k_shift = spec.n_rows
     r = build_R(spec).num
-    g = dict(enumerate(gamma_coeffs(spec.d, spec.ell).gamma))
+    g = dict(enumerate(gamma_coeffs(spec.d, spec.ell)))
     flipped = tuple(tuple(row[::-1]) for row in r[::-1])
     report = PropertyReport(
         offset_in_range=0 <= c <= shift,

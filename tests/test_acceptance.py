@@ -37,9 +37,9 @@ from jordankron.bttb import build_block_pair
 from jordankron.exactmat import jordan_block, kron, rank
 from jordankron.frechet import pair_prediction
 from jordankron.similarity import SingularA1Error
-from jordankron.toeplitz import build_R
 from helpers import (
     annihilates,
+    build_R,
     check_properties,
     full_transform,
     h_poly,

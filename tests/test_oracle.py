@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import os
 import random
 import subprocess
@@ -19,10 +22,18 @@ from jordankron import (
     WeyrConsistencyError,
     oracle_jcf,
     oracle_jcf_matrix,
+    reduce_shifted,
 )
+from jordankron import cli, oracle
 from jordankron.exactmat import jordan_block
-from jordankron.bttb import build_block_pair
-from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
+from jordankron.bttb import block_pair_nilpotent_rows, build_block_pair
+from jordankron.oracle import (
+    _nullity_chain,
+    _sparse_rows,
+    oracle_pair_sizes,
+    sizes_from_nullities,
+)
+from jordankron.toeplitz import gamma_coeffs
 from helpers import (
     conjugated,
     h_poly,
@@ -202,12 +213,49 @@ def test_image_chain_matches_dense_reference_on_shifted(case):
     eigs = spec.eigenvalues()
     for eig in eigs:
         rows = [list(row) for row in a.shifted(eig).num]
-        assert _nullity_chain(_sparse_rows(rows), strict=False) == (
+        assert _nullity_chain(_sparse_rows(rows)) == (
             reference_nullities(rows, strict=False)
         )
     assert oracle_jcf_matrix(a, eigs) == JordanStructure.from_pairs(
         (eig, [size]) for eig, size in spec.blocks
     )
+
+
+def test_oracle_pair_sizes_rejects_non_nilpotent_rows(monkeypatch):
+    # The shifted block pair is nilpotent by construction, so only a defect
+    # in its rows reaches this check: here the rows of diag(1, 0, ...).
+    def unit_corner(p, lam, m, mu, n):
+        return [{0: 1}] + [{} for _ in range(m * n - 1)]
+
+    monkeypatch.setattr(oracle, "block_pair_nilpotent_rows", unit_corner)
+    with pytest.raises(NotNilpotentError, match="below the dimension 4"):
+        oracle_pair_sizes(X_PLUS_Y, 0, 2, 0, 2)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", "--p", "0,1;1,0", "--X", '[{"eig":"0","size":2}]',
+                         "--Y", '[{"eig":"0","size":2}]'])
+    assert code == 1 and err.getvalue() == ""
+    doc = json.loads(out.getvalue())
+    assert set(doc) == {"schema", "error"}
+    assert "below the dimension 4" in doc["error"]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 2.5])
+@pytest.mark.parametrize("call", [
+    lambda v: oracle_pair_sizes(X_PLUS_Y, 0, v, 0, 2),
+    lambda v: oracle_pair_sizes(X_PLUS_Y, 0, 2, 0, v),
+    lambda v: block_pair_nilpotent_rows(X_PLUS_Y, 0, v, 0, 2),
+    lambda v: build_block_pair(X_PLUS_Y, 0, 2, 0, v),
+    lambda v: jordan_block(0, v),
+    lambda v: reduce_shifted(BlockToeplitzUT.from_first_rows([[1], [1], [1]]), v),
+    lambda v: gamma_coeffs(v, 1),
+    lambda v: gamma_coeffs(1, v),
+], ids=["oracle-m", "oracle-n", "nilpotent-rows", "block-pair", "jordan-block",
+        "reduce-shifted", "gamma-d", "gamma-ell"])
+def test_integer_parameters_reject_bools_and_floats(call, bad):
+    # None of them may truncate a float or read True as 1.
+    with pytest.raises(ValueError):
+        call(bad)
 
 
 def test_sizes_from_nullities_rejects_inconsistent_sequences():
