@@ -11,8 +11,10 @@ run; the rank scanner emits JSON lines):
 * ``reduce``    similarity-reduction demo with exact residual
 
 Exit codes: 0 success, 1 malformed input (any ValueError from the library
-included), 2 degenerate pair in generic prediction, 3 prediction/oracle
-disagreement.
+included) or output that cannot be written, 2 degenerate pair in generic
+prediction, 3 prediction/oracle disagreement.  When the reader of stdout
+goes away early, as ``| head`` does, the run ends with code 1 and prints
+nothing more.
 
 The commands only serialize library calls.  ``check`` runs the oracle once
 per block pair, and that one pass gives the merged result, the per-pair
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -385,10 +388,20 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         return globals()[args.func](args)
+    except BrokenPipeError:
+        raise  # stdout has no reader, so no error document can reach one
     except (CliInputError, ValueError, OSError) as exc:
         _emit(_document(None, None, error=str(exc)), None)
         return 1
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit cannot raise
+        # the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -35,24 +35,29 @@ echelon kernel of :mod:`jordankron.exactmat`, fixes every rank of the row:
 
 ``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
 for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
-for a certified k.  Over the k of one quadruple the formula is a capped
-tent in k, so ``_rank_sum`` adds it up in closed form, O(1) instead of
-O(m + n); the equal-eigenvalue predictor of :mod:`jordankron.frechet`
-takes each power's nullity from that sum.
+for a certified k; with r = m it gives the largest rank min(rows, cols)
+itself.  Over the k of one quadruple the formula is a capped tent in k, so
+``_rank_sum`` adds it up in closed form, O(1) instead of O(m + n); the
+equal-eigenvalue predictor of :mod:`jordankron.frechet` takes each power's
+nullity from that sum.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
-module's scanner hunts for.  ``sufficient_rank_drop`` implements a closed
-sufficient condition (the coefficient vector of ``(x - y)^ell`` is then an
-explicit kernel vector), but it is not necessary, and the scanner records
-both kinds.
+module's scanner hunts for.  It works one quadruple at a time: one
+``_hankel_rank`` and two ``_ranks`` rows give every record of the
+quadruple, and its new records reach the JSONL file in one flushed write,
+so a killed scan loses no finished quadruple and resumes from its file.
+``sufficient_rank_drop`` implements a closed sufficient condition (the
+coefficient vector of ``(x - y)^ell`` is then an explicit kernel vector),
+but it is not necessary, and the scanner records both kinds.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import itemgetter, le, sub
 from pathlib import Path
 
 from .bounds import filtration_dim
@@ -144,7 +149,8 @@ def offset_c(spec: ToeplitzSpec) -> int:
 
 def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
     """rank R_k for each k of ks, for m <= n, shift = ell*d and
-    r = hankel_rank(m, n, d, ell); a certified k never reads r."""
+    r = hankel_rank(m, n, d, ell); a certified k never reads r.  With r = m
+    they are the largest ranks, min(u_(k - shift), u_k)."""
     top = m + shift
     return [min(k - shift, m + n - k, r if n < k < top else m) for k in ks]
 
@@ -287,7 +293,24 @@ def _drop_predicted(
     return (ell + c) % (d + 1) >= max(nr, nc)
 
 
-_INT_FIELDS = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency")
+def _predicted(m: int, n: int, d: int, ell: int, k: int, max_rank: int) -> bool:
+    """``_drop_predicted`` of a valid quintuple, m <= n, whose R_k has the
+    largest rank max_rank = min(nr, nc).
+
+    The test is false unless ell < min(nr, nc) and max(nr, nc) <= (ell + c)
+    mod (d + 1), which is at most d.  So it is false unless both filtration
+    dimensions are at most d, which needs ell < max_rank <= d; only then
+    are they computed and the test run.
+    """
+    if not ell < max_rank <= d:
+        return False
+    nr, nc = filtration_dim(m, n, k - ell * d), filtration_dim(m, n, k)
+    return max(nr, nc) <= d and _drop_predicted(m, n, d, ell, k, nr, nc)
+
+
+_RECORD_FIELDS = itemgetter(
+    "m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted"
+)
 
 
 def _checked_fields(obj: dict) -> tuple:
@@ -300,24 +323,30 @@ def _checked_fields(obj: dict) -> tuple:
     ValueError is raised.
     """
     try:
-        fields = [obj[key] for key in _INT_FIELDS] + [obj["predicted"]]
+        fields = _RECORD_FIELDS(obj)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad deficiency record: {obj!r}") from exc
-    if any(type(v) is not int for v in fields[:-1]) or type(fields[-1]) is not bool:
-        raise ValueError(f"bad deficiency record field types: {obj!r}")
     m, n, d, ell, k, rk, max_rank, deficiency, predicted = fields
-    _check_params(m, n, d, ell, k)
-    if m > n:
-        raise InvalidSpecError(f"need m <= n, got ({m}, {n})")
-    nr, nc = filtration_dim(m, n, k - ell * d), filtration_dim(m, n, k)
+    if not (
+        type(m) is type(n) is type(d) is type(ell) is type(k)
+        is type(rk) is type(max_rank) is type(deficiency) is int
+        and type(predicted) is bool
+    ):
+        raise ValueError(f"bad deficiency record field types: {obj!r}")
+    shift = d * ell
+    if not (1 <= m <= n and d >= 1 and ell >= 1 and shift < k < m + n):
+        raise InvalidSpecError(
+            f"need 1 <= m <= n, d, ell >= 1 and d*ell < k < m + n, "
+            f"got {(m, n, d, ell, k)!r}"
+        )
     if (
-        max_rank != min(nr, nc)
+        max_rank != _ranks(m, n, shift, m, (k,))[0]
         or not 0 <= rk <= max_rank
         or deficiency != max_rank - rk
-        or predicted is not _drop_predicted(m, n, d, ell, k, nr, nc)
+        or predicted is not _predicted(m, n, d, ell, k, max_rank)
     ):
         raise ValueError(f"deficiency record disagrees with its spec: {obj!r}")
-    return tuple(fields)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -351,27 +380,35 @@ class DeficiencyRecord:
         return cls(ToeplitzSpec(m, n, d, ell, k), rk, max_rank, deficiency, predicted)
 
 
+def _record(
+    m: int, n: int, d: int, ell: int, k: int, rk: int, max_rank: int
+) -> DeficiencyRecord:
+    """The record of a valid quintuple, m <= n, whose R_k has rank rk and
+    largest rank max_rank."""
+    spec = ToeplitzSpec(m, n, d, ell, k)
+    return DeficiencyRecord(
+        spec, rk, max_rank, max_rank - rk, _predicted(m, n, d, ell, k, max_rank)
+    )
+
+
 def _load_records(path: Path) -> dict[tuple, int]:
-    """Ranks of the records of a scan file, keyed by quintuple.
+    """The deficiency of each record of a scan file, keyed by quintuple.
 
     Every record ends with a newline, so text after the last one is a
     record cut short by an interrupted run: it is dropped, and cut off the
     file so that appended records start on a line of their own.  A complete
     line that fails ``_checked_fields`` raises ValueError.
     """
-    existing: dict[tuple, int] = {}
     if not path.exists():
-        return existing
+        return {}
     data = path.read_bytes()
     end = data.rfind(b"\n") + 1
     if end < len(data):
         with path.open("r+b") as fh:
             fh.truncate(end)
-    for line in data[:end].decode("utf-8").splitlines():
-        if line.strip():
-            fields = _checked_fields(json.loads(line))
-            existing[fields[:5]] = fields[5]
-    return existing
+    lines = filter(str.strip, data[:end].decode("utf-8").splitlines())
+    records = map(_checked_fields, map(json.loads, lines))
+    return {fields[:5]: fields[7] for fields in records}
 
 
 def scan_deficiencies(
@@ -383,60 +420,62 @@ def scan_deficiencies(
 ) -> list[DeficiencyRecord]:
     """Scan all valid quintuples in range and return the rank-deficient ones.
 
-    Only normalized pairs m <= n are visited, and each quadruple takes one
-    ``rank_row``.  With ``out_path`` every scanned record is appended as one
-    JSON line, and a quadruple whose records are all present there is not
-    recomputed, so an interrupted sweep resumes where it stopped.  Resumed
-    records are checked against their quintuples.
+    Only normalized pairs m <= n are visited, one quadruple (m, n, d, ell)
+    at a time, and each takes one ``_hankel_rank``.  With ``out_path`` every
+    scanned record is appended as one JSON line, and each quadruple's new
+    lines are written and flushed together, so a killed scan keeps every
+    quadruple it finished.  A quadruple whose records are all present in
+    the file is not recomputed, so an interrupted sweep resumes where it
+    stopped; resumed records are checked against their quintuples, and
+    their ranks are the ones reported.
     """
     bounds = (m_max, n_max, d_max, ell_max)
     if any(type(b) is not int or b < 1 for b in bounds):
         raise ValueError(f"bounds must be integers >= 1, got {bounds!r}")
     path = Path(out_path) if out_path is not None else None
     existing = _load_records(path) if path is not None else {}
+    have = Counter(key[:4] for key in existing)
+    # The file may hold records of a larger box; only those in this one
+    # are reported.
+    deficient = []
+    for key, lack in existing.items():
+        if lack and all(map(le, key[:4], bounds)):
+            m, n, d, ell, k = key
+            max_rank = _ranks(m, n, d * ell, m, (k,))[0]
+            deficient.append(_record(*key, max_rank - lack, max_rank))
     sink = path.open("a") if path is not None else None
-    deficient: list[DeficiencyRecord] = []
     try:
         for m in range(1, m_max + 1):
             for n in range(m, n_max + 1):
                 for d in range(1, d_max + 1):
+                    gamma = [1]
                     for ell in range(1, ell_max + 1):
                         shift = d * ell
-                        lo, hi = shift + 1, m + n - 1
-                        if lo > hi:
+                        ks = range(shift + 1, m + n)
+                        if not ks:
+                            break  # a larger ell only shifts ks further up
+                        gamma = _gamma_step(gamma, d)
+                        done = have[m, n, d, ell]
+                        if done == len(ks):
                             continue
-                        found = [existing.get((m, n, d, ell, k))
-                                 for k in range(lo, hi + 1)]
-                        if None in found:
-                            ranks = rank_row(m, n, d, ell)
-                        # A fresh rank is written as one line, byte for byte
-                        # json.dumps(record.to_json_obj()); fresh or resumed,
-                        # it becomes a DeficiencyRecord only if deficient.
-                        lines = []
-                        for k, rk in zip(range(lo, hi + 1), found):
-                            nr = filtration_dim(m, n, k - shift)
-                            nc = filtration_dim(m, n, k)
-                            max_rank = min(nr, nc)
-                            if rk is None:
-                                rk = ranks[k]
-                                if sink is not None:
-                                    predicted = _drop_predicted(
-                                        m, n, d, ell, k, nr, nc)
-                                    lines.append(
-                                        f'{{"m": {m}, "n": {n}, "d": {d}, '
-                                        f'"ell": {ell}, "k": {k}, "rank": {rk}, '
-                                        f'"maxRank": {max_rank}, '
-                                        f'"deficiency": {max_rank - rk}, '
-                                        f'"predicted": {"true" if predicted else "false"}}}\n'
-                                    )
-                            if rk < max_rank:
-                                deficient.append(DeficiencyRecord(
-                                    ToeplitzSpec(m, n, d, ell, k), rk, max_rank,
-                                    max_rank - rk,
-                                    _drop_predicted(m, n, d, ell, k, nr, nc),
-                                ))
-                        if lines:
-                            sink.write("".join(lines))
+                        r = _hankel_rank(m, n, d, ell, gamma)
+                        new = [*zip(ks, _ranks(m, n, shift, r, ks),
+                                    _ranks(m, n, shift, m, ks))]
+                        if done:
+                            new = [t for t in new
+                                   if (m, n, d, ell, t[0]) not in existing]
+                        deficient.extend(_record(m, n, d, ell, k, rk, mr)
+                                         for k, rk, mr in new if rk < mr)
+                        if sink is not None:
+                            # Byte for byte json.dumps(record.to_json_obj()).
+                            head = f'{{"m": {m}, "n": {n}, "d": {d}, "ell": {ell}, "k": '
+                            sink.write("".join([
+                                f'{head}{k}, "rank": {rk}, "maxRank": {mr}, '
+                                f'"deficiency": {mr - rk}, "predicted": '
+                                f'{"true" if _predicted(m, n, d, ell, k, mr) else "false"}}}\n'
+                                for k, rk, mr in new
+                            ]))
+                            sink.flush()
     finally:
         if sink is not None:
             sink.close()

@@ -12,11 +12,13 @@ package, so they live here rather than in it.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 from operator import mul
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from jordankron import (
@@ -24,6 +26,7 @@ from jordankron import (
     BivariatePoly,
     BlockToeplitzUT,
     ConstantPolynomialError,
+    DeficiencyRecord,
     JordanSpec,
     NotNilpotentError,
     RationalMatrix,
@@ -45,6 +48,7 @@ from jordankron.toeplitz import (
     gamma_coeffs,
     hankel_rank,
     offset_c,
+    rank_row,
     sufficient_rank_drop,
 )
 
@@ -768,6 +772,60 @@ def iter_valid_specs(
                 for ell in range(1, ell_max + 1):
                     for k in range(d * ell + 1, m + n):
                         yield ToeplitzSpec(m, n, d, ell, k)
+
+
+def reference_scan(
+    m_max: int, n_max: int, d_max: int, ell_max: int, out_path=None
+) -> list[DeficiencyRecord]:
+    """``scan_deficiencies`` as a loop over every k: a quadruple with a
+    missing record takes its ranks from ``rank_row``, and each record is
+    built from its ``ToeplitzSpec`` and ``sufficient_rank_drop`` and written
+    by ``json.dumps``.  A resumed record is read by
+    ``DeficiencyRecord.from_json_obj``, after text past the last newline is
+    cut off the file.  The reference for the scanner's JSONL bytes, its
+    deficient list and its resumes."""
+    path = Path(out_path) if out_path is not None else None
+    existing = {}
+    if path is not None and path.exists():
+        data = path.read_bytes()
+        data = data[: data.rfind(b"\n") + 1]
+        path.write_bytes(data)
+        for line in data.decode("utf-8").splitlines():
+            if line.strip():
+                rec = DeficiencyRecord.from_json_obj(json.loads(line))
+                s = rec.spec
+                existing[s.m, s.n, s.d, s.ell, s.k] = rec.rank
+    deficient = []
+    sink = path.open("a") if path is not None else None
+    try:
+        for m in range(1, m_max + 1):
+            for n in range(m, n_max + 1):
+                for d in range(1, d_max + 1):
+                    for ell in range(1, ell_max + 1):
+                        ks = range(d * ell + 1, m + n)
+                        found = [existing.get((m, n, d, ell, k)) for k in ks]
+                        if None in found:
+                            ranks = rank_row(m, n, d, ell)
+                        lines = []
+                        for k, rk in zip(ks, found):
+                            spec = ToeplitzSpec(m, n, d, ell, k)
+                            fresh = rk is None
+                            if fresh:
+                                rk = ranks[k]
+                            rec = DeficiencyRecord(
+                                spec, rk, spec.max_rank, spec.max_rank - rk,
+                                sufficient_rank_drop(spec),
+                            )
+                            if fresh:
+                                lines.append(json.dumps(rec.to_json_obj()) + "\n")
+                            if rec.deficiency:
+                                deficient.append(rec)
+                        if sink is not None:
+                            sink.write("".join(lines))
+    finally:
+        if sink is not None:
+            sink.close()
+    return deficient
 
 
 def mirror(spec: ToeplitzSpec) -> ToeplitzSpec:

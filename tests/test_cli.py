@@ -3,8 +3,11 @@ import dataclasses
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -399,11 +402,15 @@ def test_unwritable_out_path_exits_1_with_error_document(tmp_path, command, targ
     assert str(tmp_path) in doc["error"]
 
 
+ENTRY = [sys.executable, "-c", "from jordankron.cli import entry; entry()"]
+ENTRY_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
 def run_entry(*argv):
     """The jordankron executable in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-c", "from jordankron.cli import entry; entry()", *argv],
-        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        [*ENTRY, *argv],
+        env=ENTRY_ENV,
         capture_output=True,
         text=True,
         timeout=60,
@@ -534,6 +541,57 @@ def test_scan_ranks_jsonl(tmp_path):
     assert all(rec["deficiency"] > 0 for rec in lines)
     stored = out_file.read_text().strip().splitlines()
     assert len(stored) >= len(lines)
+
+
+def test_scan_ranks_killed_mid_scan_resumes_to_the_uninterrupted_result(tmp_path):
+    box = ["--m-max", "20", "--n-max", "20", "--d-max", "6", "--ell-max", "5"]
+    killed, whole = tmp_path / "killed.jsonl", tmp_path / "whole.jsonl"
+    proc = subprocess.Popen(
+        [*ENTRY, "scan-ranks", *box, "--out", str(killed)],
+        env=ENTRY_ENV, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            if killed.exists() and killed.stat().st_size:
+                break
+            time.sleep(0.002)
+        proc.kill()
+    finally:
+        proc.wait(timeout=60)
+    assert proc.returncode == -signal.SIGKILL  # killed before it finished
+    # Each quadruple's records reach the file whole, in one flushed write.
+    text = killed.read_text()
+    assert text.endswith("\n")
+    quads = Counter(tuple(json.loads(line).values())[:4] for line in text.splitlines())
+    assert all(count == m + n - 1 - d * ell for (m, n, d, ell), count in quads.items())
+    resumed = run_entry("scan-ranks", *box, "--out", str(killed))
+    uninterrupted = run_entry("scan-ranks", *box, "--out", str(whole))
+    assert resumed.returncode == uninterrupted.returncode == 0
+    assert resumed.stdout == uninterrupted.stdout
+    assert sorted(killed.read_text().splitlines()) == sorted(
+        whole.read_text().splitlines()
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan-ranks", "--m-max", "8", "--n-max", "8", "--d-max", "4", "--ell-max", "3"],
+    ["reduce", "--demo", "5", "3", "2", "--seed", "7"],
+])
+def test_closed_stdout_ends_the_run_quietly(argv):
+    # As after `jordankron ... | head`: stdout's reader is gone before the
+    # command writes.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [*ENTRY, *argv], env=ENTRY_ENV, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 1
 
 
 def test_reduce_demo():

@@ -1,5 +1,11 @@
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +37,7 @@ from helpers import (
     mirror,
     rank_drop_witness,
     reference_rank_int,
+    reference_scan,
 )
 
 
@@ -435,13 +442,16 @@ def test_scan_contains_known_records():
 
 
 def _counting_rank_row(monkeypatch):
+    """Record the quadruple of every rank row the scanner computes, by its
+    one ``_hankel_rank`` call per quadruple."""
     calls = []
+    hankel = toeplitz._hankel_rank
 
-    def counted(*quad):
-        calls.append(quad)
-        return rank_row(*quad)
+    def counted(m, n, d, ell, gamma=None):
+        calls.append((m, n, d, ell))
+        return hankel(m, n, d, ell, gamma)
 
-    monkeypatch.setattr(toeplitz, "rank_row", counted)
+    monkeypatch.setattr(toeplitz, "_hankel_rank", counted)
     return calls
 
 
@@ -492,6 +502,73 @@ def test_scan_resume_drops_a_truncated_last_line(tmp_path, monkeypatch):
     out.write_text(lines[0] + '{"m": 1,\n' + lines[1])
     with pytest.raises(ValueError):
         scan_deficiencies(4, 4, 3, 2, out_path=out)
+
+
+def _as_json(records):
+    return [r.to_json_obj() for r in records]
+
+
+@pytest.mark.parametrize(
+    "box", [(1, 1, 1, 1), (4, 4, 3, 2), (6, 8, 4, 2), (8, 8, 4, 3), (5, 3, 2, 6),
+            (3, 9, 6, 2), (10, 12, 3, 5)]
+)
+def test_scan_matches_the_per_k_reference(tmp_path, box):
+    ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+    want = reference_scan(*box, out_path=ref)
+    assert _as_json(scan_deficiencies(*box, out_path=ours)) == _as_json(want)
+    assert ours.read_bytes() == ref.read_bytes()
+    assert _as_json(scan_deficiencies(*box)) == _as_json(want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scan_resumes_like_the_reference_from_any_subset_of_records(tmp_path, seed):
+    rng = random.Random(seed)
+    full = tmp_path / "full.jsonl"
+    reference_scan(7, 8, 3, 3, out_path=full)
+    lines = full.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if rng.random() < (0.2, 0.5, 0.9)[seed % 3]]
+    rng.shuffle(kept)
+    tail = lines[0][: rng.randrange(len(lines[0]))] if seed % 2 else ""
+    quads = Counter(tuple(json.loads(line).values())[:4] for line in kept)
+    width = {q: q[0] + q[1] - 1 - q[2] * q[3] for q in quads}
+    assert any(0 < c < width[q] for q, c in quads.items())  # a part-done quadruple
+    # The resumed box may be smaller or larger than the file's.
+    box = ((5, 8, 2, 3), (7, 8, 3, 3), (9, 9, 3, 4))[seed % 3]
+    ours, ref = tmp_path / "ours.jsonl", tmp_path / "ref.jsonl"
+    for path in (ours, ref):
+        path.write_text("".join(kept) + tail)
+    got = scan_deficiencies(*box, out_path=ours)
+    assert _as_json(got) == _as_json(reference_scan(*box, out_path=ref))
+    assert ours.read_bytes() == ref.read_bytes()
+    assert _as_json(got) == _as_json(scan_deficiencies(*box))
+
+
+_KILLED_AT = """
+import os, signal, sys
+from jordankron import toeplitz
+hankel = toeplitz._hankel_rank
+def dying(m, n, d, ell, gamma=None):
+    if (m, n, d, ell) == (8, 8, 2, 2):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return hankel(m, n, d, ell, gamma)
+toeplitz._hankel_rank = dying
+toeplitz.scan_deficiencies(8, 8, 4, 3, out_path=sys.argv[1])
+"""
+
+
+def test_a_killed_scan_has_written_every_quadruple_before_the_kill(tmp_path):
+    killed, full = tmp_path / "killed.jsonl", tmp_path / "full.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", _KILLED_AT, str(killed)],
+        env=dict(os.environ, PYTHONPATH=str(Path(toeplitz.__file__).parents[1])),
+        timeout=60,
+    )
+    assert proc.returncode == -signal.SIGKILL
+    reference_scan(8, 8, 4, 3, out_path=full)
+    lines = full.read_text().splitlines(keepends=True)
+    stop = next(i for i, line in enumerate(lines)
+                if tuple(json.loads(line).values())[:4] == (8, 8, 2, 2))
+    assert killed.read_text() == "".join(lines[:stop])
 
 
 @pytest.mark.parametrize("lie", [
