@@ -285,7 +285,7 @@ def cmd_reduce(args) -> int:
     rows.extend([0] * n for _ in range(1, r))
     rows.append(_random_ring_row(rng, n, unit=True))
     rows.extend(_random_ring_row(rng, n, unit=False) for _ in range(r + 1, m))
-    z = BlockToeplitzUT.from_first_rows(rows)
+    z = BlockToeplitzUT(rows)
     red = reduce_shifted(z, r)
     zmat = z.to_matrix()
     residual = zmat @ red.transform - red.transform @ red.target

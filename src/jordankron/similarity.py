@@ -118,10 +118,6 @@ class BlockToeplitzUT:
             raise ValueError("blocks must share one size")
         object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def from_first_rows(cls, rows: Sequence[Sequence]) -> "BlockToeplitzUT":
-        return cls(rows)
-
     @property
     def block_count(self) -> int:
         return len(self.rows)
@@ -129,9 +125,6 @@ class BlockToeplitzUT:
     @property
     def block_size(self) -> int:
         return len(self.rows[0])
-
-    def first_rows(self) -> list[tuple[Fraction, ...]]:
-        return list(self.rows)
 
     def to_matrix(self) -> RationalMatrix:
         m, a = self.block_count, self.rows
@@ -184,7 +177,7 @@ def reduce_shifted(z: BlockToeplitzUT, r: int) -> SimilarityReduction:
     m, n = z.block_count, z.block_size
     if type(r) is not int or not 1 <= r <= m - 1:
         raise ValueError(f"shift order must be an integer in [1, {m - 1}], got {r!r}")
-    a = z.first_rows()
+    a = z.rows
     for i in range(1, r):
         if any(a[i]):
             raise NonzeroLowOrderError(

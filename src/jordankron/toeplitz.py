@@ -45,20 +45,26 @@ The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  It works one quadruple at a time: one
 ``_hankel_rank`` and two ``_ranks`` rows give every record of the
 quadruple, and its new records reach the JSONL file in one flushed write,
-so a killed scan loses no finished quadruple and resumes from its file.
-``sufficient_rank_drop`` implements a closed sufficient condition (the
-coefficient vector of ``(x - y)^ell`` is then an explicit kernel vector),
-but it is not necessary, and the scanner records both kinds.
+so a killed scan loses no finished quadruple and resumes from its file,
+read one line at a time.  ``sufficient_rank_drop`` implements a closed
+sufficient condition (the coefficient vector of ``(x - y)^ell`` is then an
+explicit kernel vector), but it is not necessary, and the scanner records
+both kinds.
+
+Every function here takes the quintuple (m, n, d, ell, k) as plain ints,
+m and n in either order at the public entry points.  A scanned quintuple
+and its rank data are one flat ``DeficiencyRecord``, whose fields are
+those of a JSONL record in file order.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import itemgetter, le, sub
 from pathlib import Path
+from typing import NamedTuple
 
 from .bounds import filtration_dim
 from .exactmat import _rank_int_rows
@@ -107,44 +113,6 @@ def _check_params(m: int, n: int, d: int, ell: int, k: int | None = None) -> Non
             raise InvalidSpecError(f"no k in [{lo}, {hi}]")
     elif not lo <= k <= hi:
         raise InvalidSpecError(f"k = {k} outside [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class ToeplitzSpec:
-    """Parameter quintuple (m, n, d, ell, k) with m <= n and
-    d*ell + 1 <= k <= m + n - 1."""
-
-    m: int
-    n: int
-    d: int
-    ell: int
-    k: int
-
-    def __post_init__(self):
-        _check_params(self.m, self.n, self.d, self.ell, self.k)
-        if self.m > self.n:
-            raise InvalidSpecError(f"need m <= n, got ({self.m}, {self.n})")
-
-    @property
-    def n_cols(self) -> int:
-        return filtration_dim(self.m, self.n, self.k)
-
-    @property
-    def n_rows(self) -> int:
-        return filtration_dim(self.m, self.n, self.k - self.ell * self.d)
-
-    @property
-    def max_rank(self) -> int:
-        return min(self.n_rows, self.n_cols)
-
-
-def _offset(n: int, shift: int, k: int) -> int:
-    return min(max(k - n, 0), shift)
-
-
-def offset_c(spec: ToeplitzSpec) -> int:
-    """Band offset: 0 for k <= n, then k - n, clamped at ell*d."""
-    return _offset(spec.n, spec.ell * spec.d, spec.k)
 
 
 def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
@@ -259,8 +227,9 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     return _ranks(m, n, shift, r, range(k, k + 1))[0]
 
 
-def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
-    """Closed sufficient (not necessary) test for rank deficiency.
+def sufficient_rank_drop(m: int, n: int, d: int, ell: int, k: int) -> bool:
+    """Closed sufficient (not necessary) test for rank deficiency of R_k;
+    m and n in either order.
 
     Flip the spec so the matrix has at least as many rows as columns, and
     let v hold the coefficients of (z - 1)^ell in the leading u_k slots.
@@ -274,43 +243,32 @@ def sufficient_rank_drop(spec: ToeplitzSpec) -> bool:
     The test requires u_k > ell so that v is nonzero, and a kernel vector
     of a rows >= cols matrix forces rank < u_k.
     """
-    return _drop_predicted(
-        spec.m, spec.n, spec.d, spec.ell, spec.k, spec.n_rows, spec.n_cols
-    )
-
-
-def _drop_predicted(
-    m: int, n: int, d: int, ell: int, k: int, nr: int, nc: int
-) -> bool:
-    """sufficient_rank_drop on the integers of a valid quintuple, m <= n,
-    whose R_k is nr x nc.  The flip-normalized spec, of index
-    max(k, m + n + ell*d - k), has the larger of nr and nc as its rows and
-    the smaller as its columns."""
-    if min(nr, nc) <= ell:
-        return False
-    shift = ell * d
-    c = _offset(n, shift, max(k, m + n + shift - k))
-    return (ell + c) % (d + 1) >= max(nr, nc)
+    _check_params(m, n, d, ell, k)
+    if m > n:
+        m, n = n, m
+    return _predicted(m, n, d, ell, k, _ranks(m, n, ell * d, m, (k,))[0])
 
 
 def _predicted(m: int, n: int, d: int, ell: int, k: int, max_rank: int) -> bool:
-    """``_drop_predicted`` of a valid quintuple, m <= n, whose R_k has the
-    largest rank max_rank = min(nr, nc).
+    """``sufficient_rank_drop`` of a valid quintuple, m <= n, whose R_k is
+    nr x nc, of largest rank max_rank = min(nr, nc).
 
-    The test is false unless ell < min(nr, nc) and max(nr, nc) <= (ell + c)
-    mod (d + 1), which is at most d.  So it is false unless both filtration
-    dimensions are at most d, which needs ell < max_rank <= d; only then
-    are they computed and the test run.
+    The flip-normalized spec, of index max(k, m + n + ell*d - k), has the
+    larger of nr and nc as its rows, the smaller as its columns, and the
+    offset c below.  The test is false unless ell < min(nr, nc) and
+    max(nr, nc) <= (ell + c) mod (d + 1), which is at most d; so it is false
+    unless ell < max_rank <= d, and only then are nr and nc computed.
     """
     if not ell < max_rank <= d:
         return False
-    nr, nc = filtration_dim(m, n, k - ell * d), filtration_dim(m, n, k)
-    return max(nr, nc) <= d and _drop_predicted(m, n, d, ell, k, nr, nc)
+    shift = ell * d
+    c = min(max(k - n, m + shift - k, 0), shift)
+    nr, nc = filtration_dim(m, n, k - shift), filtration_dim(m, n, k)
+    return (ell + c) % (d + 1) >= max(nr, nc)
 
 
-_RECORD_FIELDS = itemgetter(
-    "m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted"
-)
+_JSON_KEYS = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted")
+_RECORD_FIELDS = itemgetter(*_JSON_KEYS)
 
 
 def _checked_fields(obj: dict) -> tuple:
@@ -349,66 +307,53 @@ def _checked_fields(obj: dict) -> tuple:
     return fields
 
 
-@dataclass(frozen=True)
-class DeficiencyRecord:
-    """One scanned quintuple with its rank data."""
+class DeficiencyRecord(NamedTuple):
+    """One scanned quintuple, m <= n, with its rank data: the fields of a
+    JSONL record in file order, so records sort in scan order."""
 
-    spec: ToeplitzSpec
+    m: int
+    n: int
+    d: int
+    ell: int
+    k: int
     rank: int
     max_rank: int
     deficiency: int
     predicted_by_sufficient: bool
 
     def to_json_obj(self) -> dict:
-        s = self.spec
-        return {
-            "m": s.m,
-            "n": s.n,
-            "d": s.d,
-            "ell": s.ell,
-            "k": s.k,
-            "rank": self.rank,
-            "maxRank": self.max_rank,
-            "deficiency": self.deficiency,
-            "predicted": self.predicted_by_sufficient,
-        }
+        return dict(zip(_JSON_KEYS, self))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DeficiencyRecord":
         """Inverse of to_json_obj, with the checks of ``_checked_fields``."""
-        m, n, d, ell, k, rk, max_rank, deficiency, predicted = _checked_fields(obj)
-        return cls(ToeplitzSpec(m, n, d, ell, k), rk, max_rank, deficiency, predicted)
+        return cls(*_checked_fields(obj))
 
 
-def _record(
-    m: int, n: int, d: int, ell: int, k: int, rk: int, max_rank: int
-) -> DeficiencyRecord:
-    """The record of a valid quintuple, m <= n, whose R_k has rank rk and
-    largest rank max_rank."""
-    spec = ToeplitzSpec(m, n, d, ell, k)
-    return DeficiencyRecord(
-        spec, rk, max_rank, max_rank - rk, _predicted(m, n, d, ell, k, max_rank)
-    )
+def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
+    """Every record of a scan file, keyed by quintuple: its
+    ``DeficiencyRecord`` when it is deficient, else None.
 
-
-def _load_records(path: Path) -> dict[tuple, int]:
-    """The deficiency of each record of a scan file, keyed by quintuple.
-
-    Every record ends with a newline, so text after the last one is a
-    record cut short by an interrupted run: it is dropped, and cut off the
-    file so that appended records start on a line of their own.  A complete
-    line that fails ``_checked_fields`` raises ValueError.
+    The file is read one line at a time.  Every record ends with a newline,
+    so text after the last one is a record cut short by an interrupted
+    run: it is dropped, and cut off the file so that appended records start
+    on a line of their own.  A complete line that fails ``_checked_fields``
+    raises ValueError.
     """
+    records = {}
     if not path.exists():
-        return {}
-    data = path.read_bytes()
-    end = data.rfind(b"\n") + 1
-    if end < len(data):
-        with path.open("r+b") as fh:
-            fh.truncate(end)
-    lines = filter(str.strip, data[:end].decode("utf-8").splitlines())
-    records = map(_checked_fields, map(json.loads, lines))
-    return {fields[:5]: fields[7] for fields in records}
+        return records
+    with path.open("r+b") as fh:
+        end = 0
+        for line in fh:
+            if not line.endswith(b"\n"):
+                fh.truncate(end)
+                break
+            end += len(line)
+            if line.strip():
+                fields = _checked_fields(json.loads(line.decode()))
+                records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
+    return records
 
 
 def scan_deficiencies(
@@ -437,12 +382,8 @@ def scan_deficiencies(
     have = Counter(key[:4] for key in existing)
     # The file may hold records of a larger box; only those in this one
     # are reported.
-    deficient = []
-    for key, lack in existing.items():
-        if lack and all(map(le, key[:4], bounds)):
-            m, n, d, ell, k = key
-            max_rank = _ranks(m, n, d * ell, m, (k,))[0]
-            deficient.append(_record(*key, max_rank - lack, max_rank))
+    deficient = [rec for rec in existing.values()
+                 if rec is not None and all(map(le, rec[:4], bounds))]
     sink = path.open("a") if path is not None else None
     try:
         for m in range(1, m_max + 1):
@@ -464,8 +405,10 @@ def scan_deficiencies(
                         if done:
                             new = [t for t in new
                                    if (m, n, d, ell, t[0]) not in existing]
-                        deficient.extend(_record(m, n, d, ell, k, rk, mr)
-                                         for k, rk, mr in new if rk < mr)
+                        deficient.extend(
+                            DeficiencyRecord(m, n, d, ell, k, rk, mr, mr - rk,
+                                             _predicted(m, n, d, ell, k, mr))
+                            for k, rk, mr in new if rk < mr)
                         if sink is not None:
                             # Byte for byte json.dumps(record.to_json_obj()).
                             head = f'{{"m": {m}, "n": {n}, "d": {d}, "ell": {ell}, "k": '
@@ -479,7 +422,5 @@ def scan_deficiencies(
     finally:
         if sink is not None:
             sink.close()
-    deficient.sort(
-        key=lambda r: (r.spec.m, r.spec.n, r.spec.d, r.spec.ell, r.spec.k)
-    )
+    deficient.sort()
     return deficient

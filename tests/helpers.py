@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from math import comb
 from operator import mul
@@ -43,11 +43,11 @@ from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
 from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
-    ToeplitzSpec,
+    InvalidSpecError,
+    _check_params,
     _ranks,
     gamma_coeffs,
     hankel_rank,
-    offset_c,
     rank_row,
     sufficient_rank_drop,
 )
@@ -106,7 +106,7 @@ def random_block_toeplitz(
     rows.extend([Fraction(0)] * n for _ in range(1, r))
     rows.append(random_ring_row(rng, n, bound, unit=True))
     rows.extend(random_ring_row(rng, n, bound) for _ in range(r + 1, m))
-    return BlockToeplitzUT.from_first_rows(rows)
+    return BlockToeplitzUT(rows)
 
 
 def random_degenerate_poly(rng: random.Random, size=4, bound=3) -> BivariatePoly:
@@ -172,6 +172,42 @@ def reference_rank_int(rows: list[list[int]]) -> int:
         prev = piv
         r += 1
     return r
+
+
+@dataclass(frozen=True)
+class ToeplitzSpec:
+    """Parameter quintuple (m, n, d, ell, k) of one R_k, with m <= n and
+    d*ell + 1 <= k <= m + n - 1, checked as the package checks its int
+    arguments.  The test suite's handle on one matrix of the family; the
+    package itself passes the quintuple as plain ints."""
+
+    m: int
+    n: int
+    d: int
+    ell: int
+    k: int
+
+    def __post_init__(self):
+        _check_params(self.m, self.n, self.d, self.ell, self.k)
+        if self.m > self.n:
+            raise InvalidSpecError(f"need m <= n, got ({self.m}, {self.n})")
+
+    @property
+    def n_cols(self) -> int:
+        return filtration_dim(self.m, self.n, self.k)
+
+    @property
+    def n_rows(self) -> int:
+        return filtration_dim(self.m, self.n, self.k - self.ell * self.d)
+
+    @property
+    def max_rank(self) -> int:
+        return min(self.n_rows, self.n_cols)
+
+
+def offset_c(spec: ToeplitzSpec) -> int:
+    """Band offset: 0 for k <= n, then k - n, clamped at ell*d."""
+    return min(max(spec.k - spec.n, 0), spec.ell * spec.d)
 
 
 def _padded_gamma(d: int, ell: int, m: int) -> list[int]:
@@ -793,8 +829,7 @@ def reference_scan(
         for line in data.decode("utf-8").splitlines():
             if line.strip():
                 rec = DeficiencyRecord.from_json_obj(json.loads(line))
-                s = rec.spec
-                existing[s.m, s.n, s.d, s.ell, s.k] = rec.rank
+                existing[rec[:5]] = rec.rank
     deficient = []
     sink = path.open("a") if path is not None else None
     try:
@@ -813,8 +848,8 @@ def reference_scan(
                             if fresh:
                                 rk = ranks[k]
                             rec = DeficiencyRecord(
-                                spec, rk, spec.max_rank, spec.max_rank - rk,
-                                sufficient_rank_drop(spec),
+                                m, n, d, ell, k, rk, spec.max_rank,
+                                spec.max_rank - rk, sufficient_rank_drop(m, n, d, ell, k),
                             )
                             if fresh:
                                 lines.append(json.dumps(rec.to_json_obj()) + "\n")
@@ -899,7 +934,7 @@ def rank_drop_witness(spec: ToeplitzSpec) -> tuple[ToeplitzSpec, list[int]]:
     padded with zeros; build_R of that spec annihilates it.
     """
     spec = normalized_wide(spec)
-    if not sufficient_rank_drop(spec):
+    if not sufficient_rank_drop(*astuple(spec)):
         raise ValueError("the sufficient condition does not hold for this spec")
     ell = spec.ell
     v = [comb(ell, s) * (-1) ** (ell - s) for s in range(ell + 1)]

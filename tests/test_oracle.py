@@ -247,7 +247,7 @@ def test_oracle_pair_sizes_rejects_non_nilpotent_rows(monkeypatch):
     lambda v: block_pair_nilpotent_rows(X_PLUS_Y, 0, v, 0, 2),
     lambda v: build_block_pair(X_PLUS_Y, 0, 2, 0, v),
     lambda v: jordan_block(0, v),
-    lambda v: reduce_shifted(BlockToeplitzUT.from_first_rows([[1], [1], [1]]), v),
+    lambda v: reduce_shifted(BlockToeplitzUT([[1], [1], [1]]), v),
     lambda v: gamma_coeffs(v, 1),
     lambda v: gamma_coeffs(1, v),
 ], ids=["oracle-m", "oracle-n", "nilpotent-rows", "block-pair", "jordan-block",
@@ -273,14 +273,14 @@ def test_consistency_checks_survive_optimized_mode():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "from jordankron.oracle import WeyrConsistencyError, sizes_from_nullities\n"
-        "from jordankron.toeplitz import InvalidSpecError, ToeplitzSpec\n"
-        "from jordankron.toeplitz import hankel_rank, rank_row, rho\n"
+        "from jordankron.toeplitz import InvalidSpecError, hankel_rank, rank_row\n"
+        "from jordankron.toeplitz import rho, sufficient_rank_drop\n"
         "try:\n"
         "    sizes_from_nullities([0, 1, 3, 4], 4)\n"
         "except WeyrConsistencyError:\n"
         "    print('raised')\n"
         "for bad in ((2.5, 3, 1, 1, 2), (True, 3, 1, 1, 2), (2, 3.0, 1, 1, 2)):\n"
-        "    for build in (rho, ToeplitzSpec):\n"
+        "    for build in (rho, sufficient_rank_drop):\n"
         "        try:\n"
         "            build(*bad)\n"
         "        except InvalidSpecError:\n"
@@ -315,9 +315,6 @@ def test_scalar_constructors_reject_floats_and_bools(bad):
     with pytest.raises(ValueError):
         oracle_jcf_matrix(RationalMatrix([[1]]), [1, bad])
     with pytest.raises(ValueError):
-        BlockToeplitzUT.from_first_rows([[Q(1, 2)], [bad]])
+        BlockToeplitzUT([[Q(1, 2)], [bad]])
     assert JordanStructure({"1/2": [1]}) == JordanStructure.from_pairs([(Q(1, 2), [1])])
-    assert BlockToeplitzUT.from_first_rows([["1/2"], [1]]).first_rows() == [
-        (Q(1, 2),),
-        (Q(1),),
-    ]
+    assert BlockToeplitzUT([["1/2"], [1]]).rows == ((Q(1, 2),), (Q(1),))

@@ -30,7 +30,7 @@ from helpers import (
 def test_block_container_validation():
     with pytest.raises(ValueError):
         BlockToeplitzUT([[1, 2], [3]])
-    z = BlockToeplitzUT.from_first_rows([[1, 2], [0, 5]])
+    z = BlockToeplitzUT([[1, 2], [0, 5]])
     assert z.block_count == 2 and z.block_size == 2
     assert z.to_matrix() == RationalMatrix(
         [[1, 2, 0, 5], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]]
@@ -130,7 +130,7 @@ def test_reduction_preserves_weyr_structure():
         z = random_block_toeplitz(rng, m, n)
         zm = z.to_matrix()
         red = reduce_bidiagonal(z)
-        shift = z.first_rows()[0][0]
+        shift = z.rows[0][0]
         assert weyr_structure(zm.shifted(shift)) == weyr_structure(
             red.normal_form.shifted(shift)
         )
@@ -144,7 +144,7 @@ def test_nonzero_low_order_rejected():
         random_ring_row(rng, 3, unit=True),
         random_ring_row(rng, 3),
     ]
-    z = BlockToeplitzUT.from_first_rows(rows)
+    z = BlockToeplitzUT(rows)
     with pytest.raises(NonzeroLowOrderError):
         reduce_shifted(z, 2)
 
@@ -153,12 +153,12 @@ def test_singular_pivot_counterexample():
     # A_0 = N3^2, A_1 = 2 N3, A_2 = -2 I: the pivot block is singular and
     # the bidiagonal target is genuinely not similar to Z, witnessed by
     # W^2 != 0 = Z^2.
-    z = BlockToeplitzUT.from_first_rows([[0, 0, 1], [0, 2, 0], [-2, 0, 0]])
+    z = BlockToeplitzUT([[0, 0, 1], [0, 2, 0], [-2, 0, 0]])
     with pytest.raises(SingularA1Error):
         reduce_bidiagonal(z)
     with pytest.raises(SingularArError):
         reduce_shifted(z, 1)
-    w = BlockToeplitzUT.from_first_rows(
+    w = BlockToeplitzUT(
         [[0, 0, 1], [1, 0, 0], [0, 0, 0]]
     ).to_matrix()
     zm = z.to_matrix()

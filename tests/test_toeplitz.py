@@ -4,7 +4,9 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -17,24 +19,24 @@ from jordankron import RationalMatrix
 from jordankron.exactmat import rank
 from jordankron.toeplitz import (
     InvalidSpecError,
-    ToeplitzSpec,
     _gamma_step,
     _hankel_rank,
     _rank_sum,
     _ranks,
     gamma_coeffs,
     hankel_rank,
-    offset_c,
     rank_row,
 )
 
 from helpers import (
+    ToeplitzSpec,
     annihilates,
     build_R,
     certified_full_rank,
     check_properties,
     iter_valid_specs,
     mirror,
+    offset_c,
     rank_drop_witness,
     reference_rank_int,
     reference_scan,
@@ -94,14 +96,16 @@ def test_build_R_golden_matrices():
 
 
 def test_spec_validation():
-    with pytest.raises(InvalidSpecError):
-        ToeplitzSpec(5, 4, 1, 1, 3)  # m > n
-    with pytest.raises(InvalidSpecError):
-        ToeplitzSpec(4, 4, 2, 2, 4)  # k below d*ell + 1
-    with pytest.raises(InvalidSpecError):
-        ToeplitzSpec(4, 4, 1, 1, 8)  # k above m + n - 1
-    with pytest.raises(InvalidSpecError):
-        ToeplitzSpec(0, 4, 1, 1, 2)
+    # m > n is no error here, as both take m and n in either order; the
+    # scan record check rejects it.
+    for bad in (
+        (4, 4, 2, 2, 4),  # k below d*ell + 1
+        (4, 4, 1, 1, 8),  # k above m + n - 1
+        (0, 4, 1, 1, 2),
+    ):
+        for call in (rho, sufficient_rank_drop):
+            with pytest.raises(InvalidSpecError):
+                call(*bad)
 
 
 def test_spec_rejects_non_int_parameters():
@@ -113,10 +117,9 @@ def test_spec_rejects_non_int_parameters():
         (2, 3, "1", 1, 2),
         (2, 3, 1, None, 2),
     ):
-        with pytest.raises(InvalidSpecError, match="integers"):
-            rho(*bad)
-        with pytest.raises(InvalidSpecError, match="integers"):
-            ToeplitzSpec(*bad)
+        for call in (rho, sufficient_rank_drop):
+            with pytest.raises(InvalidSpecError, match="integers"):
+                call(*bad)
 
 
 def _entry_formula_rows(spec):
@@ -297,8 +300,9 @@ def test_rho_matches_bareiss_on_scanned_deficiencies():
     records = scan_deficiencies(8, 8, 4, 3)
     assert records
     for rec in records:
-        assert not certified_full_rank(rec.spec)
-        assert _assert_rho_matches_bareiss(rec.spec) == rec.rank
+        spec = ToeplitzSpec(*rec[:5])
+        assert not certified_full_rank(spec)
+        assert _assert_rho_matches_bareiss(spec) == rec.rank
         assert rec.deficiency == rec.max_rank - rec.rank > 0
 
 
@@ -384,15 +388,16 @@ def test_flip_pair_of_displayed_shapes():
 
 
 def test_sufficient_rank_drop_examples():
-    assert sufficient_rank_drop(ToeplitzSpec(4, 8, 3, 2, 9)) is True
+    assert sufficient_rank_drop(4, 8, 3, 2, 9) is True
+    assert sufficient_rank_drop(8, 4, 3, 2, 9) is True
     assert rho(4, 8, 3, 2, 9) == 2 < 3
     # Deficient but not predicted.
     spec = ToeplitzSpec(6, 6, 2, 1, 7)
-    assert sufficient_rank_drop(spec) is False
+    assert sufficient_rank_drop(*astuple(spec)) is False
     assert rank(build_R(spec)) == 4 < spec.max_rank
     # Full-rank case.
     full = ToeplitzSpec(2, 2, 1, 1, 2)
-    assert sufficient_rank_drop(full) is False
+    assert sufficient_rank_drop(*astuple(full)) is False
     assert rank(build_R(full)) == full.max_rank == 1
 
 
@@ -410,16 +415,29 @@ def test_sufficient_rank_drop_matches_mirrored_spec():
     hits = 0
     for spec in iter_valid_specs(14, 14, 5, 5):
         wide, expected = _sufficient_on_mirrored_spec(spec)
-        assert sufficient_rank_drop(spec) is expected
+        assert sufficient_rank_drop(*astuple(spec)) is expected
         if expected:
             assert rank_drop_witness(spec)[0] == wide
             hits += 1
     assert hits
 
 
+def test_sufficient_rank_drop_ignores_the_order_of_m_and_n_on_the_40_box():
+    hits = 0
+    for m in range(1, 41):
+        for n in range(m, 41):
+            for d in range(1, 7):
+                for ell in range(1, 9):
+                    for k in range(d * ell + 1, m + n):
+                        drop = sufficient_rank_drop(m, n, d, ell, k)
+                        assert sufficient_rank_drop(n, m, d, ell, k) is drop
+                        hits += drop
+    assert hits
+
+
 def test_sufficient_condition_is_sound_with_kernel_witness():
     for spec in iter_valid_specs(6, 6, 4, 3):
-        if not sufficient_rank_drop(spec):
+        if not sufficient_rank_drop(*astuple(spec)):
             continue
         wide, v = rank_drop_witness(spec)
         r = build_R(wide)
@@ -430,9 +448,7 @@ def test_sufficient_condition_is_sound_with_kernel_witness():
 
 def test_scan_contains_known_records():
     records = scan_deficiencies(6, 8, 4, 2)
-    by_key = {
-        (r.spec.m, r.spec.n, r.spec.d, r.spec.ell, r.spec.k): r for r in records
-    }
+    by_key = {r[:5]: r for r in records}
     hit = by_key[(4, 8, 3, 2, 9)]
     assert hit.deficiency == 1 and hit.predicted_by_sufficient
     miss = by_key[(6, 6, 2, 1, 7)]
@@ -502,6 +518,23 @@ def test_scan_resume_drops_a_truncated_last_line(tmp_path, monkeypatch):
     out.write_text(lines[0] + '{"m": 1,\n' + lines[1])
     with pytest.raises(ValueError):
         scan_deficiencies(4, 4, 3, 2, out_path=out)
+
+
+def test_a_full_resume_holds_at_most_twice_the_file_in_memory(tmp_path):
+    # The resume reads the file one line at a time and keeps one small
+    # entry per record, never the whole file, its text or its lines.
+    out = tmp_path / "scan.jsonl"
+    scan_deficiencies(10, 10, 4, 3, out_path=out)
+    size = out.stat().st_size
+    assert size == 385_548
+    tracemalloc.start()
+    try:
+        scan_deficiencies(10, 10, 4, 3, out_path=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == size
+    assert peak <= 2 * size
 
 
 def _as_json(records):
@@ -595,8 +628,8 @@ def test_scan_resume_rejects_records_that_disagree_with_their_spec(tmp_path, lie
     "lie", [{"m": 4, "n": 3}, {"k": 1}, {"k": 7}, {"d": 0}, {"ell": -1}]
 )
 def test_scan_resume_rejects_invalid_quintuples(tmp_path, lie):
-    # Resumed ranks are checked without building a ToeplitzSpec, so the
-    # shared check must still reject m > n and an out-of-range parameter.
+    # The package builds no spec object, so the record check alone must
+    # reject m > n and an out-of-range parameter.
     out = tmp_path / "scan.jsonl"
     scan_deficiencies(4, 4, 3, 2, out_path=out)
     lines = out.read_text().splitlines(keepends=True)
