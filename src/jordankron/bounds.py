@@ -15,8 +15,7 @@ and also size the banded Toeplitz matrices in :mod:`jordankron.toeplitz`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def filtration_dim(m: int, n: int, j: int) -> int:
@@ -61,8 +60,7 @@ def block_count_bounds(m: int, n: int, d: int) -> tuple[int, int]:
     return lower, upper
 
 
-@dataclass(frozen=True)
-class PairBounds:
+class PairBounds(NamedTuple):
     """Both bounds for one degenerate pair of sizes (m, n) at local degree d."""
 
     local_degree: int

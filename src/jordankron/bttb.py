@@ -18,10 +18,9 @@ cross-validation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exactmat import RationalMatrix, _from_int_rows, direct_sum, jordan_block, kron
 from .polyring import (
@@ -46,24 +45,27 @@ def parse_block_size(value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class JordanSpec:
+class _Blocks(NamedTuple):
+    blocks: tuple[tuple[Fraction, int], ...]
+
+
+class JordanSpec(_Blocks):
     """A matrix described by its Jordan blocks: a multiset of (eigenvalue, size).
 
     Blocks are kept in canonical order, eigenvalue ascending then size
     descending.  A spec has at least one block.
     """
 
-    blocks: tuple[tuple[Fraction, int], ...]
+    __slots__ = ()
 
-    def __init__(self, blocks: Iterable[tuple[RationalLike, int]]):
+    def __new__(cls, blocks: Iterable[tuple[RationalLike, int]]):
         norm = []
         for eig, size in blocks:
             norm.append((Fraction(exact_rational(eig)), parse_block_size(size)))
         if not norm:
             raise ValueError("a Jordan spec needs at least one block")
         norm.sort(key=lambda b: (b[0], -b[1]))
-        object.__setattr__(self, "blocks", tuple(norm))
+        return super().__new__(cls, tuple(norm))
 
     @classmethod
     def single(cls, eig: RationalLike, size: int) -> "JordanSpec":

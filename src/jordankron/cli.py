@@ -27,24 +27,13 @@ import argparse
 import functools
 import json
 import os
-import random
 import re
 import sys
 from pathlib import Path
 
-from . import frechet, generic
-from .bounds import block_count_bounds, max_block_size_bound
-from .bttb import JordanSpec, block_pairs, build_full, build_raw_kron
-from .generic import DegenerateCaseError, PairPrediction
-from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair_sizes
-from .polyring import (
-    BivariatePoly,
-    UnivariatePoly,
-    bezout_quotient,
-    format_rational,
-)
-from .similarity import BlockToeplitzUT, reduce_shifted
-from .toeplitz import scan_deficiencies
+# Each handler imports the library modules it calls when it runs, so that a
+# process loads only what its command needs: ``bounds`` loads no module but
+# ``jordankron.bounds``.
 
 SCHEMA = "jordan-kron/1"
 
@@ -78,6 +67,8 @@ def _read_arg_text(text: str) -> str:
 
 
 def _load_spec(text: str) -> JordanSpec:
+    from .bttb import JordanSpec
+
     return JordanSpec.from_json(_read_arg_text(text))
 
 
@@ -95,6 +86,8 @@ def _load_specs(args) -> tuple[JordanSpec, JordanSpec]:
 def _load_polynomials(args, mode: str):
     """Returns (p, f); f is None unless given.  Generic mode accepts --f by
     taking its difference quotient; derivative mode requires --f."""
+    from .polyring import BivariatePoly, UnivariatePoly, bezout_quotient
+
     p = f = None
     if getattr(args, "f", None) is not None:
         f = UnivariatePoly.from_string(_read_arg_text(args.f))
@@ -136,6 +129,8 @@ def _echo_inputs(p, f, x, y) -> dict:
 
 def _maybe_dump(args, p, x, y) -> None:
     if getattr(args, "dump", False):
+        from .bttb import build_full
+
         print(build_full(p, x, y).dump(), file=sys.stderr)
 
 
@@ -145,17 +140,26 @@ def _predictions(mode, p, f, x, y) -> tuple[list[PairPrediction], JordanStructur
     A constant p in generic mode has no records: p(X, Y) is p's constant
     times the identity, all blocks of size 1.
     """
+    from .bttb import block_pairs
+    from .oracle import JordanStructure
+
     if mode == "generic" and p.is_constant():
         dim = x.total_size * y.total_size
         return [], JordanStructure({p.constant_term: (1,) * dim})
-    module, poly = (frechet, f) if mode == "frechet" else (generic, p)
-    preds = [module.pair_prediction(poly, *pair) for pair in block_pairs(x, y)]
+    if mode == "frechet":
+        from .frechet import pair_prediction
+    else:
+        from .generic import pair_prediction
+    poly = f if mode == "frechet" else p
+    preds = [pair_prediction(poly, *pair) for pair in block_pairs(x, y)]
     merged = JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
     return preds, merged
 
 
 def _difference(eig, predicted, oracle) -> dict:
     """A ``firstDifference`` entry: the sizes each side gives at eig."""
+    from .polyring import format_rational
+
     return {
         "eig": format_rational(eig),
         "predicted": list(predicted),
@@ -172,6 +176,8 @@ def cmd_predict(args) -> int:
     inputs = _echo_inputs(p, f, x, y)
     degenerate = next((pr for pr in preds if pr.bounds is not None), None)
     if degenerate is not None:
+        from .generic import DegenerateCaseError
+
         entry = degenerate.to_json_obj()
         _emit(_document(
             "predict-generic", inputs,
@@ -188,6 +194,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .bttb import block_pairs, build_raw_kron
+    from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair_sizes
+
     mode = "frechet" if args.f is not None else "generic"
     p, f = _load_polynomials(args, mode)
     x, y = _load_specs(args)
@@ -248,6 +257,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import block_count_bounds, max_block_size_bound
+
     size_bound = max_block_size_bound(args.m, args.n, args.d)
     lo, hi = block_count_bounds(args.m, args.n, args.d)
     _emit(_document(
@@ -258,6 +269,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .toeplitz import scan_deficiencies
+
     records = scan_deficiencies(
         args.m_max, args.n_max, args.d_max, args.ell_max, out_path=args.out
     )
@@ -275,6 +288,10 @@ def _random_ring_row(rng: random.Random, n: int, unit: bool) -> list[int]:
 
 
 def cmd_reduce(args) -> int:
+    import random
+
+    from .similarity import BlockToeplitzUT, reduce_shifted
+
     if not 2 <= len(args.demo) <= 3:
         raise CliInputError("--demo takes m n [r]")
     m, n, r = (*args.demo, 1)[:3]

@@ -25,8 +25,8 @@ and :func:`jordankron.frechet.pair_prediction`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bounds import PairBounds, block_count_bounds, max_block_size_bound
 from .bttb import JordanSpec, block_pairs, parse_block_size
@@ -48,8 +48,7 @@ def _order_str(value):
     return "inf" if value == INFINITE else value
 
 
-@dataclass(frozen=True)
-class PairPrediction:
+class PairPrediction(NamedTuple):
     """Prediction for one block pair, with the quantities that drove it.
 
     ``branch`` names the arm of the analysis: ``"both-nonzero"``,

@@ -26,10 +26,9 @@ formulas directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .exactmat import RationalMatrix, _from_int_rows
 from .polyring import exact_rational
@@ -99,8 +98,11 @@ def _tz_pow(a, e: int):
     return out
 
 
-@dataclass(frozen=True)
-class BlockToeplitzUT:
+class _FirstRows(NamedTuple):
+    rows: tuple[tuple[Fraction, ...], ...]
+
+
+class BlockToeplitzUT(_FirstRows):
     """Block upper triangular Toeplitz matrix with UT Toeplitz blocks.
 
     Block (i, j) equals A_(j-i), so the whole matrix is determined by the
@@ -108,15 +110,15 @@ class BlockToeplitzUT:
     of Fractions.
     """
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
-    def __init__(self, rows: Iterable[Sequence]):
+    def __new__(cls, rows: Iterable[Sequence]):
         rows = tuple(tuple(Fraction(exact_rational(c)) for c in row) for row in rows)
         if not rows or not rows[0]:
             raise ValueError("need at least one block of size >= 1")
         if len({len(row) for row in rows}) != 1:
             raise ValueError("blocks must share one size")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, rows)
 
     @property
     def block_count(self) -> int:
@@ -151,8 +153,7 @@ def _assemble_block_grid(grid, m: int, n: int) -> RationalMatrix:
     return _from_int_rows(out, den)
 
 
-@dataclass(frozen=True)
-class SimilarityReduction:
+class SimilarityReduction(NamedTuple):
     """Outcome of a reduction: Z @ transform == transform @ target, and
     scaling conjugates target onto normal_form (target @ scaling ==
     scaling @ normal_form), so S = transform @ scaling has

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -229,7 +228,7 @@ def test_check_disagreement_exits_3(monkeypatch):
     real = frechet_mod.pair_prediction
 
     def wrong_prediction(f, lam, m, mu, n):
-        return dataclasses.replace(real(f, lam, m, mu, n), sizes=(m * n,))
+        return real(f, lam, m, mu, n)._replace(sizes=(m * n,))
 
     monkeypatch.setattr(frechet_mod, "pair_prediction", wrong_prediction)
     code, doc, _ = run_json(
@@ -257,7 +256,7 @@ def test_check_generic_disagreement_names_the_first_wrong_pair(monkeypatch):
     def wrong_prediction(p, lam, m, mu, n):
         pred = real(p, lam, m, mu, n)
         if (lam, mu) in wrong_pairs:
-            pred = dataclasses.replace(pred, sizes=(1,) * (m * n))
+            pred = pred._replace(sizes=(1,) * (m * n))
         return pred
 
     monkeypatch.setattr(generic_mod, "pair_prediction", wrong_prediction)
@@ -281,10 +280,10 @@ def test_check_generic_disagreement_names_the_first_wrong_pair(monkeypatch):
     ["check", "--p", "5", "--X", SPEC_02, "--Y", '[{"eig":"1","size":2}]'],
 ])
 def test_check_raw_kron_disagreement_exits_3(monkeypatch, argv):
-    import jordankron.cli as cli_mod
+    import jordankron.oracle as oracle_mod
 
     monkeypatch.setattr(
-        cli_mod, "oracle_jcf_matrix", lambda a, eigs: JordanStructure({7: [a.rows]})
+        oracle_mod, "oracle_jcf_matrix", lambda a, eigs: JordanStructure({7: [a.rows]})
     )
     code, doc, _ = run_json(argv + ["--raw-kron"])
     assert code == 3
@@ -306,7 +305,6 @@ def test_check_raw_kron_disagreement_exits_3(monkeypatch, argv):
       "--raw-kron"], None, 4),
 ])
 def test_check_runs_oracle_and_predictor_once_per_pair(monkeypatch, argv, predictor, pairs):
-    import jordankron.cli as cli_mod
     import jordankron.frechet as frechet_mod
     import jordankron.generic as generic_mod
     import jordankron.oracle as oracle_mod
@@ -319,10 +317,9 @@ def test_check_runs_oracle_and_predictor_once_per_pair(monkeypatch, argv, predic
             return func(*args)
         return wrapper
 
-    for module in (cli_mod, oracle_mod):
-        monkeypatch.setattr(
-            module, "oracle_pair_sizes", counted("oracle", oracle_mod.oracle_pair_sizes)
-        )
+    monkeypatch.setattr(
+        oracle_mod, "oracle_pair_sizes", counted("oracle", oracle_mod.oracle_pair_sizes)
+    )
     for name, module in (("generic", generic_mod), ("frechet", frechet_mod)):
         monkeypatch.setattr(module, "pair_prediction", counted(name, module.pair_prediction))
     code, doc, _ = run_json(argv)

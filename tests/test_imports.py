@@ -1,0 +1,76 @@
+"""A process loads only what its command runs.
+
+Each check starts a fresh interpreter, since this one has already imported
+every module of the package.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the argvs given as JSON through ``cli.main`` in a fresh interpreter
+# and prints, after ``import jordankron`` and after each run, the loaded
+# ``jordankron`` modules and whether dataclasses or inspect is loaded.
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+
+def loaded():
+    mods = sorted(m for m in sys.modules if m.split(".")[0] == "jordankron")
+    return [mods, "dataclasses" in sys.modules, "inspect" in sys.modules]
+
+import jordankron
+steps = [loaded()]
+from jordankron import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([code, *loaded()])
+print(json.dumps(steps))
+"""
+
+
+def _loaded_after(*argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    [(modules, has_dataclasses, has_inspect)] = _loaded_after()
+    assert modules == ["jordankron"]
+    assert not has_dataclasses and not has_inspect
+
+
+def test_bounds_loads_only_the_cli_and_bounds():
+    _, (code, modules, has_dataclasses, has_inspect) = _loaded_after(["bounds", "4", "4", "4"])
+    assert code == 0
+    assert modules == ["jordankron", "jordankron.bounds", "jordankron.cli"]
+    assert not has_dataclasses and not has_inspect
+
+
+def test_reduce_and_scan_load_no_predictor_or_oracle():
+    steps = _loaded_after(
+        ["reduce", "--demo", "4", "3", "2"],
+        ["scan-ranks", "--m-max", "3", "--n-max", "3", "--d-max", "2", "--ell-max", "2"],
+    )
+    for code, modules, has_dataclasses, has_inspect in steps[1:]:
+        assert code == 0
+        assert not {"jordankron.oracle", "jordankron.generic", "jordankron.frechet"} & set(modules)
+        assert not has_dataclasses and not has_inspect
+    assert "jordankron.similarity" in steps[1][1]
+    assert "jordankron.toeplitz" in steps[2][1]
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    pattern = re.compile(r"^\s*(from|import)\s+dataclasses\b", re.MULTILINE)
+    sources = sorted((SRC / "jordankron").glob("*.py"))
+    assert sources
+    assert [path.name for path in sources if pattern.search(path.read_text())] == []

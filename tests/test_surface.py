@@ -5,6 +5,8 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
 import jordankron
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -19,14 +21,16 @@ def _root_export_list() -> set[str]:
 
 
 def test_package_root_exports_exactly_the_readme_list():
+    # The root loads its names on first access, so vars() cannot list them:
+    # __all__ is the list, and every name on it must resolve.
     documented = _root_export_list()
     assert {"RationalMatrix", "rho", "WeyrConsistencyError"} <= documented
-    exported = {
-        name
-        for name, value in vars(jordankron).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert exported == documented
+    assert len(jordankron.__all__) == len(set(jordankron.__all__))
+    assert set(jordankron.__all__) == documented
+    for name in jordankron.__all__:
+        assert not isinstance(getattr(jordankron, name), types.ModuleType), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(jordankron, "no_such_name")
 
 
 def test_module_qualified_names_in_readme_resolve():
