@@ -3,10 +3,12 @@
 Evaluating a bivariate polynomial p on a pair of Jordan blocks,
 ``P = sum a_ij (J_m(lam)^i (x) J_n(mu)^j)``, produces a block-Toeplitz
 matrix with Toeplitz blocks whose entries are Hasse derivative values of p
-at (lam, mu).  ``build_block_pair`` fills that matrix directly from the
-entry formula, with the integer rows of one Hasse value table over its one
-denominator, and ``block_pair_nilpotent_rows`` gives the oracle the same
-matrix, shifted to be nilpotent, as sparse integer rows.
+at (lam, mu).  The builders compute them from that definition, never from
+the Hasse table the predictors read: ``_offset_table`` combines the first
+rows of the blocks' powers term by term, in integers over one denominator.
+``build_block_pair`` fills the matrix from that one table, and
+``block_pair_nilpotent_rows`` gives the oracle the same matrix, shifted to
+be nilpotent, as sparse integer rows.
 
 For matrices given by their Jordan data, ``build_full`` returns the direct
 sum over all block pairs, which is permutation similar to the Kronecker
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 from .exactmat import RationalMatrix, _from_int_rows, direct_sum, jordan_block, kron
@@ -28,7 +30,6 @@ from .polyring import (
     RationalLike,
     exact_rational,
     format_rational,
-    hasse_value_table,
     parse_rational,
 )
 
@@ -107,6 +108,69 @@ class JordanSpec(_Blocks):
         return json.dumps(self.to_json_obj())
 
 
+def _power_rows(value: "int | Fraction", size: int, deg: int) -> list[list[int]]:
+    """First rows of b^deg J_size(value)^i for i = 0 .. deg, value = a/b,
+    cut to their first min(size, deg + 1) entries, past which they vanish.
+
+    A power of a Jordan block is upper triangular Toeplitz, so its first
+    row fixes it, and the first row of J^(i + 1) is that of J^i times J:
+    entry h becomes value u[h] + u[h - 1], which is a u[h] + b u[h - 1] in
+    the rows scaled by b^i.  Row i is then scaled on to b^deg.
+    """
+    a, b = value.numerator, value.denominator
+    u = [1] + [0] * (min(size, deg + 1) - 1)
+    rows = [u]
+    for _ in range(deg):
+        u = [a * u[0]] + [a * x + b * y for x, y in zip(u[1:], u)]
+        rows.append(u)
+    if b != 1:
+        rows = [[x * b ** (deg - i) for x in row] for i, row in enumerate(rows)]
+    return rows
+
+
+def _offset_table(
+    p: BivariatePoly,
+    lam: RationalLike,
+    m: int,
+    mu: RationalLike,
+    n: int,
+) -> tuple[list[list[int]], int]:
+    """The entries of P = sum a_ij J_m(lam)^i (x) J_n(mu)^j by offset, from
+    that definition, as integer rows over one denominator: ``num[h][k] /
+    den`` is the entry at block offset h and in-block offset k, for
+    0 <= h < m and 0 <= k < n.  m and n must pass ``parse_block_size``.
+
+    J_m(lam)^i (x) J_n(mu)^j has the entry u_i[h] v_j[k] at offset (h, k),
+    for the first rows u_i of J_m(lam)^i and v_j of J_n(mu)^j.  With the
+    coefficients of ``p.terms()`` over their lcm L, lam = a/b and mu = c/e,
+    every entry is an integer over den = L b^Dx e^Dy, for the largest
+    powers Dx of x and Dy of y in the terms.  The sum over j is taken first:
+    w_i = sum_j a_ij v_j, then num[h] = sum_i u_i[h] w_i.
+    """
+    m, n = parse_block_size(m), parse_block_size(n)
+    lam, mu = exact_rational(lam), exact_rational(mu)
+    terms = [*p.terms()]
+    num = [[0] * n for _ in range(m)]
+    if not terms:
+        return num, 1
+    dx = max(i for i, _, _ in terms)
+    dy = max(j for _, j, _ in terms)
+    big_l = lcm(*(c.denominator for _, _, c in terms))
+    us, vs = _power_rows(lam, m, dx), _power_rows(mu, n, dy)
+    ws: dict[int, list[int]] = {}
+    for i, j, c in terms:
+        w = ws.setdefault(i, [0] * len(vs[0]))
+        scaled = c.numerator * (big_l // c.denominator)
+        for k, v in enumerate(vs[j]):
+            w[k] += scaled * v
+    for i, w in ws.items():
+        for row, u in zip(num, us[i]):
+            if u:
+                for k, x in enumerate(w):
+                    row[k] += u * x
+    return num, big_l * lam.denominator**dx * mu.denominator**dy
+
+
 def build_block_pair(
     p: BivariatePoly,
     lam: RationalLike,
@@ -119,11 +183,10 @@ def build_block_pair(
     Entry (r, c), with r = n*(i_r - 1) + j_r and c = n*(i_c - 1) + j_c,
     equals the order-(i_c - i_r, j_c - j_r) Hasse derivative of p at
     (lam, mu) when both offsets are nonnegative, and 0 otherwise.  The
-    integer rows of the Hasse table over its one denominator fill the
+    integer rows of ``_offset_table`` over its one denominator fill the
     matrix's integer rows directly.
     """
-    m, n = parse_block_size(m), parse_block_size(n)
-    num, den = hasse_value_table(p, lam, mu, m - 1, n - 1)
+    num, den = _offset_table(p, lam, m, mu, n)
     data = []
     for br in range(m):
         for jr in range(n):
@@ -146,11 +209,10 @@ def block_pair_nilpotent_rows(
     L is the common denominator of the entries, so the rows are exactly
     those of ``build_block_pair(p, lam, m, mu, n).shifted(eig).num`` with
     eig = p(lam, mu), the order-(0, 0) value.  Row r maps each column
-    holding a nonzero entry to that entry.  The entries are the Hasse
+    holding a nonzero entry to that entry.  The entries are the offset
     table's integer numerators, divided by their gcd with its denominator.
     """
-    m, n = parse_block_size(m), parse_block_size(n)
-    num, den = hasse_value_table(p, lam, mu, m - 1, n - 1)
+    num, den = _offset_table(p, lam, m, mu, n)
     # The shift cancels the diagonal offset (0, 0).  Every other offset
     # occurs in the matrix, so L is den over the gcd of den and those
     # offsets' numerators.

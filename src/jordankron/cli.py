@@ -214,8 +214,8 @@ def cmd_check(args) -> int:
     if preds and mode == "generic":
         # Pair by pair; a degenerate pair passes when the oracle's sizes
         # respect its bounds.
-        diags, shown = [], None
-        for pred, sizes in zip(preds, oracle):
+        diags, wrong, shown = [], [], None
+        for eig, pred, sizes in zip(eigs, preds, oracle):
             entry = pred.to_json_obj()
             entry["oracle"] = list(sizes)
             if pred.bounds is not None:
@@ -223,14 +223,11 @@ def cmd_check(args) -> int:
             else:
                 entry["predicted"] = list(pred.sizes)
                 ok = pred.sizes == sizes
+                if not ok:
+                    wrong.append((eig, pred.sizes, sizes))
             entry["ok"] = ok
             diags.append(entry)
         agreement = all(entry["ok"] for entry in diags)
-        wrong = [
-            (eig, pred.sizes, sizes)
-            for eig, pred, sizes in zip(eigs, preds, oracle)
-            if pred.bounds is None and pred.sizes != sizes
-        ]
     else:
         diags, shown = [pr.to_json_obj() for pr in preds], predicted.to_json_obj()
         agreement = predicted == result
@@ -321,13 +318,12 @@ def _add_common_io(sub) -> None:
     sub.add_argument("--out", help="write the JSON document here instead of stdout")
 
 
-def _add_poly_and_specs(sub, with_f=True, with_p=True) -> None:
+def _add_poly_and_specs(sub, with_p=True) -> None:
     if with_p:
         sub.add_argument("--p", help="bivariate polynomial, rows of the "
                          "coefficient grid separated by ';' (row = x power)")
-    if with_f:
-        sub.add_argument("--f", help="univariate polynomial, comma-separated "
-                         "coefficients lowest degree first")
+    sub.add_argument("--f", help="univariate polynomial, comma-separated "
+                     "coefficients lowest degree first")
     sub.add_argument("--X", help="Jordan spec JSON for X (inline or @file)")
     sub.add_argument("--Y", help="Jordan spec JSON for Y (inline or @file)")
     sub.add_argument("--W", help="Jordan spec JSON; sets X = Y = W")

@@ -130,8 +130,7 @@ class DegenerateCaseError(ValueError):
 def kronecker_sum_sizes(m: int, n: int) -> tuple[int, ...]:
     """Block sizes of a Kronecker sum of nilpotent blocks of sizes m and n:
     min(m, n) blocks of sizes m+n-1, m+n-3, ..., m+n+1-2*min(m, n)."""
-    if m < 1 or n < 1:
-        raise ValueError("sizes must be positive")
+    m, n = parse_block_size(m), parse_block_size(n)
     return tuple(m + n + 1 - 2 * k for k in range(1, min(m, n) + 1))
 
 
@@ -147,14 +146,17 @@ def euclid_partition(size: int, order) -> tuple[int, ...]:
 
     For order >= size (including the INFINITE sentinel): size parts of 1.
     Otherwise, with size = a * order + q, there are q parts equal to a + 1
-    and order - q parts equal to a.  Parts sum to size.
+    and order - q parts equal to a.  Parts sum to size.  The size must be
+    an int >= 1 and the order an int >= 1 or INFINITE; anything else, bools
+    and integral floats included, raises ValueError.
     """
-    if size < 1:
-        raise ValueError("size must be positive")
+    size = parse_block_size(size)
+    if order != INFINITE and (type(order) is not int or order < 1):
+        raise ValueError(
+            f"an order must be an integer >= 1 or INFINITE, got {order!r}"
+        )
     if order >= size:  # INFINITE included
         return (1,) * size
-    if order < 1:
-        raise ValueError("order must be positive")
     a, q = divmod(size, order)
     return (a + 1,) * q + (a,) * (order - q)
 

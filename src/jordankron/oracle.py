@@ -10,7 +10,9 @@ makes it usable as an independent check of the predictors.
 The ranks come from an image chain on sparse integer rows of Z scaled by
 its common denominator (rank is invariant under nonzero scaling): the
 ``num`` rows of a :class:`~jordankron.exactmat.RationalMatrix`, or for a
-block pair the rows of :func:`~jordankron.bttb.block_pair_nilpotent_rows`.
+block pair the rows of :func:`~jordankron.bttb.block_pair_nilpotent_rows`,
+built from the definition of P, not from the Hasse table the predictors
+read.
 ``B_1`` is an echelon basis of the row space of Z, and ``B_s`` one of the
 row space of ``B_(s-1) Z``, which is the row space of ``Z^s``; so
 ``rank Z^s = |B_s|``.  Basis rows are kept primitive (divided by the gcd of

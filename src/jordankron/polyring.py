@@ -174,7 +174,9 @@ class BivariatePoly:
     ``hasse_value_table`` shifts, built once here: ``(rows, L)`` with
     ``coeffs[i][j] == rows[i][j] / L`` for L the lcm of the coefficient
     denominators, trimmed of zero rows and columns at the boundary to
-    (Dx + 1) x (Dy + 1), or ``((0,),)`` for the zero polynomial.
+    (Dx + 1) x (Dy + 1), or ``((0,),)`` for the zero polynomial.  It is
+    the one trimmed form, and equal polynomials have equal ``_cleared``, so
+    the degree and shape queries, ``==`` and ``hash`` read it in O(1).
     """
 
     __slots__ = ("coeffs", "_cleared")
@@ -232,10 +234,10 @@ class BivariatePoly:
                     yield i, j, c
 
     def is_zero(self) -> bool:
-        return all(not c for row in self.coeffs for c in row)
+        return self._cleared[0] == ((0,),)
 
     def is_constant(self) -> bool:
-        return all(i == 0 and j == 0 for i, j, _ in self.terms())
+        return len(self._cleared[0]) == len(self._cleared[0][0]) == 1
 
     @property
     def constant_term(self) -> Fraction:
@@ -243,10 +245,10 @@ class BivariatePoly:
 
     def degree_x(self) -> int:
         """Largest x power with a nonzero coefficient; -1 if zero."""
-        return max((i for i, _, _ in self.terms()), default=-1)
+        return -1 if self.is_zero() else len(self._cleared[0]) - 1
 
     def degree_y(self) -> int:
-        return max((j for _, j, _ in self.terms()), default=-1)
+        return -1 if self.is_zero() else len(self._cleared[0][0]) - 1
 
     def eval(self, lam: RationalLike, mu: RationalLike) -> Fraction:
         lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
@@ -259,19 +261,13 @@ class BivariatePoly:
             acc = acc * lam + racc
         return acc
 
-    def _trimmed(self):
-        dx, dy = self.degree_x(), self.degree_y()
-        if dx < 0:
-            return ((Fraction(0),),)
-        return tuple(row[: dy + 1] for row in self.coeffs[: dx + 1])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self._trimmed() == other._trimmed()
+        return self._cleared == other._cleared
 
     def __hash__(self) -> int:
-        return hash(self._trimmed())
+        return hash(self._cleared)
 
     def __neg__(self) -> "BivariatePoly":
         return BivariatePoly((-c for c in row) for row in self.coeffs)
@@ -355,10 +351,10 @@ def hasse_value_table(
         raise ValueError("derivative orders must be nonnegative")
     lam, mu = exact_rational(lam), exact_rational(mu)
     width = max_y_order + 1
+    if p.is_zero():
+        return [[0] * width for _ in range(max_x_order + 1)], 1
     grid, big_l = p._cleared
     dx, dy = len(grid) - 1, len(grid[0]) - 1
-    if dx == dy == 0 and not grid[0][0]:  # p == 0
-        return [[0] * width for _ in range(max_x_order + 1)], 1
     ky, hx = min(dy + 1, width), min(dx + 1, max_x_order + 1)
     shifted = [_taylor_shift(row, mu.numerator, mu.denominator, ky) for row in grid]
     cols = [

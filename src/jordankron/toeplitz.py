@@ -52,9 +52,12 @@ explicit kernel vector), but it is not necessary, and the scanner records
 both kinds.
 
 Every function here takes the quintuple (m, n, d, ell, k) as plain ints,
-m and n in either order at the public entry points.  A scanned quintuple
-and its rank data are one flat ``DeficiencyRecord``, whose fields are
-those of a JSONL record in file order.
+m and n in either order at the public entry points.  Each of those
+normalizes once, by ``_check_params``, which validates the quintuple and
+returns m <= n, and then calls only private kernels, which take m <= n and
+check nothing.  A scanned quintuple and its rank data are one flat
+``DeficiencyRecord``, whose fields are those of a JSONL record in file
+order.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from collections import Counter
 from itertools import accumulate
 from operator import itemgetter, le, sub
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bounds import filtration_dim
 from .exactmat import _rank_int_rows
@@ -92,18 +95,15 @@ def gamma_coeffs(d: int, ell: int) -> tuple[int, ...]:
     return tuple(gamma)
 
 
-def _check_params(m: int, n: int, d: int, ell: int, k: int | None = None) -> None:
-    """Raise InvalidSpecError unless all parameters are ints (bools
+def _check_params(
+    m: int, n: int, d: int, ell: int, k: int | None = None
+) -> tuple[int, int]:
+    """Return ``(min(m, n), max(m, n))``, the pair as every kernel takes
+    it.  Raise InvalidSpecError unless all parameters are ints (bools
     excluded), all positive, with d*ell + 1 <= k <= m + n - 1; without k,
     unless some k fits that range.  m and n in either order."""
     params = (m, n, d, ell) if k is None else (m, n, d, ell, k)
-    if not (
-        type(m) is int
-        and type(n) is int
-        and type(d) is int
-        and type(ell) is int
-        and (k is None or type(k) is int)
-    ):
+    if not all(type(v) is int for v in params):
         raise InvalidSpecError(f"parameters must be integers, got {params!r}")
     if min(params) < 1:
         raise InvalidSpecError("all parameters must be positive")
@@ -113,6 +113,7 @@ def _check_params(m: int, n: int, d: int, ell: int, k: int | None = None) -> Non
             raise InvalidSpecError(f"no k in [{lo}, {hi}]")
     elif not lo <= k <= hi:
         raise InvalidSpecError(f"k = {k} outside [{lo}, {hi}]")
+    return (m, n) if m <= n else (n, m)
 
 
 def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
@@ -159,11 +160,9 @@ def _rank_sum(m: int, n: int, shift: int, r: int) -> int:
     return cr * (t - cr) + 2 * (_ramp_sum(low, cm) - _ramp_sum(low, cr))
 
 
-def _hankel_rank(
-    m: int, n: int, d: int, ell: int, gamma: list[int] | None = None
-) -> int:
-    """``hankel_rank`` for m <= n, given the list of coefficients of
-    (d, ell) or None to compute it here; a certified middle R_k reads none.
+def _hankel_rank(m: int, n: int, d: int, ell: int, gamma: Sequence[int]) -> int:
+    """``hankel_rank`` for m <= n, given the sequence of coefficients of
+    (d, ell); a certified middle R_k reads none.
 
     With shift = ell*d, the window s_t = gamma_(shift - n + 1 + t),
     t < N = m + n - shift - 1, is one slice of gamma with zeros on either
@@ -175,10 +174,8 @@ def _hankel_rank(
     rows, cols = mid - shift, m + n - mid
     if not n < mid < m + shift:
         return min(rows, cols, m)
-    if gamma is None:
-        gamma = list(gamma_coeffs(d, ell))
     a = shift - n + 1
-    s = [0] * -a + gamma[max(a, 0) : m] + [0] * (m - 1 - shift)
+    s = [*[0] * -a, *gamma[max(a, 0) : m], *[0] * (m - 1 - shift)]
     return _rank_int_rows([s[i : i + cols] for i in range(rows)])
 
 
@@ -191,10 +188,8 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     of the module docstring with (N + 1) // 2 rows, and r takes one exact
     elimination; a certified middle R_k has full rank and needs none.
     """
-    _check_params(m, n, d, ell)
-    if m > n:
-        m, n = n, m
-    return _hankel_rank(m, n, d, ell)
+    m, n = _check_params(m, n, d, ell)
+    return _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell))
 
 
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
@@ -204,9 +199,8 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     They are ``_ranks`` of the row's one ``hankel_rank``, so the row costs
     at most one exact elimination.
     """
-    r = hankel_rank(m, n, d, ell)
-    if m > n:
-        m, n = n, m
+    m, n = _check_params(m, n, d, ell)
+    r = _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell))
     shift = ell * d
     ks = range(shift + 1, m + n)
     return dict(zip(ks, _ranks(m, n, shift, r, ks)))
@@ -218,12 +212,10 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     A certified k costs no matrix; any other takes the row's
     ``hankel_rank``, one exact elimination.
     """
-    _check_params(m, n, d, ell, k)
-    if m > n:
-        m, n = n, m
+    m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
     # A certified k never reads r, so m stands in for it there.
-    r = hankel_rank(m, n, d, ell) if n < k < m + shift else m
+    r = _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell)) if n < k < m + shift else m
     return _ranks(m, n, shift, r, range(k, k + 1))[0]
 
 
@@ -243,9 +235,7 @@ def sufficient_rank_drop(m: int, n: int, d: int, ell: int, k: int) -> bool:
     The test requires u_k > ell so that v is nonzero, and a kernel vector
     of a rows >= cols matrix forces rank < u_k.
     """
-    _check_params(m, n, d, ell, k)
-    if m > n:
-        m, n = n, m
+    m, n = _check_params(m, n, d, ell, k)
     return _predicted(m, n, d, ell, k, _ranks(m, n, ell * d, m, (k,))[0])
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordankron import (
     BivariatePoly,
@@ -14,11 +16,13 @@ from jordankron import (
     oracle_jcf_matrix,
 )
 from jordankron.bttb import (
+    _offset_table,
     assemble_jordan_matrix,
     block_pair_nilpotent_rows,
     build_block_pair,
 )
 from jordankron.exactmat import jordan_block, kron
+from jordankron.polyring import hasse_value_table
 from helpers import (
     frechet_kronecker_form,
     frechet_kronecker_raw,
@@ -254,3 +258,26 @@ def test_assemble_jordan_matrix():
     assert assemble_jordan_matrix(spec) == RationalMatrix(
         [[0, 1, 0], [0, 0, 0], [0, 0, 1]]
     )
+
+
+COEFF = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+POINT = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(COEFF, min_size=1, max_size=5), min_size=1, max_size=5),
+    POINT, st.integers(1, 8), POINT, st.integers(1, 8),
+)
+def test_offset_table_from_the_definition_equals_the_hasse_table(grid, lam, m, mu, n):
+    # The builders' table and the predictors' Hasse table are computed
+    # apart, by powers of the blocks and by Taylor shifts; they must agree
+    # value for value.
+    p = BivariatePoly(grid)
+    num, den = _offset_table(p, lam, m, mu, n)
+    assert len(num) == m and all(len(row) == n for row in num)
+    assert type(den) is int and den > 0
+    ref, ref_den = hasse_value_table(p, lam, mu, m - 1, n - 1)
+    assert [[Q(v, den) for v in row] for row in num] == [
+        [Q(v, ref_den) for v in row] for row in ref
+    ]

@@ -274,6 +274,30 @@ def test_check_generic_disagreement_names_the_first_wrong_pair(monkeypatch):
     ]
 
 
+def test_check_catches_a_hasse_table_defect_both_predictors_share(monkeypatch):
+    # A Taylor shift that ignores its shift takes every Hasse value at the
+    # origin, so both predictors go wrong together.  The oracle builds P
+    # from its definition and must still give the truth: at (1, 0) p = y + x^2
+    # has p_x = 2 and p_y = 1, the Kronecker-sum staircase of J_3 and J_3.
+    import jordankron.polyring as polyring_mod
+
+    real = polyring_mod._taylor_shift
+    monkeypatch.setattr(
+        polyring_mod, "_taylor_shift",
+        lambda coeffs, a, b, width: real(coeffs, 0, 1, width),
+    )
+    code, doc, _ = run_json([
+        "check", "--p", "0,1;0,0;1,0",
+        "--X", '[{"eig":"1","size":3}]', "--Y", '[{"eig":"0","size":3}]',
+    ])
+    assert code == 3
+    assert doc["agreement"] is False
+    assert doc["result"]["eigenvalues"] == [{"eig": "1", "blocks": [5, 3, 1]}]
+    assert doc["firstDifference"] == {
+        "eig": "1", "predicted": [4, 3, 2], "oracle": [5, 3, 1]
+    }
+
+
 @pytest.mark.parametrize("argv", [
     GENERIC_FOUR_PAIRS,
     ["check", "--f", "0,0,-2,0,1", "--X", '[{"eig":"-1","size":2}]', "--Y", SPEC_02],

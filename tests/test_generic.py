@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from jordankron import (
+    INFINITE,
     BivariatePoly,
     ConstantPolynomialError,
     DegenerateCaseError,
@@ -30,6 +31,24 @@ def test_kronecker_sum_sizes_examples():
     assert kronecker_sum_sizes(1, 7) == (7,)
     assert kronecker_sum_sizes(4, 3) == (6, 4, 2)
     assert kronecker_sum_sizes(3, 4) == (6, 4, 2)
+
+
+@pytest.mark.parametrize("func, args", [
+    (kronecker_sum_sizes, (True, 3)),
+    (kronecker_sum_sizes, (3, 2.0)),
+    (kronecker_sum_sizes, (0, 3)),
+    (euclid_partition, (True, 1)),
+    (euclid_partition, (5, 2.0)),
+    (euclid_partition, (4.0, 2)),
+    (euclid_partition, (4, True)),
+    (euclid_partition, (4, 0)),
+    (euclid_partition, (0, INFINITE)),
+])
+def test_staircase_helpers_reject_non_integer_sizes_and_orders(func, args):
+    # A size is an int >= 1 and an order an int >= 1 or INFINITE: bools and
+    # integral floats are rejected, not read as numbers.
+    with pytest.raises(ValueError):
+        func(*args)
 
 
 def test_euclid_partition_power_examples():

@@ -4,6 +4,7 @@ Each check starts a fresh interpreter, since this one has already imported
 every module of the package.
 """
 
+import ast
 import json
 import os
 import re
@@ -74,3 +75,24 @@ def test_no_module_of_the_package_imports_dataclasses():
     sources = sorted((SRC / "jordankron").glob("*.py"))
     assert sources
     assert [path.name for path in sources if pattern.search(path.read_text())] == []
+
+
+def test_the_oracle_and_its_builders_share_no_code_with_the_predictors():
+    # The oracle checks the predictors only while the two routes stay
+    # apart: neither it nor the builders it reads may import a predictor
+    # module or name the Hasse table machinery the predictors read.
+    modules = {"generic", "frechet", "toeplitz"}
+    names = {"hasse_value_table", "_taylor_shift", "table_local_degree"}
+    for source in ("oracle.py", "bttb.py"):
+        tree = ast.parse((SRC / "jordankron" / source).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not modules & set((node.module or "").split(".")), source
+                assert not (modules | names) & {a.name for a in node.names}, source
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert not modules & set(alias.name.split(".")), source
+            elif isinstance(node, ast.Name):
+                assert node.id not in names, source
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in names, source

@@ -311,3 +311,40 @@ def test_bivariate_padding_and_degrees():
     assert ragged.coeffs[0][1] == 0
     assert ragged.degree_x() == 1 and ragged.degree_y() == 1
     assert total_degree(BivariatePoly([[0]])) == -1
+
+
+SPARSE_COEFF = st.one_of(st.just(Q(0)), COEFF)
+GRID = st.lists(st.lists(SPARSE_COEFF, min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+def _nonzero_cells(p: BivariatePoly) -> list[tuple[int, int]]:
+    return [(i, j) for i, row in enumerate(p.coeffs) for j, c in enumerate(row) if c]
+
+
+def _trimmed_fractions(p: BivariatePoly) -> tuple:
+    cells = _nonzero_cells(p)
+    dx = max((i for i, _ in cells), default=0)
+    dy = max((j for _, j in cells), default=0)
+    return tuple(tuple(row[: dy + 1]) for row in p.coeffs[: dx + 1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(GRID, GRID, st.integers(0, 3), st.integers(0, 3))
+@example([[0]], [[0, 0], [0, 0]], 2, 1)
+@example([[Q(1, 2), 0], [0, 0]], [[Q(1, 2)]], 0, 3)
+def test_shape_queries_equality_and_hash_ignore_zero_padding(grid, other, rows, cols):
+    # Zero rows and columns padded onto a grid change neither the shape
+    # queries, which must match a scan of coeffs, nor == and hash.
+    p = BivariatePoly(grid)
+    padded = BivariatePoly(
+        [list(row) + [0] * cols for row in p.coeffs] + [[0] * (p.ncols + cols)] * rows
+    )
+    for q in (p, padded):
+        cells = _nonzero_cells(q)
+        assert q.degree_x() == max((i for i, _ in cells), default=-1)
+        assert q.degree_y() == max((j for _, j in cells), default=-1)
+        assert q.is_zero() == (not cells)
+        assert q.is_constant() == all(i == j == 0 for i, j in cells)
+    assert padded == p and hash(padded) == hash(p)
+    q = BivariatePoly(other)
+    assert (q == p) == (_trimmed_fractions(q) == _trimmed_fractions(p))
