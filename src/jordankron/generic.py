@@ -163,11 +163,17 @@ def euclid_partition(size: int, order) -> tuple[int, ...]:
 
 def _staircase_sizes(parts_a, parts_b) -> tuple[int, ...]:
     """Descending sizes of every Kronecker sum of a part of parts_a with a
-    part of parts_b."""
+    part of parts_b.
+
+    Each distinct pair of parts is summed once, and its sizes repeated by
+    the product of the two parts' multiplicities: a Euclid partition has at
+    most two distinct parts, so that is at most four sums.
+    """
     sizes: list[int] = []
-    for a in parts_a:
-        for b in parts_b:
-            sizes.extend(kronecker_sum_sizes(a, b))
+    for a in set(parts_a):
+        for b in set(parts_b):
+            times = parts_a.count(a) * parts_b.count(b)
+            sizes.extend(kronecker_sum_sizes(a, b) * times)
     return tuple(sorted(sizes, reverse=True))
 
 

@@ -42,14 +42,20 @@ equal-eigenvalue predictor of :mod:`jordankron.frechet` takes each power's
 nullity from that sum.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
-module's scanner hunts for.  It works one quadruple at a time: one
-``_hankel_rank`` and two ``_ranks`` rows give every record of the
-quadruple, and its new records reach the JSONL file in one flushed write,
-so a killed scan loses no finished quadruple and resumes from its file,
-read one line at a time.  ``sufficient_rank_drop`` implements a closed
-sufficient condition (the coefficient vector of ``(x - y)^ell`` is then an
-explicit kernel vector), but it is not necessary, and the scanner records
-both kinds.
+module's scanner hunts for.  It works one quadruple at a time, and one
+``_hankel_rank`` and the ``_ranks`` row of largest ranks give every record
+of the quadruple.  Every R_k of the quadruple has its largest rank
+exactly when the middle one does, that is when r reaches
+min(m, (m + n - D) // 2), the peak of the tent; then that row is the row
+of ranks, and only below the peak is a second row read.  The rank-drop
+test runs only where it can hold, for ell < d.  The quadruple's new
+records reach the JSONL file in one flushed write, so a killed scan loses
+no finished quadruple and resumes from its file, read one line at a time:
+a line in the scanner's own byte form by one regular expression, any
+other by ``json.loads``, and both through the same arithmetic checks.
+``sufficient_rank_drop`` implements a closed sufficient condition (the
+coefficient vector of ``(x - y)^ell`` is then an explicit kernel vector),
+but it is not necessary, and the scanner records both kinds.
 
 Every function here takes the quintuple (m, n, d, ell, k) as plain ints,
 m and n in either order at the public entry points.  Each of those
@@ -63,6 +69,7 @@ order.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from itertools import accumulate
 from operator import itemgetter, le, sub
@@ -265,10 +272,8 @@ def _checked_fields(obj: dict) -> tuple:
     """The fields m, n, d, ell, k, rank, maxRank, deficiency, predicted of a
     scan record's JSON object, in that order.
 
-    Every field must have its JSON type, the quintuple must be valid with
-    m <= n, and maxRank, deficiency and predicted must be those of the
-    quintuple and its rank, which is checked by arithmetic alone; otherwise
-    ValueError is raised.
+    Every field must have its JSON type, and the fields must pass
+    ``_checked``; otherwise ValueError is raised.
     """
     try:
         fields = _RECORD_FIELDS(obj)
@@ -281,6 +286,16 @@ def _checked_fields(obj: dict) -> tuple:
         and type(predicted) is bool
     ):
         raise ValueError(f"bad deficiency record field types: {obj!r}")
+    return _checked(fields)
+
+
+def _checked(fields: tuple) -> tuple:
+    """The fields of a scan record, eight ints and a bool in file order,
+    once they are checked by arithmetic alone: the quintuple must be valid
+    with m <= n, and maxRank, deficiency and predicted must be those of the
+    quintuple and its rank; otherwise ValueError is raised.
+    """
+    m, n, d, ell, k, rk, max_rank, deficiency, predicted = fields
     shift = d * ell
     if not (1 <= m <= n and d >= 1 and ell >= 1 and shift < k < m + n):
         raise InvalidSpecError(
@@ -288,13 +303,27 @@ def _checked_fields(obj: dict) -> tuple:
             f"got {(m, n, d, ell, k)!r}"
         )
     if (
-        max_rank != _ranks(m, n, shift, m, (k,))[0]
+        max_rank != min(k - shift, m + n - k, m)  # _ranks at r = m
         or not 0 <= rk <= max_rank
         or deficiency != max_rank - rk
-        or predicted is not _predicted(m, n, d, ell, k, max_rank)
+        or predicted is not (ell < d and _predicted(m, n, d, ell, k, max_rank))
     ):
-        raise ValueError(f"deficiency record disagrees with its spec: {obj!r}")
+        raise ValueError(
+            "deficiency record disagrees with its spec: "
+            f"{dict(zip(_JSON_KEYS, fields))!r}"
+        )
     return fields
+
+
+# A line in the scanner's own byte form, json.dumps(record.to_json_obj())
+# and a newline, each int in JSON's integer grammar, so that "k": 04 falls
+# through to json.loads and fails there.
+_JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
+_LINE_PATTERN = (
+    rb"\{"
+    + b", ".join(b'"%s": ' % key.encode() + _JSON_INT for key in _JSON_KEYS[:-1])
+    + rb', "predicted": (true|false)\}' + b"\n"
+)
 
 
 class DeficiencyRecord(NamedTuple):
@@ -327,12 +356,17 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
     The file is read one line at a time.  Every record ends with a newline,
     so text after the last one is a record cut short by an interrupted
     run: it is dropped, and cut off the file so that appended records start
-    on a line of their own.  A complete line that fails ``_checked_fields``
-    raises ValueError.
+    on a line of their own.  A line in the scanner's own byte form is read
+    by ``_LINE_PATTERN``, and any other by ``json.loads`` and
+    ``_checked_fields``; both end in ``_checked``, and a complete line that
+    fails either route raises ValueError.
     """
     records = {}
     if not path.exists():
         return records
+    # Compiled here, not at import: re caches it, so only the first resume
+    # pays for it.
+    match = re.compile(_LINE_PATTERN).fullmatch
     with path.open("r+b") as fh:
         end = 0
         for line in fh:
@@ -340,9 +374,15 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
                 fh.truncate(end)
                 break
             end += len(line)
-            if line.strip():
+            hit = match(line)
+            if hit is not None:
+                *ints, flag = hit.groups()
+                fields = _checked((*map(int, ints), flag == b"true"))
+            elif line.strip():
                 fields = _checked_fields(json.loads(line.decode()))
-                records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
+            else:
+                continue
+            records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
     return records
 
 
@@ -390,22 +430,29 @@ def scan_deficiencies(
                         if done == len(ks):
                             continue
                         r = _hankel_rank(m, n, d, ell, gamma)
-                        new = [*zip(ks, _ranks(m, n, shift, r, ks),
-                                    _ranks(m, n, shift, m, ks))]
+                        tops = _ranks(m, n, shift, m, ks)
+                        # Every k has min(k - shift, m + n - k) <= t // 2,
+                        # t = m + n - shift, so a cap r at or above
+                        # min(m, t // 2) leaves every rank at its largest.
+                        full = r >= min(m, (m + n - shift) // 2)
+                        new = [*zip(ks, tops if full else _ranks(m, n, shift, r, ks),
+                                    tops)]
                         if done:
                             new = [t for t in new
                                    if (m, n, d, ell, t[0]) not in existing]
-                        deficient.extend(
-                            DeficiencyRecord(m, n, d, ell, k, rk, mr, mr - rk,
-                                             _predicted(m, n, d, ell, k, mr))
-                            for k, rk, mr in new if rk < mr)
+                        if not full:
+                            deficient.extend(
+                                DeficiencyRecord(m, n, d, ell, k, rk, mr, mr - rk,
+                                                 _predicted(m, n, d, ell, k, mr))
+                                for k, rk, mr in new if rk < mr)
                         if sink is not None:
                             # Byte for byte json.dumps(record.to_json_obj()).
+                            # _predicted is false unless ell < maxRank <= d.
                             head = f'{{"m": {m}, "n": {n}, "d": {d}, "ell": {ell}, "k": '
                             sink.write("".join([
                                 f'{head}{k}, "rank": {rk}, "maxRank": {mr}, '
                                 f'"deficiency": {mr - rk}, "predicted": '
-                                f'{"true" if _predicted(m, n, d, ell, k, mr) else "false"}}}\n'
+                                f'{"true" if ell < d and _predicted(m, n, d, ell, k, mr) else "false"}}}\n'
                                 for k, rk, mr in new
                             ]))
                             sink.flush()

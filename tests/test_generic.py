@@ -3,6 +3,8 @@ import tracemalloc
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jordankron import (
     INFINITE,
@@ -17,6 +19,7 @@ from jordankron import (
 from jordankron.bounds import PairBounds
 from jordankron.exactmat import jordan_block
 from jordankron.generic import (
+    _staircase_sizes,
     euclid_partition,
     kronecker_sum_sizes,
     pair_prediction,
@@ -56,6 +59,22 @@ def test_euclid_partition_power_examples():
     assert euclid_partition(4, 2) == (2, 2)
     assert euclid_partition(5, 2) == (3, 2)
     assert euclid_partition(3, 5) == (1, 1, 1)
+
+
+_partitions = st.builds(
+    euclid_partition, st.integers(1, 40), st.integers(1, 45) | st.just(INFINITE)
+)
+
+
+@given(st.one_of(st.tuples(st.integers(1, 40)), _partitions), _partitions)
+def test_staircase_sizes_equal_the_per_pair_loop(parts_a, parts_b):
+    # Summing each distinct pair of parts once, times its multiplicities,
+    # must give what summing every pair of parts gives: (m,) against a
+    # partition, and a partition against a partition, either way round.
+    for a, b in ((parts_a, parts_b), (parts_b, parts_a)):
+        want = sorted((s for x in a for y in b for s in kronecker_sum_sizes(x, y)),
+                      reverse=True)
+        assert _staircase_sizes(a, b) == tuple(want)
 
 
 def test_euclid_partition_matches_oracle():

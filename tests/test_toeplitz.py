@@ -206,6 +206,32 @@ def test_rank_sum_matches_summed_ranks_on_the_40_box():
                     assert _rank_sum(m, n, shift, r) == sum(_ranks(m, n, shift, r, ks))
 
 
+def test_the_largest_ranks_are_the_ranks_from_the_peak_on_the_40_box():
+    # The scanner reuses the row of largest ranks as the row of ranks when
+    # r reaches the peak of the tent, min(m, t // 2) for t = m + n - shift.
+    # Below the peak the middle R_k, uncertified whenever any k is, loses
+    # rank.  _ranks reads d and ell only through shift = d*ell, so every
+    # shift of the box stands for its quadruples.
+    shifts = sorted({d * ell for d in range(1, 7) for ell in range(1, 9)})
+    below = 0
+    for m in range(1, 41):
+        for n in range(m, 41):
+            for shift in shifts:
+                ks = range(shift + 1, m + n)
+                if not ks:
+                    break
+                tops = _ranks(m, n, shift, m, ks)
+                peak = min(m, (m + n - shift) // 2)
+                uncertified = any(n < k < m + shift for k in ks)
+                for r in range(m + 1):
+                    if r >= peak:
+                        assert _ranks(m, n, shift, r, ks) == tops
+                    elif uncertified:
+                        assert _ranks(m, n, shift, r, ks) != tops
+                        below += 1
+    assert below
+
+
 def test_sliced_window_rank_past_either_end_of_gamma():
     # The window gamma_(shift - n + 1) .. gamma_(m - 1) runs past index 0
     # when n > shift + 1 and past index shift when m > shift + 1; both are
@@ -580,8 +606,9 @@ _KILLED_AT = """
 import os, signal, sys
 from jordankron import toeplitz
 hankel = toeplitz._hankel_rank
+stop = tuple(map(int, sys.argv[2:]))
 def dying(m, n, d, ell, gamma=None):
-    if (m, n, d, ell) == (8, 8, 2, 2):
+    if (m, n, d, ell) == stop:
         os.kill(os.getpid(), signal.SIGKILL)
     return hankel(m, n, d, ell, gamma)
 toeplitz._hankel_rank = dying
@@ -589,19 +616,22 @@ toeplitz.scan_deficiencies(8, 8, 4, 3, out_path=sys.argv[1])
 """
 
 
-def test_a_killed_scan_has_written_every_quadruple_before_the_kill(tmp_path):
+# An uncertified quadruple with ell = d, and one with ell < d, where the
+# rank-drop test runs.
+@pytest.mark.parametrize("stop", [(8, 8, 2, 2), (8, 8, 4, 1)])
+def test_a_killed_scan_has_written_every_quadruple_before_the_kill(tmp_path, stop):
     killed, full = tmp_path / "killed.jsonl", tmp_path / "full.jsonl"
     proc = subprocess.run(
-        [sys.executable, "-c", _KILLED_AT, str(killed)],
+        [sys.executable, "-c", _KILLED_AT, str(killed), *map(str, stop)],
         env=dict(os.environ, PYTHONPATH=str(Path(toeplitz.__file__).parents[1])),
         timeout=60,
     )
     assert proc.returncode == -signal.SIGKILL
     reference_scan(8, 8, 4, 3, out_path=full)
     lines = full.read_text().splitlines(keepends=True)
-    stop = next(i for i, line in enumerate(lines)
-                if tuple(json.loads(line).values())[:4] == (8, 8, 2, 2))
-    assert killed.read_text() == "".join(lines[:stop])
+    cut = next(i for i, line in enumerate(lines)
+               if tuple(json.loads(line).values())[:4] == stop)
+    assert killed.read_text() == "".join(lines[:cut])
 
 
 @pytest.mark.parametrize("lie", [
@@ -656,3 +686,62 @@ def test_deficiency_record_rejects_coerced_fields():
     for bad in ({k: v for k, v in good.items() if k != "rank"}, [1, 2], "x", None):
         with pytest.raises(ValueError):
             DeficiencyRecord.from_json_obj(bad)
+
+
+def _parity_lines():
+    """Scan record lines in the scanner's byte form and in others JSON
+    allows, valid and not: a predicted deficient record, an unpredicted
+    one and a full-rank one."""
+    keys = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted")
+    predicted, deficient, full = (
+        dict(zip(keys, values)) for values in (
+            (3, 3, 2, 1, 4, 1, 2, 1, True),
+            (4, 5, 3, 1, 6, 2, 3, 1, False),
+            (3, 4, 1, 1, 4, 3, 3, 0, False),
+        )
+    )
+    for obj in (predicted, deficient, full):
+        line = json.dumps(obj)
+        yield line
+        yield json.dumps(obj, separators=(",", ":"))
+        yield json.dumps(dict(reversed(obj.items())))
+        yield line.replace(": ", " :  ").replace(", ", " ,")
+        yield f"  {line} "
+    line = json.dumps(deficient)
+    yield line.replace('"k": 6', '"k": 06')
+    yield line.replace('"rank": 2', '"rank": 2.0')
+    yield line.replace('"m": 4', '"m": -4')
+    line = json.dumps(full)
+    yield line.replace('"deficiency": 0', '"deficiency": -0')
+    yield line.replace('"rank": 3', '"rank": -1').replace('"deficiency": 0', '"deficiency": 4')
+    yield line.replace("false", "true")
+    yield line.replace(', "predicted": false', "")
+
+
+def test_a_resume_reads_exactly_what_json_loads_and_the_record_check_accept(
+    tmp_path, monkeypatch
+):
+    # The resume reads the scanner's own lines without a JSON parser.  On
+    # every line it must agree with _checked_fields(json.loads(line)): the
+    # same fields where that accepts, ValueError where it raises.
+    parsed = []
+    loads = toeplitz.json.loads
+    monkeypatch.setattr(toeplitz.json, "loads", lambda s: parsed.append(s) or loads(s))
+    outcomes = Counter()
+    for i, line in enumerate(_parity_lines()):
+        path = tmp_path / f"{i}.jsonl"
+        path.write_text(line + "\n")
+        try:
+            fields = toeplitz._checked_fields(loads(line))
+        except ValueError:
+            with pytest.raises(ValueError):
+                toeplitz._load_records(path)
+            outcomes["rejected"] += 1
+            continue
+        want = {fields[:5]: DeficiencyRecord(*fields) if fields[7] else None}
+        parsed.clear()
+        assert repr(toeplitz._load_records(path)) == repr(want), line
+        outcomes["parsed" if parsed else "matched"] += 1
+    # The three lines in the scanner's form, and "deficiency": -0, are
+    # read without json.loads.
+    assert outcomes == {"matched": 4, "parsed": 12, "rejected": 6}
