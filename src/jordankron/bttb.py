@@ -6,9 +6,9 @@ matrix with Toeplitz blocks whose entries are Hasse derivative values of p
 at (lam, mu).  The builders compute them from that definition, never from
 the Hasse table the predictors read: ``_offset_table`` combines the first
 rows of the blocks' powers term by term, in integers over one denominator.
-``build_block_pair`` fills the matrix from that one table, and
-``block_pair_nilpotent_rows`` gives the oracle the same matrix, shifted to
-be nilpotent, as sparse integer rows.
+``build_block_pair`` fills the matrix from that one table.  For the oracle,
+``block_pair_nilpotent_rows`` reads the eigenvalue off it and gives the
+matrix shifted by it to be nilpotent, as sparse integer rows.
 
 For matrices given by their Jordan data, ``build_full`` returns the direct
 sum over all block pairs, which is permutation similar to the Kronecker
@@ -203,14 +203,15 @@ def block_pair_nilpotent_rows(
     m: int,
     mu: RationalLike,
     n: int,
-) -> list[dict[int, int]]:
-    """Sparse integer rows of L * (P - p(lam, mu) I), P = build_block_pair(...).
+) -> tuple[Fraction, list[dict[int, int]]]:
+    """The order-(0, 0) entry eig = p(lam, mu) of the offset table, the
+    pair's one eigenvalue, and the sparse integer rows of L * (P - eig I).
 
-    L is the common denominator of the entries, so the rows are exactly
-    those of ``build_block_pair(p, lam, m, mu, n).shifted(eig).num`` with
-    eig = p(lam, mu), the order-(0, 0) value.  Row r maps each column
-    holding a nonzero entry to that entry.  The entries are the offset
-    table's integer numerators, divided by their gcd with its denominator.
+    P is build_block_pair(...) and L the common denominator of its entries,
+    so the rows are exactly those of ``P.shifted(eig).num``.  Row r maps
+    each column holding a nonzero entry to that entry.  The entries are the
+    offset table's integer numerators, divided by their gcd with its
+    denominator.
     """
     num, den = _offset_table(p, lam, m, mu, n)
     # The shift cancels the diagonal offset (0, 0).  Every other offset
@@ -225,7 +226,7 @@ def block_pair_nilpotent_rows(
     g = gcd(den, *(v for _, _, v in offsets))
     if g != 1:
         offsets = [(h, k, v // g) for h, k, v in offsets]
-    return [
+    return Fraction(num[0][0], den), [
         {n * (br + h) + jr + k: v for h, k, v in offsets if br + h < m and jr + k < n}
         for br in range(m)
         for jr in range(n)

@@ -195,7 +195,7 @@ def cmd_predict(args) -> int:
 
 def cmd_check(args) -> int:
     from .bttb import block_pairs, build_raw_kron
-    from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair_sizes
+    from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair
 
     mode = "frechet" if args.f is not None else "generic"
     p, f = _load_polynomials(args, mode)
@@ -207,15 +207,13 @@ def cmd_check(args) -> int:
         )
     _maybe_dump(args, p, x, y)
     preds, predicted = _predictions(mode, p, f, x, y)
-    pairs = list(block_pairs(x, y))
-    eigs = [p.eval(lam, mu) for lam, _, mu, _ in pairs]
-    oracle = [oracle_pair_sizes(p, *pair) for pair in pairs]
-    result = JordanStructure.from_pairs(zip(eigs, oracle))
+    answers = [oracle_pair(p, *pair) for pair in block_pairs(x, y)]
+    result = JordanStructure.from_pairs(answers)
     if preds and mode == "generic":
-        # Pair by pair; a degenerate pair passes when the oracle's sizes
-        # respect its bounds.
+        # Pair by pair: a pair passes when its eigenvalue and sizes are the
+        # oracle's, or, if degenerate, its eigenvalue is and its bounds hold.
         diags, wrong, shown = [], [], None
-        for eig, pred, sizes in zip(eigs, preds, oracle):
+        for (eig, sizes), pred in zip(answers, preds):
             entry = pred.to_json_obj()
             entry["oracle"] = list(sizes)
             if pred.bounds is not None:
@@ -223,9 +221,11 @@ def cmd_check(args) -> int:
             else:
                 entry["predicted"] = list(pred.sizes)
                 ok = pred.sizes == sizes
-                if not ok:
-                    wrong.append((eig, pred.sizes, sizes))
-            entry["ok"] = ok
+            if pred.eigenvalue != eig:
+                wrong.append((pred.eigenvalue, pred.sizes, ()))
+            elif not ok and pred.bounds is None:
+                wrong.append((eig, pred.sizes, sizes))
+            entry["ok"] = ok and pred.eigenvalue == eig
             diags.append(entry)
         agreement = all(entry["ok"] for entry in diags)
     else:
@@ -239,7 +239,7 @@ def cmd_check(args) -> int:
         ]
     raw_agrees = None
     if args.raw_kron:
-        raw_agrees = oracle_jcf_matrix(build_raw_kron(p, x, y), eigs) == result
+        raw_agrees = oracle_jcf_matrix(build_raw_kron(p, x, y), result.entries) == result
         agreement = agreement and raw_agrees
     _emit(_document(
         "check", _echo_inputs(p, f, x, y),

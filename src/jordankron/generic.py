@@ -1,23 +1,21 @@
 """Closed-form Jordan structure when the first derivatives cooperate.
 
-For a block pair (lam, m), (mu, n) let p_x and p_y denote the first Hasse
-derivatives of p at (lam, mu).  The pair structure is known in closed form
-whenever (p_x, p_y) != 0, and also when one of the blocks has size 1:
+For a block pair (lam, m), (mu, n) let k and h be the least orders >= 1
+of a surviving pure Hasse derivative of p at (lam, mu): k in x, down
+column 0 of the Hasse table, and h in y, along row 0 (INFINITE if none
+survives).  Unless k, h, m and n all exceed 1, the pair behaves like the
+Kronecker sum of N_m^k and N_n^h, and its sizes are the staircase of
+``euclid_partition(m, k)`` and ``euclid_partition(n, h)``: each pair of
+parts emits a Kronecker-sum staircase.  The branch says which first
+derivatives survive: ``"both-nonzero"`` (k = h = 1, the plain staircase
+m+n-1, m+n-3, ..., m+n+1-2*min(m,n)), ``"py-zero"`` (k = 1 < h),
+``"px-zero"`` (h = 1 < k) or ``"size-one-escape"`` (neither, but m = 1
+or n = 1).
 
-* both derivatives nonzero: the Kronecker-sum staircase
-  m+n-1, m+n-3, ..., m+n+1-2*min(m,n);
-* p_y = 0, p_x != 0: the pair behaves like a Kronecker sum of J_m with the
-  r-th power of a nilpotent block, r being the first pure-y derivative
-  order that survives at the point; N_n^r splits by Euclidean division and
-  each piece contributes its own staircase (and symmetrically for
-  p_x = 0, p_y != 0);
-* both zero but m = 1 or n = 1: the surviving single-row case, which
-  reduces to the previous bullet in the nontrivial variable.
-
-When both derivatives vanish and both sizes exceed one, no formula is
-offered: ``pair_prediction`` returns a record of branch ``"degenerate"``
-carrying the size and count bounds of :mod:`jordankron.bounds`, and the
-caller picks the oracle or the bounds.
+When both first derivatives vanish and both sizes exceed one, no formula
+is offered: ``pair_prediction`` returns a record of branch
+``"degenerate"`` carrying the size and count bounds of
+:mod:`jordankron.bounds`, and the caller picks the oracle or the bounds.
 
 :class:`PairPrediction` is the per-pair record of both predictors, this one
 and :func:`jordankron.frechet.pair_prediction`.
@@ -54,8 +52,9 @@ class PairPrediction(NamedTuple):
     ``branch`` names the arm of the analysis: ``"both-nonzero"``,
     ``"py-zero"``, ``"px-zero"``, ``"size-one-escape"`` or ``"degenerate"``
     for the generic predictor, ``"distinct"`` or ``"equal"`` for the
-    derivative one.  A degenerate record has no sizes and carries
-    ``bounds`` instead.
+    derivative one.  Every branch but ``"equal"`` and ``"degenerate"`` has
+    the staircase of ``euclid_partition(m, k)`` and ``euclid_partition(n,
+    h)``.  A degenerate record has no sizes and carries ``bounds`` instead.
 
     An equal record below the top power keeps in ``rank_table`` the
     ``hankel_rank(m, n, d, s)`` of each power s = 1, 2, ...; with the
@@ -165,16 +164,24 @@ def _staircase_sizes(parts_a, parts_b) -> tuple[int, ...]:
     """Descending sizes of every Kronecker sum of a part of parts_a with a
     part of parts_b.
 
-    Each distinct pair of parts is summed once, and its sizes repeated by
-    the product of the two parts' multiplicities: a Euclid partition has at
-    most two distinct parts, so that is at most four sums.
+    One part against one part is ``kronecker_sum_sizes`` as it stands.
+    Otherwise each distinct pair of parts is summed once, its sizes repeated
+    by the product of the two parts' multiplicities (at most four sums, as a
+    Euclid partition has at most two distinct parts), and all are sorted.
     """
+    if len(parts_a) == len(parts_b) == 1:
+        return kronecker_sum_sizes(parts_a[0], parts_b[0])
     sizes: list[int] = []
     for a in set(parts_a):
         for b in set(parts_b):
             times = parts_a.count(a) * parts_b.count(b)
             sizes.extend(kronecker_sum_sizes(a, b) * times)
     return tuple(sorted(sizes, reverse=True))
+
+
+# The branch of a non-degenerate generic pair, by (k == 1, h == 1).
+_BRANCHES = {(True, True): "both-nonzero", (True, False): "py-zero",
+             (False, True): "px-zero", (False, False): "size-one-escape"}
 
 
 def pair_prediction(
@@ -198,12 +205,10 @@ def pair_prediction(
     table, den = hasse_value_table(
         p, lam, mu, max(p.degree_x(), 1), max(p.degree_y(), 1)
     )
-    eig, px, py = Fraction(table[0][0], den), table[1][0], table[0][1]
-    if px and py:
-        return PairPrediction(
-            lam, mu, m, n, "both-nonzero", eig, kronecker_sum_sizes(m, n)
-        )
-    if not px and not py and m > 1 and n > 1:
+    # k and h; orders past the end of the table vanish.
+    eig = Fraction(table[0][0], den)
+    k, h = _first_order([row[0] for row in table], 1), _first_order(table[0], 1)
+    if k > 1 and h > 1 and m > 1 and n > 1:
         d = table_local_degree(table)
         return PairPrediction(
             lam, mu, m, n, "degenerate", eig, (),
@@ -211,16 +216,8 @@ def pair_prediction(
                 d, max_block_size_bound(m, n, d), *block_count_bounds(m, n, d)
             ),
         )
-    branch = "py-zero" if px else "px-zero" if py else "size-one-escape"
-    # The pure derivative values in the nilpotent variable, row 0 or column
-    # 0 of the table: their first order r >= 1 splits that block into the
-    # parts of its r-th power.  Orders past the end of the table vanish.
-    if px or (not py and m == 1):
-        sizes = _staircase_sizes((m,), euclid_partition(n, _first_order(table[0], 1)))
-    else:
-        col = [row[0] for row in table]
-        sizes = _staircase_sizes(euclid_partition(m, _first_order(col, 1)), (n,))
-    return PairPrediction(lam, mu, m, n, branch, eig, sizes)
+    sizes = _staircase_sizes(euclid_partition(m, k), euclid_partition(n, h))
+    return PairPrediction(lam, mu, m, n, _BRANCHES[k == 1, h == 1], eig, sizes)
 
 
 def predict_generic(

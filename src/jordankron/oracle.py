@@ -20,9 +20,10 @@ their entries) and eliminated fraction-free, so all arithmetic is exact
 integer arithmetic.  The chain uses only row spaces and products with Z,
 never any property of the matrices it is given, so it stays
 structure-agnostic.  It runs until the nullities stop growing, and their
-last value is the algebraic multiplicity of 0: ``oracle_pair_sizes``
-requires it to be the dimension, and ``oracle_jcf_matrix`` reads it as the
-multiplicity of each candidate eigenvalue.
+last value is the algebraic multiplicity of 0: ``oracle_pair`` requires it
+to be the dimension, which certifies the eigenvalue it read off the pair's
+offset table and returns beside the sizes, and ``oracle_jcf_matrix`` reads
+it as the multiplicity of each candidate eigenvalue.
 """
 
 from __future__ import annotations
@@ -154,17 +155,19 @@ def _nullity_chain(z_rows: list[dict[int, int]]) -> list[int]:
         basis = _echelon(_times(row, z_rows) for row in basis)
 
 
-def oracle_pair_sizes(
+def oracle_pair(
     p: BivariatePoly, lam: RationalLike, m: int, mu: RationalLike, n: int
-) -> tuple[int, ...]:
-    """Jordan block sizes of p on the Jordan pair (lam, m), (mu, n), all at
-    its only eigenvalue p(lam, mu), descending."""
-    nullities = _nullity_chain(block_pair_nilpotent_rows(p, lam, m, mu, n))
+) -> tuple[Fraction, tuple[int, ...]]:
+    """The only eigenvalue of p on the Jordan pair (lam, m), (mu, n), read
+    off the pair's offset table, and its block sizes, descending; that the
+    shifted rows are nilpotent certifies the eigenvalue."""
+    eig, rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
+    nullities = _nullity_chain(rows)
     if nullities[-1] != m * n:
         raise NotNilpotentError(
             f"nullities stabilized at {nullities[-1]} below the dimension {m * n}"
         )
-    return sizes_from_nullities(nullities, m * n)
+    return eig, sizes_from_nullities(nullities, m * n)
 
 
 class JordanStructure:
@@ -175,9 +178,11 @@ class JordanStructure:
     def __init__(self, entries: Mapping[RationalLike, Iterable[int]]):
         norm: dict[Fraction, tuple[int, ...]] = {}
         for eig, sizes in entries.items():
-            sizes = tuple(sorted(map(parse_block_size, sizes), reverse=True))
+            sizes = tuple(sizes)
+            if set(map(type, sizes)) - {int} or min(sizes, default=1) < 1:
+                list(map(parse_block_size, sizes))  # raises at the first bad size
             if sizes:
-                norm[Fraction(exact_rational(eig))] = sizes
+                norm[Fraction(exact_rational(eig))] = tuple(sorted(sizes, reverse=True))
         self.entries = norm
 
     @classmethod
@@ -218,13 +223,10 @@ class JordanStructure:
     @classmethod
     def from_json_obj(cls, obj) -> "JordanStructure":
         try:
-            pairs = [
-                (
-                    parse_rational(str(item["eig"])),
-                    [parse_block_size(b) for b in item["blocks"]],
-                )
-                for item in obj["eigenvalues"]
-            ]
+            pairs = [(parse_rational(str(item["eig"])), item["blocks"])
+                     for item in obj["eigenvalues"]]
+            if not all(type(sizes) is list for _, sizes in pairs):
+                raise TypeError("blocks must be a list")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"bad Jordan structure JSON: {obj!r}") from exc
         return cls.from_pairs(pairs)
@@ -248,13 +250,12 @@ class JordanStructure:
 def oracle_jcf(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:
     """Exact Jordan structure of p evaluated on (x, y), by brute force.
 
-    Each block pair contributes the Weyr structure of its built matrix
-    shifted by its only eigenvalue p(lam, mu); contributions at equal
-    eigenvalues merge.
+    Each block pair contributes its ``oracle_pair`` answer, the Weyr
+    structure of its built matrix at the eigenvalue that makes it
+    nilpotent; contributions at equal eigenvalues merge.
     """
     return JordanStructure.from_pairs(
-        (p.eval(lam, mu), oracle_pair_sizes(p, lam, m, mu, n))
-        for lam, m, mu, n in block_pairs(x, y)
+        oracle_pair(p, *pair) for pair in block_pairs(x, y)
     )
 
 

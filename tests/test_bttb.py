@@ -96,8 +96,9 @@ def test_nilpotent_rows_match_scaled_shifted_build():
         # Row 0 holds the whole Hasse table, order (h, k) in column n*h + k.
         table = reference_hasse_value_table(p, lam, mu, m - 1, n - 1)
         assert built.data[0] == tuple(v for hrow in table for v in hrow)
+        eig, rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
+        assert eig == p.eval(lam, mu)
         dense = built.shifted(p.eval(lam, mu)).num
-        rows = block_pair_nilpotent_rows(p, lam, m, mu, n)
         assert tuple(tuple(row.get(c, 0) for c in range(m * n)) for row in rows) == dense
         assert all(all(row.values()) for row in rows)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,43 @@ def test_check_generic_disagreement_names_the_first_wrong_pair(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("argv, wrong_pair, predicted", [
+    (GENERIC_FOUR_PAIRS, (0, 3), [2]),
+    # The degenerate pair (0, 0), whose oracle sizes meet its bounds.
+    (["check", "--p", "0,0,1;0,1,0;1,0,0", "--X", '[{"eig":"0","size":3}]',
+      "--Y", '[{"eig":"0","size":3},{"eig":"1","size":2}]'], (0, 0), []),
+])
+def test_check_generic_fails_a_pair_at_a_wrong_eigenvalue(monkeypatch, argv, wrong_pair,
+                                                           predicted):
+    # Right sizes at a wrong eigenvalue are a wrong answer: the oracle has
+    # no block at the predicted eigenvalue.
+    import jordankron.generic as generic_mod
+
+    real = generic_mod.pair_prediction
+
+    def wrong_prediction(p, lam, m, mu, n):
+        pred = real(p, lam, m, mu, n)
+        if (lam, mu) == wrong_pair:
+            pred = pred._replace(eigenvalue=pred.eigenvalue + 7)
+        return pred
+
+    code, doc, _ = run_json(argv)
+    assert code == 0 and all(entry["ok"] for entry in doc["diagnostics"])
+    monkeypatch.setattr(generic_mod, "pair_prediction", wrong_prediction)
+    code, wrong_doc, _ = run_json(argv)
+    assert code == 3
+    assert wrong_doc["agreement"] is False
+    oks = [entry["ok"] for entry in wrong_doc["diagnostics"]]
+    assert oks.count(False) == 1
+    bad = wrong_doc["diagnostics"][oks.index(False)]
+    assert (Q(bad["lam"]), Q(bad["mu"])) == wrong_pair
+    assert wrong_doc["firstDifference"] == {
+        "eig": bad["eig"], "predicted": predicted, "oracle": []
+    }
+    assert Q(bad["eig"]) - 7 in {Q(e["eig"]) for e in doc["result"]["eigenvalues"]}
+    assert wrong_doc["result"] == doc["result"]
+
+
 def test_check_catches_a_hasse_table_defect_both_predictors_share(monkeypatch):
     # A Taylor shift that ignores its shift takes every Hasse value at the
     # origin, so both predictors go wrong together.  The oracle builds P
@@ -293,9 +331,11 @@ def test_check_catches_a_hasse_table_defect_both_predictors_share(monkeypatch):
     assert code == 3
     assert doc["agreement"] is False
     assert doc["result"]["eigenvalues"] == [{"eig": "1", "blocks": [5, 3, 1]}]
-    assert doc["firstDifference"] == {
-        "eig": "1", "predicted": [4, 3, 2], "oracle": [5, 3, 1]
-    }
+    # The shared table also puts the eigenvalue at p(0, 0) = 0, where the
+    # oracle has no block.
+    [entry] = doc["diagnostics"]
+    assert (entry["eig"], entry["predicted"], entry["oracle"]) == ("0", [4, 3, 2], [5, 3, 1])
+    assert doc["firstDifference"] == {"eig": "0", "predicted": [4, 3, 2], "oracle": []}
 
 
 @pytest.mark.parametrize("argv", [
@@ -342,7 +382,7 @@ def test_check_runs_oracle_and_predictor_once_per_pair(monkeypatch, argv, predic
         return wrapper
 
     monkeypatch.setattr(
-        oracle_mod, "oracle_pair_sizes", counted("oracle", oracle_mod.oracle_pair_sizes)
+        oracle_mod, "oracle_pair", counted("oracle", oracle_mod.oracle_pair)
     )
     for name, module in (("generic", generic_mod), ("frechet", frechet_mod)):
         monkeypatch.setattr(module, "pair_prediction", counted(name, module.pair_prediction))

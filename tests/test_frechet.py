@@ -264,6 +264,11 @@ def test_frechet_jcf_examples():
 
 
 def test_frechet_matches_generic_when_applicable():
+    # At distinct eigenvalues both predictors read the same first orders k
+    # and h: the generic record is degenerate exactly when k, h, m and n
+    # all exceed 1, and its branch otherwise names which of k and h is 1.
+    branches = {(True, True): "both-nonzero", (True, False): "py-zero",
+                (False, True): "px-zero", (False, False): "size-one-escape"}
     rng = random.Random(107)
     checked = 0
     while checked < 60:
@@ -272,11 +277,17 @@ def test_frechet_matches_generic_when_applicable():
         if p.is_constant():
             continue
         lam, mu = Q(rng.randint(-2, 2)), Q(rng.randint(-2, 2))
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
         generic = generic_pair_prediction(p, lam, m, mu, n)
+        pred = pair_prediction(f, lam, m, mu, n)
+        if lam != mu:
+            k, h = pred.order_lam, pred.order_mu
+            degenerate = k >= 2 and h >= 2 and m > 1 and n > 1
+            assert (generic.branch == "degenerate") == degenerate
+            if not degenerate:
+                assert generic.branch == branches[k == 1, h == 1]
         if generic.branch == "degenerate":
             continue
-        pred = pair_prediction(f, lam, m, mu, n)
         assert pred.sizes == generic.sizes
         assert pred.eigenvalue == generic.eigenvalue
         checked += 1

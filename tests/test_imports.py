@@ -96,3 +96,60 @@ def test_the_oracle_and_its_builders_share_no_code_with_the_predictors():
                 assert node.id not in names, source
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in names, source
+
+
+def _bound_and_used_names(tree):
+    """The names a module's imports bind, by line, and every name it reads:
+    loads, the roots of dotted names, names inside string annotations and
+    the strings of ``__all__``."""
+    bound, used = {}, set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    for note in annotations:
+        if isinstance(note, ast.Constant) and isinstance(note.value, str):
+            used.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+    return bound, used
+
+
+def test_no_module_of_the_package_imports_a_name_it_never_uses():
+    # No linter runs here, so this is the unused-import check: every name
+    # an import binds, at module level or in a function, is read somewhere
+    # in the module.
+    unused = []
+    for path in sorted((SRC / "jordankron").glob("*.py")):
+        bound, used = _bound_and_used_names(ast.parse(path.read_text()))
+        unused.extend(f"{path.name}:{line} {name}"
+                      for name, line in bound.items() if name not in used)
+    assert unused == []
+
+
+def test_the_unused_import_check_sees_what_it_must():
+    bound, used = _bound_and_used_names(ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, re as regex\n"
+        "from typing import Mapping, Sequence\n"
+        "from .x import a, b as c, d\n"
+        "__all__ = ['d']\n"
+        "def f(v: 'Mapping[int, int] | None') -> int:\n"
+        "    import json\n"
+        "    return os.path.join(a)\n"
+    ))
+    assert set(bound) == {"os", "regex", "Mapping", "Sequence", "a", "c", "d", "json"}
+    assert {name for name in bound if name not in used} == {"regex", "Sequence", "c", "json"}

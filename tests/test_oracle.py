@@ -30,7 +30,7 @@ from jordankron.bttb import block_pair_nilpotent_rows, build_block_pair
 from jordankron.oracle import (
     _nullity_chain,
     _sparse_rows,
-    oracle_pair_sizes,
+    oracle_pair,
     sizes_from_nullities,
 )
 from jordankron.toeplitz import gamma_coeffs
@@ -159,6 +159,11 @@ def test_structure_json_roundtrip_and_order():
             JordanStructure.from_json(
                 f'{{"eigenvalues": [{{"eig": "1", "blocks": [3, {size}]}}]}}'
             )
+    for blocks in ('"32"', "3", '{"3": 1}', "null", '""'):
+        with pytest.raises(ValueError, match="bad Jordan structure JSON"):
+            JordanStructure.from_json(
+                f'{{"eigenvalues": [{{"eig": "0", "blocks": [1]}}, {{"eig": "1", "blocks": {blocks}}}]}}'
+            )
 
 
 def test_structure_constructor_rejects_coerced_sizes():
@@ -168,6 +173,27 @@ def test_structure_constructor_rejects_coerced_sizes():
         with pytest.raises(ValueError, match="size"):
             JordanStructure.from_pairs([(0, sizes)])
     assert JordanStructure({0: [1, 3], 1: []}).entries == {Q(0): (3, 1)}
+    # The error names the first bad size, in the order given.
+    for sizes, first in (([3, 0, 2.5], "0"), ([4, True, -1], "True"), ((5,) * 9 + ("2",), "'2'")):
+        with pytest.raises(ValueError, match=rf"must be an integer >= 1, got {first}$"):
+            JordanStructure({1: sizes})
+
+
+def test_oracle_pair_reports_the_eigenvalue_p_eval_gives():
+    # The oracle reads each pair's eigenvalue off its offset table, apart
+    # from BivariatePoly.eval, the reference.
+    rng = random.Random(59)
+    for _ in range(400):
+        grid = [[Q(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+                for _ in range(rng.randint(1, 4))]
+        p = BivariatePoly(grid)
+        lam = Q(rng.randint(-5, 5), rng.randint(1, 4))
+        mu = Q(rng.randint(-5, 5), rng.randint(1, 4))
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        eig, sizes = oracle_pair(p, lam, m, mu, n)
+        assert type(eig) is Q
+        assert eig == p.eval(lam, mu)
+        assert sum(sizes) == m * n
 
 
 def test_structure_equality_is_exact():
@@ -221,15 +247,15 @@ def test_image_chain_matches_dense_reference_on_shifted(case):
     )
 
 
-def test_oracle_pair_sizes_rejects_non_nilpotent_rows(monkeypatch):
+def test_oracle_pair_rejects_non_nilpotent_rows(monkeypatch):
     # The shifted block pair is nilpotent by construction, so only a defect
     # in its rows reaches this check: here the rows of diag(1, 0, ...).
     def unit_corner(p, lam, m, mu, n):
-        return [{0: 1}] + [{} for _ in range(m * n - 1)]
+        return Q(0), [{0: 1}] + [{} for _ in range(m * n - 1)]
 
     monkeypatch.setattr(oracle, "block_pair_nilpotent_rows", unit_corner)
     with pytest.raises(NotNilpotentError, match="below the dimension 4"):
-        oracle_pair_sizes(X_PLUS_Y, 0, 2, 0, 2)
+        oracle_pair(X_PLUS_Y, 0, 2, 0, 2)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["check", "--p", "0,1;1,0", "--X", '[{"eig":"0","size":2}]',
@@ -242,8 +268,8 @@ def test_oracle_pair_sizes_rejects_non_nilpotent_rows(monkeypatch):
 
 @pytest.mark.parametrize("bad", [True, 2.0, 2.5])
 @pytest.mark.parametrize("call", [
-    lambda v: oracle_pair_sizes(X_PLUS_Y, 0, v, 0, 2),
-    lambda v: oracle_pair_sizes(X_PLUS_Y, 0, 2, 0, v),
+    lambda v: oracle_pair(X_PLUS_Y, 0, v, 0, 2),
+    lambda v: oracle_pair(X_PLUS_Y, 0, 2, 0, v),
     lambda v: block_pair_nilpotent_rows(X_PLUS_Y, 0, v, 0, 2),
     lambda v: build_block_pair(X_PLUS_Y, 0, 2, 0, v),
     lambda v: jordan_block(0, v),
