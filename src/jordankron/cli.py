@@ -140,18 +140,22 @@ def _predictions(mode, p, f, x, y) -> tuple[list[PairPrediction], JordanStructur
     A constant p in generic mode has no records: p(X, Y) is p's constant
     times the identity, all blocks of size 1.
     """
-    from .bttb import block_pairs
     from .oracle import JordanStructure
 
     if mode == "generic" and p.is_constant():
         dim = x.total_size * y.total_size
         return [], JordanStructure({p.constant_term: (1,) * dim})
     if mode == "frechet":
-        from .frechet import pair_prediction
+        from .frechet import pair_predictions
+
+        preds = pair_predictions(f, x, y)
     else:
+        # No mirror shortcut: the branches "px-zero" and "py-zero" trade
+        # names under a swap of the pair.
+        from .bttb import block_pairs
         from .generic import pair_prediction
-    poly = f if mode == "frechet" else p
-    preds = [pair_prediction(poly, *pair) for pair in block_pairs(x, y)]
+
+        preds = [pair_prediction(p, *pair) for pair in block_pairs(x, y)]
     merged = JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
     return preds, merged
 

@@ -24,13 +24,22 @@ in y, the one table the generic predictor reads too.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
+
+Each unordered block pair is answered once.  The quotient is symmetric in
+x and y, and the commutation matrix turns ``A (x) B`` into ``B (x) A``, so
+the pair (mu, n, lam, m) has the Jordan structure of (lam, m, mu, n).  The
+record agrees too, field by field: the secant slope is symmetric, k is
+read at lam and h at mu, so they trade places as m and n and their
+partitions do, the staircase is sorted, and the equal branch reads only
+min(m, n) and max(m, n).  :func:`pair_predictions` therefore builds the
+mirror's record by swapping those fields, with no second computation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bttb import JordanSpec, block_pairs, parse_block_size
+from .bttb import JordanSpec, parse_block_size
 from .generic import PairPrediction, _first_order, _staircase_sizes, euclid_partition
 from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
@@ -92,11 +101,51 @@ def pair_prediction(
     )
 
 
+def _mirror(pred: PairPrediction) -> PairPrediction:
+    """The record of the pair (mu, n, lam, m), from that of (lam, m, mu, n)."""
+    return pred._replace(
+        lam=pred.mu, mu=pred.lam, m=pred.n, n=pred.m,
+        order_lam=pred.order_mu, order_mu=pred.order_lam,
+        parts_lam=pred.parts_mu, parts_mu=pred.parts_lam,
+    )
+
+
+def pair_predictions(
+    f: UnivariatePoly, x: JordanSpec, y: JordanSpec
+) -> list[PairPrediction]:
+    """The record of every block pair of (x, y), in ``block_pairs`` order.
+
+    ``pair_prediction`` runs once per unordered pair {(lam, m), (mu, n)}: a
+    repeated pair reuses its record, and a mirror takes the swapped record
+    of its twin (exact, see the module docstring).
+    """
+    # Each distinct block gets a number once, so that no Fraction is hashed
+    # per pair; the loops walk the pairs as block_pairs does.
+    index: dict[tuple, int] = {}
+    xs = [(index.setdefault(block, len(index)), *block) for block in x.blocks]
+    ys = [(index.setdefault(block, len(index)), *block) for block in y.blocks]
+    memo: dict[tuple[int, int], PairPrediction] = {}
+    preds = []
+    for i, lam, m in xs:
+        for j, mu, n in ys:
+            pred = memo.get((i, j))
+            if pred is None:
+                twin = memo.get((j, i))
+                pred = memo[i, j] = (
+                    pair_prediction(f, lam, m, mu, n) if twin is None else _mirror(twin)
+                )
+            preds.append(pred)
+    return preds
+
+
 def frechet_jcf(f: UnivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:
     """Jordan structure of the difference-quotient matrix of f on (x, y).
 
     Dispatches every block pair on whether its eigenvalues coincide and
-    merges contributions at equal output eigenvalues, exactly.
+    merges contributions at equal output eigenvalues, exactly.  The records
+    come from :func:`pair_predictions`, so a mirror pair (mu, n, lam, m)
+    costs a swap of its twin's fields: the quotient is symmetric, and the
+    commutation matrix makes the two pairs' matrices permutation-similar.
     """
-    preds = (pair_prediction(f, *pair) for pair in block_pairs(x, y))
+    preds = pair_predictions(f, x, y)
     return JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)

@@ -369,31 +369,57 @@ def test_check_raw_kron_disagreement_exits_3(monkeypatch, argv):
       "--raw-kron"], None, 4),
 ])
 def test_check_runs_oracle_and_predictor_once_per_pair(monkeypatch, argv, predictor, pairs):
+    # The oracle and the generic predictor see every block pair once.  The
+    # derivative predictor sees every unordered pair once: the mirror
+    # (mu, n, lam, m) of a pair it has answered takes the swapped record.
+    calls = _record_pair_calls(monkeypatch)
+    code, doc, _ = run_json(argv)
+    assert code == 0
+    assert doc["agreement"] is True
+    oracle = calls["oracle"]
+    assert len(oracle) == len(set(oracle)) == pairs
+    assert calls["generic"] == (oracle if predictor == "generic" else [])
+    unordered = {min(pair, pair[2:] + pair[:2]) for pair in calls["frechet"]}
+    assert len(unordered) == len(calls["frechet"])
+    mirrored = {min(pair, pair[2:] + pair[:2]) for pair in oracle}
+    assert unordered == (mirrored if predictor == "frechet" else set())
+
+
+def test_check_runs_the_oracle_on_every_mirror_pair(monkeypatch):
+    # The oracle is the independent route, so it reuses no mirror's answer:
+    # on three blocks at one eigenvalue it answers all 9 ordered pairs, and
+    # the derivative predictor the 6 unordered ones.
+    calls = _record_pair_calls(monkeypatch)
+    w = '[{"eig":"0","size":3},{"eig":"0","size":2},{"eig":"0","size":1}]'
+    code, doc, _ = run_json(["check", "--f", "0,0,0,1", "--W", w])
+    assert code == 0
+    assert doc["agreement"] is True
+    assert len(calls["oracle"]) == len(set(calls["oracle"])) == 9
+    assert len(calls["frechet"]) == len(set(calls["frechet"])) == 6
+    assert len(doc["diagnostics"]) == 9
+
+
+def _record_pair_calls(monkeypatch) -> dict:
+    """Patch ``oracle_pair`` and both ``pair_prediction``s to record the
+    (lam, m, mu, n) of every call, by name."""
     import jordankron.frechet as frechet_mod
     import jordankron.generic as generic_mod
     import jordankron.oracle as oracle_mod
 
-    calls = {"oracle": 0, "generic": 0, "frechet": 0}
+    calls = {"oracle": [], "generic": [], "frechet": []}
 
-    def counted(name, func):
-        def wrapper(*args):
-            calls[name] += 1
-            return func(*args)
+    def recorded(name, func):
+        def wrapper(poly, *pair):
+            calls[name].append(pair)
+            return func(poly, *pair)
         return wrapper
 
     monkeypatch.setattr(
-        oracle_mod, "oracle_pair", counted("oracle", oracle_mod.oracle_pair)
+        oracle_mod, "oracle_pair", recorded("oracle", oracle_mod.oracle_pair)
     )
     for name, module in (("generic", generic_mod), ("frechet", frechet_mod)):
-        monkeypatch.setattr(module, "pair_prediction", counted(name, module.pair_prediction))
-    code, doc, _ = run_json(argv)
-    assert code == 0
-    assert doc["agreement"] is True
-    assert calls == {
-        "oracle": pairs,
-        "generic": pairs if predictor == "generic" else 0,
-        "frechet": pairs if predictor == "frechet" else 0,
-    }
+        monkeypatch.setattr(module, "pair_prediction", recorded(name, module.pair_prediction))
+    return calls
 
 
 @pytest.mark.parametrize("argv", [

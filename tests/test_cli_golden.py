@@ -9,6 +9,8 @@ The ``DUMP_CASES`` records also hold the ``--dump`` text printed to stderr,
 recorded while matrices still stored one ``Fraction`` per entry.  The
 ``check`` cases on a constant p and on a linear f were recorded while the
 CLI still ran the oracle through ``oracle_jcf`` in those modes.
+``readme-check-generic`` was recorded later than the rest, once the README
+held that example.
 
 Regenerate (only on purpose, after a deliberate schema change) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
@@ -29,7 +31,7 @@ DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 W3 = '[{"eig":"0","size":3}]'
 
 CASES = {
-    # The seven README commands.
+    # The eight README commands.
     "readme-predict": ["predict", "--p", "0,1;1,0",
                        "--X", '[{"eig":"0","size":2}]', "--Y", '[{"eig":"0","size":2}]'],
     "readme-frechet": ["frechet", "--f", "0,0,-6,0,1",
@@ -37,6 +39,10 @@ CASES = {
     "readme-frechet-W": ["frechet", "--f", "0,0,1", "--W", '[{"eig":"0","size":2}]'],
     "readme-check": ["check", "--f", "0,0,-2,0,1", "--X", '[{"eig":"-1","size":4}]',
                      "--Y", '[{"eig":"1","size":3}]', "--raw-kron"],
+    "readme-check-generic": ["check", "--p", "0,0,1;0,1,0;1,0,0",
+                             "--X", '[{"eig":"0","size":3}]',
+                             "--Y", '[{"eig":"0","size":3},{"eig":"1","size":2}]',
+                             "--raw-kron"],
     "readme-bounds": ["bounds", "4", "4", "4"],
     "readme-scan-ranks": ["scan-ranks", "--m-max", "8", "--n-max", "8", "--d-max", "4",
                           "--ell-max", "3", "--out", "records.jsonl"],

@@ -18,10 +18,11 @@ from jordankron import (
     frechet_jcf,
     oracle_jcf,
 )
-from jordankron.bttb import build_block_pair
+import jordankron.frechet as frechet_mod
+from jordankron.bttb import block_pairs, build_block_pair
 from jordankron.cli import main
 from jordankron.exactmat import rank
-from jordankron.frechet import euclid_partition, pair_prediction
+from jordankron.frechet import _mirror, euclid_partition, pair_prediction, pair_predictions
 from jordankron.generic import pair_prediction as generic_pair_prediction
 from helpers import (
     h_poly,
@@ -261,6 +262,92 @@ def test_frechet_jcf_examples():
     result = frechet_jcf(w3, mixed_x, mixed_y)
     assert result == oracle_jcf(bezout_quotient(w3), mixed_x, mixed_y)
     assert result == JordanStructure({0: [1, 1], 1: [1]})
+
+
+@st.composite
+def mirror_pairs(draw):
+    """(f, lam, m, mu, n) with f of degree 0..6, sizes 1..9 and mu = lam on
+    about half the draws.  f has sparse rational coefficients in powers of
+    w or of (w - lam), or is c + e*w + g (w - lam)^a (w - mu)^b, so that
+    the orders k and h often differ."""
+    lam = draw(RATIONALS)
+    mu = lam if draw(st.booleans()) else draw(RATIONALS)
+    coeffs = draw(st.lists(st.one_of(st.just(0), RATIONALS), max_size=6))
+    coeffs.append(draw(RATIONALS.filter(bool)))
+    way = draw(st.sampled_from(["w", "w - lam", "pinned"]))
+    if way == "w":
+        f = UnivariatePoly(coeffs)
+    elif way == "w - lam":
+        f = UnivariatePoly()
+        for i, c in enumerate(coeffs):
+            f = f + _poly_power(UnivariatePoly([-lam, 1]), i) * c
+    else:
+        a, b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        g = UnivariatePoly(coeffs[-(7 - a - b):])  # degree at most 6 - a - b
+        f = UnivariatePoly(draw(st.lists(RATIONALS, max_size=2))) + g * _poly_power(
+            UnivariatePoly([-lam, 1]), a
+        ) * _poly_power(UnivariatePoly([-mu, 1]), b)
+    return f, lam, draw(st.integers(1, 9)), mu, draw(st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mirror_pairs())
+@example((CUBIC, 0, 4, 1, 3))  # k = 2, h = 1
+@example((W5, 0, 9, 0, 4))
+def test_mirror_pair_record_is_the_swapped_record(case):
+    f, lam, m, mu, n = case
+    swapped = _mirror(pair_prediction(f, lam, m, mu, n))
+    mirror = pair_prediction(f, mu, n, lam, m)
+    assert mirror == swapped
+    assert mirror.to_json_obj() == swapped.to_json_obj()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_frechet_jcf_answers_each_unordered_pair_once(monkeypatch, k):
+    real = frechet_mod.pair_prediction
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(frechet_mod, "pair_prediction", counted)
+    w = JordanSpec([(Q(1, 2), size) for size in range(1, k + 1)])
+    result = frechet_jcf(W5, w, w)
+    assert len(calls) == k * (k + 1) // 2
+    plain = (real(W5, *pair) for pair in block_pairs(w, w))
+    assert result == JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in plain)
+
+
+def test_pair_predictions_match_a_plain_per_pair_loop():
+    # Blocks are drawn from three (eigenvalue, size) choices, so specs
+    # repeat blocks, and X = Y, or Y shares X's choices, holds mirrors.
+    rng = random.Random(139)
+    eigs = [Q(-1), Q(0), Q(1, 2), Q(2)]
+    for trial in range(80):
+        f = random_univariate(rng, max_deg=6)
+        choices = [(rng.choice(eigs), rng.randint(1, 6)) for _ in range(3)]
+        x = JordanSpec([rng.choice(choices) for _ in range(rng.randint(2, 5))])
+        y = x if trial % 2 else JordanSpec([rng.choice(choices) for _ in range(3)])
+        plain = [pair_prediction(f, *pair) for pair in block_pairs(x, y)]
+        assert pair_predictions(f, x, y) == plain
+        assert frechet_jcf(f, x, y) == JordanStructure.from_pairs(
+            (pr.eigenvalue, pr.sizes) for pr in plain
+        )
+
+
+def test_frechet_cli_diagnostics_are_the_per_pair_records():
+    f = UnivariatePoly.from_string("0,0,0,1")
+    w_text = ('[{"eig":"0","size":3},{"eig":"0","size":2},'
+              '{"eig":"1/2","size":2},{"eig":"0","size":2}]')
+    w = JordanSpec.from_json(w_text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["frechet", "--f", "0,0,0,1", "--W", w_text]) == 0
+    doc = json.loads(out.getvalue())
+    assert doc["diagnostics"] == [
+        pair_prediction(f, *pair).to_json_obj() for pair in block_pairs(w, w)
+    ]
 
 
 def test_frechet_matches_generic_when_applicable():
