@@ -42,13 +42,18 @@ equal-eigenvalue predictor of :mod:`jordankron.frechet` takes each power's
 nullity from that sum.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
-module's scanner hunts for.  It works one quadruple at a time, and one
-``_hankel_rank`` and the ``_ranks`` row of largest ranks give every record
-of the quadruple.  Every R_k of the quadruple has its largest rank
-exactly when the middle one does, that is when r reaches
-min(m, (m + n - D) // 2), the peak of the tent; then that row is the row
-of ranks, and only below the peak is a second row read.  The rank-drop
-test runs only where it can hold, for ell < d.  The quadruple's new
+module's scanner hunts for.  It works one quadruple at a time, at the
+cost of its records.  The row of largest ranks, ``_ranks`` at r = m, is a
+tent in k that rises by 1 to min(m, (m + n - D) // 2), stays there and
+falls back by 1, so ``_tent`` builds it from three ranges.  A quadruple
+whose middle R_k is certified has full rank and eliminates nothing; any
+other takes one ``_hankel_rank``, on a gamma that the scan builds once
+per (d, ell), when a quadruple first needs it.  Every R_k of the
+quadruple has its largest rank exactly when the middle one does, that is
+when r reaches the peak of the tent; then the tent is the row of ranks,
+and only below the peak is ``_ranks`` read at r.  The rank-drop test runs
+only where it can hold, for ell < maxRank <= d, so a full-rank quadruple
+with ell >= d writes all its lines from one format.  The quadruple's new
 records reach the JSONL file in one flushed write, so a killed scan loses
 no finished quadruple and resumes from its file, read one line at a time:
 a line in the scanner's own byte form by one regular expression, any
@@ -129,6 +134,15 @@ def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
     they are the largest ranks, min(u_(k - shift), u_k)."""
     top = m + shift
     return [min(k - shift, m + n - k, r if n < k < top else m) for k in ks]
+
+
+def _tent(t: int, c: int) -> list[int]:
+    """min(x, t - x, c) for x = 1 .. t - 1, for 1 <= c <= t // 2: it rises
+    by 1 to c, stays there and falls back by 1.  With t = m + n - shift,
+    c = min(m, t // 2) and x = k - shift it is ``_ranks(m, n, shift, m,
+    range(shift + 1, m + n))``, the largest ranks of a quadruple, built
+    from ranges instead of one ``min`` a k."""
+    return [*range(1, c), *[c] * (t + 1 - 2 * c), *range(c - 1, 0, -1)]
 
 
 def _ramp_sum(x: int, c: int) -> int:
@@ -306,7 +320,8 @@ def _checked(fields: tuple) -> tuple:
         max_rank != min(k - shift, m + n - k, m)  # _ranks at r = m
         or not 0 <= rk <= max_rank
         or deficiency != max_rank - rk
-        or predicted is not (ell < d and _predicted(m, n, d, ell, k, max_rank))
+        or predicted is not (ell < max_rank <= d
+                             and _predicted(m, n, d, ell, k, max_rank))
     ):
         raise ValueError(
             "deficiency record disagrees with its spec: "
@@ -396,13 +411,15 @@ def scan_deficiencies(
     """Scan all valid quintuples in range and return the rank-deficient ones.
 
     Only normalized pairs m <= n are visited, one quadruple (m, n, d, ell)
-    at a time, and each takes one ``_hankel_rank``.  With ``out_path`` every
-    scanned record is appended as one JSON line, and each quadruple's new
-    lines are written and flushed together, so a killed scan keeps every
-    quadruple it finished.  A quadruple whose records are all present in
-    the file is not recomputed, so an interrupted sweep resumes where it
-    stopped; resumed records are checked against their quintuples, and
-    their ranks are the ones reported.
+    at a time.  Each quadruple takes one ``_hankel_rank`` when its middle
+    R_k is uncertified and none when it is certified, and each (d, ell)
+    gamma is built once, when a quadruple first needs it.  With
+    ``out_path`` every scanned record is appended as one JSON line, and
+    each quadruple's new lines are written and flushed together, so a
+    killed scan keeps every quadruple it finished.  A quadruple whose
+    records are all present in the file is not recomputed, so an
+    interrupted sweep resumes where it stopped; resumed records are checked
+    against their quintuples, and their ranks are the ones reported.
     """
     bounds = (m_max, n_max, d_max, ell_max)
     if any(type(b) is not int or b < 1 for b in bounds):
@@ -414,47 +431,64 @@ def scan_deficiencies(
     # are reported.
     deficient = [rec for rec in existing.values()
                  if rec is not None and all(map(le, rec[:4], bounds))]
+    # gammas[d][ell] is the gamma of (d, ell), for the ell built so far.
+    gammas: dict[int, list[list[int]]] = {}
     sink = path.open("a") if path is not None else None
     try:
         for m in range(1, m_max + 1):
             for n in range(m, n_max + 1):
                 for d in range(1, d_max + 1):
-                    gamma = [1]
+                    powers = gammas.setdefault(d, [[1]])
                     for ell in range(1, ell_max + 1):
                         shift = d * ell
-                        ks = range(shift + 1, m + n)
-                        if not ks:
-                            break  # a larger ell only shifts ks further up
-                        gamma = _gamma_step(gamma, d)
+                        t = m + n - shift
+                        if t < 2:
+                            break  # no k; a larger ell only shifts ks further up
                         done = have[m, n, d, ell]
-                        if done == len(ks):
+                        if done == t - 1:
                             continue
-                        r = _hankel_rank(m, n, d, ell, gamma)
-                        tops = _ranks(m, n, shift, m, ks)
-                        # Every k has min(k - shift, m + n - k) <= t // 2,
-                        # t = m + n - shift, so a cap r at or above
-                        # min(m, t // 2) leaves every rank at its largest.
-                        full = r >= min(m, (m + n - shift) // 2)
-                        new = [*zip(ks, tops if full else _ranks(m, n, shift, r, ks),
-                                    tops)]
+                        ks = range(shift + 1, m + n)
+                        c = min(m, t // 2)
+                        tops = _tent(t, c)  # _ranks(m, n, shift, m, ks)
+                        mid = (m + n + shift) // 2
+                        if n < mid < m + shift:
+                            while len(powers) <= ell:
+                                powers.append(_gamma_step(powers[-1], d))
+                            r = _hankel_rank(m, n, d, ell, powers[ell])
+                        else:
+                            r = c  # a certified middle R_k has full rank
+                        # Every k has min(k - shift, m + n - k) <= t // 2, so
+                        # a cap r at or above c leaves every rank at its largest.
+                        full = r >= c
+                        rows = zip(ks, tops if full else _ranks(m, n, shift, r, ks), tops)
                         if done:
-                            new = [t for t in new
-                                   if (m, n, d, ell, t[0]) not in existing]
+                            rows = [row for row in rows
+                                    if (m, n, d, ell, row[0]) not in existing]
                         if not full:
+                            rows = [*rows]
                             deficient.extend(
                                 DeficiencyRecord(m, n, d, ell, k, rk, mr, mr - rk,
-                                                 _predicted(m, n, d, ell, k, mr))
-                                for k, rk, mr in new if rk < mr)
+                                                 ell < mr <= d
+                                                 and _predicted(m, n, d, ell, k, mr))
+                                for k, rk, mr in rows if rk < mr)
                         if sink is not None:
                             # Byte for byte json.dumps(record.to_json_obj()).
                             # _predicted is false unless ell < maxRank <= d.
                             head = f'{{"m": {m}, "n": {n}, "d": {d}, "ell": {ell}, "k": '
-                            sink.write("".join([
-                                f'{head}{k}, "rank": {rk}, "maxRank": {mr}, '
-                                f'"deficiency": {mr - rk}, "predicted": '
-                                f'{"true" if ell < d and _predicted(m, n, d, ell, k, mr) else "false"}}}\n'
-                                for k, rk, mr in new
-                            ]))
+                            if full and ell >= d:
+                                lines = [
+                                    f'{head}{k}, "rank": {mr}, "maxRank": {mr}, '
+                                    f'"deficiency": 0, "predicted": false}}\n'
+                                    for k, _, mr in rows
+                                ]
+                            else:
+                                lines = [
+                                    f'{head}{k}, "rank": {rk}, "maxRank": {mr}, '
+                                    f'"deficiency": {mr - rk}, "predicted": '
+                                    f'{"true" if ell < mr <= d and _predicted(m, n, d, ell, k, mr) else "false"}}}\n'
+                                    for k, rk, mr in rows
+                                ]
+                            sink.write("".join(lines))
                             sink.flush()
     finally:
         if sink is not None:

@@ -37,9 +37,14 @@ from jordankron import (
 from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
 from jordankron.exactmat import NotSquareError, _from_int_rows, kron, rank
-from jordankron.frechet import euclid_partition
+from jordankron.frechet import euclid_partition, pair_prediction
 from jordankron.generic import PairPrediction, kronecker_sum_sizes
-from jordankron.oracle import _nullity_chain, _sparse_rows, sizes_from_nullities
+from jordankron.oracle import (
+    _nullity_chain,
+    _sparse_rows,
+    oracle_pair,
+    sizes_from_nullities,
+)
 from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
@@ -945,3 +950,38 @@ def rank_drop_witness(spec: ToeplitzSpec) -> tuple[ToeplitzSpec, list[int]]:
 def annihilates(a: RationalMatrix, v: list[int]) -> bool:
     """Whether a @ v == 0 for an integer column vector v."""
     return all(sum(map(mul, row, v)) == 0 for row in a.num)
+
+
+# The triples (m, n, d), m <= n <= 32 and d <= 6, with a deficient record in
+# scan_deficiencies(32, 32, 6, 62): the block pairs within the oracle's reach
+# on which the equal branch reads a Hankel rank below the peak of its tent.
+DEFICIENT_TRIPLES = Path(__file__).resolve().parent / "data" / "deficient_triples.json"
+
+
+def deficient_triples() -> list[tuple[int, int, int]]:
+    return [tuple(t) for t in json.loads(DEFICIENT_TRIPLES.read_text())["triples"]]
+
+
+def tangent_power(d: int) -> UnivariatePoly:
+    """w^(d+1): at 0, f' - f'(0) has a root of multiplicity exactly d."""
+    return UnivariatePoly([0] * (d + 1) + [1])
+
+
+def perturbed_tangent_power(d: int) -> UnivariatePoly:
+    """3 + w^(d+1) - 2 w^(d+2) + w^(d+3): the local multiplicity d of
+    tangent_power(d) at 0, with a constant and non-zero higher terms that
+    the equal branch must reduce to the homogeneous model."""
+    return UnivariatePoly([3] + [0] * d + [1, -2, 1])
+
+
+def equal_branch_mismatches(f_of_d, triples) -> list[tuple[int, int, int]]:
+    """The triples (m, n, d) on which the derivative predictor's record for
+    J_m(0), J_n(0) with f = f_of_d(d) disagrees with ``oracle_pair`` on the
+    difference quotient of f, in eigenvalue or sizes."""
+    bad = []
+    for m, n, d in triples:
+        f = f_of_d(d)
+        pred = pair_prediction(f, 0, m, 0, n)
+        if (pred.eigenvalue, pred.sizes) != oracle_pair(bezout_quotient(f), 0, m, 0, n):
+            bad.append((m, n, d))
+    return bad

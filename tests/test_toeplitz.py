@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import random
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple
@@ -23,6 +25,7 @@ from jordankron.toeplitz import (
     _hankel_rank,
     _rank_sum,
     _ranks,
+    _tent,
     gamma_coeffs,
     hankel_rank,
     rank_row,
@@ -230,6 +233,80 @@ def test_the_largest_ranks_are_the_ranks_from_the_peak_on_the_40_box():
                         assert _ranks(m, n, shift, r, ks) != tops
                         below += 1
     assert below
+
+
+def test_the_tent_from_ranges_is_the_largest_rank_row_on_the_40_box():
+    # The scanner builds the row of largest ranks from ranges; _ranks at
+    # r = m is the written formula.
+    for m in range(1, 41):
+        for n in range(m, 41):
+            for d in range(1, 7):
+                for ell in range(1, 9):
+                    shift = d * ell
+                    t = m + n - shift
+                    if t < 2:
+                        break
+                    ks = range(shift + 1, m + n)
+                    assert _tent(t, min(m, t // 2)) == _ranks(m, n, shift, m, ks)
+
+
+def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatch):
+    # Each (d, ell) gamma is built once, by one convolution step, and is
+    # gamma_coeffs(d, ell); only a quadruple whose middle R_k is
+    # uncertified reaches _hankel_rank.
+    calls, steps = [], []
+    hankel, step = toeplitz._hankel_rank, toeplitz._gamma_step
+    gammas = {(d, ell): list(gamma_coeffs(d, ell))
+              for d in range(1, 6) for ell in range(1, 7)}
+
+    def recorded(m, n, d, ell, gamma):
+        calls.append((m, n, d, ell))
+        assert gamma == gammas[d, ell], (d, ell)
+        return hankel(m, n, d, ell, gamma)
+
+    def counted(gamma, d):
+        steps.append(d)
+        return step(gamma, d)
+
+    box = (12, 14, 5, 6)
+    want = reference_scan(*box)
+    monkeypatch.setattr(toeplitz, "_hankel_rank", recorded)
+    monkeypatch.setattr(toeplitz, "_gamma_step", counted)
+    got = scan_deficiencies(*box)
+    uncertified = [(m, n, d, ell)
+                   for m in range(1, 13) for n in range(m, 15)
+                   for d in range(1, 6) for ell in range(1, 7)
+                   if d * ell + 1 < m + n
+                   and n < (m + n + d * ell) // 2 < m + d * ell]
+    assert calls == uncertified
+    # One step per ell up to the largest that meets an uncertified middle.
+    assert Counter(steps) == {d: max(q[3] for q in uncertified if q[2] == d)
+                              for d in {q[2] for q in uncertified}}
+    assert _as_json(got) == _as_json(want)
+
+
+def test_a_huge_ell_max_costs_what_the_reached_ells_cost(tmp_path, monkeypatch):
+    # No quadruple of m, n <= 4 has d*ell >= 7, so ell_max = 10**6 scans
+    # what ell_max = 6 scans, and builds gamma only for the ell it reaches.
+    # Past a hundred convolution steps gamma is built for an ell no
+    # quadruple reaches, and the scan fails here instead of running on.
+    step = toeplitz._gamma_step
+    steps = []
+
+    def bounded(gamma, d):
+        steps.append(d)
+        if len(steps) > 100:
+            raise AssertionError("gamma built past the ell the box reaches")
+        return step(gamma, d)
+
+    want, ours = tmp_path / "want.jsonl", tmp_path / "ours.jsonl"
+    records = scan_deficiencies(4, 4, 2, 6, out_path=want)
+    monkeypatch.setattr(toeplitz, "_gamma_step", bounded)
+    start = time.perf_counter()
+    assert scan_deficiencies(4, 4, 2, 10**6, out_path=ours) == records
+    assert scan_deficiencies(4, 4, 2, 10**6) == records
+    assert time.perf_counter() - start < 1.0
+    assert ours.read_bytes() == want.read_bytes()
 
 
 def test_sliced_window_rank_past_either_end_of_gamma():
@@ -565,6 +642,31 @@ def test_a_full_resume_holds_at_most_twice_the_file_in_memory(tmp_path):
 
 def _as_json(records):
     return [r.to_json_obj() for r in records]
+
+
+# SHA-256 of the JSONL file of scan_deficiencies(16, 16, 5, 4), the largest
+# box of the benchmark's scan pool (25,178 records), and of the JSON dump
+# of its 151 deficient records, recorded before the scanner built its tent
+# from ranges and skipped the kernel on a certified middle.
+_BOX_16_FILE = "60fcb6b8035f0a9e03dfcbcb739ee7686db24c7c8f9f64644e116e118a06bece"
+_BOX_16_DEFICIENT = "9f4781543f0bbe75eac299229577fe0ac94f1daf53af26af07b41cde04cdd46e"
+
+
+def test_the_pool_s_largest_box_keeps_its_bytes_fresh_and_resumed(tmp_path):
+    out = tmp_path / "scan.jsonl"
+
+    def check(records):
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _BOX_16_FILE
+        dump = json.dumps(_as_json(records)).encode()
+        assert hashlib.sha256(dump).hexdigest() == _BOX_16_DEFICIENT
+
+    check(scan_deficiencies(16, 16, 5, 4, out_path=out))
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 25_178
+    # A killed run: the first half of the records and half of the next.
+    half = len(lines) // 2
+    out.write_bytes(b"".join(lines[:half]) + lines[half][: len(lines[half]) // 2])
+    check(scan_deficiencies(16, 16, 5, 4, out_path=out))
 
 
 @pytest.mark.parametrize(
