@@ -55,9 +55,12 @@ and only below the peak is ``_ranks`` read at r.  The rank-drop test runs
 only where it can hold, for ell < maxRank <= d, so a full-rank quadruple
 with ell >= d writes all its lines from one format.  The quadruple's new
 records reach the JSONL file in one flushed write, so a killed scan loses
-no finished quadruple and resumes from its file, read one line at a time:
-a line in the scanner's own byte form by one regular expression, any
-other by ``json.loads``, and both through the same arithmetic checks.
+no finished quadruple and resumes from its file, read one line at a time
+by one regular expression and checked by arithmetic.  The scanner's byte
+form, ``json.dumps(record.to_json_obj())`` and a newline, is the only form
+a record has: a resume rejects any other line, and
+``DeficiencyRecord.from_json_obj`` checks an object by writing it in that
+form and reading it back.
 ``sufficient_rank_drop`` implements a closed sufficient condition (the
 coefficient vector of ``(x - y)^ell`` is then an explicit kernel vector),
 but it is not necessary, and the scanner records both kinds.
@@ -77,7 +80,7 @@ import json
 import re
 from collections import Counter
 from itertools import accumulate
-from operator import itemgetter, le, sub
+from operator import le, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -279,28 +282,6 @@ def _predicted(m: int, n: int, d: int, ell: int, k: int, max_rank: int) -> bool:
 
 
 _JSON_KEYS = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted")
-_RECORD_FIELDS = itemgetter(*_JSON_KEYS)
-
-
-def _checked_fields(obj: dict) -> tuple:
-    """The fields m, n, d, ell, k, rank, maxRank, deficiency, predicted of a
-    scan record's JSON object, in that order.
-
-    Every field must have its JSON type, and the fields must pass
-    ``_checked``; otherwise ValueError is raised.
-    """
-    try:
-        fields = _RECORD_FIELDS(obj)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad deficiency record: {obj!r}") from exc
-    m, n, d, ell, k, rk, max_rank, deficiency, predicted = fields
-    if not (
-        type(m) is type(n) is type(d) is type(ell) is type(k)
-        is type(rk) is type(max_rank) is type(deficiency) is int
-        and type(predicted) is bool
-    ):
-        raise ValueError(f"bad deficiency record field types: {obj!r}")
-    return _checked(fields)
 
 
 def _checked(fields: tuple) -> tuple:
@@ -330,10 +311,10 @@ def _checked(fields: tuple) -> tuple:
     return fields
 
 
-# A line in the scanner's own byte form, json.dumps(record.to_json_obj())
-# and a newline, each int in JSON's integer grammar, so that "k": 04 falls
-# through to json.loads and fails there.
-_JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
+# The one form of a scan record: json.dumps(record.to_json_obj()) and a
+# newline.  Each int is spelled as json.dumps spells one, so "k": 04 and
+# "deficiency": -0 fail here, while a negative field is left to _checked.
+_JSON_INT = rb"(0|-?[1-9][0-9]*)"
 _LINE_PATTERN = (
     rb"\{"
     + b", ".join(b'"%s": ' % key.encode() + _JSON_INT for key in _JSON_KEYS[:-1])
@@ -360,8 +341,20 @@ class DeficiencyRecord(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DeficiencyRecord":
-        """Inverse of to_json_obj, with the checks of ``_checked_fields``."""
-        return cls(*_checked_fields(obj))
+        """Inverse of to_json_obj: the nine keys in any order, any others
+        ignored.  The nine are written in the scanner's byte form and read
+        back as a resumed line is, by ``_LINE_PATTERN`` and ``_checked``, so
+        a missing key, a field of another JSON type or a record that
+        disagrees with its quintuple raises ValueError."""
+        try:
+            line = json.dumps({key: obj[key] for key in _JSON_KEYS}) + "\n"
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad deficiency record: {obj!r}") from exc
+        hit = re.fullmatch(_LINE_PATTERN, line.encode())
+        if hit is None:
+            raise ValueError(f"bad deficiency record field types: {obj!r}")
+        *ints, flag = hit.groups()
+        return cls(*_checked((*map(int, ints), flag == b"true")))
 
 
 def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
@@ -371,10 +364,10 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
     The file is read one line at a time.  Every record ends with a newline,
     so text after the last one is a record cut short by an interrupted
     run: it is dropped, and cut off the file so that appended records start
-    on a line of their own.  A line in the scanner's own byte form is read
-    by ``_LINE_PATTERN``, and any other by ``json.loads`` and
-    ``_checked_fields``; both end in ``_checked``, and a complete line that
-    fails either route raises ValueError.
+    on a line of their own.  Every complete line must be in the scanner's
+    own byte form, read by ``_LINE_PATTERN``, and pass ``_checked``; any
+    other line, a blank one too, raises ValueError naming the file and the
+    line's number, and leaves the file as it was.
     """
     records = {}
     if not path.exists():
@@ -384,19 +377,20 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
     match = re.compile(_LINE_PATTERN).fullmatch
     with path.open("r+b") as fh:
         end = 0
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if not line.endswith(b"\n"):
                 fh.truncate(end)
                 break
             end += len(line)
             hit = match(line)
-            if hit is not None:
+            try:
+                if hit is None:
+                    text = line.decode(errors="replace")
+                    raise ValueError(f"not a scan record line: {text!r}")
                 *ints, flag = hit.groups()
                 fields = _checked((*map(int, ints), flag == b"true"))
-            elif line.strip():
-                fields = _checked_fields(json.loads(line.decode()))
-            else:
-                continue
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{number}: {exc}") from None
             records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
     return records
 

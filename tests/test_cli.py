@@ -630,6 +630,23 @@ def test_scan_ranks_jsonl(tmp_path):
     assert len(stored) >= len(lines)
 
 
+def test_scan_ranks_names_the_file_and_line_it_cannot_resume(tmp_path):
+    out_file = tmp_path / "records.jsonl"
+    argv = ["scan-ranks", "--m-max", "3", "--n-max", "4", "--d-max", "2",
+            "--ell-max", "1", "--out", str(out_file)]
+    assert run(argv)[0] == 0
+    lines = out_file.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:20] + "\n"  # a complete line that holds no record
+    bad = "".join(lines).encode()
+    out_file.write_bytes(bad)
+    code, doc, _ = run_json(argv)
+    assert code == 1
+    assert doc["error"] == (
+        f"{out_file}:3: not a scan record line: {lines[2]!r}"
+    )
+    assert out_file.read_bytes() == bad
+
+
 def test_scan_ranks_killed_mid_scan_resumes_to_the_uninterrupted_result(tmp_path):
     box = ["--m-max", "20", "--n-max", "20", "--d-max", "6", "--ell-max", "5"]
     killed, whole = tmp_path / "killed.jsonl", tmp_path / "whole.jsonl"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -617,10 +618,14 @@ def test_scan_resume_drops_a_truncated_last_line(tmp_path, monkeypatch):
     text = out.read_text()
     assert text.endswith("\n")
     assert sorted(text.splitlines(keepends=True)) == sorted(lines)
-    # A malformed complete line is an error, not a tail to drop.
-    out.write_text(lines[0] + '{"m": 1,\n' + lines[1])
-    with pytest.raises(ValueError):
-        scan_deficiencies(4, 4, 3, 2, out_path=out)
+    # A malformed complete line is an error, not a tail to drop, also
+    # before a partial last line, and the rejected file keeps its bytes.
+    for rest in (lines[1], lines[1][: len(lines[1]) // 2]):
+        bad = (lines[0] + '{"m": 1,\n' + rest).encode()
+        out.write_bytes(bad)
+        with pytest.raises(ValueError, match=r":2: not a scan record line"):
+            scan_deficiencies(4, 4, 3, 2, out_path=out)
+        assert out.read_bytes() == bad
 
 
 def test_a_full_resume_holds_at_most_twice_the_file_in_memory(tmp_path):
@@ -781,6 +786,10 @@ def test_deficiency_record_rejects_coerced_fields():
     good = {"m": 2, "n": 3, "d": 1, "ell": 1, "k": 2, "rank": 1, "maxRank": 1,
             "deficiency": 0, "predicted": False}
     assert DeficiencyRecord.from_json_obj(good).to_json_obj() == good
+    # Any key order, and keys beside the nine, are still accepted.
+    for same in (dict(reversed(good.items())), dict(good, note="x", k2=[1.5]),
+                 {"extra": None, **dict(sorted(good.items()))}):
+        assert DeficiencyRecord.from_json_obj(same).to_json_obj() == good
     for key, value in (("m", 2.7), ("n", "3"), ("maxRank", True), ("rank", None),
                        ("k", 2.0), ("predicted", "no"), ("predicted", 0)):
         with pytest.raises(ValueError):
@@ -790,19 +799,23 @@ def test_deficiency_record_rejects_coerced_fields():
             DeficiencyRecord.from_json_obj(bad)
 
 
+# A predicted deficient record, an unpredicted one and a full-rank one.
+_PARITY_RECORDS = tuple(
+    dict(zip(("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency",
+              "predicted"), values))
+    for values in (
+        (3, 3, 2, 1, 4, 1, 2, 1, True),
+        (4, 5, 3, 1, 6, 2, 3, 1, False),
+        (3, 4, 1, 1, 4, 3, 3, 0, False),
+    )
+)
+
+
 def _parity_lines():
     """Scan record lines in the scanner's byte form and in others JSON
-    allows, valid and not: a predicted deficient record, an unpredicted
-    one and a full-rank one."""
-    keys = ("m", "n", "d", "ell", "k", "rank", "maxRank", "deficiency", "predicted")
-    predicted, deficient, full = (
-        dict(zip(keys, values)) for values in (
-            (3, 3, 2, 1, 4, 1, 2, 1, True),
-            (4, 5, 3, 1, 6, 2, 3, 1, False),
-            (3, 4, 1, 1, 4, 3, 3, 0, False),
-        )
-    )
-    for obj in (predicted, deficient, full):
+    allows, valid and not, from the records of ``_PARITY_RECORDS``."""
+    _, deficient, full = _PARITY_RECORDS
+    for obj in _PARITY_RECORDS:
         line = json.dumps(obj)
         yield line
         yield json.dumps(obj, separators=(",", ":"))
@@ -820,30 +833,52 @@ def _parity_lines():
     yield line.replace(', "predicted": false', "")
 
 
-def test_a_resume_reads_exactly_what_json_loads_and_the_record_check_accept(
+def test_a_resume_reads_only_the_scanner_s_lines_and_from_json_obj_keeps_its_answers(
     tmp_path, monkeypatch
 ):
-    # The resume reads the scanner's own lines without a JSON parser.  On
-    # every line it must agree with _checked_fields(json.loads(line)): the
-    # same fields where that accepts, ValueError where it raises.
+    # The scanner writes a record only as json.dumps(record.to_json_obj())
+    # and a newline.  A resume reads exactly those lines, without json.loads,
+    # and rejects every other line, naming the file and the line.
+    loads = json.loads
     parsed = []
-    loads = toeplitz.json.loads
-    monkeypatch.setattr(toeplitz.json, "loads", lambda s: parsed.append(s) or loads(s))
+    monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+    own = [json.dumps(obj) for obj in _PARITY_RECORDS]
+    lines = [*_parity_lines(), ""]
+    assert len(lines) == 23
     outcomes = Counter()
-    for i, line in enumerate(_parity_lines()):
+    for i, line in enumerate(lines):
         path = tmp_path / f"{i}.jsonl"
         path.write_text(line + "\n")
-        try:
-            fields = toeplitz._checked_fields(loads(line))
-        except ValueError:
-            with pytest.raises(ValueError):
+        if line in own:
+            fields = tuple(_PARITY_RECORDS[own.index(line)].values())
+            want = {fields[:5]: DeficiencyRecord(*fields) if fields[7] else None}
+            assert repr(toeplitz._load_records(path)) == repr(want), line
+            outcomes["read"] += 1
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
                 toeplitz._load_records(path)
             outcomes["rejected"] += 1
+    assert parsed == []
+    assert outcomes == {"read": 3, "rejected": 20}
+    # from_json_obj keeps its answers: of the lines json.loads parses, it
+    # accepts, with the same fields, exactly those that parse to one of the
+    # three records with JSON types; "deficiency": -0 parses to 0.
+    monkeypatch.undo()
+    valid = {json.dumps(obj, sort_keys=True): obj for obj in _PARITY_RECORDS}
+    outcomes = Counter()
+    for line in lines:
+        try:
+            obj = json.loads(line)
+        except ValueError:  # "k": 06 and the blank line
+            outcomes["unparsed"] += 1
             continue
-        want = {fields[:5]: DeficiencyRecord(*fields) if fields[7] else None}
-        parsed.clear()
-        assert repr(toeplitz._load_records(path)) == repr(want), line
-        outcomes["parsed" if parsed else "matched"] += 1
-    # The three lines in the scanner's form, and "deficiency": -0, are
-    # read without json.loads.
-    assert outcomes == {"matched": 4, "parsed": 12, "rejected": 6}
+        want = valid.get(json.dumps(obj, sort_keys=True))
+        if want is None:
+            with pytest.raises(ValueError):
+                DeficiencyRecord.from_json_obj(obj)
+            outcomes["rejected"] += 1
+        else:
+            got = DeficiencyRecord.from_json_obj(obj).to_json_obj()
+            assert json.dumps(got) == json.dumps(want), line
+            outcomes["accepted"] += 1
+    assert outcomes == {"accepted": 16, "rejected": 5, "unparsed": 2}
