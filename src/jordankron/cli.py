@@ -17,8 +17,8 @@ goes away early, as ``| head`` does, the run ends with code 1 and prints
 nothing more.
 
 The commands only serialize library calls.  ``check`` runs the oracle once
-per block pair, and that one pass gives the merged result, the per-pair
-comparison and the candidate eigenvalues for ``--raw-kron``.
+per distinct block pair, and that one pass gives the merged result, the
+per-pair comparison and the candidate eigenvalues for ``--raw-kron``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 # Each handler imports the library modules it calls when it runs, so that a
@@ -111,8 +112,29 @@ def _document(mode: "str | None", inputs: "dict | None", **fields) -> dict:
     return {"schema": SCHEMA, **{k: v for k, v in items.items() if v is not None}}
 
 
+def _json_text(obj, indent: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)`` without the pure-Python
+    encoder that ``indent`` selects: strings and ints go through the C
+    encoders ``json.dumps`` uses for them, nonempty dicts (with string keys)
+    and lists are joined here, and any other value is ``json.dumps``'s."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if kind is dict and obj:
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list and obj:
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in obj]) + indent + "]"
+    return json.dumps(obj)
+
+
 def _emit(doc: dict, out: "str | None") -> None:
-    text = json.dumps(doc, indent=2)
+    text = _json_text(doc)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -198,7 +220,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .bttb import block_pairs, build_raw_kron
+    from .bttb import build_raw_kron
     from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair
 
     mode = "frechet" if args.f is not None else "generic"
@@ -211,7 +233,12 @@ def cmd_check(args) -> int:
         )
     _maybe_dump(args, p, x, y)
     preds, predicted = _predictions(mode, p, f, x, y)
-    answers = [oracle_pair(p, *pair) for pair in block_pairs(x, y)]
+    # One oracle call per distinct block pair (a mirror pair is distinct).
+    # Blocks are numbered once, so that no Fraction is hashed per pair.
+    xi, yi = ({block: i for i, block in enumerate(s.blocks)} for s in (x, y))
+    memo = {(i, j): oracle_pair(p, *a, *b) for a, i in xi.items() for b, j in yi.items()}
+    xs, ys = [xi[block] for block in x.blocks], [yi[block] for block in y.blocks]
+    answers = [memo[i, j] for i in xs for j in ys]
     result = JordanStructure.from_pairs(answers)
     if preds and mode == "generic":
         # Pair by pair: a pair passes when its eigenvalue and sizes are the

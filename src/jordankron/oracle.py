@@ -12,18 +12,21 @@ its common denominator (rank is invariant under nonzero scaling): the
 ``num`` rows of a :class:`~jordankron.exactmat.RationalMatrix`, or for a
 block pair the rows of :func:`~jordankron.bttb.block_pair_nilpotent_rows`,
 built from the definition of P, not from the Hasse table the predictors
-read.
-``B_1`` is an echelon basis of the row space of Z, and ``B_s`` one of the
-row space of ``B_(s-1) Z``, which is the row space of ``Z^s``; so
-``rank Z^s = |B_s|``.  Basis rows are kept primitive (divided by the gcd of
-their entries) and eliminated fraction-free, so all arithmetic is exact
-integer arithmetic.  The chain uses only row spaces and products with Z,
-never any property of the matrices it is given, so it stays
-structure-agnostic.  It runs until the nullities stop growing, and their
-last value is the algebraic multiplicity of 0: ``oracle_pair`` requires it
-to be the dimension, which certifies the eigenvalue it read off the pair's
-offset table and returns beside the sizes, and ``oracle_jcf_matrix`` reads
-it as the multiplicity of each candidate eigenvalue.
+read.  ``B_1`` is an echelon basis of the row space of Z, and ``B_s`` one
+of the row space of ``B_(s-1) Z``, which is the row space of ``Z^s``; so
+``rank Z^s = |B_s|``.  Each power is one pass: every row of ``B_(s-1)`` is
+multiplied by Z, and the product v is at once reduced by ``v <- a v - b p``
+against the row p of ``B_s`` owning its leading column, where a and b are
+the two leading entries divided by their gcd.  A product that survives
+joins ``B_s`` divided by the gcd of its entries, with a positive leading
+entry, so all arithmetic is exact integer arithmetic.  The chain uses only
+row spaces and products with Z, never any property of the matrices it is
+given, so it stays structure-agnostic.  It runs until the nullities stop
+growing, and their last value is the algebraic multiplicity of 0:
+``oracle_pair`` requires it to be the dimension, which certifies the
+eigenvalue it read off the pair's offset table and returns beside the
+sizes, and ``oracle_jcf_matrix`` reads it as the multiplicity of each
+candidate eigenvalue.
 """
 
 from __future__ import annotations
@@ -88,71 +91,60 @@ def _sparse_rows(rows: Iterable[Sequence[int]]) -> list[dict[int, int]]:
     return [{j: e for j, e in enumerate(row) if e} for row in rows]
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
-    """Primitive echelon basis of the row space of sparse integer rows.
-
-    Each basis row has its own leading column, a positive leading entry and
-    entries with gcd 1.  A row v is reduced against the basis row p owning
-    its leading column by ``v <- a v - b p``, where a and b are the two
-    leading entries divided by their gcd, so every step stays integral.
-    The input rows are consumed: elimination updates them in place.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for v in rows:
-        while v:
-            lead = min(v)
-            p = pivots.get(lead)
-            if p is None:
-                g = gcd(*v.values())
-                if v[lead] < 0:
-                    g = -g
-                if g != 1:
-                    v = {c: x // g for c, x in v.items()}
-                pivots[lead] = v
-                break
-            a, b = p[lead], v[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                v = {c: a * x for c, x in v.items()}
-            for c, x in p.items():
-                y = v.get(c, 0) - b * x
-                if y:
-                    v[c] = y
-                else:
-                    del v[c]
-    return list(pivots.values())
-
-
-def _times(v: dict[int, int], z_rows: list[dict[int, int]]) -> dict[int, int]:
-    """The sparse row vector v times the matrix with sparse rows z_rows."""
-    acc: dict[int, int] = {}
-    for j, vj in v.items():
-        for c, x in z_rows[j].items():
-            acc[c] = acc.get(c, 0) + vj * x
-    return {c: x for c, x in acc.items() if x}
-
-
 def _nullity_chain(z_rows: list[dict[int, int]]) -> list[int]:
-    """Nullities nu_0 = 0, nu_1, ... of the powers of a square matrix, up to
-    their stable value.
-
-    The chain stops at the first power whose nullity reaches the dimension
-    or equals the previous one (the nullities are then stable).  The last
-    entry returned is the stable value, the algebraic multiplicity of the
-    eigenvalue 0; it is the dimension exactly when the matrix is nilpotent.
-    """
+    """Nullities nu_0 = 0, nu_1, ... of the powers of a square matrix, one
+    pass per power from the nonzero rows of Z (see the module docstring),
+    up to the first power whose nullity reaches the dimension or equals the
+    previous one: the stable value, the algebraic multiplicity of 0."""
     dim = len(z_rows)
+    z_items = [tuple(row.items()) for row in z_rows]
     nullities = [0]
-    basis = _echelon(dict(row) for row in z_rows if row)
+    basis, first = [row for row in z_rows if row], True
     while True:
-        nu = dim - len(basis)
+        pivots: dict[int, dict[int, int]] = {}
+        pivot_of = pivots.get
+        for row in basis:
+            if first:
+                v = dict(row)
+            else:
+                v = {}
+                get = v.get
+                for j, vj in row.items():
+                    for c, x in z_items[j]:
+                        v[c] = get(c, 0) + vj * x
+                if 0 in v.values():
+                    v = {c: x for c, x in v.items() if x}
+            while v:
+                lead = min(v)
+                p = pivot_of(lead)
+                if p is None:
+                    g = gcd(*v.values())
+                    if v[lead] < 0:
+                        g = -g
+                    if g != 1:
+                        v = {c: x // g for c, x in v.items()}
+                    pivots[lead] = v
+                    break
+                a, b = p[lead], v[lead]
+                g = gcd(a, b)
+                if g != 1:
+                    a, b = a // g, b // g
+                if a != 1:
+                    v = {c: a * x for c, x in v.items()}
+                get = v.get
+                for c, x in p.items():
+                    y = get(c, 0) - b * x
+                    if y:
+                        v[c] = y
+                    else:
+                        del v[c]
+        nu = dim - len(pivots)
         if nu == nullities[-1]:
             return nullities
         nullities.append(nu)
         if nu == dim:
             return nullities
-        basis = _echelon(_times(row, z_rows) for row in basis)
+        basis, first = pivots.values(), False
 
 
 def oracle_pair(

@@ -16,7 +16,7 @@ import json
 import random
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from operator import mul
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -278,6 +278,75 @@ def reference_nullities(rows: list[list[int]], strict: bool = True) -> list[int]
         if nu == dim:
             return nullities
         current = _matmul_int_rows(current, rows)
+
+
+def _echelon(rows: Iterable[dict[int, int]]) -> list[dict[int, int]]:
+    """Primitive echelon basis of the row space of sparse integer rows.
+
+    Each basis row has its own leading column, a positive leading entry and
+    entries with gcd 1.  A row v is reduced against the basis row p owning
+    its leading column by ``v <- a v - b p``, where a and b are the two
+    leading entries divided by their gcd, so every step stays integral.
+    The input rows are consumed: elimination updates them in place.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for v in rows:
+        while v:
+            lead = min(v)
+            p = pivots.get(lead)
+            if p is None:
+                g = gcd(*v.values())
+                if v[lead] < 0:
+                    g = -g
+                if g != 1:
+                    v = {c: x // g for c, x in v.items()}
+                pivots[lead] = v
+                break
+            a, b = p[lead], v[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                v = {c: a * x for c, x in v.items()}
+            for c, x in p.items():
+                y = v.get(c, 0) - b * x
+                if y:
+                    v[c] = y
+                else:
+                    del v[c]
+    return list(pivots.values())
+
+
+def _times(v: dict[int, int], z_rows: list[dict[int, int]]) -> dict[int, int]:
+    """The sparse row vector v times the matrix with sparse rows z_rows."""
+    acc: dict[int, int] = {}
+    for j, vj in v.items():
+        for c, x in z_rows[j].items():
+            acc[c] = acc.get(c, 0) + vj * x
+    return {c: x for c, x in acc.items() if x}
+
+
+def reference_nullity_chain(z_rows: list[dict[int, int]]) -> list[int]:
+    """Nullities nu_0 = 0, nu_1, ... of the powers of a square matrix, up to
+    their stable value, in two passes per power: the products of the basis
+    with Z, then their echelon basis.  Test-only reference for the oracle's
+    one-pass ``_nullity_chain``, which must keep its basis and its answers.
+
+    The chain stops at the first power whose nullity reaches the dimension
+    or equals the previous one (the nullities are then stable).  The last
+    entry returned is the stable value, the algebraic multiplicity of the
+    eigenvalue 0; it is the dimension exactly when the matrix is nilpotent.
+    """
+    dim = len(z_rows)
+    nullities = [0]
+    basis = _echelon(dict(row) for row in z_rows if row)
+    while True:
+        nu = dim - len(basis)
+        if nu == nullities[-1]:
+            return nullities
+        nullities.append(nu)
+        if nu == dim:
+            return nullities
+        basis = _echelon(_times(row, z_rows) for row in basis)
 
 
 def conjugated(spec: JordanSpec, ops) -> RationalMatrix:

@@ -399,6 +399,34 @@ def test_check_runs_the_oracle_on_every_mirror_pair(monkeypatch):
     assert len(doc["diagnostics"]) == 9
 
 
+@pytest.mark.parametrize("flag, text", [("--p", "0,1;1,0"), ("--p", "0,0,1;0,1,0;1,0,0"),
+                                        ("--f", "0,0,0,1")])
+def test_check_asks_the_oracle_once_per_distinct_block_pair(monkeypatch, flag, text):
+    # Repeated blocks share one oracle answer, and a mirror pair still gets
+    # its own call: 4 calls for the 9 pairs of three blocks, two of them
+    # equal.  Each pair's answer is that of its own oracle_pair call.
+    from jordankron import BivariatePoly, JordanSpec, UnivariatePoly, bezout_quotient, oracle_jcf
+    from jordankron.bttb import block_pairs
+    from jordankron.oracle import oracle_pair
+
+    w = '[{"eig":"1/2","size":2},{"eig":"0","size":1},{"eig":"1/2","size":2}]'
+    spec = JordanSpec.from_json(w)
+    p = (BivariatePoly.from_string(text) if flag == "--p"
+         else bezout_quotient(UnivariatePoly.from_string(text)))
+    calls = _record_pair_calls(monkeypatch)
+    code, doc, _ = run_json(["check", flag, text, "--W", w])
+    assert code == 0
+    assert doc["agreement"] is True
+    distinct = list(dict.fromkeys(spec.blocks))
+    assert len(distinct) == 2
+    assert calls["oracle"] == [(*a, *b) for a in distinct for b in distinct]
+    assert doc["result"] == oracle_jcf(p, spec, spec).to_json_obj()
+    if flag == "--p":
+        assert [entry["oracle"] for entry in doc["diagnostics"]] == [
+            list(oracle_pair(p, *pair)[1]) for pair in block_pairs(spec, spec)
+        ]
+
+
 def _record_pair_calls(monkeypatch) -> dict:
     """Patch ``oracle_pair`` and both ``pair_prediction``s to record the
     (lam, m, mu, n) of every call, by name."""

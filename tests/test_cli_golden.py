@@ -12,6 +12,10 @@ CLI still ran the oracle through ``oracle_jcf`` in those modes.
 ``readme-check-generic`` was recorded later than the rest, once the README
 held that example.
 
+The byte tests pin what the parsed documents cannot: every document but the
+JSON lines of ``scan-ranks`` is written as ``json.dumps(doc, indent=2)``
+writes it, error documents included.
+
 Regenerate (only on purpose, after a deliberate schema change) with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
@@ -23,8 +27,10 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jordankron.cli import main
+from jordankron.cli import _json_text, main
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -92,14 +98,31 @@ DUMP_CASES = {
 }
 
 
-def run_case(argv):
+# Error documents, whose messages quote input with non-ASCII characters,
+# quotes, backslashes and control characters.
+ERROR_CASES = {
+    "error-non-ascii-eig": ["predict", "--p", "0,1;1,0",
+                            "--X", '[{"eig":"\u00e9\u4e2d","size":1}]', "--Y", W3],
+    "error-quote-backslash-tab": ["check", "--p", '1"\\\t2', "--W", W3],
+    "error-unreadable-file": ["predict", "--p", "0,1;1,0",
+                              "--X", '@no such\t"file\\\u00e9\x01', "--Y", W3],
+    "error-usage": ["bounds", "4", "4"],
+    "error-cap": ["check", "--f", "0,0,1", "--W", '[{"eig":"0","size":33}]'],
+}
+
+
+def run_text(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    text = out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_case(argv):
+    code, text, err = run_text(argv)
     if argv[0] == "scan-ranks":
-        return code, [json.loads(line) for line in text.splitlines()], err.getvalue()
-    return code, json.loads(text), err.getvalue()
+        return code, [json.loads(line) for line in text.splitlines()], err
+    return code, json.loads(text), err
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -120,6 +143,35 @@ def test_dump_text_matches_golden(name):
     assert code == golden["exit"]
     assert doc == golden["stdout"]
     assert err == golden["stderr"]
+
+
+BYTE_CASES = {
+    **{name: argv for name, argv in CASES.items() if argv[0] != "scan-ranks"},
+    **DUMP_CASES,
+    **ERROR_CASES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BYTE_CASES))
+def test_stdout_is_json_dumps_with_indent_2(name, tmp_path, monkeypatch):
+    # The parsed documents above do not pin the bytes; this does.
+    monkeypatch.chdir(tmp_path)
+    code, text, _ = run_text(BYTE_CASES[name])
+    assert code == (1 if name in ERROR_CASES else json.loads(DATA.read_text())[name]["exit"])
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**64, 2**200).map(lambda n: -n)
+    | st.text() | st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600a'))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20))
+def test_json_text_writes_the_bytes_of_json_dumps_with_indent_2(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,7 @@ from helpers import (
     random_bivariate,
     random_spec_total,
     reference_nullities,
+    reference_nullity_chain,
     swap,
     weyr_data,
     weyr_structure,
@@ -245,6 +247,50 @@ def test_image_chain_matches_dense_reference_on_shifted(case):
     assert oracle_jcf_matrix(a, eigs) == JordanStructure.from_pairs(
         (eig, [size]) for eig, size in spec.blocks
     )
+
+
+@st.composite
+def sparse_int_rows(draw):
+    """Sparse integer rows of a square matrix of dimension at most 12:
+    strictly upper triangular (so nilpotent), such a matrix under an
+    integer similarity (nilpotent with dense powers, whose products
+    cancel), or general; with zero rows, negative leading entries and
+    entries of 60 bits and more."""
+    dim = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["upper", "similar", "general"]))
+    # Small multiples of one magnitude cancel often in products.
+    entry = st.builds(mul, st.integers(-3, 3).filter(bool), st.sampled_from([1, 2**64, 3**40]))
+    rows = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        cols = range(0 if kind == "general" else i + 1, dim)
+        for c, x in (draw(st.dictionaries(st.sampled_from(cols), entry)) if cols else {}).items():
+            rows[i][c] = x
+    if kind == "similar" and dim > 1:
+        # (I + c e_i e_j^T) Z (I - c e_i e_j^T), for i != j.
+        index = st.integers(0, dim - 1)
+        for i, j, c in draw(st.lists(st.tuples(index, index, st.integers(-2, 2)),
+                                     max_size=2 * dim)):
+            if i != j:
+                rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+                for row in rows:
+                    row[j] -= c * row[i]
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_int_rows(), st.randoms(use_true_random=False))
+def test_one_pass_chain_matches_the_two_pass_reference(rows, rng):
+    # The fused chain keeps the reference's basis, so its nullities are the
+    # reference's; a permutation similarity P Z P^T keeps them too.
+    copy = [dict(row) for row in rows]
+    nullities = _nullity_chain(rows)
+    assert rows == copy
+    assert nullities == reference_nullity_chain(copy)
+    perm = list(range(len(rows)))
+    rng.shuffle(perm)
+    new_index = {old: new for new, old in enumerate(perm)}
+    permuted = [{new_index[c]: x for c, x in rows[old].items()} for old in perm]
+    assert _nullity_chain(permuted) == nullities
 
 
 def test_oracle_pair_rejects_non_nilpotent_rows(monkeypatch):
