@@ -10,11 +10,12 @@ rows of the blocks' powers term by term, in integers over one denominator.
 ``block_pair_nilpotent_rows`` reads the eigenvalue off it and gives the
 matrix shifted by it to be nilpotent, as sparse integer rows.
 
-For matrices given by their Jordan data, ``build_full`` returns the direct
-sum over all block pairs, which is permutation similar to the Kronecker
-ordering and therefore interchangeable with it for any Jordan-structure
-purpose.  ``build_raw_kron`` provides the literal Kronecker ordering for
-cross-validation.
+``per_block_pair`` is the one walk over the block pairs of two Jordan
+specs, for the predictors and the oracle too.  Through it ``build_full``
+returns the direct sum over all block pairs, which is permutation similar
+to the Kronecker ordering and therefore interchangeable with it for any
+Jordan-structure purpose.  ``build_raw_kron`` provides the literal
+Kronecker ordering for cross-validation.
 """
 
 from __future__ import annotations
@@ -240,11 +241,33 @@ def block_pairs(x: JordanSpec, y: JordanSpec):
             yield lam, m, mu, n
 
 
+def per_block_pair(answer, p, x: JordanSpec, y: JordanSpec, mirror=None) -> list:
+    """``answer(p, lam, m, mu, n)`` for every block pair of (x, y), in
+    ``block_pairs`` order, called once per distinct ordered pair: a repeated
+    pair reuses its answer.  Given ``mirror``, a pair whose swap is already
+    answered takes ``mirror`` of that answer instead.  No answer is None.
+    """
+    # Each distinct block gets a number once, so that no Fraction is hashed
+    # per pair; the loops walk the pairs as block_pairs does.
+    index: dict[tuple, int] = {}
+    xs = [(index.setdefault(block, len(index)), *block) for block in x.blocks]
+    ys = [(index.setdefault(block, len(index)), *block) for block in y.blocks]
+    memo: dict[tuple[int, int], object] = {}
+    answers = []
+    for i, lam, m in xs:
+        for j, mu, n in ys:
+            ans = memo.get((i, j))
+            if ans is None:
+                twin = None if mirror is None else memo.get((j, i))
+                ans = answer(p, lam, m, mu, n) if twin is None else mirror(twin)
+                memo[i, j] = ans
+            answers.append(ans)
+    return answers
+
+
 def build_full(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> RationalMatrix:
     """Direct sum of build_block_pair over all block pairs of x and y."""
-    return direct_sum(
-        [build_block_pair(p, lam, m, mu, n) for lam, m, mu, n in block_pairs(x, y)]
-    )
+    return direct_sum(per_block_pair(build_block_pair, p, x, y))
 
 
 def assemble_jordan_matrix(spec: JordanSpec) -> RationalMatrix:

@@ -16,8 +16,9 @@ prediction, 3 prediction/oracle disagreement.  When the reader of stdout
 goes away early, as ``| head`` does, the run ends with code 1 and prints
 nothing more.
 
-The commands only serialize library calls.  ``check`` runs the oracle once
-per distinct block pair, and that one pass gives the merged result, the
+The commands only serialize library calls, and walk the block pairs only
+through ``bttb.per_block_pair``.  So ``check`` runs the oracle once per
+distinct block pair, and that one pass gives the merged result, the
 per-pair comparison and the candidate eigenvalues for ``--raw-kron``.
 """
 
@@ -67,13 +68,13 @@ def _read_arg_text(text: str) -> str:
     return text
 
 
-def _load_spec(text: str) -> JordanSpec:
+def _load_spec(text: str):
     from .bttb import JordanSpec
 
     return JordanSpec.from_json(_read_arg_text(text))
 
 
-def _load_specs(args) -> tuple[JordanSpec, JordanSpec]:
+def _load_specs(args):
     if args.W is not None:
         if args.X is not None or args.Y is not None:
             raise CliInputError("give either --W or the pair --X/--Y")
@@ -156,7 +157,7 @@ def _maybe_dump(args, p, x, y) -> None:
         print(build_full(p, x, y).dump(), file=sys.stderr)
 
 
-def _predictions(mode, p, f, x, y) -> tuple[list[PairPrediction], JordanStructure]:
+def _predictions(mode, p, f, x, y):
     """The mode's record for every block pair, and their merged structure.
 
     A constant p in generic mode has no records: p(X, Y) is p's constant
@@ -174,10 +175,10 @@ def _predictions(mode, p, f, x, y) -> tuple[list[PairPrediction], JordanStructur
     else:
         # No mirror shortcut: the branches "px-zero" and "py-zero" trade
         # names under a swap of the pair.
-        from .bttb import block_pairs
+        from .bttb import per_block_pair
         from .generic import pair_prediction
 
-        preds = [pair_prediction(p, *pair) for pair in block_pairs(x, y)]
+        preds = per_block_pair(pair_prediction, p, x, y)
     merged = JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
     return preds, merged
 
@@ -220,7 +221,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .bttb import build_raw_kron
+    from .bttb import build_raw_kron, per_block_pair
     from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair
 
     mode = "frechet" if args.f is not None else "generic"
@@ -233,12 +234,8 @@ def cmd_check(args) -> int:
         )
     _maybe_dump(args, p, x, y)
     preds, predicted = _predictions(mode, p, f, x, y)
-    # One oracle call per distinct block pair (a mirror pair is distinct).
-    # Blocks are numbered once, so that no Fraction is hashed per pair.
-    xi, yi = ({block: i for i, block in enumerate(s.blocks)} for s in (x, y))
-    memo = {(i, j): oracle_pair(p, *a, *b) for a, i in xi.items() for b, j in yi.items()}
-    xs, ys = [xi[block] for block in x.blocks], [yi[block] for block in y.blocks]
-    answers = [memo[i, j] for i in xs for j in ys]
+    # No mirror: the oracle assumes no symmetry of p.
+    answers = per_block_pair(oracle_pair, p, x, y)
     result = JordanStructure.from_pairs(answers)
     if preds and mode == "generic":
         # Pair by pair: a pair passes when its eigenvalue and sizes are the
@@ -307,7 +304,7 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _random_ring_row(rng: random.Random, n: int, unit: bool) -> list[int]:
+def _random_ring_row(rng, n: int, unit: bool) -> list[int]:
     row = [rng.randint(-3, 3) for _ in range(n)]
     if unit:
         while row[0] == 0:

@@ -31,15 +31,16 @@ the pair (mu, n, lam, m) has the Jordan structure of (lam, m, mu, n).  The
 record agrees too, field by field: the secant slope is symmetric, k is
 read at lam and h at mu, so they trade places as m and n and their
 partitions do, the staircase is sorted, and the equal branch reads only
-min(m, n) and max(m, n).  :func:`pair_predictions` therefore builds the
-mirror's record by swapping those fields, with no second computation.
+min(m, n) and max(m, n).  :func:`pair_predictions` therefore hands
+:func:`jordankron.bttb.per_block_pair` the mirror :func:`_mirror`, which
+swaps those fields, and no other caller of that walk passes a mirror.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bttb import JordanSpec, parse_block_size
+from .bttb import JordanSpec, parse_block_size, per_block_pair
 from .generic import PairPrediction, _first_order, _staircase_sizes, euclid_partition
 from .oracle import JordanStructure, sizes_from_nullities
 from .polyring import (
@@ -113,29 +114,14 @@ def _mirror(pred: PairPrediction) -> PairPrediction:
 def pair_predictions(
     f: UnivariatePoly, x: JordanSpec, y: JordanSpec
 ) -> list[PairPrediction]:
-    """The record of every block pair of (x, y), in ``block_pairs`` order.
+    """The record of every block pair of (x, y), in ``block_pairs`` order,
+    from :func:`jordankron.bttb.per_block_pair` with :func:`_mirror`.
 
     ``pair_prediction`` runs once per unordered pair {(lam, m), (mu, n)}: a
     repeated pair reuses its record, and a mirror takes the swapped record
     of its twin (exact, see the module docstring).
     """
-    # Each distinct block gets a number once, so that no Fraction is hashed
-    # per pair; the loops walk the pairs as block_pairs does.
-    index: dict[tuple, int] = {}
-    xs = [(index.setdefault(block, len(index)), *block) for block in x.blocks]
-    ys = [(index.setdefault(block, len(index)), *block) for block in y.blocks]
-    memo: dict[tuple[int, int], PairPrediction] = {}
-    preds = []
-    for i, lam, m in xs:
-        for j, mu, n in ys:
-            pred = memo.get((i, j))
-            if pred is None:
-                twin = memo.get((j, i))
-                pred = memo[i, j] = (
-                    pair_prediction(f, lam, m, mu, n) if twin is None else _mirror(twin)
-                )
-            preds.append(pred)
-    return preds
+    return per_block_pair(pair_prediction, f, x, y, _mirror)
 
 
 def frechet_jcf(f: UnivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import PairBounds, block_count_bounds, max_block_size_bound
-from .bttb import JordanSpec, block_pairs, parse_block_size
+from .bttb import JordanSpec, parse_block_size, per_block_pair
 from .oracle import JordanStructure
 from .polyring import (
     INFINITE,
@@ -225,13 +225,13 @@ def predict_generic(
 ) -> JordanStructure:
     """Closed-form Jordan structure of p on (x, y), merged by eigenvalue.
 
-    Every block pair must classify away from the degenerate case; the
+    Each distinct block pair is answered once, by ``bttb.per_block_pair``
+    with no mirror, and must classify away from the degenerate case; the
     first degenerate pair aborts the prediction with a DegenerateCaseError
     that carries its record.
     """
     contributions = []
-    for lam, m, mu, n in block_pairs(x, y):
-        pred = pair_prediction(p, lam, m, mu, n)
+    for pred in per_block_pair(pair_prediction, p, x, y):
         if pred.bounds is not None:
             raise DegenerateCaseError(pred)
         contributions.append((pred.eigenvalue, pred.sizes))

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .bttb import JordanSpec, block_pair_nilpotent_rows, block_pairs, parse_block_size
+from .bttb import JordanSpec, block_pair_nilpotent_rows, parse_block_size, per_block_pair
 from .exactmat import RationalMatrix
 from .polyring import (
     BivariatePoly,
@@ -242,13 +242,11 @@ class JordanStructure:
 def oracle_jcf(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:
     """Exact Jordan structure of p evaluated on (x, y), by brute force.
 
-    Each block pair contributes its ``oracle_pair`` answer, the Weyr
-    structure of its built matrix at the eigenvalue that makes it
-    nilpotent; contributions at equal eigenvalues merge.
+    Each distinct block pair, a mirror included, gets one ``oracle_pair``
+    answer, the Weyr structure of its built matrix at the eigenvalue that
+    makes it nilpotent; contributions at equal eigenvalues merge.
     """
-    return JordanStructure.from_pairs(
-        oracle_pair(p, *pair) for pair in block_pairs(x, y)
-    )
+    return JordanStructure.from_pairs(per_block_pair(oracle_pair, p, x, y))
 
 
 def oracle_jcf_matrix(

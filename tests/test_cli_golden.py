@@ -24,6 +24,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 from jordankron.cli import _json_text, main
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 W3 = '[{"eig":"0","size":3}]'
 
@@ -133,6 +136,22 @@ def test_cli_document_matches_golden(name, tmp_path, monkeypatch):
     code, doc, _ = run_case(CASES[name])
     assert code == golden["exit"]
     assert doc == golden["stdout"]
+
+
+def test_readme_commands_are_the_golden_readme_argvs_in_order():
+    # CI runs the readme-* argvs of the golden file in fresh interpreters,
+    # so they must be the README's commands, in the order CASES lists them.
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["jordankron"]:
+                commands.append(words[1:])
+    golden = json.loads(DATA.read_text())
+    names = [name for name in CASES if name.startswith("readme-")]
+    assert len(names) == 8
+    assert sorted(names) == sorted(name for name in golden if name.startswith("readme-"))
+    assert commands == [golden[name]["argv"] for name in names]
 
 
 @pytest.mark.parametrize("name", sorted(DUMP_CASES))

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jordankron import (
+    DegenerateCaseError,
     INFINITE,
     JordanSpec,
     JordanStructure,
@@ -17,6 +18,7 @@ from jordankron import (
     bezout_quotient,
     frechet_jcf,
     oracle_jcf,
+    predict_generic,
 )
 import jordankron.frechet as frechet_mod
 from jordankron.bttb import block_pairs, build_block_pair
@@ -24,6 +26,7 @@ from jordankron.cli import main
 from jordankron.exactmat import rank
 from jordankron.frechet import _mirror, euclid_partition, pair_prediction, pair_predictions
 from jordankron.generic import pair_prediction as generic_pair_prediction
+from jordankron.oracle import oracle_pair
 from helpers import (
     h_poly,
     per_k_pair_prediction,
@@ -302,26 +305,71 @@ def test_mirror_pair_record_is_the_swapped_record(case):
     assert mirror.to_json_obj() == swapped.to_json_obj()
 
 
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_frechet_jcf_answers_each_unordered_pair_once(monkeypatch, k):
-    real = frechet_mod.pair_prediction
-    calls = []
+    # Every walk over the block pairs answers each distinct pair once.  The
+    # derivative predictor answers each unordered pair once, as a mirror
+    # takes its twin's swapped record.  The generic predictor, in the library
+    # and in the CLI, and the oracle answer each ordered pair once, mirrors
+    # included.  W repeats its largest block, so a walk that answered every
+    # pair would make more calls.
+    import jordankron.generic as generic_mod
+    import jordankron.oracle as oracle_mod
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    real = {"frechet": frechet_mod.pair_prediction,
+            "generic": generic_mod.pair_prediction,
+            "oracle": oracle_mod.oracle_pair}
+    calls = {name: [] for name in real}
 
-    monkeypatch.setattr(frechet_mod, "pair_prediction", counted)
-    w = JordanSpec([(Q(1, 2), size) for size in range(1, k + 1)])
+    def counted(name):
+        def call(poly, *pair):
+            calls[name].append(pair)
+            return real[name](poly, *pair)
+        return call
+
+    monkeypatch.setattr(frechet_mod, "pair_prediction", counted("frechet"))
+    monkeypatch.setattr(generic_mod, "pair_prediction", counted("generic"))
+    monkeypatch.setattr(oracle_mod, "oracle_pair", counted("oracle"))
+    w = JordanSpec([(Q(1, 2), size) for size in (*range(1, k + 1), k)])
+    distinct = list(dict.fromkeys(w.blocks))
+    ordered = [(*a, *b) for a in distinct for b in distinct]
+    pairs = list(block_pairs(w, w))
+    assert len(pairs) == (k + 1) ** 2
+
     result = frechet_jcf(W5, w, w)
-    assert len(calls) == k * (k + 1) // 2
-    plain = (real(W5, *pair) for pair in block_pairs(w, w))
+    assert len(calls["frechet"]) == len(set(calls["frechet"])) == k * (k + 1) // 2
+    plain = [real["frechet"](W5, *pair) for pair in pairs]
     assert result == JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in plain)
+
+    p = bezout_quotient(W5)  # both first derivatives survive at (1/2, 1/2)
+    plain = [real["generic"](p, *pair) for pair in pairs]
+    assert predict_generic(p, w, w) == JordanStructure.from_pairs(
+        (pr.eigenvalue, pr.sizes) for pr in plain
+    )
+    assert calls["generic"] == ordered
+    calls["generic"].clear()
+    code, doc = _run_cli(["predict", "--f", "0,0,0,0,0,1", "--W", w.to_json()])
+    assert code == 0
+    assert doc["diagnostics"] == [pr.to_json_obj() for pr in plain]
+    assert calls["generic"] == ordered
+
+    plain = [real["oracle"](p, *pair) for pair in pairs]
+    assert oracle_jcf(p, w, w) == JordanStructure.from_pairs(plain) == result
+    assert calls["oracle"] == ordered
 
 
 def test_pair_predictions_match_a_plain_per_pair_loop():
     # Blocks are drawn from three (eigenvalue, size) choices, so specs
     # repeat blocks, and X = Y, or Y shares X's choices, holds mirrors.
+    # Both predictors, the CLI's generic records and the oracle must give
+    # what one call per block pair gives.
     rng = random.Random(139)
     eigs = [Q(-1), Q(0), Q(1, 2), Q(2)]
     for trial in range(80):
@@ -334,6 +382,30 @@ def test_pair_predictions_match_a_plain_per_pair_loop():
         assert frechet_jcf(f, x, y) == JordanStructure.from_pairs(
             (pr.eigenvalue, pr.sizes) for pr in plain
         )
+        p = bezout_quotient(f)
+        assert oracle_jcf(p, x, y) == JordanStructure.from_pairs(
+            oracle_pair(p, *pair) for pair in block_pairs(x, y)
+        )
+        if p.is_constant():
+            continue
+        plain = [generic_pair_prediction(p, *pair) for pair in block_pairs(x, y)]
+        degenerate = next((pr for pr in plain if pr.bounds is not None), None)
+        code, doc = _run_cli(
+            ["predict", "--f", f.to_string(), "--X", x.to_json(), "--Y", y.to_json()]
+        )
+        if degenerate is None:
+            assert predict_generic(p, x, y) == JordanStructure.from_pairs(
+                (pr.eigenvalue, pr.sizes) for pr in plain
+            )
+            assert code == 0
+            assert doc["diagnostics"] == [pr.to_json_obj() for pr in plain]
+        else:
+            with pytest.raises(DegenerateCaseError) as caught:
+                predict_generic(p, x, y)
+            assert caught.value.prediction == degenerate
+            assert code == 2
+            entry = degenerate.to_json_obj()
+            assert doc["degeneratePair"] == {key: entry[key] for key in ("lam", "mu", "m", "n")}
 
 
 def test_frechet_cli_diagnostics_are_the_per_pair_records():
@@ -341,10 +413,8 @@ def test_frechet_cli_diagnostics_are_the_per_pair_records():
     w_text = ('[{"eig":"0","size":3},{"eig":"0","size":2},'
               '{"eig":"1/2","size":2},{"eig":"0","size":2}]')
     w = JordanSpec.from_json(w_text)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["frechet", "--f", "0,0,0,1", "--W", w_text]) == 0
-    doc = json.loads(out.getvalue())
+    code, doc = _run_cli(["frechet", "--f", "0,0,0,1", "--W", w_text])
+    assert code == 0
     assert doc["diagnostics"] == [
         pair_prediction(f, *pair).to_json_obj() for pair in block_pairs(w, w)
     ]

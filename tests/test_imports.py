@@ -5,11 +5,13 @@ every module of the package.
 """
 
 import ast
+import importlib
 import json
 import os
 import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -153,3 +155,42 @@ def test_the_unused_import_check_sees_what_it_must():
     ))
     assert set(bound) == {"os", "regex", "Mapping", "Sequence", "a", "c", "d", "json"}
     assert {name for name in bound if name not in used} == {"regex", "Sequence", "c", "json"}
+
+
+def _functions_and_classes(module):
+    """Every function and class defined in the module, and every method,
+    classmethod, staticmethod and property accessor of those classes."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            found.append(obj)
+            for attr in vars(obj).values():
+                if isinstance(attr, (classmethod, staticmethod)):
+                    attr = attr.__func__
+                if isinstance(attr, property):
+                    found.extend(a for a in (attr.fget, attr.fset) if a is not None)
+                elif callable(attr):
+                    found.append(attr)
+        elif callable(obj):
+            found.append(obj)
+    return found
+
+
+def test_every_annotation_in_the_package_names_what_its_module_binds():
+    # Annotations are strings under ``from __future__ import annotations``,
+    # so nothing evaluates them at import.  get_type_hints does, in the
+    # module's namespace, and raises NameError on a name imported only
+    # inside a function.
+    unresolved = []
+    for path in sorted((SRC / "jordankron").glob("*.py")):
+        name = "jordankron" + ("" if path.stem == "__init__" else "." + path.stem)
+        objs = _functions_and_classes(importlib.import_module(name))
+        assert objs, name
+        for obj in objs:
+            try:
+                typing.get_type_hints(obj)
+            except Exception as exc:
+                unresolved.append(f"{name}.{obj.__qualname__}: {exc!r}")
+    assert unresolved == []
