@@ -17,12 +17,12 @@ import importlib
 
 _EXPORTS = {
     "bounds": ("PairBounds", "block_count_bounds", "max_block_size_bound"),
-    "bttb": ("JordanSpec", "build_full", "build_raw_kron"),
+    "bttb": ("build_full", "build_raw_kron"),
     "exactmat": ("RationalMatrix",),
     "frechet": ("frechet_jcf",),
     "generic": ("DegenerateCaseError", "PairPrediction", "predict_generic"),
-    "oracle": ("JordanStructure", "NotNilpotentError", "WeyrConsistencyError",
-               "oracle_jcf", "oracle_jcf_matrix"),
+    "jordan": ("JordanSpec", "JordanStructure", "WeyrConsistencyError"),
+    "oracle": ("NotNilpotentError", "oracle_jcf", "oracle_jcf_matrix"),
     "polyring": ("INFINITE", "BivariatePoly", "ConstantPolynomialError",
                  "UnivariatePoly", "bezout_quotient"),
     "similarity": ("BlockToeplitzUT", "reduce_bidiagonal", "reduce_shifted"),

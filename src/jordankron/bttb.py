@@ -10,103 +10,22 @@ rows of the blocks' powers term by term, in integers over one denominator.
 ``block_pair_nilpotent_rows`` reads the eigenvalue off it and gives the
 matrix shifted by it to be nilpotent, as sparse integer rows.
 
-``per_block_pair`` is the one walk over the block pairs of two Jordan
-specs, for the predictors and the oracle too.  Through it ``build_full``
-returns the direct sum over all block pairs, which is permutation similar
-to the Kronecker ordering and therefore interchangeable with it for any
-Jordan-structure purpose.  ``build_raw_kron`` provides the literal
-Kronecker ordering for cross-validation.
+Through ``jordan.per_block_pair``, the one walk over the block pairs of
+two Jordan specs, ``build_full`` returns the direct sum over all block
+pairs, which is permutation similar to the Kronecker ordering and
+therefore interchangeable with it for any Jordan-structure purpose.
+``build_raw_kron`` provides the literal Kronecker ordering for
+cross-validation.  This module imports no predictor.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple
 
 from .exactmat import RationalMatrix, _from_int_rows, direct_sum, jordan_block, kron
-from .polyring import (
-    BivariatePoly,
-    RationalLike,
-    exact_rational,
-    format_rational,
-    parse_rational,
-)
-
-
-def parse_block_size(value) -> int:
-    """A block size, from JSON or a constructor: an integer >= 1, never
-    coerced.
-
-    Floats (even integral ones), bools and strings are rejected rather than
-    truncated or converted.
-    """
-    if type(value) is not int or value < 1:
-        raise ValueError(f"a block size must be an integer >= 1, got {value!r}")
-    return value
-
-
-class _Blocks(NamedTuple):
-    blocks: tuple[tuple[Fraction, int], ...]
-
-
-class JordanSpec(_Blocks):
-    """A matrix described by its Jordan blocks: a multiset of (eigenvalue, size).
-
-    Blocks are kept in canonical order, eigenvalue ascending then size
-    descending.  A spec has at least one block.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, blocks: Iterable[tuple[RationalLike, int]]):
-        norm = []
-        for eig, size in blocks:
-            norm.append((Fraction(exact_rational(eig)), parse_block_size(size)))
-        if not norm:
-            raise ValueError("a Jordan spec needs at least one block")
-        norm.sort(key=lambda b: (b[0], -b[1]))
-        return super().__new__(cls, tuple(norm))
-
-    @classmethod
-    def single(cls, eig: RationalLike, size: int) -> "JordanSpec":
-        return cls([(eig, size)])
-
-    @property
-    def total_size(self) -> int:
-        return sum(size for _, size in self.blocks)
-
-    def eigenvalues(self) -> tuple[Fraction, ...]:
-        return tuple(sorted({eig for eig, _ in self.blocks}))
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "JordanSpec":
-        if not isinstance(obj, list):
-            raise ValueError("a Jordan spec is a JSON list of blocks")
-        blocks = []
-        for item in obj:
-            try:
-                blocks.append((parse_rational(str(item["eig"])), item["size"]))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"bad Jordan block entry: {item!r}") from exc
-        return cls(blocks)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JordanSpec":
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"bad Jordan spec JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
-
-    def to_json_obj(self) -> list:
-        return [
-            {"eig": format_rational(eig), "size": size} for eig, size in self.blocks
-        ]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+from .jordan import JordanSpec, parse_block_size, per_block_pair
+from .polyring import BivariatePoly, RationalLike, exact_rational
 
 
 def _power_rows(value: "int | Fraction", size: int, deg: int) -> list[list[int]]:
@@ -232,37 +151,6 @@ def block_pair_nilpotent_rows(
         for br in range(m)
         for jr in range(n)
     ]
-
-
-def block_pairs(x: JordanSpec, y: JordanSpec):
-    """All (lam, m, mu, n) pairs of the two specs, in canonical order."""
-    for lam, m in x.blocks:
-        for mu, n in y.blocks:
-            yield lam, m, mu, n
-
-
-def per_block_pair(answer, p, x: JordanSpec, y: JordanSpec, mirror=None) -> list:
-    """``answer(p, lam, m, mu, n)`` for every block pair of (x, y), in
-    ``block_pairs`` order, called once per distinct ordered pair: a repeated
-    pair reuses its answer.  Given ``mirror``, a pair whose swap is already
-    answered takes ``mirror`` of that answer instead.  No answer is None.
-    """
-    # Each distinct block gets a number once, so that no Fraction is hashed
-    # per pair; the loops walk the pairs as block_pairs does.
-    index: dict[tuple, int] = {}
-    xs = [(index.setdefault(block, len(index)), *block) for block in x.blocks]
-    ys = [(index.setdefault(block, len(index)), *block) for block in y.blocks]
-    memo: dict[tuple[int, int], object] = {}
-    answers = []
-    for i, lam, m in xs:
-        for j, mu, n in ys:
-            ans = memo.get((i, j))
-            if ans is None:
-                twin = None if mirror is None else memo.get((j, i))
-                ans = answer(p, lam, m, mu, n) if twin is None else mirror(twin)
-                memo[i, j] = ans
-            answers.append(ans)
-    return answers
 
 
 def build_full(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> RationalMatrix:

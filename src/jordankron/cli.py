@@ -17,7 +17,7 @@ goes away early, as ``| head`` does, the run ends with code 1 and prints
 nothing more.
 
 The commands only serialize library calls, and walk the block pairs only
-through ``bttb.per_block_pair``.  So ``check`` runs the oracle once per
+through ``jordan.per_block_pair``.  So ``check`` runs the oracle once per
 distinct block pair, and that one pass gives the merged result, the
 per-pair comparison and the candidate eigenvalues for ``--raw-kron``.
 """
@@ -69,7 +69,7 @@ def _read_arg_text(text: str) -> str:
 
 
 def _load_spec(text: str):
-    from .bttb import JordanSpec
+    from .jordan import JordanSpec
 
     return JordanSpec.from_json(_read_arg_text(text))
 
@@ -163,7 +163,7 @@ def _predictions(mode, p, f, x, y):
     A constant p in generic mode has no records: p(X, Y) is p's constant
     times the identity, all blocks of size 1.
     """
-    from .oracle import JordanStructure
+    from .jordan import JordanStructure
 
     if mode == "generic" and p.is_constant():
         dim = x.total_size * y.total_size
@@ -175,8 +175,8 @@ def _predictions(mode, p, f, x, y):
     else:
         # No mirror shortcut: the branches "px-zero" and "py-zero" trade
         # names under a swap of the pair.
-        from .bttb import per_block_pair
         from .generic import pair_prediction
+        from .jordan import per_block_pair
 
         preds = per_block_pair(pair_prediction, p, x, y)
     merged = JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
@@ -221,8 +221,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .bttb import build_raw_kron, per_block_pair
-    from .oracle import JordanStructure, oracle_jcf_matrix, oracle_pair
+    from .bttb import build_raw_kron
+    from .jordan import JordanStructure, per_block_pair
+    from .oracle import oracle_jcf_matrix, oracle_pair
 
     mode = "frechet" if args.f is not None else "generic"
     p, f = _load_polynomials(args, mode)

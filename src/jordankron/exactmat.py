@@ -1,4 +1,4 @@
-"""Dense exact matrices over Q and their exact rank.
+"""Dense exact matrices over Q.
 
 ``RationalMatrix`` is the package's one dense matrix type.  It stores
 integer rows ``num`` over one positive denominator ``den``, in canonical
@@ -8,24 +8,13 @@ are ``Fraction`` objects only in the read-only ``data`` view, which is
 rebuilt on each read.  Entries must be exact: ints, ``Fraction``s or
 rational strings, never floats or bools.
 
-Rank is computed by elimination only, never numerically, with a
-fraction-free row echelon kernel on ``num`` (scaling by ``den`` does not
-change the rank).  Each step of the kernel scales a row by a nonzero
-integer, subtracts a multiple of the pivot row or divides a row by a common
-factor of its entries, so the rank over Q never changes; the division keeps
-the entries as small as minors of the input.  The kernel is cross-checked
-against a full-pivot Bareiss reference and a rational Gauss reference in
-the test suite.
-
 Matrices are immutable after construction (tuples of tuples), so concurrent
-reads are safe and rank computations can run in parallel from the caller's
-side.
+reads are safe from the caller's side.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -223,63 +212,3 @@ def direct_sum(blocks: Sequence[RationalMatrix]) -> RationalMatrix:
         out.extend(left + [f * x for x in row] + right for row in blk.num)
         offset += blk.rows
     return _from_int_rows(out, den)
-
-
-def _rank_int_rows(rows: list[list[int]]) -> int:
-    """Rank over Q by row echelon elimination on integer rows; consumes its
-    argument.
-
-    Columns are cleared from left to right.  The pivot is the nonzero entry
-    of least magnitude in the column, and the search stops at a unit.  Below
-    a unit pivot p a row x with x_j = f becomes x - (f p) y, unscaled, for
-    y the pivot row.  Below any other pivot it becomes (p / g) x - (f / g) y
-    for g = gcd(p, f), divided by the gcd of its entries, so it stays
-    primitive.  A row with a zero in the pivot column is left as it is.  Each
-    step scales a row by a nonzero integer, subtracts a multiple of the pivot
-    row or divides by a common factor, so the row space over Q never
-    changes, and the rank is the number of pivots.
-    """
-    # ``active`` holds the rows without a pivot yet, each cut down to its
-    # entries from the current column on.
-    active = rows
-    rank = 0
-    while active and active[0]:
-        best = bi = 0
-        for i, row in enumerate(active):
-            v = row[0]
-            if v:
-                a = v if v > 0 else -v
-                if not best or a < best:
-                    best, bi = a, i
-                    if a == 1:
-                        break
-        if not best:
-            for row in active:
-                del row[0]
-            continue
-        piv_row = active.pop(bi)
-        piv = piv_row[0]
-        del piv_row[0]
-        rank += 1
-        nxt = []
-        for row in active:
-            f = row[0]
-            if not f:
-                del row[0]
-                nxt.append(row)
-            elif best == 1:
-                q = f * piv
-                nxt.append([x - q * y for x, y in zip(islice(row, 1, None), piv_row)])
-            else:
-                g = gcd(piv, f)
-                a, b = piv // g, f // g
-                new = [x * a - y * b for x, y in zip(islice(row, 1, None), piv_row)]
-                g = gcd(*new)
-                nxt.append([x // g for x in new] if g > 1 else new)
-        active = nxt
-    return rank
-
-
-def rank(a: RationalMatrix) -> int:
-    """Exact rank over Q."""
-    return _rank_int_rows(list(map(list, a.num)))

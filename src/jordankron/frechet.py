@@ -32,7 +32,7 @@ record agrees too, field by field: the secant slope is symmetric, k is
 read at lam and h at mu, so they trade places as m and n and their
 partitions do, the staircase is sorted, and the equal branch reads only
 min(m, n) and max(m, n).  :func:`pair_predictions` therefore hands
-:func:`jordankron.bttb.per_block_pair` the mirror :func:`_mirror`, which
+:func:`jordankron.jordan.per_block_pair` the mirror :func:`_mirror`, which
 swaps those fields, and no other caller of that walk passes a mirror.
 """
 
@@ -40,9 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bttb import JordanSpec, parse_block_size, per_block_pair
 from .generic import PairPrediction, _first_order, _staircase_sizes, euclid_partition
-from .oracle import JordanStructure, sizes_from_nullities
+from .jordan import (
+    JordanSpec, JordanStructure, parse_block_size, per_block_pair, sizes_from_nullities
+)
 from .polyring import (
     BivariatePoly,
     RationalLike,
@@ -114,8 +115,9 @@ def _mirror(pred: PairPrediction) -> PairPrediction:
 def pair_predictions(
     f: UnivariatePoly, x: JordanSpec, y: JordanSpec
 ) -> list[PairPrediction]:
-    """The record of every block pair of (x, y), in ``block_pairs`` order,
-    from :func:`jordankron.bttb.per_block_pair` with :func:`_mirror`.
+    """The record of every block pair of (x, y), x's blocks outer and y's
+    inner, each in canonical order, from
+    :func:`jordankron.jordan.per_block_pair` with :func:`_mirror`.
 
     ``pair_prediction`` runs once per unordered pair {(lam, m), (mu, n)}: a
     repeated pair reuses its record, and a mirror takes the swapped record

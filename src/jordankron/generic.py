@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bounds import PairBounds, block_count_bounds, max_block_size_bound
-from .bttb import JordanSpec, parse_block_size, per_block_pair
-from .oracle import JordanStructure
+from .jordan import JordanSpec, JordanStructure, parse_block_size, per_block_pair
 from .polyring import (
     INFINITE,
     BivariatePoly,
@@ -225,7 +224,7 @@ def predict_generic(
 ) -> JordanStructure:
     """Closed-form Jordan structure of p on (x, y), merged by eigenvalue.
 
-    Each distinct block pair is answered once, by ``bttb.per_block_pair``
+    Each distinct block pair is answered once, by ``jordan.per_block_pair``
     with no mirror, and must classify away from the degenerate case; the
     first degenerate pair aborts the prediction with a DegenerateCaseError
     that carries its record.

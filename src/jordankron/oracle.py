@@ -3,9 +3,10 @@
 The oracle recovers the exact Jordan canonical form of the matrices built
 by :mod:`jordankron.bttb` using nothing but ranks of powers (the Weyr
 characteristic): for a nilpotent Z, the number of blocks of size s equals
-``2 nu_s - nu_(s-1) - nu_(s+1)`` where ``nu_s`` is the nullity of ``Z^s``.
-No structure theorem is consulted anywhere in this module, which is what
-makes it usable as an independent check of the predictors.
+``2 nu_s - nu_(s-1) - nu_(s+1)`` where ``nu_s`` is the nullity of ``Z^s``
+(``jordan.sizes_from_nullities``).  No structure theorem is consulted
+anywhere in this module, and no predictor is imported, which is what makes
+it usable as an independent check of the predictors.
 
 The ranks come from an image chain on sparse integer rows of Z scaled by
 its common denominator (rank is invariant under nonzero scaling): the
@@ -31,60 +32,18 @@ candidate eigenvalue.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .bttb import JordanSpec, block_pair_nilpotent_rows, parse_block_size, per_block_pair
+from .bttb import block_pair_nilpotent_rows
 from .exactmat import RationalMatrix
-from .polyring import (
-    BivariatePoly,
-    RationalLike,
-    exact_rational,
-    format_rational,
-    parse_rational,
-)
+from .jordan import JordanSpec, JordanStructure, per_block_pair, sizes_from_nullities
+from .polyring import BivariatePoly, RationalLike, exact_rational
 
 
 class NotNilpotentError(ValueError):
     """The matrix handed to the Weyr computation is not nilpotent."""
-
-
-class WeyrConsistencyError(ArithmeticError):
-    """A nullity sequence cannot be the Weyr characteristic of any matrix.
-
-    Raised instead of an ``assert`` so the check survives ``python -O``; it
-    signals a defect in a rank computation, not bad input.
-    """
-
-
-def sizes_from_nullities(nullities: Sequence[int], dim: int) -> tuple[int, ...]:
-    """Jordan block sizes, descending, from nu_0 = 0, nu_1, ... of a
-    nilpotent part of dimension dim.
-
-    The sequence is read as constant past its last entry.  It must never
-    decrease, its steps must never grow (so no block count is negative),
-    and it must end at dim; otherwise WeyrConsistencyError is raised.
-    """
-    nus = list(nullities)
-    nus.extend([nus[-1]] * 2)
-    sizes: list[int] = []
-    for s in range(1, len(nus) - 1):
-        if nus[s] < nus[s - 1]:
-            raise WeyrConsistencyError(f"decreasing nullity step at power {s}")
-        count = 2 * nus[s] - nus[s - 1] - nus[s + 1]
-        if count < 0:
-            raise WeyrConsistencyError(
-                f"negative block count {count} for size {s}: nonconcave nullity steps"
-            )
-        sizes.extend([s] * count)
-    if sum(sizes) != dim:
-        raise WeyrConsistencyError(
-            f"block sizes sum to {sum(sizes)}, not the dimension {dim}"
-        )
-    sizes.sort(reverse=True)
-    return tuple(sizes)
 
 
 def _sparse_rows(rows: Iterable[Sequence[int]]) -> list[dict[int, int]]:
@@ -160,83 +119,6 @@ def oracle_pair(
             f"nullities stabilized at {nullities[-1]} below the dimension {m * n}"
         )
     return eig, sizes_from_nullities(nullities, m * n)
-
-
-class JordanStructure:
-    """Map from eigenvalue to the descending multiset of its block sizes."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[RationalLike, Iterable[int]]):
-        norm: dict[Fraction, tuple[int, ...]] = {}
-        for eig, sizes in entries.items():
-            sizes = tuple(sizes)
-            if set(map(type, sizes)) - {int} or min(sizes, default=1) < 1:
-                list(map(parse_block_size, sizes))  # raises at the first bad size
-            if sizes:
-                norm[Fraction(exact_rational(eig))] = tuple(sorted(sizes, reverse=True))
-        self.entries = norm
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[RationalLike, Iterable[int]]]):
-        """Accumulate (eigenvalue, sizes) contributions, merging eigenvalue
-        collisions by exact rational equality."""
-        acc: dict[Fraction, list[int]] = {}
-        for eig, sizes in pairs:
-            acc.setdefault(Fraction(exact_rational(eig)), []).extend(sizes)
-        return cls(acc)
-
-    @property
-    def dimension(self) -> int:
-        return sum(sum(sizes) for sizes in self.entries.values())
-
-    def sorted_items(self) -> list[tuple[Fraction, tuple[int, ...]]]:
-        return sorted(self.entries.items())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, JordanStructure):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.sorted_items()))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "eigenvalues": [
-                {"eig": format_rational(eig), "blocks": list(sizes)}
-                for eig, sizes in self.sorted_items()
-            ]
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "JordanStructure":
-        try:
-            pairs = [(parse_rational(str(item["eig"])), item["blocks"])
-                     for item in obj["eigenvalues"]]
-            if not all(type(sizes) is list for _, sizes in pairs):
-                raise TypeError("blocks must be a list")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad Jordan structure JSON: {obj!r}") from exc
-        return cls.from_pairs(pairs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JordanStructure":
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"bad Jordan structure JSON: {exc}") from exc
-        return cls.from_json_obj(obj)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{format_rational(eig)}: {list(sizes)}"
-            for eig, sizes in self.sorted_items()
-        )
-        return f"JordanStructure({{{inner}}})"
 
 
 def oracle_jcf(p: BivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:

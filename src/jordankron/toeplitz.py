@@ -29,9 +29,14 @@ Toeplitz Matrices and Forms*, 1982; Heinig and Rost, *Algebraic Methods for
 Toeplitz-like Matrices and Operators*, 1984), such matrices have rank
 min(rows, cols, r) for one number r, the rank of the one with (N + 1) // 2
 rows.  So one exact elimination per quadruple, ``hankel_rank``, by the
-echelon kernel of :mod:`jordankron.exactmat`, fixes every rank of the row:
+fraction-free echelon kernel ``_rank_int_rows``, fixes every rank of the row:
 
     rank R_k = min(k - D, m + n - k, r if n < k < m + D else m).
+
+The kernel eliminates exactly, never numerically, and dividing each new
+row by the gcd of its entries keeps them as small as minors of the input.
+It is cross-checked against a full-pivot Bareiss reference and a rational
+Gauss reference in the test suite.
 
 ``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
 for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
@@ -79,13 +84,13 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, islice
+from math import gcd
 from operator import le, sub
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .bounds import filtration_dim
-from .exactmat import _rank_int_rows
 
 
 class InvalidSpecError(ValueError):
@@ -182,6 +187,61 @@ def _rank_sum(m: int, n: int, shift: int, r: int) -> int:
         r = m
     cm, cr = min(m, t // 2), min(r, t // 2)
     return cr * (t - cr) + 2 * (_ramp_sum(low, cm) - _ramp_sum(low, cr))
+
+
+def _rank_int_rows(rows: list[list[int]]) -> int:
+    """Rank over Q by row echelon elimination on integer rows; consumes its
+    argument.
+
+    Columns are cleared from left to right.  The pivot is the nonzero entry
+    of least magnitude in the column, and the search stops at a unit.  Below
+    a unit pivot p a row x with x_j = f becomes x - (f p) y, unscaled, for
+    y the pivot row.  Below any other pivot it becomes (p / g) x - (f / g) y
+    for g = gcd(p, f), divided by the gcd of its entries, so it stays
+    primitive.  A row with a zero in the pivot column is left as it is.  Each
+    step scales a row by a nonzero integer, subtracts a multiple of the pivot
+    row or divides by a common factor, so the row space over Q never
+    changes, and the rank is the number of pivots.
+    """
+    # ``active`` holds the rows without a pivot yet, each cut down to its
+    # entries from the current column on.
+    active = rows
+    rank = 0
+    while active and active[0]:
+        best = bi = 0
+        for i, row in enumerate(active):
+            v = row[0]
+            if v:
+                a = v if v > 0 else -v
+                if not best or a < best:
+                    best, bi = a, i
+                    if a == 1:
+                        break
+        if not best:
+            for row in active:
+                del row[0]
+            continue
+        piv_row = active.pop(bi)
+        piv = piv_row[0]
+        del piv_row[0]
+        rank += 1
+        nxt = []
+        for row in active:
+            f = row[0]
+            if not f:
+                del row[0]
+                nxt.append(row)
+            elif best == 1:
+                q = f * piv
+                nxt.append([x - q * y for x, y in zip(islice(row, 1, None), piv_row)])
+            else:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                new = [x * a - y * b for x, y in zip(islice(row, 1, None), piv_row)]
+                g = gcd(*new)
+                nxt.append([x // g for x in new] if g > 1 else new)
+        active = nxt
+    return rank
 
 
 def _hankel_rank(m: int, n: int, d: int, ell: int, gamma: Sequence[int]) -> int:

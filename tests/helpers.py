@@ -36,20 +36,17 @@ from jordankron import (
 )
 from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
-from jordankron.exactmat import NotSquareError, _from_int_rows, kron, rank
+from jordankron.exactmat import NotSquareError, _from_int_rows, kron
 from jordankron.frechet import euclid_partition, pair_prediction
 from jordankron.generic import PairPrediction, kronecker_sum_sizes
-from jordankron.oracle import (
-    _nullity_chain,
-    _sparse_rows,
-    oracle_pair,
-    sizes_from_nullities,
-)
+from jordankron.jordan import sizes_from_nullities
+from jordankron.oracle import _nullity_chain, _sparse_rows, oracle_pair
 from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
     InvalidSpecError,
     _check_params,
+    _rank_int_rows,
     _ranks,
     gamma_coeffs,
     hankel_rank,
@@ -92,6 +89,14 @@ def random_spec_total(
         blocks.append((rng.choice(eigs), size))
         budget -= size
     return JordanSpec(blocks)
+
+
+def block_pairs(x: JordanSpec, y: JordanSpec):
+    """All (lam, m, mu, n) pairs of the two specs, in canonical order: the
+    order in which ``per_block_pair`` answers them."""
+    for lam, m in x.blocks:
+        for mu, n in y.blocks:
+            yield lam, m, mu, n
 
 
 def random_ring_row(rng: random.Random, n: int, bound=3, unit=False):
@@ -426,6 +431,12 @@ def matrix_power(a: RationalMatrix, e: int) -> RationalMatrix:
         if e:
             base = base @ base
     return result
+
+
+def rank(a: RationalMatrix) -> int:
+    """Exact rank over Q, by ``toeplitz._rank_int_rows`` on the integer
+    rows of a (scaling by ``a.den`` does not change the rank)."""
+    return _rank_int_rows(list(map(list, a.num)))
 
 
 def nullity(a: RationalMatrix) -> int:

@@ -35,7 +35,7 @@ from jordankron import (
     sufficient_rank_drop,
 )
 from jordankron.bttb import build_block_pair
-from jordankron.exactmat import jordan_block, kron, rank
+from jordankron.exactmat import jordan_block, kron
 from jordankron.frechet import pair_prediction
 from jordankron.similarity import SingularA1Error
 from helpers import (
@@ -56,6 +56,7 @@ from helpers import (
     random_spec_total,
     random_univariate,
     random_bivariate,
+    rank,
     univariate_at_matrix,
 )
 

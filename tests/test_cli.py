@@ -406,8 +406,9 @@ def test_check_asks_the_oracle_once_per_distinct_block_pair(monkeypatch, flag, t
     # its own call: 4 calls for the 9 pairs of three blocks, two of them
     # equal.  Each pair's answer is that of its own oracle_pair call.
     from jordankron import BivariatePoly, JordanSpec, UnivariatePoly, bezout_quotient, oracle_jcf
-    from jordankron.bttb import block_pairs
     from jordankron.oracle import oracle_pair
+
+    from helpers import block_pairs
 
     w = '[{"eig":"1/2","size":2},{"eig":"0","size":1},{"eig":"1/2","size":2}]'
     spec = JordanSpec.from_json(w)

@@ -28,7 +28,8 @@ from jordankron import (
     oracle_jcf_matrix,
     predict_generic,
 )
-from jordankron.bttb import block_pairs
+
+from helpers import block_pairs
 
 MAX_DIM = 12
 EIGS = st.sampled_from(

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordankron import RationalMatrix
-from jordankron.exactmat import NotSquareError, direct_sum, jordan_block, kron, rank
-from jordankron.exactmat import _rank_int_rows
+from jordankron.exactmat import NotSquareError, direct_sum, jordan_block, kron
+from jordankron.toeplitz import _rank_int_rows
 
 import helpers
-from helpers import matrix_power, nullity, reference_rank_fraction, reference_rank_int
+from helpers import matrix_power, nullity, rank, reference_rank_fraction, reference_rank_int
 
 
 def random_rational(rng, rows, cols, bound=10, denominators=(1,)):

@@ -21,17 +21,18 @@ from jordankron import (
     predict_generic,
 )
 import jordankron.frechet as frechet_mod
-from jordankron.bttb import block_pairs, build_block_pair
+from jordankron.bttb import build_block_pair
 from jordankron.cli import main
-from jordankron.exactmat import rank
 from jordankron.frechet import _mirror, euclid_partition, pair_prediction, pair_predictions
 from jordankron.generic import pair_prediction as generic_pair_prediction
 from jordankron.oracle import oracle_pair
 from helpers import (
+    block_pairs,
     h_poly,
     per_k_pair_prediction,
     random_spec,
     random_univariate,
+    rank,
     reference_first_nonvanishing_order,
     reference_pair_prediction,
     reference_phi_distinct,

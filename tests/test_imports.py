@@ -18,12 +18,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs the argvs given as JSON through ``cli.main`` in a fresh interpreter
 # and prints, after ``import jordankron`` and after each run, the loaded
-# ``jordankron`` modules and whether dataclasses or inspect is loaded.
+# ``jordankron`` modules, with those of the standard library modules named
+# in the second argument, and whether dataclasses or inspect is loaded.
 _LOADED_AFTER = """
 import contextlib, io, json, sys
 
+also = set(json.loads(sys.argv[2]))
+
 def loaded():
-    mods = sorted(m for m in sys.modules if m.split(".")[0] == "jordankron")
+    mods = sorted(m for m in sys.modules if m.split(".")[0] == "jordankron" or m in also)
     return [mods, "dataclasses" in sys.modules, "inspect" in sys.modules]
 
 import jordankron
@@ -37,13 +40,18 @@ print(json.dumps(steps))
 """
 
 
-def _loaded_after(*argvs):
+def _fresh_json(script, *args):
+    """What the script prints as JSON, run in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_AFTER, json.dumps(argvs)],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(proc.stdout)
+
+
+def _loaded_after(*argvs, stdlib=()):
+    return _fresh_json(_LOADED_AFTER, json.dumps(argvs), json.dumps(stdlib))
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -60,16 +68,32 @@ def test_bounds_loads_only_the_cli_and_bounds():
 
 
 def test_reduce_and_scan_load_no_predictor_or_oracle():
-    steps = _loaded_after(
-        ["reduce", "--demo", "4", "3", "2"],
-        ["scan-ranks", "--m-max", "3", "--n-max", "3", "--d-max", "2", "--ell-max", "2"],
-    )
+    scan = ["scan-ranks", "--m-max", "3", "--n-max", "3", "--d-max", "2", "--ell-max", "2"]
+    steps = _loaded_after(["reduce", "--demo", "4", "3", "2"], scan)
     for code, modules, has_dataclasses, has_inspect in steps[1:]:
         assert code == 0
         assert not {"jordankron.oracle", "jordankron.generic", "jordankron.frechet"} & set(modules)
         assert not has_dataclasses and not has_inspect
     assert "jordankron.similarity" in steps[1][1]
     assert "jordankron.toeplitz" in steps[2][1]
+
+    # Each command below runs in an interpreter of its own, since what one
+    # command loads stays loaded for the next.  The predictors load nothing
+    # of the oracle side, and the scanner no rational arithmetic at all.
+    spec = '[{"eig":"0","size":2}]'
+    for argv in (["predict", "--p", "0,1;1,0", "--W", spec],
+                 ["frechet", "--f", "0,0,1", "--W", spec]):
+        _, (code, modules, _, _) = _loaded_after(argv)
+        assert code == 0
+        assert not {"jordankron.bttb", "jordankron.oracle", "jordankron.exactmat"} & set(modules)
+    _, (code, modules, _, _) = _loaded_after(scan, stdlib=["decimal", "fractions"])
+    assert code == 0
+    assert not {"jordankron.polyring", "jordankron.exactmat", "decimal", "fractions"} & set(modules)
+    assert _fresh_json(
+        "import json, sys\n"
+        "from jordankron import JordanSpec, JordanStructure\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('jordankron'))))"
+    ) == ["jordankron", "jordankron.jordan", "jordankron.polyring"]
 
 
 def test_no_module_of_the_package_imports_dataclasses():
@@ -79,13 +103,32 @@ def test_no_module_of_the_package_imports_dataclasses():
     assert [path.name for path in sources if pattern.search(path.read_text())] == []
 
 
+def _package_imports(stem):
+    """The modules of the package that a module imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / "jordankron" / f"{stem}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            path = (node.module or "").split(".")
+            if not node.level:
+                if path[0] != "jordankron":
+                    continue
+                path = path[1:]
+            found.update(path[:1] if path and path[0] else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("jordankron."))
+    return found
+
+
 def test_the_oracle_and_its_builders_share_no_code_with_the_predictors():
     # The oracle checks the predictors only while the two routes stay
-    # apart: neither it nor the builders it reads may import a predictor
-    # module or name the Hasse table machinery the predictors read.
-    modules = {"generic", "frechet", "toeplitz"}
+    # apart: neither it nor the builders and matrices it reads may import a
+    # predictor module or name the Hasse table machinery the predictors
+    # read, and no predictor may import the oracle side.  What both routes
+    # share, polyring and the Jordan data of jordan, imports no more.
+    modules = {"generic", "frechet", "toeplitz", "bounds"}
     names = {"hasse_value_table", "_taylor_shift", "table_local_degree"}
-    for source in ("oracle.py", "bttb.py"):
+    for source in ("oracle.py", "bttb.py", "exactmat.py"):
         tree = ast.parse((SRC / "jordankron" / source).read_text())
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -98,6 +141,9 @@ def test_the_oracle_and_its_builders_share_no_code_with_the_predictors():
                 assert node.id not in names, source
             elif isinstance(node, ast.Attribute):
                 assert node.attr not in names, source
+    for stem in ("generic", "frechet", "toeplitz", "bounds", "polyring", "jordan"):
+        assert not {"bttb", "oracle", "exactmat", "similarity"} & _package_imports(stem), stem
+    assert _package_imports("jordan") == {"polyring"}
 
 
 def _bound_and_used_names(tree):

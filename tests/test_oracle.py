@@ -28,12 +28,8 @@ from jordankron import (
 from jordankron import cli, oracle
 from jordankron.exactmat import jordan_block
 from jordankron.bttb import block_pair_nilpotent_rows, build_block_pair
-from jordankron.oracle import (
-    _nullity_chain,
-    _sparse_rows,
-    oracle_pair,
-    sizes_from_nullities,
-)
+from jordankron.jordan import sizes_from_nullities
+from jordankron.oracle import _nullity_chain, _sparse_rows, oracle_pair
 from jordankron.toeplitz import gamma_coeffs
 from helpers import (
     conjugated,
@@ -344,7 +340,7 @@ def test_sizes_from_nullities_rejects_inconsistent_sequences():
 def test_consistency_checks_survive_optimized_mode():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "from jordankron.oracle import WeyrConsistencyError, sizes_from_nullities\n"
+        "from jordankron.jordan import WeyrConsistencyError, sizes_from_nullities\n"
         "from jordankron.toeplitz import InvalidSpecError, hankel_rank, rank_row\n"
         "from jordankron.toeplitz import rho, sufficient_rank_drop\n"
         "try:\n"

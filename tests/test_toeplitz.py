@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from jordankron import DeficiencyRecord, rho, scan_deficiencies, sufficient_rank_drop
 from jordankron import toeplitz
 from jordankron import RationalMatrix
-from jordankron.exactmat import rank
 from jordankron.toeplitz import (
     InvalidSpecError,
     _gamma_step,
@@ -41,6 +40,7 @@ from helpers import (
     iter_valid_specs,
     mirror,
     offset_c,
+    rank,
     rank_drop_witness,
     reference_rank_int,
     reference_scan,
