@@ -1054,6 +1054,12 @@ def perturbed_tangent_power(d: int) -> UnivariatePoly:
     return UnivariatePoly([3] + [0] * d + [1, -2, 1])
 
 
+def two_term_tangent_power(d: int) -> UnivariatePoly:
+    """w^(d+1) + w^(d+2): the local multiplicity d of tangent_power(d) at 0,
+    with a second term, so that the h_d matrix is not homogeneous."""
+    return UnivariatePoly([0] * (d + 1) + [1, 1])
+
+
 def equal_branch_mismatches(f_of_d, triples) -> list[tuple[int, int, int]]:
     """The triples (m, n, d) on which the derivative predictor's record for
     J_m(0), J_n(0) with f = f_of_d(d) disagrees with ``oracle_pair`` on the

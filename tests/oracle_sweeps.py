@@ -8,6 +8,10 @@ pytest does not collect this file.  It checks both predictors against
 * the equal branch with the perturbed tangent power on every recorded
   deficient triple with n <= 24 (``tests/test_equal_branch.py`` stops at
   n <= 16);
+* the equal branch with f = w^(d+1) + w^(d+2) on every pair m <= n <= 20
+  at d = 1 (the tier-1 test stops at n <= 14), where Frobenius' rank
+  inequality proves most later powers' full ranks, and on every pair
+  m <= n <= 16 at d = 2 that is not a recorded deficient triple;
 * the generic predictor on pairs of sizes 6-32 with
   p = (x - lam)^k + c (y - mu)^h + (x - lam)^k (y - mu) + e, so that the
   orders at (lam, mu) are k and h, one of them 1 (both above 1 is the
@@ -31,7 +35,12 @@ from jordankron import BivariatePoly, UnivariatePoly, bezout_quotient
 from jordankron import frechet, generic
 from jordankron.oracle import oracle_pair
 
-from helpers import deficient_triples, equal_branch_mismatches, perturbed_tangent_power
+from helpers import (
+    deficient_triples,
+    equal_branch_mismatches,
+    perturbed_tangent_power,
+    two_term_tangent_power,
+)
 
 
 def _power(base, e, one):
@@ -44,6 +53,14 @@ def _power(base, e, one):
 def equal_perturbed() -> tuple[int, list]:
     triples = [t for t in deficient_triples() if t[1] <= 24]
     return len(triples), equal_branch_mismatches(perturbed_tangent_power, triples)
+
+
+def equal_full_rank() -> tuple[int, list]:
+    deficient = set(deficient_triples())
+    pairs = [(m, n, 1) for n in range(1, 21) for m in range(1, n + 1)]
+    pairs += [(m, n, 2) for n in range(1, 17) for m in range(1, n + 1)
+              if (m, n, 2) not in deficient]
+    return len(pairs), equal_branch_mismatches(two_term_tangent_power, pairs)
 
 
 def generic_pairs(rng: random.Random, count: int = 40) -> tuple[int, list]:
@@ -87,6 +104,8 @@ def main() -> int:
     failed = False
     sweeps = (
         ("equal branch, perturbed tangent power, n <= 24", equal_perturbed),
+        ("equal branch, two-term tangent power, d = 1 to n <= 20, d = 2 to n <= 16",
+         equal_full_rank),
         ("generic predictor, sizes 6-32", lambda: generic_pairs(random.Random(2101))),
         ("distinct branch, sizes 6-32", lambda: distinct_pairs(random.Random(2102))),
     )
