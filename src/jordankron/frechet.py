@@ -19,13 +19,9 @@ in y, the one table the generic predictor reads too.
   banded Toeplitz ranks from :mod:`jordankron.toeplitz`.  Power s needs
   one ``hankel_rank(m, n, d, s)``, which fixes every rank it sums, and the
   closed sum ``_rank_sum`` of those ranks; the record keeps just the
-  per-power Hankel ranks.  From s = 2 on, Frobenius' rank inequality
-  ``rank(AB) + rank(BC) <= rank(B) + rank(ABC)``, with A = C = H and
-  B = H^(s-2), bounds rank H^s below by 2 rank H^(s-1) - rank H^(s-2).
-  When that bound proves the Hankel rank full, the power takes no
-  elimination; every other power takes one, exactly as ``hankel_rank``.
-  The gamma of power s comes from that of s - 1 by one convolution step,
-  so no power recomputes it.
+  per-power Hankel ranks.  At d = 1 every such rank is full, and no power
+  eliminates.  The gamma of power s comes from that of s - 1 by one
+  convolution step, so no power recomputes it.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
@@ -97,22 +93,9 @@ def pair_prediction(
     gamma, hankel, nullities = [1], [], [0]
     for s in range(1, top):
         gamma = _gamma_step(gamma, d)
-        shift = s * d
-        mid = (short + long + shift) // 2
-        rows = mid - shift
-        # rank H^s >= 2 rank H^(s-1) - rank H^(s-2), with rank H^0 = dim,
-        # and rank H^s is _rank_sum at r.  _rank_sum never decreases in r,
-        # and r <= rows on an uncertified middle, so when even r = rows - 1
-        # falls short of that bound, r = rows is proved.  A certified
-        # middle ignores r, so the test runs only on an uncertified one.
-        if (s >= 2 and long < mid < short + shift
-                and _rank_sum(short, long, shift, rows - 1)
-                < dim - 2 * nullities[-1] + nullities[-2]):
-            r = rows
-        else:
-            r = _hankel_rank(short, long, d, s, gamma)
+        r = _hankel_rank(short, long, d, s, gamma)
         hankel.append(r)
-        nullities.append(dim - _rank_sum(short, long, shift, r))
+        nullities.append(dim - _rank_sum(short, long, s * d, r))
     nullities.append(dim)
     return PairPrediction(
         lam, mu, m, n, "equal", eig,

@@ -56,9 +56,8 @@ class PairPrediction(NamedTuple):
     h)``.  A degenerate record has no sizes and carries ``bounds`` instead.
 
     An equal record below the top power keeps in ``rank_table`` the
-    ``hankel_rank(m, n, d, s)`` of each power s = 1, 2, ...; some of them
-    are proved full by the ranks of the two powers before, the others
-    eliminated (see :mod:`jordankron.frechet`).  With the formula of
+    ``hankel_rank(m, n, d, s)`` of each power s = 1, 2, ...; at d = 1 each
+    is the largest rank, proved without elimination.  With the formula of
     :mod:`jordankron.toeplitz` they fix every rank R_k that its nullities
     sum, and ``to_json_obj`` expands them into the ``"ranks"`` list of
     ``{"s", "k", "rank"}`` entries.

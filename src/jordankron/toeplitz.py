@@ -38,6 +38,15 @@ row by the gcd of its entries keeps them as small as minors of the input.
 It is cross-checked against a full-pivot Bareiss reference and a rational
 Gauss reference in the test suite.
 
+At d = 1 no R_k needs that elimination.  The gamma are then binomial
+coefficients, and R_k is a graded piece of multiplication by (x + y)^ell
+on Q[x,y]/(x^m, y^n), which has the largest rank in every degree: that
+algebra has the strong Lefschetz property in characteristic 0 (Stanley,
+*Weyl groups, the hard Lefschetz theorem, and the Sperner property*, 1980).
+So at d = 1, as on a certified middle, r is the largest rank, and
+``_eliminates``, read by ``_hankel_rank`` and the scanner, is the one place
+this rule is written.
+
 ``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
 for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
 for a certified k; with r = m it gives the largest rank min(rows, cols)
@@ -51,9 +60,10 @@ module's scanner hunts for.  It works one quadruple at a time, at the
 cost of its records.  The row of largest ranks, ``_ranks`` at r = m, is a
 tent in k that rises by 1 to min(m, (m + n - D) // 2), stays there and
 falls back by 1, so ``_tent`` builds it from three ranges.  A quadruple
-whose middle R_k is certified has full rank and eliminates nothing; any
-other takes one ``_hankel_rank``, on a gamma that the scan builds once
-per (d, ell), when a quadruple first needs it.  Every R_k of the
+that ``_eliminates`` passes over, a certified middle R_k or d = 1, has
+full rank and eliminates nothing; any other takes one ``_hankel_rank``,
+on a gamma that the scan builds once per (d, ell), when a quadruple
+first needs it, so no d = 1 gamma is built.  Every R_k of the
 quadruple has its largest rank exactly when the middle one does, that is
 when r reaches the peak of the tent; then the tent is the row of ranks,
 and only below the peak is ``_ranks`` read at r.  The rank-drop test runs
@@ -244,9 +254,15 @@ def _rank_int_rows(rows: list[list[int]]) -> int:
     return rank
 
 
+def _eliminates(m: int, n: int, d: int, shift: int) -> bool:
+    """Whether the middle R_k of (m, n, d, ell), m <= n, shift = ell*d,
+    takes an elimination: only when it is uncertified and d >= 2."""
+    return d >= 2 and n < (m + n + shift) // 2 < m + shift
+
+
 def _hankel_rank(m: int, n: int, d: int, ell: int, gamma: Sequence[int]) -> int:
     """``hankel_rank`` for m <= n, given the sequence of coefficients of
-    (d, ell); a certified middle R_k reads none.
+    (d, ell); a middle R_k that ``_eliminates`` passes over reads none.
 
     With shift = ell*d, the window s_t = gamma_(shift - n + 1 + t),
     t < N = m + n - shift - 1, is one slice of gamma with zeros on either
@@ -256,7 +272,7 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, gamma: Sequence[int]) -> int:
     shift = ell * d
     mid = (m + n + shift) // 2
     rows, cols = mid - shift, m + n - mid
-    if not n < mid < m + shift:
+    if not _eliminates(m, n, d, shift):
         return min(rows, cols, m)
     a = shift - n + 1
     s = [*[0] * -a, *gamma[max(a, 0) : m], *[0] * (m - 1 - shift)]
@@ -269,8 +285,9 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
 
     The uncertified k are closed under the flip k -> m + n + ell*d - k, so
     the middle one is uncertified if any is.  Then it is the Hankel matrix
-    of the module docstring with (N + 1) // 2 rows, and r takes one exact
-    elimination; a certified middle R_k has full rank and needs none.
+    of the module docstring with (N + 1) // 2 rows, and at d >= 2 r takes
+    one exact elimination; a certified middle R_k, and every R_k at d = 1,
+    has full rank and needs none.
     """
     m, n = _check_params(m, n, d, ell)
     return _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell))
@@ -293,8 +310,8 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
 def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """Rank of the banded Toeplitz matrix R_k; m and n in either order.
 
-    A certified k costs no matrix; any other takes the row's
-    ``hankel_rank``, one exact elimination.
+    A certified k, or any k at d = 1, costs no matrix; any other takes
+    the row's ``hankel_rank``, one exact elimination.
     """
     m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
@@ -504,13 +521,12 @@ def scan_deficiencies(
                         ks = range(shift + 1, m + n)
                         c = min(m, t // 2)
                         tops = _tent(t, c)  # _ranks(m, n, shift, m, ks)
-                        mid = (m + n + shift) // 2
-                        if n < mid < m + shift:
+                        if _eliminates(m, n, d, shift):
                             while len(powers) <= ell:
                                 powers.append(_gamma_step(powers[-1], d))
                             r = _hankel_rank(m, n, d, ell, powers[ell])
                         else:
-                            r = c  # a certified middle R_k has full rank
+                            r = c  # the middle R_k has full rank
                         # Every k has min(k - shift, m + n - k) <= t // 2, so
                         # a cap r at or above c leaves every rank at its largest.
                         full = r >= c

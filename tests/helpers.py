@@ -49,7 +49,6 @@ from jordankron.toeplitz import (
     _rank_int_rows,
     _ranks,
     gamma_coeffs,
-    hankel_rank,
     rank_row,
     sufficient_rank_drop,
 )
@@ -245,6 +244,33 @@ def build_R(spec: ToeplitzSpec) -> RationalMatrix:
     return _from_int_rows(
         _banded_rows(padded, spec.m, offset_c(spec), spec.n_rows, spec.n_cols)
     )
+
+
+def eliminated_hankel_rank(m: int, n: int, d: int, ell: int) -> int:
+    """``hankel_rank(m, n, d, ell)`` for m <= n, by ``_rank_int_rows`` on
+    the middle R_k that build_R builds: an elimination on every call, also
+    where the package proves the rank full."""
+    spec = ToeplitzSpec(m, n, d, ell, (m + n + d * ell) // 2)
+    return _rank_int_rows([list(row) for row in build_R(spec).num])
+
+
+def d1_rank_deficits(n_max: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The number of uncertified middle R_k at d = 1 with m <= n <= n_max,
+    at every ell with some k, and the quadruples (m, n, 1, ell) among them
+    whose eliminated rank is below the full rank min(rows, cols).  The
+    package eliminates none of them: at d = 1 every R_k has full rank."""
+    checked, deficits = 0, []
+    for n in range(1, n_max + 1):
+        for m in range(1, n + 1):
+            for ell in range(1, m + n - 1):
+                mid = (m + n + ell) // 2
+                if not n < mid < m + ell:
+                    continue
+                checked += 1
+                spec = ToeplitzSpec(m, n, 1, ell, mid)
+                if eliminated_hankel_rank(m, n, 1, ell) < spec.max_rank:
+                    deficits.append((m, n, 1, ell))
+    return checked, deficits
 
 
 def certified_full_rank(spec: ToeplitzSpec) -> bool:
@@ -798,18 +824,19 @@ def per_k_pair_prediction(
     f: UnivariatePoly, lam: RationalLike, m: int, n: int
 ) -> PairPrediction:
     """The equal-branch record of ``frechet.pair_prediction`` on the pair
-    (lam, m), (lam, n) by its per-k route: one ``hankel_rank`` per power s,
-    with gamma recomputed for each, and each nullity m*n minus the sum of
-    the ``_ranks`` of every k of that power.  The eigenvalue and d come
-    from the Fraction route."""
+    (lam, m), (lam, n) by its per-k route: one elimination of the middle
+    R_k per power s, by ``eliminated_hankel_rank``, and each nullity m*n
+    minus the sum of the ``_ranks`` of every k of that power.  The
+    eigenvalue and d come from the Fraction route."""
     lam = Fraction(lam)
     eig = reference_univariate_hasse_eval(f, 1, lam)
     d = reference_root_multiplicity(reference_phi_equal(f, lam).derivative(), lam)
     dim = m * n
     if d == INFINITE or d >= m + n - 1:
         return PairPrediction(lam, lam, m, n, "equal", eig, (1,) * dim, local_mult=d)
-    hankel = tuple(hankel_rank(m, n, d, s) for s in range(1, -(-(m + n - 1) // d)))
     short, long = min(m, n), max(m, n)
+    hankel = tuple(eliminated_hankel_rank(short, long, d, s)
+                   for s in range(1, -(-(m + n - 1) // d)))
     nullities = [0] + [
         dim - sum(_ranks(short, long, s * d, r, range(s * d + 1, m + n)))
         for s, r in enumerate(hankel, 1)

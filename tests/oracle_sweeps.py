@@ -3,15 +3,19 @@
     PYTHONPATH=src python tests/oracle_sweeps.py
 
 pytest does not collect this file.  It checks both predictors against
-``oracle_pair`` at block sizes the tier-1 comparisons do not reach:
+``oracle_pair`` at block sizes the tier-1 comparisons do not reach, and
+the d = 1 rule of ``jordankron.toeplitz`` by elimination:
 
 * the equal branch with the perturbed tangent power on every recorded
   deficient triple with n <= 24 (``tests/test_equal_branch.py`` stops at
   n <= 16);
 * the equal branch with f = w^(d+1) + w^(d+2) on every pair m <= n <= 20
-  at d = 1 (the tier-1 test stops at n <= 14), where Frobenius' rank
-  inequality proves most later powers' full ranks, and on every pair
-  m <= n <= 16 at d = 2 that is not a recorded deficient triple;
+  at d = 1 (the tier-1 test stops at n <= 14), where every Hankel rank is
+  full and no power eliminates, and on every pair m <= n <= 16 at d = 2
+  that is not a recorded deficient triple;
+* every uncertified middle R_k at d = 1 with m <= n <= 64, at every ell
+  with some k, built and eliminated and found at full rank (the tier-1
+  test stops at n <= 32);
 * the generic predictor on pairs of sizes 6-32 with
   p = (x - lam)^k + c (y - mu)^h + (x - lam)^k (y - mu) + e, so that the
   orders at (lam, mu) are k and h, one of them 1 (both above 1 is the
@@ -21,7 +25,7 @@ pytest does not collect this file.  It checks both predictors against
   the orders at lam and mu are a and b.
 
 Every draw comes from a fixed seed.  The script prints one line per sweep
-and exits 1 on any mismatch.
+and exits 1 on any mismatch or rank deficit.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from jordankron import frechet, generic
 from jordankron.oracle import oracle_pair
 
 from helpers import (
+    d1_rank_deficits,
     deficient_triples,
     equal_branch_mismatches,
     perturbed_tangent_power,
@@ -106,13 +111,14 @@ def main() -> int:
         ("equal branch, perturbed tangent power, n <= 24", equal_perturbed),
         ("equal branch, two-term tangent power, d = 1 to n <= 20, d = 2 to n <= 16",
          equal_full_rank),
+        ("d = 1 middle Hankel ranks, n <= 64", lambda: d1_rank_deficits(64)),
         ("generic predictor, sizes 6-32", lambda: generic_pairs(random.Random(2101))),
         ("distinct branch, sizes 6-32", lambda: distinct_pairs(random.Random(2102))),
     )
     for name, sweep in sweeps:
         start = time.perf_counter()
         checked, bad = sweep()
-        print(f"{name}: {checked} pairs, {len(bad)} mismatches, "
+        print(f"{name}: {checked} checked, {len(bad)} mismatches, "
               f"{time.perf_counter() - start:.1f} s", flush=True)
         for case in bad:
             print(f"  mismatch: {case!r}")

@@ -8,12 +8,13 @@ m <= n <= 32 and d <= 6, on which that happens; there are 455, and all but
 draw.  Wider sweeps over the same triples, and spot checks of the other
 branches at these sizes, are in ``tests/oracle_sweeps.py``.
 
-The branch proves some powers' full Hankel ranks from the two powers
-before them, by Frobenius' rank inequality, instead of eliminating.  That
-proof fires only on full ranks, and for the tangent powers with
-m <= n <= 30 only at d = 1, where no triple is deficient.  So the last
-tests here count the eliminations it spares and check its ranks against
-the eliminated ones and its sizes against the oracle.
+At d = 1 every R_k has full rank, by the strong Lefschetz property of
+Q[x,y]/(x^m, y^n), so neither the branch nor the scanner eliminates there,
+and the scan alone does not show by elimination that no triple has d = 1.
+One test here eliminates every uncertified middle R_k at d = 1 up to
+n <= 32 and finds it full; the last ones count the eliminations the rule
+spares and check the branch's ranks against eliminated ones and its sizes
+against the oracle.
 """
 
 import json
@@ -26,6 +27,7 @@ from jordankron.frechet import pair_prediction
 
 from helpers import (
     DEFICIENT_TRIPLES,
+    d1_rank_deficits,
     deficient_triples,
     equal_branch_mismatches,
     per_k_pair_prediction,
@@ -44,6 +46,12 @@ def test_the_recorded_triples_are_the_deficient_ones():
     assert sorted({rec[:3] for rec in scan_deficiencies(*box)}) == TRIPLES
 
 
+def test_every_uncertified_middle_at_d_1_has_full_rank():
+    # The scan above eliminates nothing at d = 1; here every such middle
+    # R_k is built and eliminated, without _hankel_rank.
+    assert d1_rank_deficits(32) == (10416, [])
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_the_tangent_power_matches_the_oracle_on_every_deficient_pair(d):
     triples = [t for t in TRIPLES if t[2] == d]
@@ -58,15 +66,14 @@ def test_a_perturbed_tangent_power_matches_the_oracle_up_to_size_16():
 
 
 @pytest.mark.parametrize("f, n, calls", [
-    # w^2 (d = 1): power 1 has a certified middle, powers 2..n are
-    # eliminated and powers n + 1..2n - 2 proved; eliminating every
-    # uncertified power would take 2n - 3 calls.
-    ("0,0,1", 24, 23),
-    ("0,0,1", 40, 39),
-    # w^3 (d = 2): the inequality proves no power, so 39 calls either way.
+    # w^2 (d = 1): every power has full Hankel rank, and none eliminates;
+    # eliminating every uncertified power would take 2n - 3 calls.
+    ("0,0,1", 24, 0),
+    ("0,0,1", 40, 0),
+    # w^3 (d = 2): powers 1..39 all have an uncertified middle.
     ("0,0,0,1", 40, 39),
 ])
-def test_frobenius_proves_the_full_ranks_it_spares(monkeypatch, f, n, calls):
+def test_the_equal_branch_eliminates_only_at_d_above_1(monkeypatch, f, n, calls):
     real = toeplitz_mod._rank_int_rows
     eliminations = []
 
@@ -81,8 +88,9 @@ def test_frobenius_proves_the_full_ranks_it_spares(monkeypatch, f, n, calls):
 
 
 def test_every_power_keeps_its_eliminated_hankel_rank():
-    # The per-k route eliminates every power by hankel_rank, so equal
-    # records mean every proved rank in rank_table is the eliminated one.
+    # The per-k route eliminates the middle R_k of every power, so equal
+    # records mean every rank in rank_table is the eliminated one, the
+    # ones proved full at d = 1 too.
     for d in (1, 2):
         f = tangent_power(d)
         for n in range(1, 25):
@@ -91,8 +99,7 @@ def test_every_power_keeps_its_eliminated_hankel_rank():
 
 
 def test_a_two_term_tangent_power_matches_the_oracle_up_to_size_14():
-    # At d = 1 the inequality proves the full ranks of the later powers,
-    # none of which the deficient triples reach.
+    # At d = 1 no power eliminates, and no deficient triple reaches it.
     pairs = [(m, n, 1) for n in range(1, 15) for m in range(1, n + 1)]
     assert len(pairs) == 105
     assert equal_branch_mismatches(two_term_tangent_power, pairs) == []

@@ -253,8 +253,9 @@ def test_the_tent_from_ranges_is_the_largest_rank_row_on_the_40_box():
 
 def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatch):
     # Each (d, ell) gamma is built once, by one convolution step, and is
-    # gamma_coeffs(d, ell); only a quadruple whose middle R_k is
-    # uncertified reaches _hankel_rank.
+    # gamma_coeffs(d, ell); only a quadruple with d >= 2 whose middle R_k
+    # is uncertified reaches _hankel_rank.  At d = 1 every R_k has full
+    # rank, so no d = 1 gamma is built.
     calls, steps = [], []
     hankel, step = toeplitz._hankel_rank, toeplitz._gamma_step
     gammas = {(d, ell): list(gamma_coeffs(d, ell))
@@ -277,7 +278,7 @@ def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatc
     uncertified = [(m, n, d, ell)
                    for m in range(1, 13) for n in range(m, 15)
                    for d in range(1, 6) for ell in range(1, 7)
-                   if d * ell + 1 < m + n
+                   if d >= 2 and d * ell + 1 < m + n
                    and n < (m + n + d * ell) // 2 < m + d * ell]
     assert calls == uncertified
     # One step per ell up to the largest that meets an uncertified middle.
@@ -347,7 +348,8 @@ def test_rank_row_makes_at_most_one_elimination(monkeypatch):
         m, n = min(quad[:2]), max(quad[:2])
         shift = quad[2] * quad[3]
         uncertified = [k for k in row if n < k < m + shift]
-        assert len(calls) == (1 if uncertified else 0)
+        # At d = 1 every R_k has full rank, and none is eliminated.
+        assert len(calls) == (1 if uncertified and quad[2] >= 2 else 0)
 
 
 @settings(max_examples=300, deadline=None)
