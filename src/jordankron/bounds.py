@@ -21,8 +21,11 @@ from typing import NamedTuple, Sequence
 def filtration_dim(m: int, n: int, j: int) -> int:
     """u_j = min(j, m, n, m + n - j) on 1 <= j <= m + n - 1, else 0.
 
-    O(1) and symmetric in (m, n).  toeplitz._ranks writes min(u_(k - ell*d),
-    u_k) out as min(k - ell*d, m + n - k, m); all else reads u from here.
+    O(1) and symmetric in (m, n); in the package only ``toeplitz._predicted``
+    reads it.  The largest rank min(u_(k - ell*d), u_k) of R_k is written
+    out as min(k - ell*d, m + n - k, m), or summed over k, in toeplitz's
+    ``_ranks``, ``_tent``, ``_rank_sum``, ``_checked``, ``_hankel_rank``
+    and scanner.
     """
     if j < 1 or j >= m + n:
         return 0

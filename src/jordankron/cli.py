@@ -11,10 +11,11 @@ run; the rank scanner emits JSON lines):
 * ``reduce``    similarity-reduction demo with exact residual
 
 Exit codes: 0 success, 1 malformed input (any ValueError from the library
-included) or output that cannot be written, 2 degenerate pair in generic
-prediction, 3 prediction/oracle disagreement.  When the reader of stdout
-goes away early, as ``| head`` does, the run ends with code 1 and prints
-nothing more.
+included, and the OverflowError of a block size too large to index) or
+output that cannot be written, 2 degenerate pair in generic prediction, 3
+prediction/oracle disagreement.  When the reader of stdout goes away
+early, as ``| head`` does, the run ends with code 1 and prints nothing
+more.
 
 The commands only serialize library calls, and walk the block pairs only
 through ``jordan.per_block_pair``.  So ``check`` runs the oracle once per
@@ -432,7 +433,7 @@ def main(argv=None) -> int:
         return globals()[args.func](args)
     except BrokenPipeError:
         raise  # stdout has no reader, so no error document can reach one
-    except (CliInputError, ValueError, OSError) as exc:
+    except (CliInputError, ValueError, OverflowError, OSError) as exc:
         _emit(_document(None, None, error=str(exc)), None)
         return 1
 

@@ -19,9 +19,10 @@ in y, the one table the generic predictor reads too.
   banded Toeplitz ranks from :mod:`jordankron.toeplitz`.  Power s needs
   one ``hankel_rank(m, n, d, s)``, which fixes every rank it sums, and the
   closed sum ``_rank_sum`` of those ranks; the record keeps just the
-  per-power Hankel ranks.  At d = 1 every such rank is full, and no power
-  eliminates.  The gamma of power s comes from that of s - 1 by one
-  convolution step, so no power recomputes it.
+  per-power Hankel ranks.  Each power calls ``toeplitz._hankel_rank``, the
+  one door to the elimination kernel, on one gamma list per pair, which
+  grows only when a power eliminates.  At d = 1 every such rank is full,
+  and no power eliminates or builds a gamma.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
@@ -52,7 +53,7 @@ from .polyring import (
     exact_rational,
     hasse_value_table,
 )
-from .toeplitz import _gamma_step, _hankel_rank, _rank_sum
+from .toeplitz import _hankel_rank, _rank_sum
 
 
 def pair_prediction(
@@ -90,10 +91,9 @@ def pair_prediction(
     # toeplitz._rank_sum adds those ranks up in closed form.
     top = -(-(m + n - 1) // d)
     short, long = min(m, n), max(m, n)
-    gamma, hankel, nullities = [1], [], [0]
+    powers, hankel, nullities = [[1]], [], [0]
     for s in range(1, top):
-        gamma = _gamma_step(gamma, d)
-        r = _hankel_rank(short, long, d, s, gamma)
+        r = _hankel_rank(short, long, d, s, powers)
         hankel.append(r)
         nullities.append(dim - _rank_sum(short, long, s * d, r))
     nullities.append(dim)

@@ -43,9 +43,9 @@ coefficients, and R_k is a graded piece of multiplication by (x + y)^ell
 on Q[x,y]/(x^m, y^n), which has the largest rank in every degree: that
 algebra has the strong Lefschetz property in characteristic 0 (Stanley,
 *Weyl groups, the hard Lefschetz theorem, and the Sperner property*, 1980).
-So at d = 1, as on a certified middle, r is the largest rank, and
-``_eliminates``, read by ``_hankel_rank`` and the scanner, is the one place
-this rule is written.
+So at d = 1, as on a certified middle, r is the largest rank.
+``_hankel_rank``, the only caller of ``_rank_int_rows``, is the one place
+this rule is written, and it builds a gamma only when it eliminates.
 
 ``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
 for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
@@ -59,16 +59,15 @@ The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  It works one quadruple at a time, at the
 cost of its records.  The row of largest ranks, ``_ranks`` at r = m, is a
 tent in k that rises by 1 to min(m, (m + n - D) // 2), stays there and
-falls back by 1, so ``_tent`` builds it from three ranges.  A quadruple
-that ``_eliminates`` passes over, a certified middle R_k or d = 1, has
-full rank and eliminates nothing; any other takes one ``_hankel_rank``,
-on a gamma that the scan builds once per (d, ell), when a quadruple
-first needs it, so no d = 1 gamma is built.  Every R_k of the
-quadruple has its largest rank exactly when the middle one does, that is
-when r reaches the peak of the tent; then the tent is the row of ranks,
-and only below the peak is ``_ranks`` read at r.  The rank-drop test runs
-only where it can hold, for ell < maxRank <= d, so a full-rank quadruple
-with ell >= d writes all its lines from one format.  The quadruple's new
+falls back by 1, so ``_tent`` builds it from three ranges.  Each
+quadruple takes one ``_hankel_rank``, on the scan's gamma list of its d,
+so each (d, ell) gamma is built once, when a quadruple first eliminates
+at ell or above, and no d = 1 gamma is built.  Every R_k of the quadruple
+has its largest rank exactly when the middle one does, that is when r
+reaches the peak of the tent; then the tent is the row of ranks, and only
+below the peak is ``_ranks`` read at r.  The rank-drop test runs only
+where it can hold, for ell < maxRank <= d, so a full-rank quadruple with
+ell >= d writes all its lines from one format.  The quadruple's new
 records reach the JSONL file in one flushed write, so a killed scan loses
 no finished quadruple and resumes from its file, read one line at a time
 by one regular expression and checked by arithmetic.  The scanner's byte
@@ -98,7 +97,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import le, sub
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .bounds import filtration_dim
 
@@ -113,16 +112,6 @@ def _gamma_step(gamma: list[int], d: int) -> list[int]:
     two prefix sums."""
     p = [*accumulate(gamma + [0] * d, initial=0)]
     return [*p[1 : d + 1], *map(sub, p[d + 1 :], p)]
-
-
-def gamma_coeffs(d: int, ell: int) -> tuple[int, ...]:
-    """Coefficients gamma_0 .. gamma_(ell*d) of (1 + z + ... + z^d)^ell."""
-    if type(d) is not int or type(ell) is not int or d < 1 or ell < 1:
-        raise ValueError(f"d and ell must be positive integers, got {(d, ell)!r}")
-    gamma = [1] * (d + 1)
-    for _ in range(ell - 1):
-        gamma = _gamma_step(gamma, d)
-    return tuple(gamma)
 
 
 def _check_params(
@@ -254,16 +243,15 @@ def _rank_int_rows(rows: list[list[int]]) -> int:
     return rank
 
 
-def _eliminates(m: int, n: int, d: int, shift: int) -> bool:
-    """Whether the middle R_k of (m, n, d, ell), m <= n, shift = ell*d,
-    takes an elimination: only when it is uncertified and d >= 2."""
-    return d >= 2 and n < (m + n + shift) // 2 < m + shift
+def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> int:
+    """``hankel_rank`` for m <= n.  ``powers[i]`` holds the coefficients of
+    (1 + z + ... + z^d)^i, from ``[[1]]`` on; the call appends the powers
+    up to ell, by ``_gamma_step``, only when it eliminates.
 
-
-def _hankel_rank(m: int, n: int, d: int, ell: int, gamma: Sequence[int]) -> int:
-    """``hankel_rank`` for m <= n, given the sequence of coefficients of
-    (d, ell); a middle R_k that ``_eliminates`` passes over reads none.
-
+    The middle R_k is eliminated only when it is uncertified and d >= 2;
+    otherwise it has the full rank min(k - shift, m + n - k, m) at
+    k = mid, which is min(rows, m) for its rows = mid - shift <= m + n - mid
+    columns.
     With shift = ell*d, the window s_t = gamma_(shift - n + 1 + t),
     t < N = m + n - shift - 1, is one slice of gamma with zeros on either
     side where it runs past index 0 (n > shift + 1) or past index shift
@@ -271,11 +259,15 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, gamma: Sequence[int]) -> int:
     """
     shift = ell * d
     mid = (m + n + shift) // 2
-    rows, cols = mid - shift, m + n - mid
-    if not _eliminates(m, n, d, shift):
-        return min(rows, cols, m)
+    rows = mid - shift
+    if d < 2 or not n < mid < m + shift:
+        # min(rows, m) without a call: most scanned quadruples end here.
+        return rows if rows < m else m
+    cols = m + n - mid
+    while len(powers) <= ell:
+        powers.append(_gamma_step(powers[-1], d))
     a = shift - n + 1
-    s = [*[0] * -a, *gamma[max(a, 0) : m], *[0] * (m - 1 - shift)]
+    s = [*[0] * -a, *powers[ell][max(a, 0) : m], *[0] * (m - 1 - shift)]
     return _rank_int_rows([s[i : i + cols] for i in range(rows)])
 
 
@@ -290,7 +282,7 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     has full rank and needs none.
     """
     m, n = _check_params(m, n, d, ell)
-    return _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell))
+    return _hankel_rank(m, n, d, ell, [[1]])
 
 
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
@@ -301,7 +293,7 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     at most one exact elimination.
     """
     m, n = _check_params(m, n, d, ell)
-    r = _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell))
+    r = _hankel_rank(m, n, d, ell, [[1]])
     shift = ell * d
     ks = range(shift + 1, m + n)
     return dict(zip(ks, _ranks(m, n, shift, r, ks)))
@@ -316,7 +308,7 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
     # A certified k never reads r, so m stands in for it there.
-    r = _hankel_rank(m, n, d, ell, gamma_coeffs(d, ell)) if n < k < m + shift else m
+    r = _hankel_rank(m, n, d, ell, [[1]]) if n < k < m + shift else m
     return _ranks(m, n, shift, r, range(k, k + 1))[0]
 
 
@@ -482,9 +474,9 @@ def scan_deficiencies(
     """Scan all valid quintuples in range and return the rank-deficient ones.
 
     Only normalized pairs m <= n are visited, one quadruple (m, n, d, ell)
-    at a time.  Each quadruple takes one ``_hankel_rank`` when its middle
-    R_k is uncertified and none when it is certified, and each (d, ell)
-    gamma is built once, when a quadruple first needs it.  With
+    at a time.  Each quadruple takes one ``_hankel_rank``, which eliminates
+    only an uncertified middle R_k at d >= 2, and each (d, ell) gamma is
+    built once, when a quadruple first eliminates at ell or above.  With
     ``out_path`` every scanned record is appended as one JSON line, and
     each quadruple's new lines are written and flushed together, so a
     killed scan keeps every quadruple it finished.  A quadruple whose
@@ -502,7 +494,8 @@ def scan_deficiencies(
     # are reported.
     deficient = [rec for rec in existing.values()
                  if rec is not None and all(map(le, rec[:4], bounds))]
-    # gammas[d][ell] is the gamma of (d, ell), for the ell built so far.
+    # gammas[d][ell] is the gamma of (d, ell), up to the largest ell
+    # eliminated so far.
     gammas: dict[int, list[list[int]]] = {}
     sink = path.open("a") if path is not None else None
     try:
@@ -521,12 +514,7 @@ def scan_deficiencies(
                         ks = range(shift + 1, m + n)
                         c = min(m, t // 2)
                         tops = _tent(t, c)  # _ranks(m, n, shift, m, ks)
-                        if _eliminates(m, n, d, shift):
-                            while len(powers) <= ell:
-                                powers.append(_gamma_step(powers[-1], d))
-                            r = _hankel_rank(m, n, d, ell, powers[ell])
-                        else:
-                            r = c  # the middle R_k has full rank
+                        r = _hankel_rank(m, n, d, ell, powers)
                         # Every k has min(k - shift, m + n - k) <= t // 2, so
                         # a cap r at or above c leaves every rank at its largest.
                         full = r >= c

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
 from math import comb, gcd
@@ -46,9 +47,9 @@ from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
     InvalidSpecError,
     _check_params,
+    _gamma_step,
     _rank_int_rows,
     _ranks,
-    gamma_coeffs,
     rank_row,
     sufficient_rank_drop,
 )
@@ -212,6 +213,31 @@ class ToeplitzSpec:
     @property
     def max_rank(self) -> int:
         return min(self.n_rows, self.n_cols)
+
+
+def gamma_coeffs(d: int, ell: int) -> tuple[int, ...]:
+    """Coefficients gamma_0 .. gamma_(ell*d) of (1 + z + ... + z^d)^ell,
+    ell >= 1, by ell convolution steps from the package's ``_gamma_step``."""
+    gamma = [1]
+    for _ in range(ell):
+        gamma = _gamma_step(gamma, d)
+    return tuple(gamma)
+
+
+def count_gamma_steps(monkeypatch) -> list[int]:
+    """The d of every convolution step the package makes from now on, by
+    wrapping ``_gamma_step`` in each loaded module of the package that
+    binds it."""
+    steps = []
+
+    def counted(gamma, d):
+        steps.append(d)
+        return _gamma_step(gamma, d)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "jordankron" and getattr(module, "_gamma_step", None) is _gamma_step:
+            monkeypatch.setattr(module, "_gamma_step", counted)
+    return steps
 
 
 def offset_c(spec: ToeplitzSpec) -> int:

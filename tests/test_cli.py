@@ -552,6 +552,21 @@ def test_huge_exponent_literal_exits_quickly():
     assert "bad rational literal" in json.loads(proc.stdout)["error"]
 
 
+HUGE_SPEC = '[{"eig":"0","size":1000000000000000000000000000000}]'
+
+
+@pytest.mark.parametrize("argv", [
+    # generic.euclid_partition and frechet.pair_prediction build tuples of
+    # that many ones, which no index reaches.
+    ["predict", "--p=0,1", "--X", HUGE_SPEC, "--Y", '[{"eig":"0","size":1}]'],
+    ["frechet", "--f", "0,1", "--X", HUGE_SPEC, "--Y", '[{"eig":"0","size":1}]'],
+])
+def test_a_size_past_any_index_exits_1_with_an_error_document(argv):
+    code, doc, err = run_json(argv)
+    assert code == 1 and err == ""
+    assert set(doc) == {"schema", "error"}
+
+
 MALFORMED_SPECS = [
     "[" * 5000,
     "[null]",

@@ -27,6 +27,7 @@ from jordankron.frechet import pair_prediction
 
 from helpers import (
     DEFICIENT_TRIPLES,
+    count_gamma_steps,
     d1_rank_deficits,
     deficient_triples,
     equal_branch_mismatches,
@@ -66,11 +67,13 @@ def test_a_perturbed_tangent_power_matches_the_oracle_up_to_size_16():
 
 
 @pytest.mark.parametrize("f, n, calls", [
-    # w^2 (d = 1): every power has full Hankel rank, and none eliminates;
-    # eliminating every uncertified power would take 2n - 3 calls.
+    # w^2 (d = 1): every power has full Hankel rank, and none eliminates
+    # or builds a gamma; eliminating every uncertified power would take
+    # 2n - 3 calls.
     ("0,0,1", 24, 0),
     ("0,0,1", 40, 0),
-    # w^3 (d = 2): powers 1..39 all have an uncertified middle.
+    # w^3 (d = 2): powers 1..39 all have an uncertified middle, and each
+    # takes one convolution step.
     ("0,0,0,1", 40, 39),
 ])
 def test_the_equal_branch_eliminates_only_at_d_above_1(monkeypatch, f, n, calls):
@@ -82,9 +85,10 @@ def test_the_equal_branch_eliminates_only_at_d_above_1(monkeypatch, f, n, calls)
         return real(rows)
 
     monkeypatch.setattr(toeplitz_mod, "_rank_int_rows", counted)
+    steps = count_gamma_steps(monkeypatch)
     w = JordanSpec.single(0, n)
     frechet_jcf(UnivariatePoly.from_string(f), w, w)
-    assert len(eliminations) == calls
+    assert len(eliminations) == len(steps) == calls
 
 
 def test_every_power_keeps_its_eliminated_hankel_rank():

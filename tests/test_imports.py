@@ -103,6 +103,15 @@ def test_no_module_of_the_package_imports_dataclasses():
     assert [path.name for path in sources if pattern.search(path.read_text())] == []
 
 
+def test_no_module_of_the_package_holds_an_assert():
+    # Consistency checks are exceptions: python -O strips an assert.
+    found = [(path.name, node.lineno)
+             for path in sorted((SRC / "jordankron").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def _package_imports(stem):
     """The modules of the package that a module imports, anywhere in it."""
     found = set()

@@ -30,7 +30,6 @@ from jordankron.exactmat import jordan_block
 from jordankron.bttb import block_pair_nilpotent_rows, build_block_pair
 from jordankron.jordan import sizes_from_nullities
 from jordankron.oracle import _nullity_chain, _sparse_rows, oracle_pair
-from jordankron.toeplitz import gamma_coeffs
 from helpers import (
     conjugated,
     h_poly,
@@ -316,10 +315,8 @@ def test_oracle_pair_rejects_non_nilpotent_rows(monkeypatch):
     lambda v: build_block_pair(X_PLUS_Y, 0, 2, 0, v),
     lambda v: jordan_block(0, v),
     lambda v: reduce_shifted(BlockToeplitzUT([[1], [1], [1]]), v),
-    lambda v: gamma_coeffs(v, 1),
-    lambda v: gamma_coeffs(1, v),
 ], ids=["oracle-m", "oracle-n", "nilpotent-rows", "block-pair", "jordan-block",
-        "reduce-shifted", "gamma-d", "gamma-ell"])
+        "reduce-shifted"])
 def test_integer_parameters_reject_bools_and_floats(call, bad):
     # None of them may truncate a float or read True as 1.
     with pytest.raises(ValueError):

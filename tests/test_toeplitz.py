@@ -21,12 +21,10 @@ from jordankron import toeplitz
 from jordankron import RationalMatrix
 from jordankron.toeplitz import (
     InvalidSpecError,
-    _gamma_step,
     _hankel_rank,
     _rank_sum,
     _ranks,
     _tent,
-    gamma_coeffs,
     hankel_rank,
     rank_row,
 )
@@ -37,6 +35,8 @@ from helpers import (
     build_R,
     certified_full_rank,
     check_properties,
+    count_gamma_steps,
+    gamma_coeffs,
     iter_valid_specs,
     mirror,
     offset_c,
@@ -254,26 +254,30 @@ def test_the_tent_from_ranges_is_the_largest_rank_row_on_the_40_box():
 def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatch):
     # Each (d, ell) gamma is built once, by one convolution step, and is
     # gamma_coeffs(d, ell); only a quadruple with d >= 2 whose middle R_k
-    # is uncertified reaches _hankel_rank.  At d = 1 every R_k has full
-    # rank, so no d = 1 gamma is built.
-    calls, steps = [], []
-    hankel, step = toeplitz._hankel_rank, toeplitz._gamma_step
+    # is uncertified is eliminated.  At d = 1 every R_k has full rank, so
+    # no d = 1 gamma is built.
+    calls, eliminated = [], []
+    hankel, kernel = toeplitz._hankel_rank, toeplitz._rank_int_rows
     gammas = {(d, ell): list(gamma_coeffs(d, ell))
               for d in range(1, 6) for ell in range(1, 7)}
 
-    def recorded(m, n, d, ell, gamma):
-        calls.append((m, n, d, ell))
-        assert gamma == gammas[d, ell], (d, ell)
-        return hankel(m, n, d, ell, gamma)
+    def recorded(m, n, d, ell, powers):
+        before = len(eliminated)
+        r = hankel(m, n, d, ell, powers)
+        if len(eliminated) > before:
+            calls.append((m, n, d, ell))
+            assert powers[ell] == gammas[d, ell], (d, ell)
+        return r
 
-    def counted(gamma, d):
-        steps.append(d)
-        return step(gamma, d)
+    def counted(rows):
+        eliminated.append(len(rows))
+        return kernel(rows)
 
     box = (12, 14, 5, 6)
     want = reference_scan(*box)
     monkeypatch.setattr(toeplitz, "_hankel_rank", recorded)
-    monkeypatch.setattr(toeplitz, "_gamma_step", counted)
+    monkeypatch.setattr(toeplitz, "_rank_int_rows", counted)
+    steps = count_gamma_steps(monkeypatch)
     got = scan_deficiencies(*box)
     uncertified = [(m, n, d, ell)
                    for m in range(1, 13) for n in range(m, 15)
@@ -314,13 +318,13 @@ def test_a_huge_ell_max_costs_what_the_reached_ells_cost(tmp_path, monkeypatch):
 def test_sliced_window_rank_past_either_end_of_gamma():
     # The window gamma_(shift - n + 1) .. gamma_(m - 1) runs past index 0
     # when n > shift + 1 and past index shift when m > shift + 1; both are
-    # cut from a stepped gamma and checked against hankel_rank and against
-    # the Bareiss rank of the middle R_k that build_R builds.
+    # cut from one gamma list per d and checked against hankel_rank and
+    # against the Bareiss rank of the middle R_k that build_R builds.
     past_low = past_high = 0
     for d in range(1, 5):
-        gamma = [1]
+        powers = [[1]]
         for ell in range(1, 9):
-            gamma, shift = _gamma_step(gamma, d), d * ell
+            shift = d * ell
             for m in range(1, 25):
                 for n in range(m, 25):
                     mid = (m + n + shift) // 2
@@ -328,7 +332,7 @@ def test_sliced_window_rank_past_either_end_of_gamma():
                         continue
                     ref = reference_rank_int(
                         [list(row) for row in build_R(ToeplitzSpec(m, n, d, ell, mid)).num])
-                    assert _hankel_rank(m, n, d, ell, gamma) == hankel_rank(m, n, d, ell) == ref
+                    assert _hankel_rank(m, n, d, ell, powers) == hankel_rank(m, n, d, ell) == ref
                     past_low += n > shift + 1
                     past_high += m > shift + 1
     assert past_low and past_high
@@ -342,14 +346,19 @@ def test_rank_row_makes_at_most_one_elimination(monkeypatch):
         return reference_rank_int(rows)
 
     monkeypatch.setattr(toeplitz, "_rank_int_rows", counted)
+    steps = count_gamma_steps(monkeypatch)
     for quad in ((30, 30, 2, 7), (12, 40, 3, 5), (40, 12, 1, 30), (5, 60, 1, 2)):
         calls.clear()
+        steps.clear()
         row = rank_row(*quad)
         m, n = min(quad[:2]), max(quad[:2])
         shift = quad[2] * quad[3]
         uncertified = [k for k in row if n < k < m + shift]
         # At d = 1 every R_k has full rank, and none is eliminated.
-        assert len(calls) == (1 if uncertified and quad[2] >= 2 else 0)
+        eliminates = bool(uncertified) and quad[2] >= 2
+        assert len(calls) == eliminates
+        # Gamma is built, one step a power, only for an elimination.
+        assert len(steps) == (quad[3] if eliminates else 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -569,9 +578,9 @@ def _counting_rank_row(monkeypatch):
     calls = []
     hankel = toeplitz._hankel_rank
 
-    def counted(m, n, d, ell, gamma=None):
+    def counted(m, n, d, ell, powers):
         calls.append((m, n, d, ell))
-        return hankel(m, n, d, ell, gamma)
+        return hankel(m, n, d, ell, powers)
 
     monkeypatch.setattr(toeplitz, "_hankel_rank", counted)
     return calls
@@ -579,7 +588,14 @@ def _counting_rank_row(monkeypatch):
 
 def test_scan_persists_and_resumes(tmp_path, monkeypatch):
     out = tmp_path / "scan.jsonl"
+    # A fresh scan computes every quadruple's rank row.
+    calls = _counting_rank_row(monkeypatch)
     first = scan_deficiencies(4, 4, 3, 2, out_path=out)
+    assert calls == [(m, n, d, ell)
+                     for m in range(1, 5) for n in range(m, 5)
+                     for d in range(1, 4) for ell in range(1, 3)
+                     if d * ell + 1 < m + n]
+    assert len(calls) == 36
     lines = out.read_text().strip().splitlines()
     total_specs = sum(1 for _ in iter_valid_specs(4, 4, 3, 2))
     assert len(lines) == total_specs
@@ -589,7 +605,7 @@ def test_scan_persists_and_resumes(tmp_path, monkeypatch):
         parsed = DeficiencyRecord.from_json_obj(json.loads(line))
         assert line == json.dumps(parsed.to_json_obj())
     # A second run reuses the file, computes no rank and appends nothing.
-    calls = _counting_rank_row(monkeypatch)
+    calls.clear()
     second = scan_deficiencies(4, 4, 3, 2, out_path=out)
     assert calls == []
     assert out.read_text().strip().splitlines() == lines
@@ -716,18 +732,18 @@ import os, signal, sys
 from jordankron import toeplitz
 hankel = toeplitz._hankel_rank
 stop = tuple(map(int, sys.argv[2:]))
-def dying(m, n, d, ell, gamma=None):
+def dying(m, n, d, ell, powers):
     if (m, n, d, ell) == stop:
         os.kill(os.getpid(), signal.SIGKILL)
-    return hankel(m, n, d, ell, gamma)
+    return hankel(m, n, d, ell, powers)
 toeplitz._hankel_rank = dying
 toeplitz.scan_deficiencies(8, 8, 4, 3, out_path=sys.argv[1])
 """
 
 
-# An uncertified quadruple with ell = d, and one with ell < d, where the
-# rank-drop test runs.
-@pytest.mark.parametrize("stop", [(8, 8, 2, 2), (8, 8, 4, 1)])
+# An uncertified quadruple with ell = d, one with ell < d, where the
+# rank-drop test runs, and one at d = 1, which eliminates nothing.
+@pytest.mark.parametrize("stop", [(8, 8, 2, 2), (8, 8, 4, 1), (8, 8, 1, 3)])
 def test_a_killed_scan_has_written_every_quadruple_before_the_kill(tmp_path, stop):
     killed, full = tmp_path / "killed.jsonl", tmp_path / "full.jsonl"
     proc = subprocess.run(
