@@ -23,9 +23,9 @@ def filtration_dim(m: int, n: int, j: int) -> int:
 
     O(1) and symmetric in (m, n); in the package only ``toeplitz._predicted``
     reads it.  The largest rank min(u_(k - ell*d), u_k) of R_k is written
-    out as min(k - ell*d, m + n - k, m), or summed over k, in toeplitz's
-    ``_ranks``, ``_tent``, ``_rank_sum``, ``_checked``, ``_hankel_rank``
-    and scanner.
+    out as min(k - ell*d, m + n - k, m) in toeplitz's ``rho``,
+    ``sufficient_rank_drop``, ``_checked`` and ``_hankel_rank``, and as the
+    scanner's row ``_tent(t, min(m, t // 2))``, t = m + n - ell*d.
     """
     if j < 1 or j >= m + n:
         return 0

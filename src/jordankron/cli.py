@@ -11,7 +11,7 @@ run; the rank scanner emits JSON lines):
 * ``reduce``    similarity-reduction demo with exact residual
 
 Exit codes: 0 success, 1 malformed input (any ValueError from the library
-included, and the OverflowError of a block size too large to index) or
+included, and an OverflowError on a total dimension too large to index) or
 output that cannot be written, 2 degenerate pair in generic prediction, 3
 prediction/oracle disagreement.  When the reader of stdout goes away
 early, as ``| head`` does, the run ends with code 1 and prints nothing
@@ -162,24 +162,34 @@ def _predictions(mode, p, f, x, y):
     """The mode's record for every block pair, and their merged structure.
 
     A constant p in generic mode has no records: p(X, Y) is p's constant
-    times the identity, all blocks of size 1.
+    times the identity, all blocks of size 1.  An OverflowError of the
+    library on a total dimension past ``sys.maxsize`` becomes a
+    CliInputError that names the dimension; a closed form that needs no
+    such index, as p = x + y on one huge block pair, is still answered.
     """
     from .jordan import JordanStructure
 
-    if mode == "generic" and p.is_constant():
-        dim = x.total_size * y.total_size
-        return [], JordanStructure({p.constant_term: (1,) * dim})
-    if mode == "frechet":
-        from .frechet import pair_predictions
+    dim = x.total_size * y.total_size
+    try:
+        if mode == "generic" and p.is_constant():
+            return [], JordanStructure({p.constant_term: (1,) * dim})
+        if mode == "frechet":
+            from .frechet import pair_predictions
 
-        preds = pair_predictions(f, x, y)
-    else:
-        # No mirror shortcut: the branches "px-zero" and "py-zero" trade
-        # names under a swap of the pair.
-        from .generic import pair_prediction
-        from .jordan import per_block_pair
+            preds = pair_predictions(f, x, y)
+        else:
+            # No mirror shortcut: the branches "px-zero" and "py-zero" trade
+            # names under a swap of the pair.
+            from .generic import pair_prediction
+            from .jordan import per_block_pair
 
-        preds = per_block_pair(pair_prediction, p, x, y)
+            preds = per_block_pair(pair_prediction, p, x, y)
+    except OverflowError:
+        if dim <= sys.maxsize:
+            raise
+        raise CliInputError(
+            f"total dimension {dim} is past the largest index, {sys.maxsize}"
+        ) from None
     merged = JordanStructure.from_pairs((pr.eigenvalue, pr.sizes) for pr in preds)
     return preds, merged
 

@@ -86,9 +86,9 @@ def pair_prediction(
     if d >= m + n - 1:
         return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
     # Past the power top - 1 the h_d matrix vanishes: s * d >= m + n - 1.
-    # Each power below it has one Hankel rank, which with the formula of
-    # toeplitz._ranks fixes every rank R_k that its nullity sums, and
-    # toeplitz._rank_sum adds those ranks up in closed form.
+    # Each power below it has one Hankel rank r, which fixes every rank R_k
+    # that its nullity sums as min(k - s*d, m + n - k, r), and
+    # toeplitz._rank_sum adds those ranks up as r (t - r), t = m + n - s*d.
     top = -(-(m + n - 1) // d)
     short, long = min(m, n), max(m, n)
     powers, hankel, nullities = [[1]], [], [0]

@@ -38,7 +38,7 @@ from .polyring import (
     hasse_value_table,
     table_local_degree,
 )
-from .toeplitz import _ranks
+from .toeplitz import _tent
 
 
 def _order_str(value):
@@ -57,9 +57,10 @@ class PairPrediction(NamedTuple):
 
     An equal record below the top power keeps in ``rank_table`` the
     ``hankel_rank(m, n, d, s)`` of each power s = 1, 2, ...; at d = 1 each
-    is the largest rank, proved without elimination.  With the formula of
-    :mod:`jordankron.toeplitz` they fix every rank R_k that its nullities
-    sum, and ``to_json_obj`` expands them into the ``"ranks"`` list of
+    is the largest rank, proved without elimination.  Each fixes every rank
+    R_k of its power, rank R_k = min(k - s*d, m + n - k, r) by the lemma of
+    :mod:`jordankron.toeplitz`, and ``to_json_obj`` expands them, through
+    that module's ``_tent``, into the ``"ranks"`` list of
     ``{"s", "k", "rank"}`` entries.
     """
 
@@ -103,7 +104,7 @@ class PairPrediction(NamedTuple):
                 for s, r in enumerate(self.rank_table, 1):
                     ks = range(s * d + 1, m + n)
                     ranks.extend({"s": s, "k": k, "rank": rk}
-                                 for k, rk in zip(ks, _ranks(m, n, s * d, r, ks)))
+                                 for k, rk in zip(ks, _tent(m + n - s * d, r)))
         elif self.bounds is not None:
             entry["bounds"] = self.bounds.to_json_obj()
         return entry

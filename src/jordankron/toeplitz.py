@@ -22,16 +22,38 @@ is full, exactly.  That is the case precisely when k <= n or k >= m + D.
 proves no further spec.)
 
 Every uncertified R_k, n < k < m + D, is with its rows reversed a Hankel
-matrix ``[s_(i+j)]`` of the same sequence ``s_t = gamma_(D - n + 1 + t)``,
-t < N = m + n - D - 1, with k - D rows and m + n - k columns, which add up
+matrix ``[s_(i+j)]`` of the same sequence ``s_i = gamma_(D - n + 1 + i)``,
+i < N = m + n - D - 1, with k - D rows and m + n - k columns, which add up
 to N + 1.  By the rank profile of a Hankel sequence (Iohvidov, *Hankel and
 Toeplitz Matrices and Forms*, 1982; Heinig and Rost, *Algebraic Methods for
 Toeplitz-like Matrices and Operators*, 1984), such matrices have rank
-min(rows, cols, r) for one number r, the rank of the one with (N + 1) // 2
-rows.  So one exact elimination per quadruple, ``hankel_rank``, by the
-fraction-free echelon kernel ``_rank_int_rows``, fixes every rank of the row:
+min(rows, cols, r) for one number r, the rank of the middle one, at
+k = (m + n + D) // 2, with t // 2 rows for t = m + n - D.  That profile
+extends to the certified k, so one exact elimination per quadruple,
+``hankel_rank``, by the fraction-free echelon kernel ``_rank_int_rows``,
+fixes every rank of the row:
 
-    rank R_k = min(k - D, m + n - k, r if n < k < m + D else m).
+    rank R_k = min(k - D, m + n - k, r)   for every valid k.
+
+Proof for a certified k.  If no k is uncertified, the middle is certified,
+r is its full rank min(t // 2, m), and min(k - D, m + n - k) <= t // 2.
+Otherwise the middle is uncertified too, since the uncertified k are
+closed under the flip k -> m + n + D - k.  Its window starts with
+n - D - 1 zeros and then s_(n - D - 1) = gamma_0 = 1, and it has more than
+n - D rows and columns.  So for n > D the leading (n - D) x (n - D) block
+of the middle Hankel matrix is anti-triangular with ones on its
+antidiagonal, and r >= n - D (for n <= D trivially).  A certified k has k - D <= n - D or m + n - k <= n - D, so
+its full rank is at most r, and r <= m: the cap r changes nothing there.
+
+Put x = k - D.  Over the k of one quadruple the formula is the tent
+min(x, t - x, r) for x = 1 .. t - 1, with 1 <= r <= t // 2: the middle has
+t // 2 rows, and holds every s_i, a window that meets the positive
+gamma_0 .. gamma_D.  The tent rises by 1 to r, stays there and falls back
+by 1, so ``_tent(t, r)`` builds the row of ranks from three ranges, and
+``_rank_sum`` adds it up as r (t - r), O(1) instead of O(m + n); the
+equal-eigenvalue predictor of :mod:`jordankron.frechet` takes each power's
+nullity from that sum.  ``rho`` and ``sufficient_rank_drop`` write the
+formula for their one k.
 
 The kernel eliminates exactly, never numerically, and dividing each new
 row by the gcd of its entries keeps them as small as minors of the input.
@@ -45,27 +67,20 @@ algebra has the strong Lefschetz property in characteristic 0 (Stanley,
 *Weyl groups, the hard Lefschetz theorem, and the Sperner property*, 1980).
 So at d = 1, as on a certified middle, r is the largest rank.
 ``_hankel_rank``, the only caller of ``_rank_int_rows``, is the one place
-this rule is written, and it builds a gamma only when it eliminates.
-
-``_ranks`` is the one place that formula is written.  ``rank_row`` reads it
-for every valid k of a quadruple, ``rho`` for one k, eliminating nothing
-for a certified k; with r = m it gives the largest rank min(rows, cols)
-itself.  Over the k of one quadruple the formula is a capped tent in k, so
-``_rank_sum`` adds it up in closed form, O(1) instead of O(m + n); the
-equal-eigenvalue predictor of :mod:`jordankron.frechet` takes each power's
-nullity from that sum.
+this rule is written, and it builds a gamma only when it eliminates.  The
+certification rule is written where it decides an elimination, there and
+in ``rho``'s shortcut, which builds no matrix for a certified k.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  It works one quadruple at a time, at the
-cost of its records.  The row of largest ranks, ``_ranks`` at r = m, is a
-tent in k that rises by 1 to min(m, (m + n - D) // 2), stays there and
-falls back by 1, so ``_tent`` builds it from three ranges.  Each
+cost of its records.  The row of largest ranks is the tent capped at
+c = min(m, t // 2), the full rank of the middle, and r <= c.  Each
 quadruple takes one ``_hankel_rank``, on the scan's gamma list of its d,
 so each (d, ell) gamma is built once, when a quadruple first eliminates
 at ell or above, and no d = 1 gamma is built.  Every R_k of the quadruple
-has its largest rank exactly when the middle one does, that is when r
-reaches the peak of the tent; then the tent is the row of ranks, and only
-below the peak is ``_ranks`` read at r.  The rank-drop test runs only
+has its largest rank exactly when the middle one does, that is when
+r = c; then the tent at c is the row of ranks, and only below the peak
+is ``_tent(t, r)`` built too.  The rank-drop test runs only
 where it can hold, for ell < maxRank <= d, so a full-rank quadruple with
 ell >= d writes all its lines from one format.  The quadruple's new
 records reach the JSONL file in one flushed write, so a killed scan loses
@@ -135,57 +150,23 @@ def _check_params(
     return (m, n) if m <= n else (n, m)
 
 
-def _ranks(m: int, n: int, shift: int, r: int, ks: range) -> list[int]:
-    """rank R_k for each k of ks, for m <= n, shift = ell*d and
-    r = hankel_rank(m, n, d, ell); a certified k never reads r.  With r = m
-    they are the largest ranks, min(u_(k - shift), u_k)."""
-    top = m + shift
-    return [min(k - shift, m + n - k, r if n < k < top else m) for k in ks]
-
-
 def _tent(t: int, c: int) -> list[int]:
     """min(x, t - x, c) for x = 1 .. t - 1, for 1 <= c <= t // 2: it rises
-    by 1 to c, stays there and falls back by 1.  With t = m + n - shift,
-    c = min(m, t // 2) and x = k - shift it is ``_ranks(m, n, shift, m,
-    range(shift + 1, m + n))``, the largest ranks of a quadruple, built
-    from ranges instead of one ``min`` a k."""
+    by 1 to c, stays there and falls back by 1.  With t = m + n - shift and
+    x = k - shift, at c = r = hankel_rank(m, n, d, ell) it is the row of
+    ranks R_k of the quadruple, and at c = min(m, t // 2) the row of
+    largest ranks; built from ranges instead of one ``min`` a k."""
     return [*range(1, c), *[c] * (t + 1 - 2 * c), *range(c - 1, 0, -1)]
 
 
-def _ramp_sum(x: int, c: int) -> int:
-    """The sum of min(y, c) over 1 <= y <= x, for x, c >= 0: a triangle of
-    min(x, c) rows and a rectangle of height c."""
-    a = min(x, c)
-    return a * (a + 1) // 2 + c * (x - a)
-
-
 def _rank_sum(m: int, n: int, shift: int, r: int) -> int:
-    """``sum(_ranks(m, n, shift, r, range(shift + 1, m + n)))`` in O(1), for
-    m <= n, shift = ell*d and r = hankel_rank(m, n, d, ell).
-
-    Put x = k - shift and t = m + n - shift.  The term of k in ``_ranks`` is
-    min(x, t - x, c) for x = 1 .. t - 1, with the cap c = r on the
-    uncertified k, n < k < m + shift, and c = m on the others.  The
-    uncertified x run from low + 1 to t - low - 1, for low = max(n - shift,
-    0), so the certified x are two mirror-image runs of length low, or all
-    of them when 2 low + 1 >= t; then no term reads r, and r = m gives the
-    same terms.
-
-    - A cap c <= t // 2 over every x sums to c (t - c): the tent rises by 1
-      to c, stays there, and falls back by 1.  Since min(x, t - x) <= t // 2,
-      the cap may first be cut to t // 2.
-    - On x <= low < t / 2, min(x, t - x, c) is min(x, c), so either run
-      sums to ``_ramp_sum(low, c)``.
-
-    So the sum is the whole tent capped at r, with both certified runs
-    moved from cap r to cap m.
-    """
+    """The sum of ``_tent(m + n - shift, r)``, the ranks R_k over every k of
+    the quadruple, for m <= n, shift = ell*d and r = hankel_rank(m, n, d,
+    ell).  Since 1 <= r <= t // 2 for t = m + n - shift, the two slopes
+    add up to r (r - 1) and the t + 1 - 2 r plateau values to r (t + 1 - 2 r),
+    so the sum is r (t - r)."""
     t = m + n - shift
-    low = max(n - shift, 0)
-    if 2 * low + 1 >= t:
-        r = m
-    cm, cr = min(m, t // 2), min(r, t // 2)
-    return cr * (t - cr) + 2 * (_ramp_sum(low, cm) - _ramp_sum(low, cr))
+    return r * (t - r)
 
 
 def _rank_int_rows(rows: list[list[int]]) -> int:
@@ -289,27 +270,27 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     """Ranks of R_k for every valid k of (m, n, d, ell), keyed by k in
     ascending order; m and n in either order.
 
-    They are ``_ranks`` of the row's one ``hankel_rank``, so the row costs
-    at most one exact elimination.
+    They are the tent ``_tent(m + n - ell*d, r)`` capped at the row's one
+    ``hankel_rank`` r, so the row costs at most one exact elimination.
     """
     m, n = _check_params(m, n, d, ell)
     r = _hankel_rank(m, n, d, ell, [[1]])
     shift = ell * d
-    ks = range(shift + 1, m + n)
-    return dict(zip(ks, _ranks(m, n, shift, r, ks)))
+    return dict(zip(range(shift + 1, m + n), _tent(m + n - shift, r)))
 
 
 def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """Rank of the banded Toeplitz matrix R_k; m and n in either order.
 
-    A certified k, or any k at d = 1, costs no matrix; any other takes
-    the row's ``hankel_rank``, one exact elimination.
+    It is min(k - ell*d, m + n - k, r) for the row's ``hankel_rank`` r.
+    A certified k has full rank, so m stands in for r there and the k
+    costs no matrix; neither does any k at d = 1.  Any other takes one
+    exact elimination.
     """
     m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
-    # A certified k never reads r, so m stands in for it there.
     r = _hankel_rank(m, n, d, ell, [[1]]) if n < k < m + shift else m
-    return _ranks(m, n, shift, r, range(k, k + 1))[0]
+    return min(k - shift, m + n - k, r)
 
 
 def sufficient_rank_drop(m: int, n: int, d: int, ell: int, k: int) -> bool:
@@ -329,7 +310,7 @@ def sufficient_rank_drop(m: int, n: int, d: int, ell: int, k: int) -> bool:
     of a rows >= cols matrix forces rank < u_k.
     """
     m, n = _check_params(m, n, d, ell, k)
-    return _predicted(m, n, d, ell, k, _ranks(m, n, ell * d, m, (k,))[0])
+    return _predicted(m, n, d, ell, k, min(k - ell * d, m + n - k, m))
 
 
 def _predicted(m: int, n: int, d: int, ell: int, k: int, max_rank: int) -> bool:
@@ -367,7 +348,7 @@ def _checked(fields: tuple) -> tuple:
             f"got {(m, n, d, ell, k)!r}"
         )
     if (
-        max_rank != min(k - shift, m + n - k, m)  # _ranks at r = m
+        max_rank != min(k - shift, m + n - k, m)
         or not 0 <= rk <= max_rank
         or deficiency != max_rank - rk
         or predicted is not (ell < max_rank <= d
@@ -513,12 +494,12 @@ def scan_deficiencies(
                             continue
                         ks = range(shift + 1, m + n)
                         c = min(m, t // 2)
-                        tops = _tent(t, c)  # _ranks(m, n, shift, m, ks)
+                        tops = _tent(t, c)
+                        # r is at most c, the middle's largest rank, and
+                        # every rank is at its largest exactly when r = c.
                         r = _hankel_rank(m, n, d, ell, powers)
-                        # Every k has min(k - shift, m + n - k) <= t // 2, so
-                        # a cap r at or above c leaves every rank at its largest.
-                        full = r >= c
-                        rows = zip(ks, tops if full else _ranks(m, n, shift, r, ks), tops)
+                        full = r == c
+                        rows = zip(ks, tops if full else _tent(t, r), tops)
                         if done:
                             rows = [row for row in rows
                                     if (m, n, d, ell, row[0]) not in existing]

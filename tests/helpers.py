@@ -49,7 +49,6 @@ from jordankron.toeplitz import (
     _check_params,
     _gamma_step,
     _rank_int_rows,
-    _ranks,
     rank_row,
     sufficient_rank_drop,
 )
@@ -272,6 +271,16 @@ def build_R(spec: ToeplitzSpec) -> RationalMatrix:
     )
 
 
+def two_case_ranks(m: int, n: int, shift: int, r: int, ks: Iterable[int]) -> list[int]:
+    """rank R_k for each k of ks, for m <= n, shift = ell*d and
+    r = hankel_rank(m, n, d, ell), by the rank formula in two cases: the
+    Hankel cap r on an uncertified k, n < k < m + shift, and the full rank
+    min(k - shift, m + n - k, m) on a certified one, which never reads r.
+    Test-only reference for the one-case formula of ``jordankron.toeplitz``,
+    rank R_k = min(k - shift, m + n - k, r) for every k."""
+    return [min(k - shift, m + n - k, r if n < k < m + shift else m) for k in ks]
+
+
 def eliminated_hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     """``hankel_rank(m, n, d, ell)`` for m <= n, by ``_rank_int_rows`` on
     the middle R_k that build_R builds: an elimination on every call, also
@@ -305,7 +314,7 @@ def certified_full_rank(spec: ToeplitzSpec) -> bool:
     The diagonal j - i = -c holds gamma_0 = 1 with zeros below it, so its
     min(nr, nc + c) - c cells span a unit lower triangular minor; the rank
     is full when that count is min(nr, nc).  This holds exactly when k <= n
-    or k >= m + ell*d, the certified k of ``jordankron.toeplitz._ranks``.
+    or k >= m + ell*d, the certified k of ``two_case_ranks``.
     """
     nr, nc, c = spec.n_rows, spec.n_cols, offset_c(spec)
     return min(nr, nc + c) - c == min(nr, nc)
@@ -852,7 +861,7 @@ def per_k_pair_prediction(
     """The equal-branch record of ``frechet.pair_prediction`` on the pair
     (lam, m), (lam, n) by its per-k route: one elimination of the middle
     R_k per power s, by ``eliminated_hankel_rank``, and each nullity m*n
-    minus the sum of the ``_ranks`` of every k of that power.  The
+    minus the sum of the ``two_case_ranks`` of every k of that power.  The
     eigenvalue and d come from the Fraction route."""
     lam = Fraction(lam)
     eig = reference_univariate_hasse_eval(f, 1, lam)
@@ -864,7 +873,7 @@ def per_k_pair_prediction(
     hankel = tuple(eliminated_hankel_rank(short, long, d, s)
                    for s in range(1, -(-(m + n - 1) // d)))
     nullities = [0] + [
-        dim - sum(_ranks(short, long, s * d, r, range(s * d + 1, m + n)))
+        dim - sum(two_case_ranks(short, long, s * d, r, range(s * d + 1, m + n)))
         for s, r in enumerate(hankel, 1)
     ] + [dim]
     return PairPrediction(

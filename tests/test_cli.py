@@ -565,6 +565,17 @@ def test_a_size_past_any_index_exits_1_with_an_error_document(argv):
     code, doc, err = run_json(argv)
     assert code == 1 and err == ""
     assert set(doc) == {"schema", "error"}
+    assert f"total dimension {10**30} " in doc["error"]
+
+
+def test_a_closed_form_past_any_index_is_still_answered():
+    # p = x + y on one pair is the Kronecker sum: one block, of size m + n - 1,
+    # which builds nothing of that size.
+    code, doc, _ = run_json(
+        ["predict", "--p=0,1;1,0", "--X", HUGE_SPEC, "--Y", '[{"eig":"0","size":1}]']
+    )
+    assert code == 0
+    assert doc["result"]["eigenvalues"] == [{"eig": "0", "blocks": [10**30]}]
 
 
 MALFORMED_SPECS = [

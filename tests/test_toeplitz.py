@@ -23,7 +23,6 @@ from jordankron.toeplitz import (
     InvalidSpecError,
     _hankel_rank,
     _rank_sum,
-    _ranks,
     _tent,
     hankel_rank,
     rank_row,
@@ -36,6 +35,7 @@ from helpers import (
     certified_full_rank,
     check_properties,
     count_gamma_steps,
+    eliminated_hankel_rank,
     gamma_coeffs,
     iter_valid_specs,
     mirror,
@@ -44,6 +44,7 @@ from helpers import (
     rank_drop_witness,
     reference_rank_int,
     reference_scan,
+    two_case_ranks,
 )
 
 
@@ -198,57 +199,81 @@ def test_rank_formula_matches_definitions_on_the_40_box():
     assert capped
 
 
-def test_rank_sum_matches_summed_ranks_on_the_40_box():
-    # The edge values of r and one at random.  The summed _ranks read r
-    # only on the uncertified k, and _rank_sum must ignore it elsewhere too.
-    rng = random.Random(211)
+def test_every_uncertified_middle_has_rank_at_least_n_minus_shift():
+    # The bound behind the one-case formula: the middle window starts with
+    # n - shift - 1 zeros and then gamma_0 = 1, so the leading
+    # (n - shift) x (n - shift) block of the middle Hankel matrix is
+    # anti-triangular with ones on its antidiagonal.  Each middle is
+    # eliminated here; the bound is met with equality on 286 of them.
+    checked = tight = 0
+    for n in range(1, 33):
+        for m in range(1, n + 1):
+            for d in range(2, 7):
+                for ell in range(1, 9):
+                    shift = d * ell
+                    mid = (m + n + shift) // 2
+                    if m + n - shift < 2 or not n < mid < m + shift:
+                        continue
+                    r = eliminated_hankel_rank(m, n, d, ell)
+                    assert r >= n - shift, (m, n, d, ell)
+                    checked += 1
+                    tight += r == n - shift
+    assert (checked, tight) == (9112, 286)
+
+
+def _hankel_ranks_of_the_40_box():
+    """(m, n, shift, r) for every quadruple with m <= n <= 40, d <= 6 and
+    ell <= 8 that has a k, r its ``_hankel_rank``."""
     for m in range(1, 41):
         for n in range(m, 41):
-            for shift in range(1, m + n - 1):
-                ks = range(shift + 1, m + n)
-                for r in {0, 1, m - 1, m, rng.randint(0, m)}:
-                    assert _rank_sum(m, n, shift, r) == sum(_ranks(m, n, shift, r, ks))
+            for d in range(1, 7):
+                powers = [[1]]
+                for ell in range(1, 9):
+                    shift = d * ell
+                    if m + n - shift < 2:
+                        break
+                    yield m, n, shift, _hankel_rank(m, n, d, ell, powers)
+
+
+def test_rank_sum_matches_summed_ranks_on_the_40_box():
+    # At the Hankel rank r of each quadruple, the one-case row, the tent
+    # capped at r, is the two-case formula, and _rank_sum is its sum.
+    for m, n, shift, r in _hankel_ranks_of_the_40_box():
+        t = m + n - shift
+        ranks = two_case_ranks(m, n, shift, r, range(shift + 1, m + n))
+        assert _tent(t, r) == ranks, (m, n, shift)
+        assert _rank_sum(m, n, shift, r) == sum(ranks) == r * (t - r)
 
 
 def test_the_largest_ranks_are_the_ranks_from_the_peak_on_the_40_box():
     # The scanner reuses the row of largest ranks as the row of ranks when
-    # r reaches the peak of the tent, min(m, t // 2) for t = m + n - shift.
-    # Below the peak the middle R_k, uncertified whenever any k is, loses
-    # rank.  _ranks reads d and ell only through shift = d*ell, so every
-    # shift of the box stands for its quadruples.
-    shifts = sorted({d * ell for d in range(1, 7) for ell in range(1, 9)})
+    # r reaches the peak of the tent, c = min(m, t // 2) for
+    # t = m + n - shift, and r never passes it.  Below the peak the middle
+    # R_k, uncertified whenever any k is, loses rank.
     below = 0
-    for m in range(1, 41):
-        for n in range(m, 41):
-            for shift in shifts:
-                ks = range(shift + 1, m + n)
-                if not ks:
-                    break
-                tops = _ranks(m, n, shift, m, ks)
-                peak = min(m, (m + n - shift) // 2)
-                uncertified = any(n < k < m + shift for k in ks)
-                for r in range(m + 1):
-                    if r >= peak:
-                        assert _ranks(m, n, shift, r, ks) == tops
-                    elif uncertified:
-                        assert _ranks(m, n, shift, r, ks) != tops
-                        below += 1
+    for m, n, shift, r in _hankel_ranks_of_the_40_box():
+        ks = range(shift + 1, m + n)
+        peak = min(m, (m + n - shift) // 2)
+        assert 1 <= r <= peak
+        full = two_case_ranks(m, n, shift, r, ks) == two_case_ranks(m, n, shift, m, ks)
+        assert full is (r == peak), (m, n, shift)
+        below += not full
     assert below
 
 
 def test_the_tent_from_ranges_is_the_largest_rank_row_on_the_40_box():
-    # The scanner builds the row of largest ranks from ranges; _ranks at
-    # r = m is the written formula.
+    # _tent(t, c) is min(x, t - x, c) at every cap it takes; at
+    # c = min(m, t // 2) it is the two-case formula at r = m, the largest
+    # ranks, for every shift of the box.
+    for t in range(2, 80):
+        for c in range(1, t // 2 + 1):
+            assert _tent(t, c) == [min(x, t - x, c) for x in range(1, t)]
     for m in range(1, 41):
         for n in range(m, 41):
-            for d in range(1, 7):
-                for ell in range(1, 9):
-                    shift = d * ell
-                    t = m + n - shift
-                    if t < 2:
-                        break
-                    ks = range(shift + 1, m + n)
-                    assert _tent(t, min(m, t // 2)) == _ranks(m, n, shift, m, ks)
+            for shift in range(1, m + n - 1):
+                t = m + n - shift
+                ks = range(shift + 1, m + n)
+                assert _tent(t, min(m, t // 2)) == two_case_ranks(m, n, shift, m, ks)
 
 
 def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatch):
