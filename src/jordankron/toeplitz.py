@@ -30,8 +30,9 @@ Toeplitz-like Matrices and Operators*, 1984), such matrices have rank
 min(rows, cols, r) for one number r, the rank of the middle one, at
 k = (m + n + D) // 2, with t // 2 rows for t = m + n - D.  That profile
 extends to the certified k, so one exact elimination per quadruple,
-``hankel_rank``, by the fraction-free echelon kernel ``_rank_int_rows``,
-fixes every rank of the row:
+``hankel_rank``, by the fraction-free echelon kernel ``_rank_int_rows``
+on the middle or, for n > D, on the smaller Hankel matrix below, fixes
+every rank of the row:
 
     rank R_k = min(k - D, m + n - k, r)   for every valid k.
 
@@ -42,8 +43,37 @@ closed under the flip k -> m + n + D - k.  Its window starts with
 n - D - 1 zeros and then s_(n - D - 1) = gamma_0 = 1, and it has more than
 n - D rows and columns.  So for n > D the leading (n - D) x (n - D) block
 of the middle Hankel matrix is anti-triangular with ones on its
-antidiagonal, and r >= n - D (for n <= D trivially).  A certified k has k - D <= n - D or m + n - k <= n - D, so
-its full rank is at most r, and r <= m: the cap r changes nothing there.
+antidiagonal, and r >= n - D (for n <= D trivially).  A certified k has
+k - D <= n - D or m + n - k <= n - D, so its full rank is at most r, and
+r <= m: the cap r changes nothing there.
+
+That block is never eliminated: for n > D only its Schur complement is,
+and that is a smaller integer Hankel matrix, of the reciprocal power
+series (Heinig and Rost 1984; the nullity theorem of Strang and Nguyen,
+SIAM Review 2004, for L(gamma)^-1 = L(1/gamma) with L lower triangular
+Toeplitz).  Put w = n - D, u_i = gamma_i for i < m (zero past D), and v_i,
+i < m, the coefficients of 1/u, integers since u_0 = 1: v_0 = 1 and
+v_i = -(u_1 v_(i-1) + ... + u_i v_0).  The window is w - 1 zeros and then
+u, and every p x q Hankel matrix H of it with p + q = N + 1 and p, q >= w
+has
+
+    rank H = w + rank [v_(w + 1 + i + j)],   (p - w) x (q - w).
+
+Proof.  With e = p - w, H with its rows reversed is the Toeplitz matrix
+[u_(j - i + e)].  Multiply it on the right by the unit upper triangular
+Toeplitz matrix [v_(l - j)]; entry (i, l) becomes the sum of u_a v_(l - i
++ e - a) over a = max(e - i, 0) .. l - i + e.  For the last w rows,
+i >= e, that is all of u v = 1 in degree l - i + e, so row i is the unit
+row of column i - e.  For i < e it is the product's degree l - i + e
+term with a < e - i left out, -sum(u_a v_(l - i + e - a), a < e - i).
+Clear the first w columns with the unit rows.  What is left of the first
+e rows, on columns w .. q - 1 and in reverse order, is minus a unit
+lower triangular Toeplitz matrix in u times [v_(w + 1 + i + j)], which
+has its rank.  At the middle the remainder has (m - n + D) // 2 rows and
+(m - n + D + 1) // 2 columns and reads v_(w + 1) .. v_(m - 1); the v are
+the coefficients of ((1 - z) / (1 - z^(d+1)))^ell, which grow only
+polynomially.  For n <= D the window starts past gamma_0, no unit block
+opens it, and the middle itself is eliminated.
 
 Put x = k - D.  Over the k of one quadruple the formula is the tent
 min(x, t - x, r) for x = 1 .. t - 1, with 1 <= r <= t // 2: the middle has
@@ -110,7 +140,7 @@ import re
 from collections import Counter
 from itertools import accumulate, islice
 from math import gcd
-from operator import le, sub
+from operator import le, mul, sub
 from pathlib import Path
 from typing import NamedTuple
 
@@ -233,10 +263,15 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> i
     otherwise it has the full rank min(k - shift, m + n - k, m) at
     k = mid, which is min(rows, m) for its rows = mid - shift <= m + n - mid
     columns.
-    With shift = ell*d, the window s_t = gamma_(shift - n + 1 + t),
-    t < N = m + n - shift - 1, is one slice of gamma with zeros on either
-    side where it runs past index 0 (n > shift + 1) or past index shift
-    (m > shift + 1).
+    With shift = ell*d, the window is s_t = gamma_(shift - n + 1 + t),
+    t < N = m + n - shift - 1.  For n <= shift, and so m <= shift, it is
+    the slice gamma_(shift - n + 1) .. gamma_(m - 1), and the middle is
+    eliminated on it.  For n > shift it is w - 1 zeros, w = n - shift,
+    and then gamma_0 .. gamma_(m - 1), zero past index shift, so the
+    middle opens with a unit anti-triangular w x w block, and only its
+    Schur complement is eliminated: by the module docstring's peel, r is
+    w plus the rank of the (rows - w) x (cols - w) Hankel matrix on
+    v_(w + 1) .. v_(m - 1), the coefficients of 1 / gamma.
     """
     shift = ell * d
     mid = (m + n + shift) // 2
@@ -244,12 +279,21 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> i
     if d < 2 or not n < mid < m + shift:
         # min(rows, m) without a call: most scanned quadruples end here.
         return rows if rows < m else m
-    cols = m + n - mid
     while len(powers) <= ell:
         powers.append(_gamma_step(powers[-1], d))
-    a = shift - n + 1
-    s = [*[0] * -a, *powers[ell][max(a, 0) : m], *[0] * (m - 1 - shift)]
-    return _rank_int_rows([s[i : i + cols] for i in range(rows)])
+    if n <= shift:
+        cols = m + n - mid
+        s = powers[ell][shift - n + 1 : m]
+        return _rank_int_rows([s[i : i + cols] for i in range(rows)])
+    # The first m coefficients of 1 / gamma, and the Schur complement of
+    # the unit anti-triangular block of the first w rows and columns.
+    w = n - shift
+    u = powers[ell][1:m]
+    v = [1]
+    for _ in range(1, m):
+        v.append(-sum(map(mul, u, reversed(v))))
+    cols = m + n - mid - w
+    return w + _rank_int_rows([v[i : i + cols] for i in range(w + 1, rows + 1)])
 
 
 def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
@@ -260,7 +304,11 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     the middle one is uncertified if any is.  Then it is the Hankel matrix
     of the module docstring with (N + 1) // 2 rows, and at d >= 2 r takes
     one exact elimination; a certified middle R_k, and every R_k at d = 1,
-    has full rank and needs none.
+    has full rank and needs none.  For n > ell*d that elimination peels
+    the unit anti-triangular (n - ell*d) x (n - ell*d) block that opens
+    the middle and eliminates only its Schur complement, the Hankel matrix
+    of 1 / gamma with (m - n + ell*d) // 2 rows: r is n - ell*d plus its
+    rank.
     """
     m, n = _check_params(m, n, d, ell)
     return _hankel_rank(m, n, d, ell, [[1]])

@@ -48,6 +48,7 @@ from jordankron.toeplitz import (
     InvalidSpecError,
     _check_params,
     _gamma_step,
+    _hankel_rank,
     _rank_int_rows,
     rank_row,
     sufficient_rank_drop,
@@ -287,6 +288,34 @@ def eliminated_hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     where the package proves the rank full."""
     spec = ToeplitzSpec(m, n, d, ell, (m + n + d * ell) // 2)
     return _rank_int_rows([list(row) for row in build_R(spec).num])
+
+
+def uncertified_middles(n_max: int) -> Iterable[tuple[int, int, int, int]]:
+    """Every (m, n, d, ell) with m <= n <= n_max, d = 2..6 and ell <= 8
+    whose middle R_k is uncertified: the quadruples on which the package's
+    ``_hankel_rank`` calls the elimination kernel."""
+    for n in range(1, n_max + 1):
+        for m in range(1, n + 1):
+            for d in range(2, 7):
+                for ell in range(1, 9):
+                    shift = d * ell
+                    if m + n - shift >= 2 and n < (m + n + shift) // 2 < m + shift:
+                        yield m, n, d, ell
+
+
+def peeled_rank_mismatches(n_max: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The number of uncertified middles of ``uncertified_middles(n_max)``
+    with n > ell*d, those whose unit anti-triangular block ``_hankel_rank``
+    peels off, and the quadruples among them where its rank differs from
+    ``eliminated_hankel_rank``."""
+    checked, bad = 0, []
+    powers = {d: [[1]] for d in range(2, 7)}
+    for m, n, d, ell in uncertified_middles(n_max):
+        if n > d * ell:
+            checked += 1
+            if _hankel_rank(m, n, d, ell, powers[d]) != eliminated_hankel_rank(m, n, d, ell):
+                bad.append((m, n, d, ell))
+    return checked, bad
 
 
 def d1_rank_deficits(n_max: int) -> tuple[int, list[tuple[int, int, int, int]]]:

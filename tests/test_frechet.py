@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -49,6 +50,13 @@ W5 = UnivariatePoly.from_string("0,0,0,0,0,1")  # w^5
 # whole document, with all 3,481 ranks, recorded while every uncertified
 # banded-Toeplitz rank was still eliminated on its own matrix.
 J60_DOC = Path(__file__).resolve().parent / "data" / "frechet_w3_j60.json"
+
+# SHA-256 of the stdout of ``jordankron frechet`` for w^5 (d = 4) on
+# J_100(0), J_100(0), with all 4,851 ranks, recorded while every uncertified
+# middle Hankel matrix was still eliminated whole.  Most of its powers have
+# n > ell*d, where the rank is now read off the Schur complement.
+J100_W5_ARGV = ["frechet", "--f", "0,0,0,0,0,1", "--W", '[{"eig":"0","size":100}]']
+J100_W5_SHA256 = "622a34bcfa17667fdbe074fa1bbae28f9ae20f48f1a4c06e4484b4960d14e4ae"
 
 
 def test_phi_distinct_examples():
@@ -539,3 +547,10 @@ def test_frechet_w3_on_j60_matches_recorded_document():
     w = JordanSpec.single(0, 60)
     result = frechet_jcf(UnivariatePoly.from_string("0,0,0,1"), w, w)
     assert result.to_json_obj() == golden["stdout"]["result"]
+
+
+def test_frechet_w5_on_j100_matches_recorded_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(J100_W5_ARGV) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == J100_W5_SHA256

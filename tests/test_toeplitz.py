@@ -45,6 +45,7 @@ from helpers import (
     reference_rank_int,
     reference_scan,
     two_case_ranks,
+    uncertified_middles,
 )
 
 
@@ -204,21 +205,49 @@ def test_every_uncertified_middle_has_rank_at_least_n_minus_shift():
     # n - shift - 1 zeros and then gamma_0 = 1, so the leading
     # (n - shift) x (n - shift) block of the middle Hankel matrix is
     # anti-triangular with ones on its antidiagonal.  Each middle is
-    # eliminated here; the bound is met with equality on 286 of them.
-    checked = tight = 0
-    for n in range(1, 33):
-        for m in range(1, n + 1):
-            for d in range(2, 7):
-                for ell in range(1, 9):
-                    shift = d * ell
-                    mid = (m + n + shift) // 2
-                    if m + n - shift < 2 or not n < mid < m + shift:
-                        continue
-                    r = eliminated_hankel_rank(m, n, d, ell)
-                    assert r >= n - shift, (m, n, d, ell)
-                    checked += 1
-                    tight += r == n - shift
-    assert (checked, tight) == (9112, 286)
+    # eliminated here; the bound is met with equality on 286 of them.  The
+    # package's rank agrees on each, and for n > shift it is the peeled one:
+    # n - shift plus the rank of the Schur complement of that block.
+    checked = tight = peeled = 0
+    powers = {d: [[1]] for d in range(2, 7)}
+    for m, n, d, ell in uncertified_middles(32):
+        shift = d * ell
+        r = eliminated_hankel_rank(m, n, d, ell)
+        assert r >= n - shift, (m, n, d, ell)
+        assert _hankel_rank(m, n, d, ell, powers[d]) == r, (m, n, d, ell)
+        checked += 1
+        tight += r == n - shift
+        peeled += n > shift
+    assert (checked, tight, peeled) == (9112, 286, 5836)
+
+
+def test_a_peeled_middle_passes_only_its_schur_complement_to_the_kernel(monkeypatch):
+    # One kernel call per uncertified middle, as before the peel; for
+    # n > shift the matrix is the (m - n + shift) // 2 x
+    # (m - n + shift + 1) // 2 Hankel matrix of 1 / gamma, and for
+    # n <= shift the middle R_k itself.
+    shapes = []
+    kernel = toeplitz._rank_int_rows
+
+    def recorded(rows):
+        shapes.append((len(rows), len(rows[0]) if rows else 0))
+        return kernel(rows)
+
+    monkeypatch.setattr(toeplitz, "_rank_int_rows", recorded)
+    powers = {d: [[1]] for d in range(2, 7)}
+    peeled = 0
+    for m, n, d, ell in uncertified_middles(32):
+        shift = d * ell
+        shapes.clear()
+        _hankel_rank(m, n, d, ell, powers[d])
+        if n > shift:
+            peeled += 1
+            want = ((m - n + shift) // 2, (m - n + shift + 1) // 2)
+        else:
+            mid = (m + n + shift) // 2
+            want = (mid - shift, m + n - mid)
+        assert shapes == [want], (m, n, d, ell)
+    assert peeled == 5836
 
 
 def _hankel_ranks_of_the_40_box():
@@ -342,9 +371,11 @@ def test_a_huge_ell_max_costs_what_the_reached_ells_cost(tmp_path, monkeypatch):
 
 def test_sliced_window_rank_past_either_end_of_gamma():
     # The window gamma_(shift - n + 1) .. gamma_(m - 1) runs past index 0
-    # when n > shift + 1 and past index shift when m > shift + 1; both are
-    # cut from one gamma list per d and checked against hankel_rank and
-    # against the Bareiss rank of the middle R_k that build_R builds.
+    # when n > shift + 1 and past index shift when m > shift + 1; both
+    # happen only for n > shift, where the door peels the unit block the
+    # window opens with.  Every window takes its gamma from one list per d
+    # and is checked against hankel_rank and against the Bareiss rank of
+    # the middle R_k that build_R builds.
     past_low = past_high = 0
     for d in range(1, 5):
         powers = [[1]]
@@ -419,6 +450,39 @@ def test_hankel_rank_profile(lead, core, trail):
     r = hankel_rank((big_n + 1) // 2)
     for q in range(1, big_n + 1):
         assert hankel_rank(q) == min(q, big_n + 1 - q, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.lists(st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda x: x << 64)),
+             max_size=14),
+)
+def test_a_unit_anti_triangle_peels_off_every_hankel_split(zeros, tail):
+    # The peel of _hankel_rank: for s = z zeros, then 1, then any integers,
+    # and v the coefficients of 1 / s[z:], every Hankel matrix H_{p,q}(s)
+    # with p + q = N + 1 and p, q >= z + 1 has rank z + 1 plus that of
+    # H_{p-z-1,q-z-1}(v[z+2 ..]), the Schur complement of its unit
+    # anti-triangular leading block.  Entries of 2^64 and more keep the
+    # reciprocal's integers from staying small.
+    assume(len(tail) >= zeros)  # else no split has p, q >= z + 1
+    s = [0] * zeros + [1] + tail
+    big_n = len(s)
+    u = s[zeros:]
+    v = [1]
+    for i in range(1, len(u)):
+        v.append(-sum(u[j] * v[i - j] for j in range(1, i + 1)))
+    w = zeros + 1
+    rest = v[w + 1 :]
+
+    def hankel(seq, p, q):
+        return [seq[i : i + q] for i in range(p)]
+
+    for p in range(w, big_n + 2 - w):
+        q = big_n + 1 - p
+        assert reference_rank_int(hankel(s, p, q)) == (
+            w + reference_rank_int(hankel(rest, p - w, q - w))
+        ), (s, p)
 
 
 @settings(max_examples=300, deadline=None)
