@@ -458,3 +458,7 @@ def entry() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    entry()

@@ -20,9 +20,12 @@ in y, the one table the generic predictor reads too.
   one ``hankel_rank(m, n, d, s)``, which fixes every rank it sums, and the
   closed sum ``_rank_sum`` of those ranks; the record keeps just the
   per-power Hankel ranks.  Each power calls ``toeplitz._hankel_rank``, the
-  one door to the elimination kernel, on one gamma list per pair, which
-  grows only when a power eliminates.  At d = 1 every such rank is full,
-  and no power eliminates or builds a gamma.
+  one door to the linear complexity that fixes such a rank, on one gamma
+  list per pair, which grows only when a power needs it.  At d = 1 every
+  such rank is full, and no power builds a gamma.  A pair of dimension
+  m*n past ``sys.maxsize`` raises OverflowError before the first power,
+  as the branch's all-size-1 answer does: no index reaches it, and its
+  powers would run past any budget.
 
 Linear or constant f degenerates to identity-multiple matrices and is
 answered with all-size-1 blocks rather than an error.
@@ -40,6 +43,7 @@ swaps those fields, and no other caller of that walk passes a mirror.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .generic import PairPrediction, _first_order, _staircase_sizes, euclid_partition
@@ -85,6 +89,8 @@ def pair_prediction(
     dim = m * n
     if d >= m + n - 1:
         return PairPrediction(lam, mu, m, n, "equal", eig, (1,) * dim, local_mult=d)
+    if dim > sys.maxsize:
+        raise OverflowError(f"dimension {dim} is past the largest index")
     # Past the power top - 1 the h_d matrix vanishes: s * d >= m + n - 1.
     # Each power below it has one Hankel rank r, which fixes every rank R_k
     # that its nullity sums as min(k - s*d, m + n - k, r), and

@@ -29,10 +29,9 @@ Toeplitz Matrices and Forms*, 1982; Heinig and Rost, *Algebraic Methods for
 Toeplitz-like Matrices and Operators*, 1984), such matrices have rank
 min(rows, cols, r) for one number r, the rank of the middle one, at
 k = (m + n + D) // 2, with t // 2 rows for t = m + n - D.  That profile
-extends to the certified k, so one exact elimination per quadruple,
-``hankel_rank``, by the fraction-free echelon kernel ``_rank_int_rows``
-on the middle or, for n > D, on the smaller Hankel matrix below, fixes
-every rank of the row:
+extends to the certified k, so one exact rank per quadruple,
+``hankel_rank``, from the linear complexity of the window or, for n > D,
+of the shorter sequence below, fixes every rank of the row:
 
     rank R_k = min(k - D, m + n - k, r)   for every valid k.
 
@@ -47,8 +46,8 @@ antidiagonal, and r >= n - D (for n <= D trivially).  A certified k has
 k - D <= n - D or m + n - k <= n - D, so its full rank is at most r, and
 r <= m: the cap r changes nothing there.
 
-That block is never eliminated: for n > D only its Schur complement is,
-and that is a smaller integer Hankel matrix, of the reciprocal power
+That block is never ranked: for n > D only its Schur complement is, and
+that is a smaller integer Hankel matrix, of the reciprocal power
 series (Heinig and Rost 1984; the nullity theorem of Strang and Nguyen,
 SIAM Review 2004, for L(gamma)^-1 = L(1/gamma) with L lower triangular
 Toeplitz).  Put w = n - D, u_i = gamma_i for i < m (zero past D), and v_i,
@@ -73,7 +72,7 @@ has its rank.  At the middle the remainder has (m - n + D) // 2 rows and
 (m - n + D + 1) // 2 columns and reads v_(w + 1) .. v_(m - 1); the v are
 the coefficients of ((1 - z) / (1 - z^(d+1)))^ell, which grow only
 polynomially.  For n <= D the window starts past gamma_0, no unit block
-opens it, and the middle itself is eliminated.
+opens it, and the middle itself is ranked.
 
 Put x = k - D.  Over the k of one quadruple the formula is the tent
 min(x, t - x, r) for x = 1 .. t - 1, with 1 <= r <= t // 2: the middle has
@@ -85,37 +84,48 @@ equal-eigenvalue predictor of :mod:`jordankron.frechet` takes each power's
 nullity from that sum.  ``rho`` and ``sufficient_rank_drop`` write the
 formula for their one k.
 
-The kernel eliminates exactly, never numerically, and dividing each new
-row by the gcd of its entries keeps them as small as minors of the input.
-It is cross-checked against a full-pivot Bareiss reference and a rational
-Gauss reference in the test suite.
+No Hankel matrix is built.  The middle Hankel matrix of a sequence s of
+length N has rank min(L, N + 1 - L), for L the linear complexity of s over
+Q: the least L with s_i = c_1 s_(i-1) + ... + c_L s_(i-L) for L <= i < N
+(Iohvidov 1982; Jonckheere and Ma, *A simple Hankel interpretation of the
+Berlekamp-Massey algorithm*, Linear Algebra Appl., 1989).  That is at most
+its (N + 1) // 2 rows.  ``_linear_complexity`` finds L by Berlekamp-Massey
+(Massey, *Shift-register synthesis and BCH decoding*, 1969) in O(N L)
+integer steps.  Where the connection polynomial C meets a nonzero
+discrepancy d, it becomes b C - d z^gap B, for B and b the polynomial and
+discrepancy at its last change of length, gap steps back, and is then
+divided by its content.  Each step scales C by a nonzero integer, so it
+takes the branch of the algorithm over Q, and L is exact.  It is
+cross-checked against a fraction-free echelon kernel, a full-pivot Bareiss
+reference and a rational Gauss reference in the test suite.
 
-At d = 1 no R_k needs that elimination.  The gamma are then binomial
+At d = 1 no R_k needs that rank.  The gamma are then binomial
 coefficients, and R_k is a graded piece of multiplication by (x + y)^ell
 on Q[x,y]/(x^m, y^n), which has the largest rank in every degree: that
 algebra has the strong Lefschetz property in characteristic 0 (Stanley,
 *Weyl groups, the hard Lefschetz theorem, and the Sperner property*, 1980).
 So at d = 1, as on a certified middle, r is the largest rank.
-``_hankel_rank``, the only caller of ``_rank_int_rows``, is the one place
-this rule is written, and it builds a gamma only when it eliminates.  The
-certification rule is written where it decides an elimination, there and
-in ``rho``'s shortcut, which builds no matrix for a certified k.
+``_hankel_rank``, the only caller of ``_linear_complexity``, is the one
+place this rule is written, and it builds a gamma only when it takes a
+linear complexity.  The certification rule is written where it decides
+that, there and in ``rho``'s shortcut, which builds no sequence for a
+certified k.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  It works one quadruple at a time, at the
 cost of its records.  The row of largest ranks is the tent capped at
 c = min(m, t // 2), the full rank of the middle, and r <= c.  Each
 quadruple takes one ``_hankel_rank``, on the scan's gamma list of its d,
-so each (d, ell) gamma is built once, when a quadruple first eliminates
-at ell or above, and no d = 1 gamma is built.  Every R_k of the quadruple
-has its largest rank exactly when the middle one does, that is when
-r = c; then the tent at c is the row of ranks, and only below the peak
-is ``_tent(t, r)`` built too.  The rank-drop test runs only
-where it can hold, for ell < maxRank <= d, so a full-rank quadruple with
-ell >= d writes all its lines from one format.  The quadruple's new
-records reach the JSONL file in one flushed write, so a killed scan loses
-no finished quadruple and resumes from its file, read one line at a time
-by one regular expression and checked by arithmetic.  The scanner's byte
+so each (d, ell) gamma is built once, when a quadruple first takes a
+linear complexity at ell or above, and no d = 1 gamma is built.  Every
+R_k of the quadruple has its largest rank exactly when the middle one
+does, that is when r = c; then the tent at c is the row of ranks, and
+only below the peak is ``_tent(t, r)`` built too.  The rank-drop test
+runs only where it can hold, for ell < maxRank <= d, so a full-rank
+quadruple with ell >= d writes all its lines from one format.  The
+quadruple's new records reach the JSONL file in one flushed write, so a
+killed scan loses no finished quadruple and resumes from its file, read
+one line at a time by one regular expression and checked by arithmetic.  The scanner's byte
 form, ``json.dumps(record.to_json_obj())`` and a newline, is the only form
 a record has: a resume rejects any other line, and
 ``DeficiencyRecord.from_json_obj`` checks an object by writing it in that
@@ -138,7 +148,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import gcd
 from operator import le, mul, sub
 from pathlib import Path
@@ -199,79 +209,59 @@ def _rank_sum(m: int, n: int, shift: int, r: int) -> int:
     return r * (t - r)
 
 
-def _rank_int_rows(rows: list[list[int]]) -> int:
-    """Rank over Q by row echelon elimination on integer rows; consumes its
-    argument.
+def _linear_complexity(s: list[int]) -> int:
+    """The linear complexity L of the integer sequence s over Q: the least
+    L such that s_i = c_1 s_(i-1) + ... + c_L s_(i-L) for L <= i < len(s).
 
-    Columns are cleared from left to right.  The pivot is the nonzero entry
-    of least magnitude in the column, and the search stops at a unit.  Below
-    a unit pivot p a row x with x_j = f becomes x - (f p) y, unscaled, for
-    y the pivot row.  Below any other pivot it becomes (p / g) x - (f / g) y
-    for g = gcd(p, f), divided by the gcd of its entries, so it stays
-    primitive.  A row with a zero in the pivot column is left as it is.  Each
-    step scales a row by a nonzero integer, subtracts a multiple of the pivot
-    row or divides by a common factor, so the row space over Q never
-    changes, and the rank is the number of pivots.
+    Berlekamp-Massey (Massey 1969), fraction-free: the connection
+    polynomial C is updated as b C - d z^gap B, for d its discrepancy and B
+    the last C whose length changed, with b its discrepancy, and then
+    divided by its content.  Scaling C by a nonzero integer scales its
+    discrepancies with it, so every step makes the field algorithm's
+    choices, and L is exact.  The sum runs over s reversed, so each
+    discrepancy is one slice and one ``sum(map(mul, ...))``.
     """
-    # ``active`` holds the rows without a pivot yet, each cut down to its
-    # entries from the current column on.
-    active = rows
-    rank = 0
-    while active and active[0]:
-        best = bi = 0
-        for i, row in enumerate(active):
-            v = row[0]
-            if v:
-                a = v if v > 0 else -v
-                if not best or a < best:
-                    best, bi = a, i
-                    if a == 1:
-                        break
-        if not best:
-            for row in active:
-                del row[0]
+    n = len(s)
+    rs = s[::-1]
+    c, back, b, ell, gap = [1], [1], 1, 0, 1
+    for i in range(n):
+        d = sum(map(mul, c, rs[n - 1 - i :]))
+        if not d:
+            gap += 1
             continue
-        piv_row = active.pop(bi)
-        piv = piv_row[0]
-        del piv_row[0]
-        rank += 1
-        nxt = []
-        for row in active:
-            f = row[0]
-            if not f:
-                del row[0]
-                nxt.append(row)
-            elif best == 1:
-                q = f * piv
-                nxt.append([x - q * y for x, y in zip(islice(row, 1, None), piv_row)])
-            else:
-                g = gcd(piv, f)
-                a, b = piv // g, f // g
-                new = [x * a - y * b for x, y in zip(islice(row, 1, None), piv_row)]
-                g = gcd(*new)
-                nxt.append([x // g for x in new] if g > 1 else new)
-        active = nxt
-    return rank
+        new = c if b == 1 else [b * x for x in c]
+        new = new + [0] * (gap + len(back) - len(new))
+        for j, x in enumerate(back, gap):
+            new[j] -= d * x
+        g = gcd(*new)
+        if g > 1:
+            new = [x // g for x in new]
+        if 2 * ell <= i:
+            back, b, ell, gap = c, d, i + 1 - ell, 1
+        else:
+            gap += 1
+        c = new
+    return ell
 
 
 def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> int:
     """``hankel_rank`` for m <= n.  ``powers[i]`` holds the coefficients of
     (1 + z + ... + z^d)^i, from ``[[1]]`` on; the call appends the powers
-    up to ell, by ``_gamma_step``, only when it eliminates.
+    up to ell, by ``_gamma_step``, only when it ranks a Hankel matrix.
 
-    The middle R_k is eliminated only when it is uncertified and d >= 2;
-    otherwise it has the full rank min(k - shift, m + n - k, m) at
+    The middle R_k is ranked by a sequence only when it is uncertified and
+    d >= 2; otherwise it has the full rank min(k - shift, m + n - k, m) at
     k = mid, which is min(rows, m) for its rows = mid - shift <= m + n - mid
     columns.
     With shift = ell*d, the window is s_t = gamma_(shift - n + 1 + t),
     t < N = m + n - shift - 1.  For n <= shift, and so m <= shift, it is
-    the slice gamma_(shift - n + 1) .. gamma_(m - 1), and the middle is
-    eliminated on it.  For n > shift it is w - 1 zeros, w = n - shift,
-    and then gamma_0 .. gamma_(m - 1), zero past index shift, so the
-    middle opens with a unit anti-triangular w x w block, and only its
-    Schur complement is eliminated: by the module docstring's peel, r is
-    w plus the rank of the (rows - w) x (cols - w) Hankel matrix on
-    v_(w + 1) .. v_(m - 1), the coefficients of 1 / gamma.
+    the slice gamma_(shift - n + 1) .. gamma_(m - 1), and r is
+    min(L, N + 1 - L) for its linear complexity L.  For n > shift it is
+    w - 1 zeros, w = n - shift, and then gamma_0 .. gamma_(m - 1), zero
+    past index shift, so the middle opens with a unit anti-triangular
+    w x w block, and by the module docstring's peel r is w plus the rank
+    of the middle Hankel matrix of v_(w + 1) .. v_(m - 1), the
+    coefficients of 1 / gamma, which is ranked the same way.
     """
     shift = ell * d
     mid = (m + n + shift) // 2
@@ -282,18 +272,18 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> i
     while len(powers) <= ell:
         powers.append(_gamma_step(powers[-1], d))
     if n <= shift:
-        cols = m + n - mid
-        s = powers[ell][shift - n + 1 : m]
-        return _rank_int_rows([s[i : i + cols] for i in range(rows)])
-    # The first m coefficients of 1 / gamma, and the Schur complement of
-    # the unit anti-triangular block of the first w rows and columns.
-    w = n - shift
-    u = powers[ell][1:m]
-    v = [1]
-    for _ in range(1, m):
-        v.append(-sum(map(mul, u, reversed(v))))
-    cols = m + n - mid - w
-    return w + _rank_int_rows([v[i : i + cols] for i in range(w + 1, rows + 1)])
+        w, s = 0, powers[ell][shift - n + 1 : m]
+    else:
+        # The first m coefficients of 1 / gamma, of which the Schur
+        # complement of the unit anti-triangular block reads those past w.
+        w = n - shift
+        u = powers[ell][1:m]
+        v = [1]
+        for _ in range(1, m):
+            v.append(-sum(map(mul, u, reversed(v))))
+        s = v[w + 1 :]
+    lc = _linear_complexity(s)
+    return w + min(lc, len(s) + 1 - lc)
 
 
 def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
@@ -302,13 +292,14 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
 
     The uncertified k are closed under the flip k -> m + n + ell*d - k, so
     the middle one is uncertified if any is.  Then it is the Hankel matrix
-    of the module docstring with (N + 1) // 2 rows, and at d >= 2 r takes
-    one exact elimination; a certified middle R_k, and every R_k at d = 1,
-    has full rank and needs none.  For n > ell*d that elimination peels
-    the unit anti-triangular (n - ell*d) x (n - ell*d) block that opens
-    the middle and eliminates only its Schur complement, the Hankel matrix
-    of 1 / gamma with (m - n + ell*d) // 2 rows: r is n - ell*d plus its
-    rank.
+    of the module docstring with (N + 1) // 2 rows, and at d >= 2 r is
+    min(L, N + 1 - L) for the linear complexity L of its window; a
+    certified middle R_k, and every R_k at d = 1, has full rank and needs
+    none.  For n > ell*d the unit anti-triangular (n - ell*d) x
+    (n - ell*d) block that opens the middle is peeled off, and r is
+    n - ell*d plus the rank of its Schur complement, the middle Hankel
+    matrix of 1 / gamma with (m - n + ell*d) // 2 rows, ranked the same
+    way by the linear complexity of its sequence.
     """
     m, n = _check_params(m, n, d, ell)
     return _hankel_rank(m, n, d, ell, [[1]])
@@ -319,7 +310,7 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     ascending order; m and n in either order.
 
     They are the tent ``_tent(m + n - ell*d, r)`` capped at the row's one
-    ``hankel_rank`` r, so the row costs at most one exact elimination.
+    ``hankel_rank`` r, so the row costs at most one linear complexity.
     """
     m, n = _check_params(m, n, d, ell)
     r = _hankel_rank(m, n, d, ell, [[1]])
@@ -333,7 +324,7 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     It is min(k - ell*d, m + n - k, r) for the row's ``hankel_rank`` r.
     A certified k has full rank, so m stands in for r there and the k
     costs no matrix; neither does any k at d = 1.  Any other takes one
-    exact elimination.
+    linear complexity.
     """
     m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
@@ -503,15 +494,16 @@ def scan_deficiencies(
     """Scan all valid quintuples in range and return the rank-deficient ones.
 
     Only normalized pairs m <= n are visited, one quadruple (m, n, d, ell)
-    at a time.  Each quadruple takes one ``_hankel_rank``, which eliminates
-    only an uncertified middle R_k at d >= 2, and each (d, ell) gamma is
-    built once, when a quadruple first eliminates at ell or above.  With
-    ``out_path`` every scanned record is appended as one JSON line, and
-    each quadruple's new lines are written and flushed together, so a
-    killed scan keeps every quadruple it finished.  A quadruple whose
-    records are all present in the file is not recomputed, so an
-    interrupted sweep resumes where it stopped; resumed records are checked
-    against their quintuples, and their ranks are the ones reported.
+    at a time.  Each quadruple takes one ``_hankel_rank``, which takes a
+    linear complexity only for an uncertified middle R_k at d >= 2, and
+    each (d, ell) gamma is built once, when a quadruple first takes one at
+    ell or above.  With ``out_path`` every scanned record is appended as
+    one JSON line, and each quadruple's new lines are written and flushed
+    together, so a killed scan keeps every quadruple it finished.  A
+    quadruple whose records are all present in the file is not recomputed,
+    so an interrupted sweep resumes where it stopped; resumed records are
+    checked against their quintuples, and their ranks are the ones
+    reported.
     """
     bounds = (m_max, n_max, d_max, ell_max)
     if any(type(b) is not int or b < 1 for b in bounds):
@@ -524,7 +516,7 @@ def scan_deficiencies(
     deficient = [rec for rec in existing.values()
                  if rec is not None and all(map(le, rec[:4], bounds))]
     # gammas[d][ell] is the gamma of (d, ell), up to the largest ell
-    # eliminated so far.
+    # ranked by linear complexity so far.
     gammas: dict[int, list[list[int]]] = {}
     sink = path.open("a") if path is not None else None
     try:

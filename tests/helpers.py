@@ -17,6 +17,7 @@ import random
 import sys
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from math import comb, gcd
 from operator import mul
 from pathlib import Path
@@ -49,7 +50,6 @@ from jordankron.toeplitz import (
     _check_params,
     _gamma_step,
     _hankel_rank,
-    _rank_int_rows,
     rank_row,
     sufficient_rank_drop,
 )
@@ -131,10 +131,65 @@ def random_degenerate_poly(rng: random.Random, size=4, bound=3) -> BivariatePoly
             return p
 
 
+def rank_int_rows(rows: list[list[int]]) -> int:
+    """Rank over Q by row echelon elimination on integer rows; consumes its
+    argument.  The test suite's integer rank, and its reference for the
+    Hankel ranks that ``jordankron.toeplitz`` takes from linear complexity.
+
+    Columns are cleared from left to right.  The pivot is the nonzero entry
+    of least magnitude in the column, and the search stops at a unit.  Below
+    a unit pivot p a row x with x_j = f becomes x - (f p) y, unscaled, for
+    y the pivot row.  Below any other pivot it becomes (p / g) x - (f / g) y
+    for g = gcd(p, f), divided by the gcd of its entries, so it stays
+    primitive.  A row with a zero in the pivot column is left as it is.  Each
+    step scales a row by a nonzero integer, subtracts a multiple of the pivot
+    row or divides by a common factor, so the row space over Q never
+    changes, and the rank is the number of pivots.
+    """
+    # ``active`` holds the rows without a pivot yet, each cut down to its
+    # entries from the current column on.
+    active = rows
+    rank = 0
+    while active and active[0]:
+        best = bi = 0
+        for i, row in enumerate(active):
+            v = row[0]
+            if v:
+                a = v if v > 0 else -v
+                if not best or a < best:
+                    best, bi = a, i
+                    if a == 1:
+                        break
+        if not best:
+            for row in active:
+                del row[0]
+            continue
+        piv_row = active.pop(bi)
+        piv = piv_row[0]
+        del piv_row[0]
+        rank += 1
+        nxt = []
+        for row in active:
+            f = row[0]
+            if not f:
+                del row[0]
+                nxt.append(row)
+            elif best == 1:
+                q = f * piv
+                nxt.append([x - q * y for x, y in zip(islice(row, 1, None), piv_row)])
+            else:
+                g = gcd(piv, f)
+                a, b = piv // g, f // g
+                new = [x * a - y * b for x, y in zip(islice(row, 1, None), piv_row)]
+                g = gcd(*new)
+                nxt.append([x // g for x in new] if g > 1 else new)
+        active = nxt
+    return rank
+
+
 def reference_rank_int(rows: list[list[int]]) -> int:
     """Rank over Q by Bareiss fraction-free elimination with full pivoting;
-    mutates its argument.  Test-only reference for the package's echelon
-    kernel.
+    mutates its argument.  Test-only reference for ``rank_int_rows``.
 
     Full pivoting (largest absolute value) keeps every intermediate entry a
     minor of the input, so the division by the previous pivot is exact.
@@ -283,11 +338,11 @@ def two_case_ranks(m: int, n: int, shift: int, r: int, ks: Iterable[int]) -> lis
 
 
 def eliminated_hankel_rank(m: int, n: int, d: int, ell: int) -> int:
-    """``hankel_rank(m, n, d, ell)`` for m <= n, by ``_rank_int_rows`` on
+    """``hankel_rank(m, n, d, ell)`` for m <= n, by ``rank_int_rows`` on
     the middle R_k that build_R builds: an elimination on every call, also
     where the package proves the rank full."""
     spec = ToeplitzSpec(m, n, d, ell, (m + n + d * ell) // 2)
-    return _rank_int_rows([list(row) for row in build_R(spec).num])
+    return rank_int_rows([list(row) for row in build_R(spec).num])
 
 
 def uncertified_middles(n_max: int) -> Iterable[tuple[int, int, int, int]]:
@@ -303,18 +358,17 @@ def uncertified_middles(n_max: int) -> Iterable[tuple[int, int, int, int]]:
                         yield m, n, d, ell
 
 
-def peeled_rank_mismatches(n_max: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """The number of uncertified middles of ``uncertified_middles(n_max)``
-    with n > ell*d, those whose unit anti-triangular block ``_hankel_rank``
-    peels off, and the quadruples among them where its rank differs from
+def hankel_rank_mismatches(n_max: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """The number of uncertified middles of ``uncertified_middles(n_max)``,
+    and the quadruples among them where ``_hankel_rank``, by linear
+    complexity and for n > ell*d after its peel, differs from
     ``eliminated_hankel_rank``."""
     checked, bad = 0, []
     powers = {d: [[1]] for d in range(2, 7)}
     for m, n, d, ell in uncertified_middles(n_max):
-        if n > d * ell:
-            checked += 1
-            if _hankel_rank(m, n, d, ell, powers[d]) != eliminated_hankel_rank(m, n, d, ell):
-                bad.append((m, n, d, ell))
+        checked += 1
+        if _hankel_rank(m, n, d, ell, powers[d]) != eliminated_hankel_rank(m, n, d, ell):
+            bad.append((m, n, d, ell))
     return checked, bad
 
 
@@ -524,9 +578,9 @@ def matrix_power(a: RationalMatrix, e: int) -> RationalMatrix:
 
 
 def rank(a: RationalMatrix) -> int:
-    """Exact rank over Q, by ``toeplitz._rank_int_rows`` on the integer
+    """Exact rank over Q, by ``rank_int_rows`` on the integer
     rows of a (scaling by ``a.den`` does not change the rank)."""
-    return _rank_int_rows(list(map(list, a.num)))
+    return rank_int_rows(list(map(list, a.num)))
 
 
 def nullity(a: RationalMatrix) -> int:

@@ -16,10 +16,11 @@ the d = 1 rule of ``jordankron.toeplitz`` by elimination:
 * every uncertified middle R_k at d = 1 with m <= n <= 64, at every ell
   with some k, built and eliminated and found at full rank (the tier-1
   test stops at n <= 32);
-* every uncertified middle R_k with m <= n <= 64, d = 2..6, ell <= 8 and
-  n > ell*d, ranked by ``toeplitz._hankel_rank``, which eliminates only
-  the Schur complement of its unit anti-triangular block, and by
-  elimination of the whole middle (the tier-1 test stops at n <= 32);
+* every uncertified middle R_k with m <= n <= 64, d = 2..6 and ell <= 8,
+  ranked by ``toeplitz._hankel_rank``, from the linear complexity of its
+  window or, for n > ell*d, of the Schur complement of its unit
+  anti-triangular block, and by elimination of the whole middle (the
+  tier-1 test stops at n <= 32);
 * the generic predictor on pairs of sizes 6-32 with
   p = (x - lam)^k + c (y - mu)^h + (x - lam)^k (y - mu) + e, so that the
   orders at (lam, mu) are k and h, one of them 1 (both above 1 is the
@@ -47,7 +48,7 @@ from helpers import (
     d1_rank_deficits,
     deficient_triples,
     equal_branch_mismatches,
-    peeled_rank_mismatches,
+    hankel_rank_mismatches,
     perturbed_tangent_power,
     two_term_tangent_power,
 )
@@ -117,7 +118,7 @@ def main() -> int:
         ("equal branch, two-term tangent power, d = 1 to n <= 20, d = 2 to n <= 16",
          equal_full_rank),
         ("d = 1 middle Hankel ranks, n <= 64", lambda: d1_rank_deficits(64)),
-        ("peeled middle Hankel ranks, n <= 64", lambda: peeled_rank_mismatches(64)),
+        ("uncertified middle Hankel ranks, n <= 64", lambda: hankel_rank_mismatches(64)),
         ("generic predictor, sizes 6-32", lambda: generic_pairs(random.Random(2101))),
         ("distinct branch, sizes 6-32", lambda: distinct_pairs(random.Random(2102))),
     )

@@ -568,6 +568,39 @@ def test_a_size_past_any_index_exits_1_with_an_error_document(argv):
     assert f"total dimension {10**30} " in doc["error"]
 
 
+def test_an_equal_pair_past_any_index_exits_1_before_its_powers():
+    # At d = 2 the equal branch has a power for each of about 10**30 / 2
+    # Hankel ranks; the pair's dimension stops it before the first.  In a
+    # fresh interpreter with a timeout, since without that stop the run
+    # never ends.
+    proc = run_entry(
+        "frechet", "--f", "0,0,0,1", "--X", HUGE_SPEC, "--Y", '[{"eig":"0","size":1}]'
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert set(doc) == {"schema", "error"}
+    assert f"total dimension {10**30} " in doc["error"]
+
+
+def test_the_module_run_as_a_script_is_the_executable():
+    # python -m jordankron.cli runs entry(): the same document and exit
+    # code as the jordankron executable, on a README command and on
+    # malformed input.
+    readme = ["frechet", "--f", "0,0,-6,0,1",
+              "--X", '[{"eig":"1","size":3}]', "--Y", '[{"eig":"1","size":2}]']
+    malformed = ["frechet", "--f", "0,0,1", "--W", "[null]"]
+    for argv, code in ((readme, 0), (malformed, 1)):
+        as_module = subprocess.run(
+            [sys.executable, "-m", "jordankron.cli", *argv],
+            env=ENTRY_ENV, capture_output=True, text=True, timeout=60,
+        )
+        assert as_module.returncode == code
+        assert json.loads(as_module.stdout)["schema"] == "jordan-kron/1"
+        as_entry = run_entry(*argv)
+        assert (as_module.returncode, as_module.stdout) == (
+            as_entry.returncode, as_entry.stdout)
+
+
 def test_a_closed_form_past_any_index_is_still_answered():
     # p = x + y on one pair is the Kronecker sum: one block, of size m + n - 1,
     # which builds nothing of that size.

@@ -77,14 +77,14 @@ def test_a_perturbed_tangent_power_matches_the_oracle_up_to_size_16():
     ("0,0,0,1", 40, 39),
 ])
 def test_the_equal_branch_eliminates_only_at_d_above_1(monkeypatch, f, n, calls):
-    real = toeplitz_mod._rank_int_rows
+    real = toeplitz_mod._linear_complexity
     eliminations = []
 
-    def counted(rows):
-        eliminations.append(len(rows))
-        return real(rows)
+    def counted(s):
+        eliminations.append(len(s))
+        return real(s)
 
-    monkeypatch.setattr(toeplitz_mod, "_rank_int_rows", counted)
+    monkeypatch.setattr(toeplitz_mod, "_linear_complexity", counted)
     steps = count_gamma_steps(monkeypatch)
     w = JordanSpec.single(0, n)
     frechet_jcf(UnivariatePoly.from_string(f), w, w)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from jordankron import RationalMatrix
 from jordankron.exactmat import NotSquareError, direct_sum, jordan_block, kron
-from jordankron.toeplitz import _rank_int_rows
 
 import helpers
-from helpers import matrix_power, nullity, rank, reference_rank_fraction, reference_rank_int
+from helpers import (
+    matrix_power, nullity, rank, rank_int_rows, reference_rank_fraction, reference_rank_int
+)
 
 
 def random_rational(rng, rows, cols, bound=10, denominators=(1,)):
@@ -99,7 +100,7 @@ def test_rank_paths_cross_check():
         if rng.random() < 0.5:
             # Force linear dependence to exercise nontrivial kernels.
             data[5] = [3 * a - 2 * b for a, b in zip(data[0], data[1])]
-        r_int = _rank_int_rows([row[:] for row in data])
+        r_int = rank_int_rows([row[:] for row in data])
         r_frac = reference_rank_fraction([[Q(e) for e in row] for row in data])
         assert r_int == r_frac
         assert rank(RationalMatrix(data)) == r_int
@@ -112,7 +113,7 @@ def test_rank_paths_cross_check_rational_entries():
         scaled = [
             [e.numerator * (30 // e.denominator) for e in row] for row in a.data
         ]
-        assert rank(a) == _rank_int_rows(scaled)
+        assert rank(a) == rank_int_rows(scaled)
         assert rank(a) == reference_rank_fraction([list(row) for row in a.data])
 
 
@@ -153,12 +154,12 @@ def low_rank_int_rows(draw):
 @given(low_rank_int_rows())
 def test_echelon_kernel_matches_bareiss_and_rational_kernels(case):
     rows, rank_bound = case
-    r = _rank_int_rows([row[:] for row in rows])
+    r = rank_int_rows([row[:] for row in rows])
     assert r == reference_rank_int([row[:] for row in rows])
     assert r == reference_rank_fraction([[Q(e) for e in row] for row in rows])
     assert r <= min(rank_bound, len(rows), len(rows[0]))
     transposed = [list(col) for col in zip(*rows)]
-    assert _rank_int_rows(transposed) == r
+    assert rank_int_rows(transposed) == r
 
 
 def test_echelon_kernel_keeps_entries_small():
@@ -177,7 +178,7 @@ def test_echelon_kernel_keeps_entries_small():
         finally:
             tracemalloc.stop()
 
-    assert peak(_rank_int_rows) < 3.5 * peak(reference_rank_int)
+    assert peak(rank_int_rows) < 3.5 * peak(reference_rank_int)
 
 
 def test_nilpotent_power_nullity():

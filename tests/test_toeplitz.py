@@ -22,6 +22,7 @@ from jordankron import RationalMatrix
 from jordankron.toeplitz import (
     InvalidSpecError,
     _hankel_rank,
+    _linear_complexity,
     _rank_sum,
     _tent,
     hankel_rank,
@@ -222,31 +223,29 @@ def test_every_uncertified_middle_has_rank_at_least_n_minus_shift():
 
 
 def test_a_peeled_middle_passes_only_its_schur_complement_to_the_kernel(monkeypatch):
-    # One kernel call per uncertified middle, as before the peel; for
-    # n > shift the matrix is the (m - n + shift) // 2 x
-    # (m - n + shift + 1) // 2 Hankel matrix of 1 / gamma, and for
-    # n <= shift the middle R_k itself.
-    shapes = []
-    kernel = toeplitz._rank_int_rows
+    # One linear complexity per uncertified middle; for n > shift it is
+    # that of v_(n - shift + 1) .. v_(m - 1) of 1 / gamma, the sequence of
+    # the Schur complement, and for n <= shift that of the whole window.
+    lengths = []
+    kernel = toeplitz._linear_complexity
 
-    def recorded(rows):
-        shapes.append((len(rows), len(rows[0]) if rows else 0))
-        return kernel(rows)
+    def recorded(s):
+        lengths.append(len(s))
+        return kernel(s)
 
-    monkeypatch.setattr(toeplitz, "_rank_int_rows", recorded)
+    monkeypatch.setattr(toeplitz, "_linear_complexity", recorded)
     powers = {d: [[1]] for d in range(2, 7)}
     peeled = 0
     for m, n, d, ell in uncertified_middles(32):
         shift = d * ell
-        shapes.clear()
+        lengths.clear()
         _hankel_rank(m, n, d, ell, powers[d])
         if n > shift:
             peeled += 1
-            want = ((m - n + shift) // 2, (m - n + shift + 1) // 2)
+            want = m - n + shift - 1
         else:
-            mid = (m + n + shift) // 2
-            want = (mid - shift, m + n - mid)
-        assert shapes == [want], (m, n, d, ell)
+            want = m + n - shift - 1
+        assert lengths == [want], (m, n, d, ell)
     assert peeled == 5836
 
 
@@ -308,10 +307,11 @@ def test_the_tent_from_ranges_is_the_largest_rank_row_on_the_40_box():
 def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatch):
     # Each (d, ell) gamma is built once, by one convolution step, and is
     # gamma_coeffs(d, ell); only a quadruple with d >= 2 whose middle R_k
-    # is uncertified is eliminated.  At d = 1 every R_k has full rank, so
+    # is uncertified takes a linear complexity, what this test's name
+    # calls an elimination.  At d = 1 every R_k has full rank, so
     # no d = 1 gamma is built.
     calls, eliminated = [], []
-    hankel, kernel = toeplitz._hankel_rank, toeplitz._rank_int_rows
+    hankel, kernel = toeplitz._hankel_rank, toeplitz._linear_complexity
     gammas = {(d, ell): list(gamma_coeffs(d, ell))
               for d in range(1, 6) for ell in range(1, 7)}
 
@@ -323,14 +323,14 @@ def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatc
             assert powers[ell] == gammas[d, ell], (d, ell)
         return r
 
-    def counted(rows):
-        eliminated.append(len(rows))
-        return kernel(rows)
+    def counted(s):
+        eliminated.append(len(s))
+        return kernel(s)
 
     box = (12, 14, 5, 6)
     want = reference_scan(*box)
     monkeypatch.setattr(toeplitz, "_hankel_rank", recorded)
-    monkeypatch.setattr(toeplitz, "_rank_int_rows", counted)
+    monkeypatch.setattr(toeplitz, "_linear_complexity", counted)
     steps = count_gamma_steps(monkeypatch)
     got = scan_deficiencies(*box)
     uncertified = [(m, n, d, ell)
@@ -396,12 +396,13 @@ def test_sliced_window_rank_past_either_end_of_gamma():
 
 def test_rank_row_makes_at_most_one_elimination(monkeypatch):
     calls = []
+    kernel = toeplitz._linear_complexity
 
-    def counted(rows):
-        calls.append(len(rows))
-        return reference_rank_int(rows)
+    def counted(s):
+        calls.append(len(s))
+        return kernel(s)
 
-    monkeypatch.setattr(toeplitz, "_rank_int_rows", counted)
+    monkeypatch.setattr(toeplitz, "_linear_complexity", counted)
     steps = count_gamma_steps(monkeypatch)
     for quad in ((30, 30, 2, 7), (12, 40, 3, 5), (40, 12, 1, 30), (5, 60, 1, 2)):
         calls.clear()
@@ -410,10 +411,11 @@ def test_rank_row_makes_at_most_one_elimination(monkeypatch):
         m, n = min(quad[:2]), max(quad[:2])
         shift = quad[2] * quad[3]
         uncertified = [k for k in row if n < k < m + shift]
-        # At d = 1 every R_k has full rank, and none is eliminated.
+        # At d = 1 every R_k has full rank, and none takes a linear
+        # complexity, what this test's name calls an elimination.
         eliminates = bool(uncertified) and quad[2] >= 2
         assert len(calls) == eliminates
-        # Gamma is built, one step a power, only for an elimination.
+        # Gamma is built, one step a power, only for that rank.
         assert len(steps) == (quad[3] if eliminates else 0)
 
 
@@ -432,24 +434,30 @@ def test_rank_row_matches_bareiss_on_random_quadruples(a, b, d, ell):
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(0, 8),
-    st.lists(st.one_of(st.just(0), st.integers(-3, 3)), max_size=16),
+    st.lists(st.one_of(st.just(0), st.integers(-3, 3),
+                       st.integers(-3, 3).map(lambda x: x << 64)), max_size=16),
     st.integers(0, 8),
 )
 def test_hankel_rank_profile(lead, core, trail):
     # rank_row rests on this: the (N + 1 - q) x q Hankel matrices of one
     # sequence of length N have rank min(q, N + 1 - q, r), r the rank of
-    # the one with q = (N + 1) // 2.  The sequences have many zeros, as the
-    # gamma windows of rank_row do: runs at either end, sparse inside.
+    # the one with q = (N + 1) // 2, and _hankel_rank on this: r is
+    # min(L, N + 1 - L) for the linear complexity L of the sequence.  The
+    # sequences have many zeros, as the gamma windows of rank_row do: runs
+    # at either end, sparse inside.  Entries of 2^64 and more keep the
+    # fraction-free connection polynomial from staying small.
     s = ([0] * lead + core + [0] * trail)[:16]
     assume(s)
     big_n = len(s)
+    lc = _linear_complexity(s)
 
     def hankel_rank(q):
         return reference_rank_int([s[i : i + q] for i in range(big_n + 1 - q)])
 
     r = hankel_rank((big_n + 1) // 2)
     for q in range(1, big_n + 1):
-        assert hankel_rank(q) == min(q, big_n + 1 - q, r)
+        assert hankel_rank(q) == min(q, big_n + 1 - q, r) == min(
+            q, big_n + 1 - q, lc, big_n + 1 - lc), (s, q)
 
 
 @settings(max_examples=300, deadline=None)
@@ -546,10 +554,10 @@ def test_rho_answers_certified_k_without_elimination(monkeypatch, quad):
     m, n, d, ell = quad
     row = rank_row(*quad)
 
-    def no_kernel(rows):
+    def no_kernel(s):
         raise AssertionError("rho eliminated a matrix")
 
-    monkeypatch.setattr(toeplitz, "_rank_int_rows", no_kernel)
+    monkeypatch.setattr(toeplitz, "_linear_complexity", no_kernel)
     certified = [k for k in row if k <= max(m, n) or k >= min(m, n) + ell * d]
     assert len(certified) < len(row)
     for k in certified:
