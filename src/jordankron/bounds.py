@@ -21,9 +21,10 @@ from typing import NamedTuple, Sequence
 def filtration_dim(m: int, n: int, j: int) -> int:
     """u_j = min(j, m, n, m + n - j) on 1 <= j <= m + n - 1, else 0.
 
-    O(1) and symmetric in (m, n); in the package only ``toeplitz._predicted``
-    reads it.  The largest rank min(u_(k - ell*d), u_k) of R_k is written
-    out as min(k - ell*d, m + n - k, m) in toeplitz's ``rho``,
+    O(1) and symmetric in (m, n); no module of the package reads it.
+    ``toeplitz._predicted`` writes u_(k - ell*d) and u_k out for m <= n,
+    and the largest rank min(u_(k - ell*d), u_k) of R_k is written out as
+    min(k - ell*d, m + n - k, m) in toeplitz's ``rho``,
     ``sufficient_rank_drop``, ``_checked`` and ``_hankel_rank``, and as the
     scanner's row ``_tent(t, min(m, t // 2))``, t = m + n - ell*d.
     """

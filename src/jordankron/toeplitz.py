@@ -121,15 +121,23 @@ linear complexity at ell or above, and no d = 1 gamma is built.  Every
 R_k of the quadruple has its largest rank exactly when the middle one
 does, that is when r = c; then the tent at c is the row of ranks, and
 only below the peak is ``_tent(t, r)`` built too.  The rank-drop test
-runs only where it can hold, for ell < maxRank <= d, so a full-rank
-quadruple with ell >= d writes all its lines from one format.  The
-quadruple's new records reach the JSONL file in one flushed write, so a
-killed scan loses no finished quadruple and resumes from its file, read
-one line at a time by one regular expression and checked by arithmetic.  The scanner's byte
-form, ``json.dumps(record.to_json_obj())`` and a newline, is the only form
-a record has: a resume rejects any other line, and
-``DeficiencyRecord.from_json_obj`` checks an object by writing it in that
-form and reading it back.
+runs only where it can hold, for ell < maxRank <= d.
+
+The scanner's byte form, ``json.dumps(record.to_json_obj())`` and a
+newline, is the only form a record has, and ``_record_lines`` is the one
+place it is spelled: given a quadruple and its rows (k, rank, maxRank), it
+returns the quadruple's lines as bytes, and a line without a rank drop
+takes its text after k from a table by rank.  Each quadruple's new
+records reach the JSONL file in one flushed write of those bytes, so a
+killed scan loses no finished quadruple and resumes from its file.  A
+resume reads a quadruple's complete block as one: every rank of it
+follows from r, which its middle line gives, so for 1 <= r <= c, if the
+block's bytes are ``_record_lines`` of the ranks ``_tent(t, r)``, one
+comparison, each of its lines is a record that passes the per-line check.
+Any other line, a subset or a reordering of a block too, is read on its
+own by one regular expression and checked by arithmetic.  A resume rejects any line
+not in the byte form, and ``DeficiencyRecord.from_json_obj`` checks an
+object by writing it in that form and reading it back.
 ``sufficient_rank_drop`` implements a closed sufficient condition (the
 coefficient vector of ``(x - y)^ell`` is then an explicit kernel vector),
 but it is not necessary, and the scanner records both kinds.
@@ -148,13 +156,11 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd
 from operator import le, mul, sub
 from pathlib import Path
 from typing import NamedTuple
-
-from .bounds import filtration_dim
 
 
 class InvalidSpecError(ValueError):
@@ -366,7 +372,9 @@ def _predicted(m: int, n: int, d: int, ell: int, k: int, max_rank: int) -> bool:
         return False
     shift = ell * d
     c = min(max(k - n, m + shift - k, 0), shift)
-    nr, nc = filtration_dim(m, n, k - shift), filtration_dim(m, n, k)
+    # nr = u_(k - shift) and nc = u_k, the filtration dimensions, for m <= n.
+    nr = min(k - shift, m, m + n + shift - k)
+    nc = min(k, m, m + n - k)
     return (ell + c) % (d + 1) >= max(nr, nc)
 
 
@@ -410,6 +418,38 @@ _LINE_PATTERN = (
     + rb', "predicted": (true|false)\}' + b"\n"
 )
 
+# _FULL_TAIL[r] is what follows the k of a line of rank r = maxRank whose
+# rank-drop flag is false.  It grows on demand to the largest rank
+# formatted, min(m, t // 2) for a block of t - 1 lines, and each entry is
+# fixed by its index, so every caller can share it.
+_FULL_TAIL: list[str] = []
+
+
+def _record_lines(m: int, n: int, d: int, ell: int, rows) -> bytes:
+    """The lines of the quadruple (m, n, d, ell), m <= n, for its rows
+    (k, rank, maxRank) in order, in the scanner's byte form: each is
+    ``json.dumps(record.to_json_obj())`` and a newline.  This is the only
+    place a record line is spelled: the scanner writes these bytes, and a
+    resume compares a complete block with them.  A line without a rank drop
+    takes its text after k from ``_FULL_TAIL``; the flag is
+    ``_predicted``, run only where it can hold, for ell < maxRank <= d.
+    """
+    c = min(m, (m + n - ell * d) // 2)
+    if len(_FULL_TAIL) <= c:
+        _FULL_TAIL.extend(
+            f', "rank": {r}, "maxRank": {r}, "deficiency": 0, "predicted": false}}\n'
+            for r in range(len(_FULL_TAIL), c + 1)
+        )
+    head = f'{{"m": {m}, "n": {n}, "d": {d}, "ell": {ell}, "k": '
+    lines = [
+        str(k) + _FULL_TAIL[mr]
+        if not (flag := ell < mr <= d and _predicted(m, n, d, ell, k, mr)) and rk == mr
+        else f'{k}, "rank": {rk}, "maxRank": {mr}, "deficiency": {mr - rk}, '
+             f'"predicted": {"true" if flag else "false"}}}\n'
+        for k, rk, mr in rows
+    ]
+    return (head + head.join(lines)).encode() if lines else b""
+
 
 class DeficiencyRecord(NamedTuple):
     """One scanned quintuple, m <= n, with its rank data: the fields of a
@@ -446,17 +486,64 @@ class DeficiencyRecord(NamedTuple):
         return cls(*_checked((*map(int, ints), flag == b"true")))
 
 
+def _block_records(line: bytes, lines, match) -> tuple[list[bytes], dict | None]:
+    """The block of lines that ``line`` opens, with its records when it is
+    a complete quadruple in the scanner's byte form, else with None.
+
+    If ``line`` matches ``_LINE_PATTERN`` and opens a valid quadruple, at
+    k = ell*d + 1, the block holds the t - 2 lines after it, read from the
+    iterator ``lines``, t = m + n - ell*d; otherwise it is ``line`` alone.
+    Its middle line gives r.  Every rank of the quadruple follows from r,
+    so for 1 <= r <= c = min(m, t // 2), if the block's bytes are
+    ``_record_lines`` of the ranks ``_tent(t, r)``, each of its lines is a
+    record that ``_checked`` passes.  Then its records are returned, keyed
+    by quintuple in file order, as the per-line path would read them.
+    """
+    block = [line]
+    hit = match(line)
+    if hit is None:
+        return block, None
+    m, n, d, ell, k = map(int, hit.group(1, 2, 3, 4, 5))
+    shift = d * ell
+    t = m + n - shift
+    if not (1 <= m <= n and d >= 1 and ell >= 1 and k == shift + 1 and t >= 2):
+        return block, None
+    block += islice(lines, t - 2)
+    mid = match(block[t // 2 - 1]) if len(block) == t - 1 else None
+    c = min(m, t // 2)
+    if mid is None or not 1 <= (r := int(mid[6])) <= c:
+        return block, None
+    ks = range(k, m + n)
+    tops = _tent(t, c)
+    if b"".join(block) != _record_lines(m, n, d, ell, zip(ks, _tent(t, r), tops)):
+        return block, None
+    if r == c:
+        return block, dict.fromkeys([(m, n, d, ell, k) for k in ks])
+    return block, {
+        (m, n, d, ell, k): DeficiencyRecord(
+            m, n, d, ell, k, rk, mr, mr - rk,
+            ell < mr <= d and _predicted(m, n, d, ell, k, mr)) if rk < mr else None
+        for k, rk, mr in zip(ks, _tent(t, r), tops)
+    }
+
+
 def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
     """Every record of a scan file, keyed by quintuple: its
     ``DeficiencyRecord`` when it is deficient, else None.
 
-    The file is read one line at a time.  Every record ends with a newline,
-    so text after the last one is a record cut short by an interrupted
-    run: it is dropped, and cut off the file so that appended records start
-    on a line of their own.  Every complete line must be in the scanner's
-    own byte form, read by ``_LINE_PATTERN``, and pass ``_checked``; any
-    other line, a blank one too, raises ValueError naming the file and the
-    line's number, and leaves the file as it was.
+    The file is read one quadruple's block of lines at a time, by
+    ``_block_records``: a complete block in the scanner's byte form is
+    taken whole, by one comparison, without ``_checked`` or a regular
+    expression on each line.  Any other line, of a subset of a block,
+    another order, a tampered rank or a foreign form, is read on its own,
+    by ``_LINE_PATTERN`` and ``_checked``.
+
+    Every record ends with a newline, so text after the last one is a
+    record cut short by an interrupted run: it is dropped, and cut off the
+    file so that appended records start on a line of their own.  Any
+    complete line not in the scanner's byte form, or that fails
+    ``_checked``, a blank one too, raises ValueError naming the file and
+    the line's number, and leaves the file as it was.
     """
     records = {}
     if not path.exists():
@@ -465,22 +552,33 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
     # pays for it.
     match = re.compile(_LINE_PATTERN).fullmatch
     with path.open("r+b") as fh:
-        end = 0
-        for number, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                fh.truncate(end)
-                break
-            end += len(line)
-            hit = match(line)
-            try:
-                if hit is None:
-                    text = line.decode(errors="replace")
-                    raise ValueError(f"not a scan record line: {text!r}")
-                *ints, flag = hit.groups()
-                fields = _checked((*map(int, ints), flag == b"true"))
-            except ValueError as exc:
-                raise type(exc)(f"{path}:{number}: {exc}") from None
-            records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
+        lines = iter(fh)
+        number = end = 0
+        for line in lines:
+            block, found = _block_records(line, lines, match)
+            if found is not None:
+                records.update(found)
+                number += len(block)
+                end += sum(map(len, block))
+                continue
+            for text in block:
+                number += 1
+                if not text.endswith(b"\n"):
+                    # Only the file's last line can lack a newline, so this
+                    # ends the outer loop too.
+                    fh.truncate(end)
+                    break
+                end += len(text)
+                hit = match(text)
+                try:
+                    if hit is None:
+                        text = text.decode(errors="replace")
+                        raise ValueError(f"not a scan record line: {text!r}")
+                    *ints, flag = hit.groups()
+                    fields = _checked((*map(int, ints), flag == b"true"))
+                except ValueError as exc:
+                    raise type(exc)(f"{path}:{number}: {exc}") from None
+                records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
     return records
 
 
@@ -499,11 +597,12 @@ def scan_deficiencies(
     each (d, ell) gamma is built once, when a quadruple first takes one at
     ell or above.  With ``out_path`` every scanned record is appended as
     one JSON line, and each quadruple's new lines are written and flushed
-    together, so a killed scan keeps every quadruple it finished.  A
-    quadruple whose records are all present in the file is not recomputed,
-    so an interrupted sweep resumes where it stopped; resumed records are
-    checked against their quintuples, and their ranks are the ones
-    reported.
+    together, in one write of ``_record_lines``, so a killed scan keeps
+    every quadruple it finished.  A quadruple whose records are all present
+    in the file is not recomputed, so an interrupted sweep resumes where it
+    stopped; resumed records are checked against their quintuples, a
+    complete block by one comparison with ``_record_lines`` and any other
+    line on its own, and their ranks are the ones reported.
     """
     bounds = (m_max, n_max, d_max, ell_max)
     if any(type(b) is not int or b < 1 for b in bounds):
@@ -518,7 +617,7 @@ def scan_deficiencies(
     # gammas[d][ell] is the gamma of (d, ell), up to the largest ell
     # ranked by linear complexity so far.
     gammas: dict[int, list[list[int]]] = {}
-    sink = path.open("a") if path is not None else None
+    sink = path.open("ab") if path is not None else None
     try:
         for m in range(1, m_max + 1):
             for n in range(m, n_max + 1):
@@ -551,23 +650,9 @@ def scan_deficiencies(
                                                  and _predicted(m, n, d, ell, k, mr))
                                 for k, rk, mr in rows if rk < mr)
                         if sink is not None:
-                            # Byte for byte json.dumps(record.to_json_obj()).
-                            # _predicted is false unless ell < maxRank <= d.
-                            head = f'{{"m": {m}, "n": {n}, "d": {d}, "ell": {ell}, "k": '
-                            if full and ell >= d:
-                                lines = [
-                                    f'{head}{k}, "rank": {mr}, "maxRank": {mr}, '
-                                    f'"deficiency": 0, "predicted": false}}\n'
-                                    for k, _, mr in rows
-                                ]
-                            else:
-                                lines = [
-                                    f'{head}{k}, "rank": {rk}, "maxRank": {mr}, '
-                                    f'"deficiency": {mr - rk}, "predicted": '
-                                    f'{"true" if ell < mr <= d and _predicted(m, n, d, ell, k, mr) else "false"}}}\n'
-                                    for k, rk, mr in rows
-                                ]
-                            sink.write("".join(lines))
+                            # One write a quadruple; the flush hands the whole
+                            # block to the file before the next is computed.
+                            sink.write(_record_lines(m, n, d, ell, rows))
                             sink.flush()
     finally:
         if sink is not None:

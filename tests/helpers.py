@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from dataclasses import astuple, dataclass, replace
 from fractions import Fraction
@@ -46,8 +47,10 @@ from jordankron.oracle import _nullity_chain, _sparse_rows, oracle_pair
 from jordankron.polyring import RationalLike, table_local_degree
 from jordankron.similarity import SimilarityReduction
 from jordankron.toeplitz import (
+    _LINE_PATTERN,
     InvalidSpecError,
     _check_params,
+    _checked,
     _gamma_step,
     _hankel_rank,
     rank_row,
@@ -1091,6 +1094,48 @@ def reference_scan(
         if sink is not None:
             sink.close()
     return deficient
+
+
+def reference_load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
+    """``toeplitz._load_records`` one line at a time: every line is read by
+    ``_LINE_PATTERN`` and checked by ``_checked``.  The reference for the
+    records a resume reads, the errors it raises and the bytes it leaves.
+
+    Every record of a scan file, keyed by quintuple: its
+    ``DeficiencyRecord`` when it is deficient, else None.
+
+    The file is read one line at a time.  Every record ends with a newline,
+    so text after the last one is a record cut short by an interrupted
+    run: it is dropped, and cut off the file so that appended records start
+    on a line of their own.  Every complete line must be in the scanner's
+    own byte form, read by ``_LINE_PATTERN``, and pass ``_checked``; any
+    other line, a blank one too, raises ValueError naming the file and the
+    line's number, and leaves the file as it was.
+    """
+    records = {}
+    if not path.exists():
+        return records
+    # Compiled here, not at import: re caches it, so only the first resume
+    # pays for it.
+    match = re.compile(_LINE_PATTERN).fullmatch
+    with path.open("r+b") as fh:
+        end = 0
+        for number, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                fh.truncate(end)
+                break
+            end += len(line)
+            hit = match(line)
+            try:
+                if hit is None:
+                    text = line.decode(errors="replace")
+                    raise ValueError(f"not a scan record line: {text!r}")
+                *ints, flag = hit.groups()
+                fields = _checked((*map(int, ints), flag == b"true"))
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{number}: {exc}") from None
+            records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
+    return records
 
 
 def mirror(spec: ToeplitzSpec) -> ToeplitzSpec:

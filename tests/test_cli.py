@@ -601,6 +601,37 @@ def test_the_module_run_as_a_script_is_the_executable():
             as_entry.returncode, as_entry.stdout)
 
 
+def test_the_package_run_as_a_script_is_the_executable():
+    # python -m jordankron runs entry() through the package's __main__:
+    # the same document and exit code as the jordankron executable, while
+    # import jordankron alone still loads no module of the package.
+    readme = ["frechet", "--f", "0,0,-6,0,1",
+              "--X", '[{"eig":"1","size":3}]', "--Y", '[{"eig":"1","size":2}]']
+    malformed = ["frechet", "--f", "0,0,1", "--W", "[null]"]
+    for argv, code in ((readme, 0), (malformed, 1)):
+        as_package = subprocess.run(
+            [sys.executable, "-m", "jordankron", *argv],
+            env=ENTRY_ENV, capture_output=True, text=True, timeout=60,
+        )
+        assert as_package.returncode == code
+        assert json.loads(as_package.stdout)["schema"] == "jordan-kron/1"
+        as_entry = run_entry(*argv)
+        assert (as_package.returncode, as_package.stdout) == (
+            as_entry.returncode, as_entry.stdout)
+    # Imported, __main__ runs nothing and loads no other module.
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "def loaded(): print(sorted(m for m in sys.modules if m.startswith('jordankron')))\n"
+         "import jordankron\n"
+         "loaded()\n"
+         "import jordankron.__main__\n"
+         "loaded()\n"],
+        env=ENTRY_ENV, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert loaded.stdout == "['jordankron']\n['jordankron', 'jordankron.__main__']\n"
+
+
 def test_a_closed_form_past_any_index_is_still_answered():
     # p = x + y on one pair is the Kronecker sum: one block, of size m + n - 1,
     # which builds nothing of that size.

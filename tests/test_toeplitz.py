@@ -43,6 +43,7 @@ from helpers import (
     offset_c,
     rank,
     rank_drop_witness,
+    reference_load_records,
     reference_rank_int,
     reference_scan,
     two_case_ranks,
@@ -822,6 +823,111 @@ def test_scan_resumes_like_the_reference_from_any_subset_of_records(tmp_path, se
     assert _as_json(got) == _as_json(reference_scan(*box, out_path=ref))
     assert ours.read_bytes() == ref.read_bytes()
     assert _as_json(got) == _as_json(scan_deficiencies(*box))
+
+
+def _edit(rng, lines):
+    """The lines of a scan file, in bytes, after one random edit, each
+    kind as likely as the others."""
+    lines = list(lines)
+    at = rng.randrange(len(lines))
+    obj = json.loads(lines[at])
+    kind = rng.randrange(7)
+    if kind == 0:  # drop a run of lines
+        del lines[at : at + rng.randint(1, 8)]
+    elif kind == 1:  # duplicate a line, right after itself or anywhere
+        lines.insert(rng.choice((at + 1, rng.randrange(len(lines)))), lines[at])
+    elif kind == 2:  # swap two lines, or reverse a run
+        other = rng.randrange(len(lines))
+        if rng.random() < 0.5:
+            lines[at], lines[other] = lines[other], lines[at]
+        else:
+            lo, hi = sorted((at, other))
+            lines[lo : hi + 1] = lines[lo : hi + 1][::-1]
+    elif kind == 3:  # lower one rank, consistently
+        if obj["rank"]:
+            obj.update(rank=obj["rank"] - 1, deficiency=obj["deficiency"] + 1)
+            lines[at] = json.dumps(obj).encode() + b"\n"
+    elif kind == 4:  # re-rank the line's block as the tent of another r
+        m, n, d, ell = obj["m"], obj["n"], obj["d"], obj["ell"]
+        t = m + n - d * ell
+        r = rng.randrange(min(m, t // 2) + 2)
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            if (rec["m"], rec["n"], rec["d"], rec["ell"]) == (m, n, d, ell):
+                x = rec["k"] - d * ell
+                rec.update(rank=min(x, t - x, r), deficiency=rec["maxRank"] - min(x, t - x, r))
+                lines[i] = json.dumps(rec).encode() + b"\n"
+    elif kind == 5:  # an inconsistent field
+        key = rng.choice(("rank", "maxRank", "deficiency", "k"))
+        obj[key] += rng.choice((-1, 1))
+        lines[at] = json.dumps(obj).encode() + b"\n"
+    else:  # compact separators
+        lines[at] = json.dumps(obj, separators=(",", ":")).encode() + b"\n"
+    return lines
+
+
+def _loaded(load, path):
+    """What load makes of the file at path: the repr of its records or the
+    type and message of its error, and the bytes it leaves there."""
+    try:
+        outcome = ("read", repr(load(path)))
+    except ValueError as exc:
+        outcome = ("raised", type(exc), str(exc))
+    return outcome, path.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_resume_reads_a_randomly_edited_file_as_the_per_line_reference_does(
+    tmp_path, seed
+):
+    # A complete block of lines in the scanner's byte form is compared with
+    # the formatter's bytes once; anything else is read a line at a time.
+    # Either way the records, the error and the bytes left on disk are
+    # those of reading every line on its own.
+    rng = random.Random(seed)
+    path = tmp_path / "scan.jsonl"
+    scan_deficiencies(6, 8, 4, 2, out_path=path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    outcomes = Counter()
+    for _ in range(60):
+        edited = lines
+        for _ in range(rng.randint(1, 3)):
+            edited = _edit(rng, edited)
+        data = b"".join(edited)
+        if rng.random() < 0.3:  # cut the last line mid-way
+            data = data[: -rng.randint(2, len(edited[-1]))]
+        path.write_bytes(data)
+        want = _loaded(reference_load_records, path)
+        path.write_bytes(data)
+        assert _loaded(toeplitz._load_records, path) == want
+        outcomes[want[0][0]] += 1
+    assert outcomes["read"] >= 10 and outcomes["raised"] >= 10
+
+
+def test_a_full_resume_checks_no_line_of_a_complete_block_on_its_own(
+    tmp_path, monkeypatch
+):
+    # Every quadruple of a fresh file is one complete block, full-rank or
+    # deficient, so a full resume reads it without _checked on any line
+    # and appends nothing.  The same lines in reverse order are not in
+    # blocks: they are checked one at a time, with the same records.
+    out = tmp_path / "scan.jsonl"
+    records = scan_deficiencies(10, 10, 4, 3, out_path=out)
+    assert records
+    data = out.read_bytes()
+    checked = []
+    check = toeplitz._checked
+    monkeypatch.setattr(toeplitz, "_checked",
+                        lambda fields: checked.append(fields) or check(fields))
+    assert scan_deficiencies(10, 10, 4, 3, out_path=out) == records
+    assert out.read_bytes() == data
+    assert checked == []
+    want = toeplitz._load_records(out)
+    assert checked == []
+    out.write_bytes(b"".join(data.splitlines(keepends=True)[::-1]))
+    got = toeplitz._load_records(out)
+    assert len(checked) > len(got) // 2
+    assert sorted(got.items()) == sorted(want.items())
 
 
 _KILLED_AT = """
