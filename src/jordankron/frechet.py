@@ -5,7 +5,10 @@ bivariate difference quotient ``(f(x) - f(y)) / (x - y)``, and that rigid
 shape admits a complete answer, block pair by block pair, from the Hermite
 data v = (f^[0](lam), ..., f^[deg f](lam)) of f at each eigenvalue: row 0
 of the :func:`jordankron.polyring.hasse_value_table` of f as a polynomial
-in y, the one table the generic predictor reads too.
+in y, the one table the generic predictor reads too.  One call of
+:func:`pair_predictions` computes that row once per distinct eigenvalue,
+in a ``_HermiteRows`` table that every block pair of the call reads; a
+lone :func:`pair_prediction` on a bare f builds its own.
 
 * distinct eigenvalues lam != mu: the eigenvalue is the secant slope
   (v_lam[0] - v_mu[0]) / (lam - mu); k is the least i >= 1 with
@@ -21,8 +24,10 @@ in y, the one table the generic predictor reads too.
   closed sum ``_rank_sum`` of those ranks; the record keeps just the
   per-power Hankel ranks.  Each power calls ``toeplitz._hankel_rank``, the
   one door to the linear complexity that fixes such a rank, on one gamma
-  list per pair, which grows only when a power needs it.  At d = 1 every
-  such rank is full, and no power builds a gamma.  A pair of dimension
+  ladder and one ladder of reciprocals of gamma, to min(m, n)
+  coefficients, per pair, which grow only when a power needs them, so
+  each power's gamma and reciprocal are built once per pair.  At d = 1
+  every such rank is full, and no power builds either.  A pair of dimension
   m*n past ``sys.maxsize`` raises OverflowError before the first power,
   as the branch's all-size-1 answer does: no index reaches it, and its
   powers would run past any budget.
@@ -57,24 +62,42 @@ from .polyring import (
     exact_rational,
     hasse_value_table,
 )
-from .toeplitz import _hankel_rank, _rank_sum
+from .toeplitz import _hankel_rank, _ladders, _rank_sum
+
+
+class _HermiteRows(dict):
+    """f's Hermite data at each eigenvalue asked for, computed once: key lam
+    maps to ``(v_lam, den_lam)``, row 0 of the ``hasse_value_table`` of f
+    as a polynomial in y at lam and its denominator.  One table serves one
+    call of :func:`pair_predictions`, so every block pair at lam reads the
+    same row."""
+
+    def __init__(self, f: UnivariatePoly):
+        super().__init__()
+        self.f_y, self.deg = BivariatePoly([f.coeffs]), max(f.degree, 0)
+
+    def __missing__(self, lam: Fraction) -> tuple[list[int], int]:
+        (row,), den = hasse_value_table(self.f_y, 0, lam, 0, self.deg)
+        self[lam] = row, den
+        return row, den
 
 
 def pair_prediction(
-    f: UnivariatePoly,
+    f: "UnivariatePoly | _HermiteRows",
     lam: RationalLike,
     m: int,
     mu: RationalLike,
     n: int,
 ) -> PairPrediction:
     """Record for one block pair, on the branch its eigenvalues select;
-    frechet_jcf aggregates these."""
+    frechet_jcf aggregates these.  f is the polynomial or, from
+    :func:`pair_predictions`, its Hermite rows."""
     lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
     m, n = parse_block_size(m), parse_block_size(n)
-    f_y, deg = BivariatePoly([f.coeffs]), max(f.degree, 0)
-    (v_lam,), den_lam = hasse_value_table(f_y, 0, lam, 0, deg)
+    rows = f if isinstance(f, _HermiteRows) else _HermiteRows(f)
+    v_lam, den_lam = rows[lam]
     if lam != mu:
-        (v_mu,), den_mu = hasse_value_table(f_y, 0, mu, 0, deg)
+        v_mu, den_mu = rows[mu]
         eig = (Fraction(v_lam[0], den_lam) - Fraction(v_mu[0], den_mu)) / (lam - mu)
         k = _first_order(v_lam, 1, eig * den_lam)
         h = _first_order(v_mu, 1, eig * den_mu)
@@ -84,7 +107,7 @@ def pair_prediction(
             lam, mu, m, n, "distinct", eig, _staircase_sizes(s_parts, t_parts),
             order_lam=k, order_mu=h, parts_lam=s_parts, parts_mu=t_parts,
         )
-    eig = Fraction(v_lam[1], den_lam) if deg else Fraction(0)
+    eig = Fraction(v_lam[1], den_lam) if rows.deg else Fraction(0)
     d = _first_order(v_lam, 2) - 1  # INFINITE - 1 is INFINITE
     dim = m * n
     if d >= m + n - 1:
@@ -97,9 +120,10 @@ def pair_prediction(
     # toeplitz._rank_sum adds those ranks up as r (t - r), t = m + n - s*d.
     top = -(-(m + n - 1) // d)
     short, long = min(m, n), max(m, n)
-    powers, hankel, nullities = [[1]], [], [0]
+    powers, recips = _ladders(short)
+    hankel, nullities = [], [0]
     for s in range(1, top):
-        r = _hankel_rank(short, long, d, s, powers)
+        r = _hankel_rank(short, long, d, s, powers, recips)
         hankel.append(r)
         nullities.append(dim - _rank_sum(short, long, s * d, r))
     nullities.append(dim)
@@ -128,9 +152,11 @@ def pair_predictions(
 
     ``pair_prediction`` runs once per unordered pair {(lam, m), (mu, n)}: a
     repeated pair reuses its record, and a mirror takes the swapped record
-    of its twin (exact, see the module docstring).
+    of its twin (exact, see the module docstring).  Each takes f's Hermite
+    rows from one ``_HermiteRows`` of the call, so f's Hermite row at an
+    eigenvalue is computed once, however many pairs meet it.
     """
-    return per_block_pair(pair_prediction, f, x, y, _mirror)
+    return per_block_pair(pair_prediction, _HermiteRows(f), x, y, _mirror)
 
 
 def frechet_jcf(f: UnivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:

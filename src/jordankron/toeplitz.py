@@ -71,8 +71,11 @@ lower triangular Toeplitz matrix in u times [v_(w + 1 + i + j)], which
 has its rank.  At the middle the remainder has (m - n + D) // 2 rows and
 (m - n + D + 1) // 2 columns and reads v_(w + 1) .. v_(m - 1); the v are
 the coefficients of ((1 - z) / (1 - z^(d+1)))^ell, which grow only
-polynomially.  For n <= D the window starts past gamma_0, no unit block
-opens it, and the middle itself is ranked.
+polynomially.  So the v of ell are those of ell - 1 times 1 - z, then
+divided by 1 - z^(d+1), a prefix sum along each residue class mod d + 1:
+``_reciprocal_step`` climbs that ladder in O(m) a power, where the
+recurrence above costs O(m^2) each time.  For n <= D the window starts
+past gamma_0, no unit block opens it, and the middle itself is ranked.
 
 Put x = k - D.  Over the k of one quadruple the formula is the tent
 min(x, t - x, r) for x = 1 .. t - 1, with 1 <= r <= t // 2: the middle has
@@ -107,7 +110,11 @@ algebra has the strong Lefschetz property in characteristic 0 (Stanley,
 So at d = 1, as on a certified middle, r is the largest rank.
 ``_hankel_rank``, the only caller of ``_linear_complexity``, is the one
 place this rule is written, and it builds a gamma only when it takes a
-linear complexity.  The certification rule is written where it decides
+linear complexity, and a reciprocal only when it peels.  It climbs two
+ladders that its caller keeps for one d, of gamma and of 1 / gamma, so
+that each power of either is built once per ladder: per block pair in
+:mod:`jordankron.frechet`, per d in the scanner, and fresh at each
+public entry point.  The certification rule is written where it decides
 that, there and in ``rho``'s shortcut, which builds no sequence for a
 certified k.
 
@@ -115,9 +122,11 @@ The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  It works one quadruple at a time, at the
 cost of its records.  The row of largest ranks is the tent capped at
 c = min(m, t // 2), the full rank of the middle, and r <= c.  Each
-quadruple takes one ``_hankel_rank``, on the scan's gamma list of its d,
-so each (d, ell) gamma is built once, when a quadruple first takes a
-linear complexity at ell or above, and no d = 1 gamma is built.  Every
+quadruple takes one ``_hankel_rank``, on the scan's ladders of its d, so
+each (d, ell) gamma is built once, when a quadruple first takes a linear
+complexity at ell or above, each (d, ell) reciprocal once, to
+min(m_max, n_max) coefficients, when one first peels there, and no d = 1
+gamma or reciprocal is built.  Every
 R_k of the quadruple has its largest rank exactly when the middle one
 does, that is when r = c; then the tent at c is the row of ranks, and
 only below the peak is ``_tent(t, r)`` built too.  The rank-drop test
@@ -129,8 +138,9 @@ place it is spelled: given a quadruple and its rows (k, rank, maxRank), it
 returns the quadruple's lines as bytes, and a line without a rank drop
 takes its text after k from a table by rank.  Each quadruple's new
 records reach the JSONL file in one flushed write of those bytes, so a
-killed scan loses no finished quadruple and resumes from its file.  A
-resume reads a quadruple's complete block as one: every rank of it
+killed scan loses no finished quadruple and resumes from its file, and
+skips each quadruple whose complete block it read.  A resume reads a
+quadruple's complete block as one: every rank of it
 follows from r, which its middle line gives, so for 1 <= r <= c, if the
 block's bytes are ``_record_lines`` of the ranks ``_tent(t, r)``, one
 comparison, each of its lines is a record that passes the per-line check.
@@ -155,7 +165,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from itertools import accumulate, islice
 from math import gcd
 from operator import le, mul, sub
@@ -173,6 +182,17 @@ def _gamma_step(gamma: list[int], d: int) -> list[int]:
     two prefix sums."""
     p = [*accumulate(gamma + [0] * d, initial=0)]
     return [*p[1 : d + 1], *map(sub, p[d + 1 :], p)]
+
+
+def _reciprocal_step(v: list[int], d: int) -> list[int]:
+    """The leading coefficients of 1 / (1 + z + ... + z^d)^(ell + 1), as
+    many as ``v`` holds of those of the power ell: v times (1 - z), then
+    divided by 1 - z^(d+1), a prefix sum along each residue class mod
+    d + 1."""
+    w = [v[0], *map(sub, v[1:], v)]
+    for i in range(min(d + 1, len(w))):
+        w[i :: d + 1] = accumulate(w[i :: d + 1])
+    return w
 
 
 def _check_params(
@@ -230,7 +250,7 @@ def _linear_complexity(s: list[int]) -> int:
     n = len(s)
     rs = s[::-1]
     c, back, b, ell, gap = [1], [1], 1, 0, 1
-    for i in range(n):
+    for i in range(n - 1):
         d = sum(map(mul, c, rs[n - 1 - i :]))
         if not d:
             gap += 1
@@ -247,13 +267,23 @@ def _linear_complexity(s: list[int]) -> int:
         else:
             gap += 1
         c = new
+    # The last step, i = n - 1: a nonzero discrepancy changes only L, and
+    # no later step reads the polynomial it would build.
+    if 2 * ell < n and sum(map(mul, c, rs)):
+        return n - ell
     return ell
 
 
-def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> int:
-    """``hankel_rank`` for m <= n.  ``powers[i]`` holds the coefficients of
-    (1 + z + ... + z^d)^i, from ``[[1]]`` on; the call appends the powers
-    up to ell, by ``_gamma_step``, only when it ranks a Hankel matrix.
+def _hankel_rank(
+    m: int, n: int, d: int, ell: int, powers: list[list[int]], recips: list[list[int]]
+) -> int:
+    """``hankel_rank`` for m <= n, on two ladders of d that the caller
+    keeps.  ``powers[i]`` holds the coefficients of (1 + z + ... + z^d)^i,
+    from ``[[1]]`` on, and ``recips[i]`` the leading coefficients of its
+    reciprocal, from ``[[1, 0, ..., 0]]`` on, as many as that first entry
+    holds, at least m.  The call appends the powers up to ell, by
+    ``_gamma_step``, only when it ranks a Hankel matrix, and the
+    reciprocals up to ell, by ``_reciprocal_step``, only when it peels.
 
     The middle R_k is ranked by a sequence only when it is uncertified and
     d >= 2; otherwise it has the full rank min(k - shift, m + n - k, m) at
@@ -267,7 +297,10 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> i
     past index shift, so the middle opens with a unit anti-triangular
     w x w block, and by the module docstring's peel r is w plus the rank
     of the middle Hankel matrix of v_(w + 1) .. v_(m - 1), the
-    coefficients of 1 / gamma, which is ranked the same way.
+    coefficients of 1 / gamma, which is ranked the same way.  Those come
+    from the reciprocal ladder: v of power ell is v of power ell - 1 times
+    (1 - z) / (1 - z^(d+1)), so each power's v costs O(m) once, not a
+    convolution of O(m^2) at every call.
     """
     shift = ell * d
     mid = (m + n + shift) // 2
@@ -280,16 +313,20 @@ def _hankel_rank(m: int, n: int, d: int, ell: int, powers: list[list[int]]) -> i
     if n <= shift:
         w, s = 0, powers[ell][shift - n + 1 : m]
     else:
-        # The first m coefficients of 1 / gamma, of which the Schur
-        # complement of the unit anti-triangular block reads those past w.
+        # The Schur complement of the unit anti-triangular block reads the
+        # coefficients of 1 / gamma past w.
+        while len(recips) <= ell:
+            recips.append(_reciprocal_step(recips[-1], d))
         w = n - shift
-        u = powers[ell][1:m]
-        v = [1]
-        for _ in range(1, m):
-            v.append(-sum(map(mul, u, reversed(v))))
-        s = v[w + 1 :]
+        s = recips[ell][w + 1 : m]
     lc = _linear_complexity(s)
     return w + min(lc, len(s) + 1 - lc)
+
+
+def _ladders(cap: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Fresh gamma and reciprocal ladders for ``_hankel_rank``, whose
+    reciprocals hold ``cap`` coefficients, enough for every m <= cap."""
+    return [[1]], [[1] + [0] * (cap - 1)]
 
 
 def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
@@ -308,7 +345,7 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     way by the linear complexity of its sequence.
     """
     m, n = _check_params(m, n, d, ell)
-    return _hankel_rank(m, n, d, ell, [[1]])
+    return _hankel_rank(m, n, d, ell, *_ladders(m))
 
 
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
@@ -319,7 +356,7 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     ``hankel_rank`` r, so the row costs at most one linear complexity.
     """
     m, n = _check_params(m, n, d, ell)
-    r = _hankel_rank(m, n, d, ell, [[1]])
+    r = _hankel_rank(m, n, d, ell, *_ladders(m))
     shift = ell * d
     return dict(zip(range(shift + 1, m + n), _tent(m + n - shift, r)))
 
@@ -334,7 +371,7 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """
     m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
-    r = _hankel_rank(m, n, d, ell, [[1]]) if n < k < m + shift else m
+    r = _hankel_rank(m, n, d, ell, *_ladders(m)) if n < k < m + shift else m
     return min(k - shift, m + n - k, r)
 
 
@@ -527,9 +564,14 @@ def _block_records(line: bytes, lines, match) -> tuple[list[bytes], dict | None]
     }
 
 
-def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
+def _load_records(
+    path: Path, quads: dict[tuple, bool] | None = None
+) -> dict[tuple, DeficiencyRecord | None]:
     """Every record of a scan file, keyed by quintuple: its
-    ``DeficiencyRecord`` when it is deficient, else None.
+    ``DeficiencyRecord`` when it is deficient, else None.  Given ``quads``,
+    it also maps there each quadruple (m, n, d, ell) that the file holds a
+    record of to True if a complete block of it was read, so that the file
+    holds every record of it, and else to False.
 
     The file is read one quadruple's block of lines at a time, by
     ``_block_records``: a complete block in the scanner's byte form is
@@ -546,6 +588,8 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
     the line's number, and leaves the file as it was.
     """
     records = {}
+    if quads is None:
+        quads = {}
     if not path.exists():
         return records
     # Compiled here, not at import: re caches it, so only the first resume
@@ -558,6 +602,7 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
             block, found = _block_records(line, lines, match)
             if found is not None:
                 records.update(found)
+                quads[next(iter(found))[:4]] = True
                 number += len(block)
                 end += sum(map(len, block))
                 continue
@@ -579,6 +624,7 @@ def _load_records(path: Path) -> dict[tuple, DeficiencyRecord | None]:
                 except ValueError as exc:
                     raise type(exc)(f"{path}:{number}: {exc}") from None
                 records[fields[:5]] = DeficiencyRecord(*fields) if fields[7] else None
+                quads.setdefault(fields[:4], False)
     return records
 
 
@@ -595,51 +641,61 @@ def scan_deficiencies(
     at a time.  Each quadruple takes one ``_hankel_rank``, which takes a
     linear complexity only for an uncertified middle R_k at d >= 2, and
     each (d, ell) gamma is built once, when a quadruple first takes one at
-    ell or above.  With ``out_path`` every scanned record is appended as
+    ell or above, and each (d, ell) reciprocal of gamma once, to
+    min(m_max, n_max) coefficients, when a quadruple first peels at ell or
+    above.  With ``out_path`` every scanned record is appended as
     one JSON line, and each quadruple's new lines are written and flushed
     together, in one write of ``_record_lines``, so a killed scan keeps
     every quadruple it finished.  A quadruple whose records are all present
     in the file is not recomputed, so an interrupted sweep resumes where it
     stopped; resumed records are checked against their quintuples, a
     complete block by one comparison with ``_record_lines`` and any other
-    line on its own, and their ranks are the ones reported.
+    line on its own, and their ranks are the ones reported.  Which
+    quadruples the file completes is learned from ``_load_records``'s
+    complete blocks; a quadruple whose records the file holds only as
+    single lines is ranked again, and only its missing records are written.
     """
     bounds = (m_max, n_max, d_max, ell_max)
     if any(type(b) is not int or b < 1 for b in bounds):
         raise ValueError(f"bounds must be integers >= 1, got {bounds!r}")
     path = Path(out_path) if out_path is not None else None
-    existing = _load_records(path) if path is not None else {}
-    have = Counter(key[:4] for key in existing)
+    # quads[m, n, d, ell] is True when the file holds every record of the
+    # quadruple, by a block read whole, and False when it holds only some.
+    quads: dict[tuple, bool] = {}
+    existing = _load_records(path, quads) if path is not None else {}
     # The file may hold records of a larger box; only those in this one
     # are reported.
     deficient = [rec for rec in existing.values()
                  if rec is not None and all(map(le, rec[:4], bounds))]
-    # gammas[d][ell] is the gamma of (d, ell), up to the largest ell
-    # ranked by linear complexity so far.
-    gammas: dict[int, list[list[int]]] = {}
+    # ladders[d] holds the gamma ladder of d and its reciprocal ladder, each
+    # up to the largest ell that needed it so far; every m of the box fits
+    # the reciprocals' capacity.
+    ladders: dict[int, tuple] = {}
+    cap = min(m_max, n_max)
     sink = path.open("ab") if path is not None else None
     try:
         for m in range(1, m_max + 1):
             for n in range(m, n_max + 1):
                 for d in range(1, d_max + 1):
-                    powers = gammas.setdefault(d, [[1]])
                     for ell in range(1, ell_max + 1):
                         shift = d * ell
                         t = m + n - shift
                         if t < 2:
                             break  # no k; a larger ell only shifts ks further up
-                        done = have[m, n, d, ell]
-                        if done == t - 1:
+                        done = quads.get((m, n, d, ell))
+                        if done:
                             continue
                         ks = range(shift + 1, m + n)
                         c = min(m, t // 2)
                         tops = _tent(t, c)
                         # r is at most c, the middle's largest rank, and
                         # every rank is at its largest exactly when r = c.
-                        r = _hankel_rank(m, n, d, ell, powers)
+                        if d not in ladders:
+                            ladders[d] = _ladders(cap)
+                        r = _hankel_rank(m, n, d, ell, *ladders[d])
                         full = r == c
                         rows = zip(ks, tops if full else _tent(t, r), tops)
-                        if done:
+                        if done is not None:
                             rows = [row for row in rows
                                     if (m, n, d, ell, row[0]) not in existing]
                         if not full:

@@ -53,6 +53,8 @@ from jordankron.toeplitz import (
     _checked,
     _gamma_step,
     _hankel_rank,
+    _ladders,
+    _reciprocal_step,
     rank_row,
     sufficient_rank_drop,
 )
@@ -282,20 +284,57 @@ def gamma_coeffs(d: int, ell: int) -> tuple[int, ...]:
     return tuple(gamma)
 
 
-def count_gamma_steps(monkeypatch) -> list[int]:
-    """The d of every convolution step the package makes from now on, by
-    wrapping ``_gamma_step`` in each loaded module of the package that
+def reference_reciprocal(d: int, ell: int, cap: int) -> list[int]:
+    """The first ``cap`` coefficients of 1 / (1 + z + ... + z^d)^ell, by the
+    convolution recurrence v_0 = 1, v_i = -(gamma_1 v_(i-1) + ... +
+    gamma_i v_0), O(cap^2).  Test-only reference for the package's
+    reciprocal ladder, ``_reciprocal_step``."""
+    u = gamma_coeffs(d, ell)[1:cap]
+    v = [1]
+    for _ in range(1, cap):
+        v.append(-sum(map(mul, u, reversed(v))))
+    return v
+
+
+def _count_steps(monkeypatch, step) -> list[int]:
+    """The d of every call of the ladder step ``step`` the package makes
+    from now on, by wrapping it in each loaded module of the package that
     binds it."""
     steps = []
 
-    def counted(gamma, d):
+    def counted(seq, d):
         steps.append(d)
-        return _gamma_step(gamma, d)
+        return step(seq, d)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "jordankron" and getattr(module, "_gamma_step", None) is _gamma_step:
-            monkeypatch.setattr(module, "_gamma_step", counted)
+    name = step.__name__
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "jordankron" and getattr(module, name, None) is step:
+            monkeypatch.setattr(module, name, counted)
     return steps
+
+
+def count_gamma_steps(monkeypatch) -> list[int]:
+    """The d of every convolution step ``_gamma_step`` from now on."""
+    return _count_steps(monkeypatch, _gamma_step)
+
+
+def count_reciprocal_steps(monkeypatch) -> list[int]:
+    """The d of every reciprocal step ``_reciprocal_step`` from now on."""
+    return _count_steps(monkeypatch, _reciprocal_step)
+
+
+def eliminated_linear_complexity(s: list[int]) -> int:
+    """The linear complexity of s over Q by elimination: the least L for
+    which s_i = c_1 s_(i-1) + ... + c_L s_(i-L), L <= i < len(s), has a
+    solution c, that is, for which the system's matrix and its augmented
+    matrix have one ``rank_int_rows``.  Test-only reference for
+    ``toeplitz._linear_complexity``."""
+    for ell in range(len(s) + 1):
+        rows = [s[i - ell : i][::-1] for i in range(ell, len(s))]
+        augmented = [row + [s[i]] for row, i in zip(rows, range(ell, len(s)))]
+        if rank_int_rows(rows) == rank_int_rows(augmented):
+            return ell
+    raise AssertionError("unreachable: L = len(s) always solves")
 
 
 def offset_c(spec: ToeplitzSpec) -> int:
@@ -365,12 +404,14 @@ def hankel_rank_mismatches(n_max: int) -> tuple[int, list[tuple[int, int, int, i
     """The number of uncertified middles of ``uncertified_middles(n_max)``,
     and the quadruples among them where ``_hankel_rank``, by linear
     complexity and for n > ell*d after its peel, differs from
-    ``eliminated_hankel_rank``."""
+    ``eliminated_hankel_rank``.  The door climbs one gamma ladder and one
+    reciprocal ladder per d, of capacity n_max, shared by every middle of
+    that d, as the scanner's are."""
     checked, bad = 0, []
-    powers = {d: [[1]] for d in range(2, 7)}
+    ladders = {d: _ladders(n_max) for d in range(2, 7)}
     for m, n, d, ell in uncertified_middles(n_max):
         checked += 1
-        if _hankel_rank(m, n, d, ell, powers[d]) != eliminated_hankel_rank(m, n, d, ell):
+        if _hankel_rank(m, n, d, ell, *ladders[d]) != eliminated_hankel_rank(m, n, d, ell):
             bad.append((m, n, d, ell))
     return checked, bad
 

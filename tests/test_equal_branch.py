@@ -28,6 +28,7 @@ from jordankron.frechet import pair_prediction
 from helpers import (
     DEFICIENT_TRIPLES,
     count_gamma_steps,
+    count_reciprocal_steps,
     d1_rank_deficits,
     deficient_triples,
     equal_branch_mismatches,
@@ -89,6 +90,27 @@ def test_the_equal_branch_eliminates_only_at_d_above_1(monkeypatch, f, n, calls)
     w = JordanSpec.single(0, n)
     frechet_jcf(UnivariatePoly.from_string(f), w, w)
     assert len(eliminations) == len(steps) == calls
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_each_pair_builds_each_reciprocal_once(monkeypatch, d):
+    # A block pair keeps one ladder of reciprocals of gamma, to min(m, n)
+    # coefficients, so each power's reciprocal is one step, up to the
+    # largest power s that peels: uncertified, with max(m, n) > s*d.  The
+    # six unordered pairs of W are answered once each; the mirrors take
+    # their twin's record and build nothing.
+    sizes = (9, 16, 23)
+    w = JordanSpec([(0, size) for size in sizes])
+    steps = count_reciprocal_steps(monkeypatch)
+    frechet_jcf(tangent_power(d), w, w)
+    want = 0
+    for i, m in enumerate(sizes):
+        for n in sizes[i:]:
+            top = -(-(m + n - 1) // d)
+            want += max((s for s in range(1, top)
+                         if s * d < n < (m + n + s * d) // 2 < m + s * d), default=0)
+    assert want
+    assert steps == [d] * want
 
 
 def test_every_power_keeps_its_eliminated_hankel_rank():

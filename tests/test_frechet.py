@@ -417,6 +417,43 @@ def test_pair_predictions_match_a_plain_per_pair_loop():
             assert doc["degeneratePair"] == {key: entry[key] for key in ("lam", "mu", "m", "n")}
 
 
+def test_each_call_computes_one_hermite_row_per_eigenvalue(monkeypatch):
+    # pair_predictions reads f's Hermite row, row 0 of hasse_value_table,
+    # from one table per call: one table computation per distinct
+    # eigenvalue, however many block pairs meet it, and none kept past the
+    # call.  A lone pair_prediction on a bare f still answers, with one
+    # computation per eigenvalue of its pair.
+    real = frechet_mod.hasse_value_table
+    calls = []
+
+    def counted(p, lam, mu, max_x, max_y):
+        calls.append(mu)
+        return real(p, lam, mu, max_x, max_y)
+
+    monkeypatch.setattr(frechet_mod, "hasse_value_table", counted)
+    three = '[{"eig":"0","size":3},{"eig":"0","size":2},{"eig":"0","size":4}]'
+    code, doc = _run_cli(["frechet", "--f", "0,0,0,1", "--W", three])
+    assert code == 0 and len(doc["diagnostics"]) == 9
+    assert calls == [0]
+
+    f = UnivariatePoly.from_string("0,0,-1,1")
+    w = JordanSpec([(Q(0), 3), (Q(1, 2), 2), (Q(0), 2), (Q(2), 1), (Q(1, 2), 4)])
+    for _ in range(2):
+        calls.clear()
+        preds = pair_predictions(f, w, w)
+        assert sorted(calls) == [0, Q(1, 2), 2]
+    x, y = JordanSpec([(Q(-1), 2), (Q(0), 3)]), JordanSpec([(Q(0), 2), (Q(3), 2)])
+    calls.clear()
+    assert frechet_jcf(f, x, y) == JordanStructure.from_pairs(
+        (pr.eigenvalue, pr.sizes) for pr in pair_predictions(f, x, y))
+    assert sorted(calls) == [-1, -1, 0, 0, 3, 3]
+
+    for pair, pred in zip(block_pairs(w, w), preds):
+        calls.clear()
+        assert pair_prediction(f, *pair) == pred
+        assert sorted(calls) == sorted({pair[0], pair[2]})
+
+
 def test_frechet_cli_diagnostics_are_the_per_pair_records():
     f = UnivariatePoly.from_string("0,0,0,1")
     w_text = ('[{"eig":"0","size":3},{"eig":"0","size":2},'

@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from collections import Counter
 from dataclasses import astuple
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,10 @@ from jordankron import RationalMatrix
 from jordankron.toeplitz import (
     InvalidSpecError,
     _hankel_rank,
+    _ladders,
     _linear_complexity,
     _rank_sum,
+    _reciprocal_step,
     _tent,
     hankel_rank,
     rank_row,
@@ -36,7 +39,9 @@ from helpers import (
     certified_full_rank,
     check_properties,
     count_gamma_steps,
+    count_reciprocal_steps,
     eliminated_hankel_rank,
+    eliminated_linear_complexity,
     gamma_coeffs,
     iter_valid_specs,
     mirror,
@@ -45,6 +50,7 @@ from helpers import (
     rank_drop_witness,
     reference_load_records,
     reference_rank_int,
+    reference_reciprocal,
     reference_scan,
     two_case_ranks,
     uncertified_middles,
@@ -211,12 +217,12 @@ def test_every_uncertified_middle_has_rank_at_least_n_minus_shift():
     # package's rank agrees on each, and for n > shift it is the peeled one:
     # n - shift plus the rank of the Schur complement of that block.
     checked = tight = peeled = 0
-    powers = {d: [[1]] for d in range(2, 7)}
+    ladders = {d: _ladders(32) for d in range(2, 7)}
     for m, n, d, ell in uncertified_middles(32):
         shift = d * ell
         r = eliminated_hankel_rank(m, n, d, ell)
         assert r >= n - shift, (m, n, d, ell)
-        assert _hankel_rank(m, n, d, ell, powers[d]) == r, (m, n, d, ell)
+        assert _hankel_rank(m, n, d, ell, *ladders[d]) == r, (m, n, d, ell)
         checked += 1
         tight += r == n - shift
         peeled += n > shift
@@ -235,12 +241,12 @@ def test_a_peeled_middle_passes_only_its_schur_complement_to_the_kernel(monkeypa
         return kernel(s)
 
     monkeypatch.setattr(toeplitz, "_linear_complexity", recorded)
-    powers = {d: [[1]] for d in range(2, 7)}
+    ladders = {d: _ladders(32) for d in range(2, 7)}
     peeled = 0
     for m, n, d, ell in uncertified_middles(32):
         shift = d * ell
         lengths.clear()
-        _hankel_rank(m, n, d, ell, powers[d])
+        _hankel_rank(m, n, d, ell, *ladders[d])
         if n > shift:
             peeled += 1
             want = m - n + shift - 1
@@ -256,12 +262,12 @@ def _hankel_ranks_of_the_40_box():
     for m in range(1, 41):
         for n in range(m, 41):
             for d in range(1, 7):
-                powers = [[1]]
+                ladders = _ladders(m)
                 for ell in range(1, 9):
                     shift = d * ell
                     if m + n - shift < 2:
                         break
-                    yield m, n, shift, _hankel_rank(m, n, d, ell, powers)
+                    yield m, n, shift, _hankel_rank(m, n, d, ell, *ladders)
 
 
 def test_rank_sum_matches_summed_ranks_on_the_40_box():
@@ -316,9 +322,9 @@ def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatc
     gammas = {(d, ell): list(gamma_coeffs(d, ell))
               for d in range(1, 6) for ell in range(1, 7)}
 
-    def recorded(m, n, d, ell, powers):
+    def recorded(m, n, d, ell, powers, recips):
         before = len(eliminated)
-        r = hankel(m, n, d, ell, powers)
+        r = hankel(m, n, d, ell, powers, recips)
         if len(eliminated) > before:
             calls.append((m, n, d, ell))
             assert powers[ell] == gammas[d, ell], (d, ell)
@@ -343,6 +349,25 @@ def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatc
     # One step per ell up to the largest that meets an uncertified middle.
     assert Counter(steps) == {d: max(q[3] for q in uncertified if q[2] == d)
                               for d in {q[2] for q in uncertified}}
+    assert _as_json(got) == _as_json(want)
+
+
+def test_the_scan_builds_each_reciprocal_once_per_d(monkeypatch):
+    # Only a peeled middle, uncertified at d >= 2 with n > ell*d, reads
+    # the reciprocal ladder, and the scan keeps one ladder per d, to
+    # min(m_max, n_max) coefficients: each (d, ell) reciprocal is one step,
+    # up to the largest ell that peels.  The ranks are unchanged.
+    box = (12, 14, 5, 6)
+    want = reference_scan(*box)
+    steps = count_reciprocal_steps(monkeypatch)
+    got = scan_deficiencies(*box)
+    peeled = [(m, n, d, ell)
+              for m in range(1, 13) for n in range(m, 15)
+              for d in range(2, 6) for ell in range(1, 7)
+              if d * ell < n < (m + n + d * ell) // 2 < m + d * ell]
+    assert peeled
+    assert Counter(steps) == {d: max(q[3] for q in peeled if q[2] == d)
+                              for d in {q[2] for q in peeled}}
     assert _as_json(got) == _as_json(want)
 
 
@@ -379,7 +404,7 @@ def test_sliced_window_rank_past_either_end_of_gamma():
     # the middle R_k that build_R builds.
     past_low = past_high = 0
     for d in range(1, 5):
-        powers = [[1]]
+        ladders = _ladders(24)
         for ell in range(1, 9):
             shift = d * ell
             for m in range(1, 25):
@@ -389,7 +414,7 @@ def test_sliced_window_rank_past_either_end_of_gamma():
                         continue
                     ref = reference_rank_int(
                         [list(row) for row in build_R(ToeplitzSpec(m, n, d, ell, mid)).num])
-                    assert _hankel_rank(m, n, d, ell, powers) == hankel_rank(m, n, d, ell) == ref
+                    assert _hankel_rank(m, n, d, ell, *ladders) == hankel_rank(m, n, d, ell) == ref
                     past_low += n > shift + 1
                     past_high += m > shift + 1
     assert past_low and past_high
@@ -459,6 +484,31 @@ def test_hankel_rank_profile(lead, core, trail):
     for q in range(1, big_n + 1):
         assert hankel_rank(q) == min(q, big_n + 1 - q, r) == min(
             q, big_n + 1 - q, lc, big_n + 1 - lc), (s, q)
+
+
+def test_linear_complexity_matches_elimination_on_every_short_sequence():
+    # Every sequence over -2..2 of length at most 6, the empty one too:
+    # 19,531 of them, so each way the last step can meet a nonzero
+    # discrepancy, with 2 L below or at least its index, is reached.
+    checked = 0
+    for length in range(7):
+        for s in product(range(-2, 3), repeat=length):
+            s = list(s)
+            assert _linear_complexity(s) == eliminated_linear_complexity(s), s
+            checked += 1
+    assert checked == 19531
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 64))
+def test_the_reciprocal_ladder_is_the_convolution_reciprocal(d, ell, cap):
+    # Each rung of the ladder, from _ladders(cap), is the first cap
+    # coefficients of 1 / gamma by the O(cap^2) recurrence it replaces.
+    recips = _ladders(cap)[1]
+    for i in range(1, ell + 1):
+        recips.append(_reciprocal_step(recips[-1], d))
+        assert recips[i] == reference_reciprocal(d, i, cap), (d, i, cap)
+    assert recips[0] == reference_reciprocal(d, 0, cap)
 
 
 @settings(max_examples=300, deadline=None)
@@ -676,9 +726,9 @@ def _counting_rank_row(monkeypatch):
     calls = []
     hankel = toeplitz._hankel_rank
 
-    def counted(m, n, d, ell, powers):
+    def counted(m, n, d, ell, *ladders):
         calls.append((m, n, d, ell))
-        return hankel(m, n, d, ell, powers)
+        return hankel(m, n, d, ell, *ladders)
 
     monkeypatch.setattr(toeplitz, "_hankel_rank", counted)
     return calls
@@ -935,10 +985,10 @@ import os, signal, sys
 from jordankron import toeplitz
 hankel = toeplitz._hankel_rank
 stop = tuple(map(int, sys.argv[2:]))
-def dying(m, n, d, ell, powers):
+def dying(m, n, d, ell, *ladders):
     if (m, n, d, ell) == stop:
         os.kill(os.getpid(), signal.SIGKILL)
-    return hankel(m, n, d, ell, powers)
+    return hankel(m, n, d, ell, *ladders)
 toeplitz._hankel_rank = dying
 toeplitz.scan_deficiencies(8, 8, 4, 3, out_path=sys.argv[1])
 """
