@@ -23,11 +23,15 @@ lone :func:`pair_prediction` on a bare f builds its own.
   one ``hankel_rank(m, n, d, s)``, which fixes every rank it sums, and the
   closed sum ``_rank_sum`` of those ranks; the record keeps just the
   per-power Hankel ranks.  Each power calls ``toeplitz._hankel_rank``, the
-  one door to the linear complexity that fixes such a rank, on one gamma
-  ladder and one ladder of reciprocals of gamma, to min(m, n)
-  coefficients, per pair, which grow only when a power needs them, so
-  each power's gamma and reciprocal are built once per pair.  At d = 1
-  every such rank is full, and no power builds either.  A pair of dimension
+  one door to the linear complexity that fixes such a rank, on the
+  ``toeplitz._Table`` of d that the ``_HermiteRows`` of the call keeps:
+  one gamma ladder and one ladder of reciprocals of gamma, to the shorter
+  side of the call's largest blocks, which grow only when a power needs
+  them, and one Berlekamp-Massey run per window start.  So each power's
+  gamma and reciprocal are built once per call and d, not once per pair,
+  and two pairs at d with the same longer side n read one run at each
+  power, whatever their shorter sides.  At d = 1 every such rank is full,
+  and no power builds either.  A pair of dimension
   m*n past ``sys.maxsize`` raises OverflowError before the first power,
   as the branch's all-size-1 answer does: no index reaches it, and its
   powers would run past any budget.
@@ -62,7 +66,7 @@ from .polyring import (
     exact_rational,
     hasse_value_table,
 )
-from .toeplitz import _hankel_rank, _ladders, _rank_sum
+from .toeplitz import _Table, _hankel_rank, _rank_sum
 
 
 class _HermiteRows(dict):
@@ -70,16 +74,26 @@ class _HermiteRows(dict):
     maps to ``(v_lam, den_lam)``, row 0 of the ``hasse_value_table`` of f
     as a polynomial in y at lam and its denominator.  One table serves one
     call of :func:`pair_predictions`, so every block pair at lam reads the
-    same row."""
+    same row.  It also keeps the call's ``toeplitz._Table`` of each d,
+    whose reciprocals hold ``cap`` coefficients, at least the shorter side
+    of every pair of the call, so every equal pair at d climbs the same
+    ladders and shares the Berlekamp-Massey runs of its windows."""
 
-    def __init__(self, f: UnivariatePoly):
+    def __init__(self, f: UnivariatePoly, cap: int):
         super().__init__()
         self.f_y, self.deg = BivariatePoly([f.coeffs]), max(f.degree, 0)
+        self.cap, self.tables = cap, {}
 
     def __missing__(self, lam: Fraction) -> tuple[list[int], int]:
         (row,), den = hasse_value_table(self.f_y, 0, lam, 0, self.deg)
         self[lam] = row, den
         return row, den
+
+    def table(self, d: int) -> _Table:
+        """The call's ``_Table`` of d, made when a pair first needs it."""
+        if d not in self.tables:
+            self.tables[d] = _Table(self.cap)
+        return self.tables[d]
 
 
 def pair_prediction(
@@ -94,7 +108,7 @@ def pair_prediction(
     :func:`pair_predictions`, its Hermite rows."""
     lam, mu = Fraction(exact_rational(lam)), Fraction(exact_rational(mu))
     m, n = parse_block_size(m), parse_block_size(n)
-    rows = f if isinstance(f, _HermiteRows) else _HermiteRows(f)
+    rows = f if isinstance(f, _HermiteRows) else _HermiteRows(f, min(m, n))
     v_lam, den_lam = rows[lam]
     if lam != mu:
         v_mu, den_mu = rows[mu]
@@ -120,10 +134,10 @@ def pair_prediction(
     # toeplitz._rank_sum adds those ranks up as r (t - r), t = m + n - s*d.
     top = -(-(m + n - 1) // d)
     short, long = min(m, n), max(m, n)
-    powers, recips = _ladders(short)
+    table = rows.table(d)
     hankel, nullities = [], [0]
     for s in range(1, top):
-        r = _hankel_rank(short, long, d, s, powers, recips)
+        r = _hankel_rank(short, long, d, s, table)
         hankel.append(r)
         nullities.append(dim - _rank_sum(short, long, s * d, r))
     nullities.append(dim)
@@ -154,9 +168,13 @@ def pair_predictions(
     repeated pair reuses its record, and a mirror takes the swapped record
     of its twin (exact, see the module docstring).  Each takes f's Hermite
     rows from one ``_HermiteRows`` of the call, so f's Hermite row at an
-    eigenvalue is computed once, however many pairs meet it.
+    eigenvalue is computed once, however many pairs meet it, and every
+    equal pair at d ranks its powers on the call's one ``_Table`` of d,
+    whose reciprocals hold min(largest x block, largest y block)
+    coefficients, enough for the shorter side of every pair.
     """
-    return per_block_pair(pair_prediction, _HermiteRows(f), x, y, _mirror)
+    cap = min(max(size for _, size in x.blocks), max(size for _, size in y.blocks))
+    return per_block_pair(pair_prediction, _HermiteRows(f, cap), x, y, _mirror)
 
 
 def frechet_jcf(f: UnivariatePoly, x: JordanSpec, y: JordanSpec) -> JordanStructure:

@@ -38,7 +38,6 @@ from .polyring import (
     hasse_value_table,
     table_local_degree,
 )
-from .toeplitz import _tent
 
 
 def _order_str(value):
@@ -99,6 +98,10 @@ class PairPrediction(NamedTuple):
             entry["sizes"] = list(self.sizes)
             entry["d"] = _order_str(self.local_mult)
             if self.rank_table:
+                # Only the derivative predictor's equal records reach this,
+                # so a generic run never loads the Toeplitz module.
+                from .toeplitz import _tent
+
                 d, m, n = self.local_mult, min(self.m, self.n), max(self.m, self.n)
                 ranks = entry["ranks"] = []
                 for s, r in enumerate(self.rank_table, 1):

@@ -92,15 +92,23 @@ length N has rank min(L, N + 1 - L), for L the linear complexity of s over
 Q: the least L with s_i = c_1 s_(i-1) + ... + c_L s_(i-L) for L <= i < N
 (Iohvidov 1982; Jonckheere and Ma, *A simple Hankel interpretation of the
 Berlekamp-Massey algorithm*, Linear Algebra Appl., 1989).  That is at most
-its (N + 1) // 2 rows.  ``_linear_complexity`` finds L by Berlekamp-Massey
-(Massey, *Shift-register synthesis and BCH decoding*, 1969) in O(N L)
-integer steps.  Where the connection polynomial C meets a nonzero
-discrepancy d, it becomes b C - d z^gap B, for B and b the polynomial and
-discrepancy at its last change of length, gap steps back, and is then
-divided by its content.  Each step scales C by a nonzero integer, so it
-takes the branch of the algorithm over Q, and L is exact.  It is
-cross-checked against a fraction-free echelon kernel, a full-pivot Bareiss
-reference and a rational Gauss reference in the test suite.
+its (N + 1) // 2 rows.  ``_linear_complexities`` finds L by
+Berlekamp-Massey (Massey, *Shift-register synthesis and BCH decoding*,
+1969) in O(N L) integer steps.  Where the connection polynomial C meets a
+nonzero discrepancy d, it becomes b C - d z^gap B, for B and b the
+polynomial and discrepancy at its last change of length, gap steps back,
+and is then divided by its content.  Each step scales C by a nonzero
+integer, so it takes the branch of the algorithm over Q, and L is exact.
+The algorithm is online: after N terms it holds the L of those N, so one
+run yields the L of every prefix, and reads a term only when a longer
+prefix is asked for.  It is cross-checked against a fraction-free echelon
+kernel, a full-pivot Bareiss reference and a rational Gauss reference in
+the test suite.
+
+A window starts at gamma_(shift - n + 1), or after the peel at
+v_(n - shift + 1), and ends at index m - 1, so its start depends on d,
+ell and n alone: the windows of one (d, ell, n) are prefixes of one
+sequence, and the quadruples that differ only in m share one run.
 
 At d = 1 no R_k needs that rank.  The gamma are then binomial
 coefficients, and R_k is a graded piece of multiplication by (x + y)^ell
@@ -108,29 +116,31 @@ on Q[x,y]/(x^m, y^n), which has the largest rank in every degree: that
 algebra has the strong Lefschetz property in characteristic 0 (Stanley,
 *Weyl groups, the hard Lefschetz theorem, and the Sperner property*, 1980).
 So at d = 1, as on a certified middle, r is the largest rank.
-``_hankel_rank``, the only caller of ``_linear_complexity``, is the one
-place this rule is written, and it builds a gamma only when it takes a
-linear complexity, and a reciprocal only when it peels.  It climbs two
-ladders that its caller keeps for one d, of gamma and of 1 / gamma, so
-that each power of either is built once per ladder: per block pair in
-:mod:`jordankron.frechet`, per d in the scanner, and fresh at each
-public entry point.  The certification rule is written where it decides
-that, there and in ``rho``'s shortcut, which builds no sequence for a
-certified k.
+``_hankel_rank``, the only caller of ``_linear_complexities``, is the one
+place this rule is written, and it builds a gamma only when its window
+reads one, and a reciprocal only when it peels.  It works on a
+``_Table`` of d that its caller keeps: the ladders of gamma and of
+1 / gamma, so that each power of either is built once per table, and one
+Berlekamp-Massey run per (ell, n), whose prefixes give the rank of every
+m.  A table lives as long as its caller's work: one per d in a call of
+:mod:`jordankron.frechet`'s ``pair_predictions``, one per d in a scan,
+and a fresh one at each public entry point.  The certification rule is
+written where it decides that, there and in ``rho``'s shortcut, which
+builds no sequence for a certified k.
 
 The rank-deficient R_k, those with min(rows, cols) > r, are what this
 module's scanner hunts for.  It works one quadruple at a time, at the
 cost of its records.  The row of largest ranks is the tent capped at
 c = min(m, t // 2), the full rank of the middle, and r <= c.  Each
-quadruple takes one ``_hankel_rank``, on the scan's ladders of its d, so
-each (d, ell) gamma is built once, when a quadruple first takes a linear
-complexity at ell or above, each (d, ell) reciprocal once, to
-min(m_max, n_max) coefficients, when one first peels there, and no d = 1
-gamma or reciprocal is built.  Every
-R_k of the quadruple has its largest rank exactly when the middle one
-does, that is when r = c; then the tent at c is the row of ranks, and
-only below the peak is ``_tent(t, r)`` built too.  The rank-drop test
-runs only where it can hold, for ell < maxRank <= d.
+quadruple takes one ``_hankel_rank``, on the scan's table of its d, so
+each (d, ell) gamma is built once, when a window first reads gamma at
+ell or above, each (d, ell) reciprocal once, to min(m_max, n_max)
+coefficients, when one first peels there, no d = 1 gamma or reciprocal
+is built, and the quadruples of one (d, ell, n), for every m, read one
+run.  Every R_k of the quadruple has its largest rank exactly when the
+middle one does, that is when r = c; then the tent at c is the row of
+ranks, and only below the peak is ``_tent(t, r)`` built too.  The
+rank-drop test runs only where it can hold, for ell < maxRank <= d.
 
 The scanner's byte form, ``json.dumps(record.to_json_obj())`` and a
 newline, is the only form a record has, and ``_record_lines`` is the one
@@ -169,7 +179,7 @@ from itertools import accumulate, islice
 from math import gcd
 from operator import le, mul, sub
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 
 class InvalidSpecError(ValueError):
@@ -235,55 +245,81 @@ def _rank_sum(m: int, n: int, shift: int, r: int) -> int:
     return r * (t - r)
 
 
-def _linear_complexity(s: list[int]) -> int:
-    """The linear complexity L of the integer sequence s over Q: the least
-    L such that s_i = c_1 s_(i-1) + ... + c_L s_(i-L) for L <= i < len(s).
+def _linear_complexities(s: list[int], start: int) -> Iterator[int]:
+    """Yield, for N = 1, 2, ... up to len(s) - start, the linear complexity L
+    over Q of the prefix s[start : start + N]: the least L such that
+    s_i = c_1 s_(i-1) + ... + c_L s_(i-L) for L <= i < N, with s_i read
+    at start + i.
 
-    Berlekamp-Massey (Massey 1969), fraction-free: the connection
-    polynomial C is updated as b C - d z^gap B, for d its discrepancy and B
-    the last C whose length changed, with b its discrepancy, and then
-    divided by its content.  Scaling C by a nonzero integer scales its
-    discrepancies with it, so every step makes the field algorithm's
-    choices, and L is exact.  The sum runs over s reversed, so each
-    discrepancy is one slice and one ``sum(map(mul, ...))``.
+    Berlekamp-Massey (Massey 1969), online and fraction-free: after N terms
+    it holds the L of those N, so one run answers every prefix, and a
+    longer prefix only resumes it.  The connection polynomial C is updated
+    as b C - d z^gap B, for d its discrepancy and B the last C whose length
+    changed, with b its discrepancy, and then divided by its content.
+    Scaling C by a nonzero integer scales its discrepancies with it, so
+    every step makes the field algorithm's choices, and L is exact.  C and
+    B are kept reversed, so each discrepancy is one slice of s and one
+    ``sum(map(mul, ...))``; C has at most N terms when it meets term N, so
+    the slice never reaches below start.  A nonzero discrepancy fixes the
+    new L before C is built, so the L of a prefix is yielded first, and C
+    is built only when the run resumes.
     """
-    n = len(s)
-    rs = s[::-1]
-    c, back, b, ell, gap = [1], [1], 1, 0, 1
-    for i in range(n - 1):
-        d = sum(map(mul, c, rs[n - 1 - i :]))
+    c = back = [1]
+    b, ell, gap, lc, lb = 1, 0, 1, 1, 1
+    for end in range(start + 1, len(s) + 1):
+        d = sum(map(mul, c, s[end - lc : end]))
         if not d:
+            yield ell
             gap += 1
             continue
-        new = c if b == 1 else [b * x for x in c]
-        new = new + [0] * (gap + len(back) - len(new))
-        for j, x in enumerate(back, gap):
-            new[j] -= d * x
+        grows = 2 * ell < end - start
+        yield end - start - ell if grows else ell
+        # b C - d z^gap B, reversed: B ends gap terms before C's constant.
+        off = lc - gap - lb
+        if off < 0:
+            new = [0] * -off + (c if b == 1 else [b * x for x in c])
+            off = 0
+        else:
+            new = c[:] if b == 1 else [b * x for x in c]
+        for p, x in enumerate(back, off):
+            new[p] -= d * x
         g = gcd(*new)
         if g > 1:
             new = [x // g for x in new]
-        if 2 * ell <= i:
-            back, b, ell, gap = c, d, i + 1 - ell, 1
+        if grows:
+            back, b, ell, gap, lb = c, d, end - start - ell, 1, lc
         else:
             gap += 1
-        c = new
-    # The last step, i = n - 1: a nonzero discrepancy changes only L, and
-    # no later step reads the polynomial it would build.
-    if 2 * ell < n and sum(map(mul, c, rs)):
-        return n - ell
-    return ell
+        c, lc = new, len(new)
 
 
-def _hankel_rank(
-    m: int, n: int, d: int, ell: int, powers: list[list[int]], recips: list[list[int]]
-) -> int:
-    """``hankel_rank`` for m <= n, on two ladders of d that the caller
-    keeps.  ``powers[i]`` holds the coefficients of (1 + z + ... + z^d)^i,
-    from ``[[1]]`` on, and ``recips[i]`` the leading coefficients of its
-    reciprocal, from ``[[1, 0, ..., 0]]`` on, as many as that first entry
-    holds, at least m.  The call appends the powers up to ell, by
-    ``_gamma_step``, only when it ranks a Hankel matrix, and the
-    reciprocals up to ell, by ``_reciprocal_step``, only when it peels.
+class _Table:
+    """What ``_hankel_rank`` keeps for one d between its calls: the gamma
+    ladder ``powers``, where ``powers[i]`` holds the coefficients of
+    (1 + z + ... + z^d)^i, from ``[1]`` on; the reciprocal ladder
+    ``recips``, where ``recips[i]`` holds the leading ``cap`` coefficients
+    of its reciprocal, from ``[1, 0, ..., 0]`` on; and the Berlekamp-Massey
+    runs of the windows, keyed by (ell, n).  Each run is a pair: the list
+    of the L of every prefix read so far, from the empty one on, and the
+    ``_linear_complexities`` generator that extends it.  Every caller
+    makes its own tables, so none outlives its call or scan: one per d in
+    a call of ``frechet.pair_predictions`` and in a scan, and a fresh one
+    at each public entry point."""
+
+    __slots__ = ("powers", "recips", "runs")
+
+    def __init__(self, cap: int):
+        self.powers = [[1]]
+        self.recips = [[1] + [0] * (cap - 1)]
+        self.runs: dict[tuple[int, int], tuple[list[int], Iterator[int]]] = {}
+
+
+def _hankel_rank(m: int, n: int, d: int, ell: int, table: _Table) -> int:
+    """``hankel_rank`` for m <= n, on a ``_Table`` of d that the caller
+    keeps, whose reciprocals hold at least m coefficients.  The call
+    appends the powers up to ell, by ``_gamma_step``, only when its window
+    reads gamma, and the reciprocals up to ell, by ``_reciprocal_step``,
+    only when it peels.
 
     The middle R_k is ranked by a sequence only when it is uncertified and
     d >= 2; otherwise it has the full rank min(k - shift, m + n - k, m) at
@@ -301,6 +337,13 @@ def _hankel_rank(
     from the reciprocal ladder: v of power ell is v of power ell - 1 times
     (1 - z) / (1 - z^(d+1)), so each power's v costs O(m) once, not a
     convolution of O(m^2) at every call.
+
+    Either way the sequence ranked is the ladder entry of ell from index
+    start = shift - n + 1, or n - shift + 1 after the peel, up to index
+    m - 1: it is the prefix N = m - start of one sequence that depends on
+    ell and n alone, and m only sets its length.  So the windows of one
+    (ell, n) share one Berlekamp-Massey run of the table, which reads only
+    as far as the longest prefix asked for so far.
     """
     shift = ell * d
     mid = (m + n + shift) // 2
@@ -308,25 +351,28 @@ def _hankel_rank(
     if d < 2 or not n < mid < m + shift:
         # min(rows, m) without a call: most scanned quadruples end here.
         return rows if rows < m else m
-    while len(powers) <= ell:
-        powers.append(_gamma_step(powers[-1], d))
     if n <= shift:
-        w, s = 0, powers[ell][shift - n + 1 : m]
+        powers = table.powers
+        while len(powers) <= ell:
+            powers.append(_gamma_step(powers[-1], d))
+        w, seq, start = 0, powers[ell], shift - n + 1
     else:
         # The Schur complement of the unit anti-triangular block reads the
         # coefficients of 1 / gamma past w.
+        recips = table.recips
         while len(recips) <= ell:
             recips.append(_reciprocal_step(recips[-1], d))
         w = n - shift
-        s = recips[ell][w + 1 : m]
-    lc = _linear_complexity(s)
-    return w + min(lc, len(s) + 1 - lc)
-
-
-def _ladders(cap: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Fresh gamma and reciprocal ladders for ``_hankel_rank``, whose
-    reciprocals hold ``cap`` coefficients, enough for every m <= cap."""
-    return [[1]], [[1] + [0] * (cap - 1)]
+        seq, start = recips[ell], w + 1
+    big_n = m - start
+    run = table.runs.get((ell, n))
+    if run is None:
+        run = table.runs[ell, n] = [0], _linear_complexities(seq, start)
+    known, more = run
+    if len(known) <= big_n:
+        known += islice(more, big_n + 1 - len(known))
+    lc = known[big_n]
+    return w + min(lc, big_n + 1 - lc)
 
 
 def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
@@ -345,7 +391,7 @@ def hankel_rank(m: int, n: int, d: int, ell: int) -> int:
     way by the linear complexity of its sequence.
     """
     m, n = _check_params(m, n, d, ell)
-    return _hankel_rank(m, n, d, ell, *_ladders(m))
+    return _hankel_rank(m, n, d, ell, _Table(m))
 
 
 def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
@@ -356,7 +402,7 @@ def rank_row(m: int, n: int, d: int, ell: int) -> dict[int, int]:
     ``hankel_rank`` r, so the row costs at most one linear complexity.
     """
     m, n = _check_params(m, n, d, ell)
-    r = _hankel_rank(m, n, d, ell, *_ladders(m))
+    r = _hankel_rank(m, n, d, ell, _Table(m))
     shift = ell * d
     return dict(zip(range(shift + 1, m + n), _tent(m + n - shift, r)))
 
@@ -371,7 +417,7 @@ def rho(m: int, n: int, d: int, ell: int, k: int) -> int:
     """
     m, n = _check_params(m, n, d, ell, k)
     shift = ell * d
-    r = _hankel_rank(m, n, d, ell, *_ladders(m)) if n < k < m + shift else m
+    r = _hankel_rank(m, n, d, ell, _Table(m)) if n < k < m + shift else m
     return min(k - shift, m + n - k, r)
 
 
@@ -639,11 +685,13 @@ def scan_deficiencies(
 
     Only normalized pairs m <= n are visited, one quadruple (m, n, d, ell)
     at a time.  Each quadruple takes one ``_hankel_rank``, which takes a
-    linear complexity only for an uncertified middle R_k at d >= 2, and
-    each (d, ell) gamma is built once, when a quadruple first takes one at
-    ell or above, and each (d, ell) reciprocal of gamma once, to
-    min(m_max, n_max) coefficients, when a quadruple first peels at ell or
-    above.  With ``out_path`` every scanned record is appended as
+    linear complexity only for an uncertified middle R_k at d >= 2, on the
+    scan's ``_Table`` of d: each (d, ell) gamma is built once, when a
+    window first reads gamma at ell or above, each (d, ell) reciprocal of
+    gamma once, to min(m_max, n_max) coefficients, when a quadruple first
+    peels at ell or above, and each (d, ell, n) takes one Berlekamp-Massey
+    run, whose prefixes rank it at every m.  The tables are dropped when
+    the scan returns.  With ``out_path`` every scanned record is appended as
     one JSON line, and each quadruple's new lines are written and flushed
     together, in one write of ``_record_lines``, so a killed scan keeps
     every quadruple it finished.  A quadruple whose records are all present
@@ -667,10 +715,10 @@ def scan_deficiencies(
     # are reported.
     deficient = [rec for rec in existing.values()
                  if rec is not None and all(map(le, rec[:4], bounds))]
-    # ladders[d] holds the gamma ladder of d and its reciprocal ladder, each
-    # up to the largest ell that needed it so far; every m of the box fits
-    # the reciprocals' capacity.
-    ladders: dict[int, tuple] = {}
+    # tables[d] holds the gamma and reciprocal ladders of d, each up to the
+    # largest ell that needed it so far, and the runs of its windows; every
+    # m of the box fits the reciprocals' capacity.
+    tables: dict[int, _Table] = {}
     cap = min(m_max, n_max)
     sink = path.open("ab") if path is not None else None
     try:
@@ -690,9 +738,9 @@ def scan_deficiencies(
                         tops = _tent(t, c)
                         # r is at most c, the middle's largest rank, and
                         # every rank is at its largest exactly when r = c.
-                        if d not in ladders:
-                            ladders[d] = _ladders(cap)
-                        r = _hankel_rank(m, n, d, ell, *ladders[d])
+                        if d not in tables:
+                            tables[d] = _Table(cap)
+                        r = _hankel_rank(m, n, d, ell, tables[d])
                         full = r == c
                         rows = zip(ks, tops if full else _tent(t, r), tops)
                         if done is not None:

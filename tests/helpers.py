@@ -37,6 +37,7 @@ from jordankron import (
     bezout_quotient,
     build_full,
 )
+from jordankron import toeplitz
 from jordankron.bounds import filtration_dim
 from jordankron.bttb import assemble_jordan_matrix
 from jordankron.exactmat import NotSquareError, _from_int_rows, kron
@@ -53,8 +54,8 @@ from jordankron.toeplitz import (
     _checked,
     _gamma_step,
     _hankel_rank,
-    _ladders,
     _reciprocal_step,
+    _Table,
     rank_row,
     sufficient_rank_drop,
 )
@@ -323,12 +324,26 @@ def count_reciprocal_steps(monkeypatch) -> list[int]:
     return _count_steps(monkeypatch, _reciprocal_step)
 
 
+def count_runs(monkeypatch) -> list[int]:
+    """The start of every Berlekamp-Massey run, ``_linear_complexities``,
+    that ``_hankel_rank`` begins from now on."""
+    runs = []
+    kernel = toeplitz._linear_complexities
+
+    def counted(s, start):
+        runs.append(start)
+        return kernel(s, start)
+
+    monkeypatch.setattr(toeplitz, "_linear_complexities", counted)
+    return runs
+
+
 def eliminated_linear_complexity(s: list[int]) -> int:
     """The linear complexity of s over Q by elimination: the least L for
     which s_i = c_1 s_(i-1) + ... + c_L s_(i-L), L <= i < len(s), has a
     solution c, that is, for which the system's matrix and its augmented
     matrix have one ``rank_int_rows``.  Test-only reference for
-    ``toeplitz._linear_complexity``."""
+    ``toeplitz._linear_complexities``."""
     for ell in range(len(s) + 1):
         rows = [s[i - ell : i][::-1] for i in range(ell, len(s))]
         augmented = [row + [s[i]] for row, i in zip(rows, range(ell, len(s)))]
@@ -404,14 +419,16 @@ def hankel_rank_mismatches(n_max: int) -> tuple[int, list[tuple[int, int, int, i
     """The number of uncertified middles of ``uncertified_middles(n_max)``,
     and the quadruples among them where ``_hankel_rank``, by linear
     complexity and for n > ell*d after its peel, differs from
-    ``eliminated_hankel_rank``.  The door climbs one gamma ladder and one
-    reciprocal ladder per d, of capacity n_max, shared by every middle of
-    that d, as the scanner's are."""
+    ``eliminated_hankel_rank``.  The door takes one ``_Table`` per d, of
+    capacity n_max, shared by every middle of that d, as the scanner's
+    is: one gamma ladder, one reciprocal ladder and one Berlekamp-Massey
+    run per (ell, n), so each middle's rank is read from a prefix of the
+    run that the first middle of its (d, ell, n) started."""
     checked, bad = 0, []
-    ladders = {d: _ladders(n_max) for d in range(2, 7)}
+    tables = {d: _Table(n_max) for d in range(2, 7)}
     for m, n, d, ell in uncertified_middles(n_max):
         checked += 1
-        if _hankel_rank(m, n, d, ell, *ladders[d]) != eliminated_hankel_rank(m, n, d, ell):
+        if _hankel_rank(m, n, d, ell, tables[d]) != eliminated_hankel_rank(m, n, d, ell):
             bad.append((m, n, d, ell))
     return checked, bad
 

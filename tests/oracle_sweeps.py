@@ -19,9 +19,11 @@ the d = 1 rule of ``jordankron.toeplitz`` by elimination:
 * every uncertified middle R_k with m <= n <= 64, d = 2..6 and ell <= 8,
   ranked by ``toeplitz._hankel_rank``, from the linear complexity of its
   window or, for n > ell*d, of the Schur complement of its unit
-  anti-triangular block, on one gamma ladder and one reciprocal ladder
-  per d shared by all 30,468 middles, and by elimination of the whole
-  middle (the tier-1 test stops at n <= 32);
+  anti-triangular block, on one ``toeplitz._Table`` per d shared by all
+  30,468 middles, its gamma and reciprocal ladders and its
+  Berlekamp-Massey runs, so each middle reads a prefix of the run of its
+  (d, ell, n), and by elimination of the whole middle (the tier-1 test
+  stops at n <= 32);
 * the generic predictor on pairs of sizes 6-32 with
   p = (x - lam)^k + c (y - mu)^h + (x - lam)^k (y - mu) + e, so that the
   orders at (lam, mu) are k and h, one of them 1 (both above 1 is the

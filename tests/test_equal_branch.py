@@ -29,6 +29,7 @@ from helpers import (
     DEFICIENT_TRIPLES,
     count_gamma_steps,
     count_reciprocal_steps,
+    count_runs,
     d1_rank_deficits,
     deficient_triples,
     equal_branch_mismatches,
@@ -74,43 +75,45 @@ def test_a_perturbed_tangent_power_matches_the_oracle_up_to_size_16():
     ("0,0,1", 24, 0),
     ("0,0,1", 40, 0),
     # w^3 (d = 2): powers 1..39 all have an uncertified middle, and each
-    # takes one convolution step.
+    # takes one convolution step and starts one Berlekamp-Massey run, at
+    # its window's first term, past n - 2s for a peeled power s.
     ("0,0,0,1", 40, 39),
 ])
 def test_the_equal_branch_eliminates_only_at_d_above_1(monkeypatch, f, n, calls):
-    real = toeplitz_mod._linear_complexity
-    eliminations = []
-
-    def counted(s):
-        eliminations.append(len(s))
-        return real(s)
-
-    monkeypatch.setattr(toeplitz_mod, "_linear_complexity", counted)
+    runs = count_runs(monkeypatch)
     steps = count_gamma_steps(monkeypatch)
     w = JordanSpec.single(0, n)
     frechet_jcf(UnivariatePoly.from_string(f), w, w)
-    assert len(eliminations) == len(steps) == calls
+    assert len(runs) == len(steps) == calls
+    d = len(f.split(",")) - 2
+    assert runs == [abs(n - s * d) + 1 for s in range(1, calls + 1)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_each_pair_builds_each_reciprocal_once(monkeypatch, d):
-    # A block pair keeps one ladder of reciprocals of gamma, to min(m, n)
-    # coefficients, so each power's reciprocal is one step, up to the
-    # largest power s that peels: uncertified, with max(m, n) > s*d.  The
-    # six unordered pairs of W are answered once each; the mirrors take
+    # A call keeps one table per d, whose ladder of reciprocals of gamma
+    # holds min(max X size, max Y size) coefficients, so each power's
+    # reciprocal is one step per call, up to the largest power s that
+    # peels in any pair: uncertified, with max(m, n) > s*d.  Each
+    # uncertified power reads its window as a prefix of the call's run of
+    # its (s, max(m, n)), so pairs with the same longer side share runs.
+    # The six unordered pairs of W are answered once each; the mirrors take
     # their twin's record and build nothing.
     sizes = (9, 16, 23)
     w = JordanSpec([(0, size) for size in sizes])
     steps = count_reciprocal_steps(monkeypatch)
+    runs = count_runs(monkeypatch)
     frechet_jcf(tangent_power(d), w, w)
-    want = 0
+    peels, windows = [], []
     for i, m in enumerate(sizes):
         for n in sizes[i:]:
             top = -(-(m + n - 1) // d)
-            want += max((s for s in range(1, top)
-                         if s * d < n < (m + n + s * d) // 2 < m + s * d), default=0)
-    assert want
-    assert steps == [d] * want
+            uncertified = [s for s in range(1, top) if n < (m + n + s * d) // 2 < m + s * d]
+            peels += [s for s in uncertified if s * d < n]
+            windows += [(s, n) for s in uncertified]
+    assert peels
+    assert steps == [d] * max(peels)
+    assert len(runs) == len(set(windows)) < len(windows)
 
 
 def test_every_power_keeps_its_eliminated_hankel_rank():

@@ -79,13 +79,15 @@ def test_reduce_and_scan_load_no_predictor_or_oracle():
 
     # Each command below runs in an interpreter of its own, since what one
     # command loads stays loaded for the next.  The predictors load nothing
-    # of the oracle side, and the scanner no rational arithmetic at all.
+    # of the oracle side, the generic one not the Toeplitz ranks either, and
+    # the scanner no rational arithmetic at all.
     spec = '[{"eig":"0","size":2}]'
     for argv in (["predict", "--p", "0,1;1,0", "--W", spec],
                  ["frechet", "--f", "0,0,1", "--W", spec]):
         _, (code, modules, _, _) = _loaded_after(argv)
         assert code == 0
         assert not {"jordankron.bttb", "jordankron.oracle", "jordankron.exactmat"} & set(modules)
+        assert ("jordankron.toeplitz" in modules) is (argv[0] == "frechet"), argv
     _, (code, modules, _, _) = _loaded_after(scan, stdlib=["decimal", "fractions"])
     assert code == 0
     assert not {"jordankron.polyring", "jordankron.exactmat", "decimal", "fractions"} & set(modules)

@@ -23,10 +23,10 @@ from jordankron import RationalMatrix
 from jordankron.toeplitz import (
     InvalidSpecError,
     _hankel_rank,
-    _ladders,
-    _linear_complexity,
+    _linear_complexities,
     _rank_sum,
     _reciprocal_step,
+    _Table,
     _tent,
     hankel_rank,
     rank_row,
@@ -40,6 +40,7 @@ from helpers import (
     check_properties,
     count_gamma_steps,
     count_reciprocal_steps,
+    count_runs,
     eliminated_hankel_rank,
     eliminated_linear_complexity,
     gamma_coeffs,
@@ -217,12 +218,12 @@ def test_every_uncertified_middle_has_rank_at_least_n_minus_shift():
     # package's rank agrees on each, and for n > shift it is the peeled one:
     # n - shift plus the rank of the Schur complement of that block.
     checked = tight = peeled = 0
-    ladders = {d: _ladders(32) for d in range(2, 7)}
+    tables = {d: _Table(32) for d in range(2, 7)}
     for m, n, d, ell in uncertified_middles(32):
         shift = d * ell
         r = eliminated_hankel_rank(m, n, d, ell)
         assert r >= n - shift, (m, n, d, ell)
-        assert _hankel_rank(m, n, d, ell, *ladders[d]) == r, (m, n, d, ell)
+        assert _hankel_rank(m, n, d, ell, tables[d]) == r, (m, n, d, ell)
         checked += 1
         tight += r == n - shift
         peeled += n > shift
@@ -230,30 +231,64 @@ def test_every_uncertified_middle_has_rank_at_least_n_minus_shift():
 
 
 def test_a_peeled_middle_passes_only_its_schur_complement_to_the_kernel(monkeypatch):
-    # One linear complexity per uncertified middle; for n > shift it is
-    # that of v_(n - shift + 1) .. v_(m - 1) of 1 / gamma, the sequence of
-    # the Schur complement, and for n <= shift that of the whole window.
-    lengths = []
-    kernel = toeplitz._linear_complexity
+    # One linear complexity per uncertified middle, a prefix of the one
+    # Berlekamp-Massey run of its (d, ell, n); for n > shift it is that of
+    # v_(n - shift + 1) .. v_(m - 1) of 1 / gamma, the sequence of the
+    # Schur complement, and for n <= shift that of the whole window,
+    # gamma_(shift - n + 1) .. gamma_(m - 1).  A run starts at the first
+    # middle of its (d, ell, n) and has read no term past the longest
+    # prefix asked of it.
+    starts = []
+    kernel = toeplitz._linear_complexities
 
-    def recorded(s):
-        lengths.append(len(s))
-        return kernel(s)
+    def recorded(s, start):
+        starts.append((s, start))
+        return kernel(s, start)
 
-    monkeypatch.setattr(toeplitz, "_linear_complexity", recorded)
-    ladders = {d: _ladders(32) for d in range(2, 7)}
+    monkeypatch.setattr(toeplitz, "_linear_complexities", recorded)
+    tables = {d: _Table(32) for d in range(2, 7)}
+    longest = {}
     peeled = 0
     for m, n, d, ell in uncertified_middles(32):
         shift = d * ell
-        lengths.clear()
-        _hankel_rank(m, n, d, ell, *ladders[d])
+        table = tables[d]
+        fresh = (ell, n) not in table.runs
+        starts.clear()
+        _hankel_rank(m, n, d, ell, table)
         if n > shift:
             peeled += 1
             want = m - n + shift - 1
+            ladder, start = table.recips, n - shift + 1
         else:
             want = m + n - shift - 1
-        assert lengths == [want], (m, n, d, ell)
+            ladder, start = table.powers, shift - n + 1
+        assert m - start == want
+        assert starts == ([(ladder[ell], start)] if fresh else []), (m, n, d, ell)
+        longest[d, ell, n] = max(longest.get((d, ell, n), 0), want)
+        assert len(table.runs[ell, n][0]) == longest[d, ell, n] + 1, (m, n, d, ell)
     assert peeled == 5836
+    # 9,112 middles share 916 runs.
+    assert len(longest) == sum(map(len, (table.runs for table in tables.values()))) == 916
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_a_shared_table_answers_in_any_order_as_fresh_tables_do(d, data):
+    # A run reads a longer prefix only when one is asked for, so one table
+    # that takes the queries in any order, a longer window of a run before
+    # a shorter one and the same one again, answers each as a fresh table
+    # does.  The queries draw from a few (n, ell), so they share runs.
+    keys = data.draw(st.lists(st.tuples(st.integers(2, 30), st.integers(1, 8)),
+                              min_size=1, max_size=3))
+    queries = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(1, 30)),
+                                 min_size=1, max_size=30))
+    table = _Table(30)
+    for (n, ell), m in queries:
+        m = 1 + (m - 1) % n
+        if d * ell + 2 > m + n:
+            continue
+        assert _hankel_rank(m, n, d, ell, table) == _hankel_rank(m, n, d, ell, _Table(m)), (
+            m, n, d, ell)
 
 
 def _hankel_ranks_of_the_40_box():
@@ -262,12 +297,12 @@ def _hankel_ranks_of_the_40_box():
     for m in range(1, 41):
         for n in range(m, 41):
             for d in range(1, 7):
-                ladders = _ladders(m)
+                table = _Table(m)
                 for ell in range(1, 9):
                     shift = d * ell
                     if m + n - shift < 2:
                         break
-                    yield m, n, shift, _hankel_rank(m, n, d, ell, *ladders)
+                    yield m, n, shift, _hankel_rank(m, n, d, ell, table)
 
 
 def test_rank_sum_matches_summed_ranks_on_the_40_box():
@@ -315,29 +350,38 @@ def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatc
     # Each (d, ell) gamma is built once, by one convolution step, and is
     # gamma_coeffs(d, ell); only a quadruple with d >= 2 whose middle R_k
     # is uncertified takes a linear complexity, what this test's name
-    # calls an elimination.  At d = 1 every R_k has full rank, so
-    # no d = 1 gamma is built.
+    # calls an elimination: it reads its window's prefix of the run of its
+    # (d, ell, n) in the scan's table of d.  Each such (d, ell, n) starts
+    # one run.  At d = 1 every R_k has full rank, so no d = 1 gamma is
+    # built.
     calls, eliminated = [], []
-    hankel, kernel = toeplitz._hankel_rank, toeplitz._linear_complexity
+    hankel = toeplitz._hankel_rank
     gammas = {(d, ell): list(gamma_coeffs(d, ell))
               for d in range(1, 6) for ell in range(1, 7)}
 
-    def recorded(m, n, d, ell, powers, recips):
+    class ReadRuns(dict):
+        def get(self, key, default=None):
+            eliminated.append(key)
+            return super().get(key, default)
+
+    def recorded(m, n, d, ell, table):
+        if type(table.runs) is not ReadRuns:
+            table.runs = ReadRuns(table.runs)
         before = len(eliminated)
-        r = hankel(m, n, d, ell, powers, recips)
+        r = hankel(m, n, d, ell, table)
         if len(eliminated) > before:
             calls.append((m, n, d, ell))
-            assert powers[ell] == gammas[d, ell], (d, ell)
+            assert eliminated[before:] == [(ell, n)]
+            if n <= d * ell:
+                assert table.powers[ell] == gammas[d, ell], (d, ell)
+            else:
+                assert table.recips[ell] == reference_reciprocal(d, ell, 12), (d, ell)
         return r
-
-    def counted(s):
-        eliminated.append(len(s))
-        return kernel(s)
 
     box = (12, 14, 5, 6)
     want = reference_scan(*box)
     monkeypatch.setattr(toeplitz, "_hankel_rank", recorded)
-    monkeypatch.setattr(toeplitz, "_linear_complexity", counted)
+    runs = count_runs(monkeypatch)
     steps = count_gamma_steps(monkeypatch)
     got = scan_deficiencies(*box)
     uncertified = [(m, n, d, ell)
@@ -346,9 +390,12 @@ def test_the_scan_eliminates_once_per_uncertified_middle_on_its_gamma(monkeypatc
                    if d >= 2 and d * ell + 1 < m + n
                    and n < (m + n + d * ell) // 2 < m + d * ell]
     assert calls == uncertified
-    # One step per ell up to the largest that meets an uncertified middle.
-    assert Counter(steps) == {d: max(q[3] for q in uncertified if q[2] == d)
-                              for d in {q[2] for q in uncertified}}
+    assert len(runs) == len({(d, ell, n) for _, n, d, ell in uncertified}) < len(calls)
+    # One step per ell up to the largest that meets an uncertified middle
+    # whose window reads gamma, n <= ell*d.
+    unpeeled = [q for q in uncertified if q[1] <= q[2] * q[3]]
+    assert Counter(steps) == {d: max(q[3] for q in unpeeled if q[2] == d)
+                              for d in {q[2] for q in unpeeled}}
     assert _as_json(got) == _as_json(want)
 
 
@@ -404,7 +451,7 @@ def test_sliced_window_rank_past_either_end_of_gamma():
     # the middle R_k that build_R builds.
     past_low = past_high = 0
     for d in range(1, 5):
-        ladders = _ladders(24)
+        table = _Table(24)
         for ell in range(1, 9):
             shift = d * ell
             for m in range(1, 25):
@@ -414,35 +461,36 @@ def test_sliced_window_rank_past_either_end_of_gamma():
                         continue
                     ref = reference_rank_int(
                         [list(row) for row in build_R(ToeplitzSpec(m, n, d, ell, mid)).num])
-                    assert _hankel_rank(m, n, d, ell, *ladders) == hankel_rank(m, n, d, ell) == ref
+                    assert _hankel_rank(m, n, d, ell, table) == hankel_rank(m, n, d, ell) == ref
                     past_low += n > shift + 1
                     past_high += m > shift + 1
     assert past_low and past_high
 
 
 def test_rank_row_makes_at_most_one_elimination(monkeypatch):
-    calls = []
-    kernel = toeplitz._linear_complexity
-
-    def counted(s):
-        calls.append(len(s))
-        return kernel(s)
-
-    monkeypatch.setattr(toeplitz, "_linear_complexity", counted)
+    calls = count_runs(monkeypatch)
     steps = count_gamma_steps(monkeypatch)
-    for quad in ((30, 30, 2, 7), (12, 40, 3, 5), (40, 12, 1, 30), (5, 60, 1, 2)):
+    recips = count_reciprocal_steps(monkeypatch)
+    for quad in ((30, 30, 2, 7), (30, 30, 3, 12), (12, 40, 3, 5), (40, 12, 1, 30),
+                 (5, 60, 1, 2)):
         calls.clear()
         steps.clear()
+        recips.clear()
         row = rank_row(*quad)
         m, n = min(quad[:2]), max(quad[:2])
         shift = quad[2] * quad[3]
         uncertified = [k for k in row if n < k < m + shift]
         # At d = 1 every R_k has full rank, and none takes a linear
-        # complexity, what this test's name calls an elimination.
+        # complexity, what this test's name calls an elimination: a row
+        # starts at most one Berlekamp-Massey run, on a fresh table.
         eliminates = bool(uncertified) and quad[2] >= 2
         assert len(calls) == eliminates
-        # Gamma is built, one step a power, only for that rank.
-        assert len(steps) == (quad[3] if eliminates else 0)
+        # Gamma is built, one step a power, only for that rank, and only
+        # when the window reads it, n <= ell*d; a peeled window reads the
+        # reciprocals of gamma, one step a power, instead.
+        peels = n > shift
+        assert len(steps) == (quad[3] if eliminates and not peels else 0)
+        assert len(recips) == (quad[3] if eliminates and peels else 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -468,43 +516,50 @@ def test_hankel_rank_profile(lead, core, trail):
     # rank_row rests on this: the (N + 1 - q) x q Hankel matrices of one
     # sequence of length N have rank min(q, N + 1 - q, r), r the rank of
     # the one with q = (N + 1) // 2, and _hankel_rank on this: r is
-    # min(L, N + 1 - L) for the linear complexity L of the sequence.  The
-    # sequences have many zeros, as the gamma windows of rank_row do: runs
-    # at either end, sparse inside.  Entries of 2^64 and more keep the
-    # fraction-free connection polynomial from staying small.
+    # min(L, N + 1 - L) for the linear complexity L of the sequence, and
+    # one run gives the L of every prefix, so of every shorter window of
+    # the same start.  The sequences have many zeros, as the gamma windows
+    # of rank_row do: runs at either end, sparse inside.  Entries of 2^64
+    # and more keep the fraction-free connection polynomial from staying
+    # small.
     s = ([0] * lead + core + [0] * trail)[:16]
     assume(s)
-    big_n = len(s)
-    lc = _linear_complexity(s)
+    lcs = [0, *_linear_complexities(s, 0)]
 
-    def hankel_rank(q):
+    def hankel_rank(big_n, q):
         return reference_rank_int([s[i : i + q] for i in range(big_n + 1 - q)])
 
-    r = hankel_rank((big_n + 1) // 2)
+    for big_n, lc in enumerate(lcs[1:], 1):
+        r = hankel_rank(big_n, (big_n + 1) // 2)
+        assert r == min(lc, big_n + 1 - lc), (s, big_n)
+    big_n = len(s)
     for q in range(1, big_n + 1):
-        assert hankel_rank(q) == min(q, big_n + 1 - q, r) == min(
-            q, big_n + 1 - q, lc, big_n + 1 - lc), (s, q)
+        assert hankel_rank(big_n, q) == min(q, big_n + 1 - q, r), (s, q)
 
 
 def test_linear_complexity_matches_elimination_on_every_short_sequence():
     # Every sequence over -2..2 of length at most 6, the empty one too:
-    # 19,531 of them, so each way the last step can meet a nonzero
-    # discrepancy, with 2 L below or at least its index, is reached.
-    checked = 0
-    for length in range(7):
-        for s in product(range(-2, 3), repeat=length):
-            s = list(s)
-            assert _linear_complexity(s) == eliminated_linear_complexity(s), s
-            checked += 1
-    assert checked == 19531
+    # 19,531 of them, so each way a step can meet a nonzero discrepancy,
+    # with 2 L below or at least its index, is reached.  One run answers
+    # every prefix of each, and every prefix is itself one of the 19,531,
+    # eliminated once.  The run starts past a pad of 0 to 2 terms, which it
+    # never reads.
+    sequences = [s for length in range(7) for s in product(range(-2, 3), repeat=length)]
+    assert len(sequences) == 19531
+    want = {s: eliminated_linear_complexity(list(s)) for s in sequences}
+    assert want[()] == 0
+    for s in sequences:
+        pad = [7] * (len(s) % 3)
+        got = [*_linear_complexities(pad + list(s), len(pad))]
+        assert got == [want[s[:big_n]] for big_n in range(1, len(s) + 1)], s
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 40), st.integers(1, 64))
 def test_the_reciprocal_ladder_is_the_convolution_reciprocal(d, ell, cap):
-    # Each rung of the ladder, from _ladders(cap), is the first cap
+    # Each rung of the ladder, from _Table(cap), is the first cap
     # coefficients of 1 / gamma by the O(cap^2) recurrence it replaces.
-    recips = _ladders(cap)[1]
+    recips = _Table(cap).recips
     for i in range(1, ell + 1):
         recips.append(_reciprocal_step(recips[-1], d))
         assert recips[i] == reference_reciprocal(d, i, cap), (d, i, cap)
@@ -605,10 +660,10 @@ def test_rho_answers_certified_k_without_elimination(monkeypatch, quad):
     m, n, d, ell = quad
     row = rank_row(*quad)
 
-    def no_kernel(s):
+    def no_kernel(s, start):
         raise AssertionError("rho eliminated a matrix")
 
-    monkeypatch.setattr(toeplitz, "_linear_complexity", no_kernel)
+    monkeypatch.setattr(toeplitz, "_linear_complexities", no_kernel)
     certified = [k for k in row if k <= max(m, n) or k >= min(m, n) + ell * d]
     assert len(certified) < len(row)
     for k in certified:
